@@ -2,7 +2,6 @@
 
 from .mesh import (
     BoundaryTag,
-    Edge,
     MeshError,
     MeshQualityReport,
     PolygonalMesh,
@@ -10,10 +9,8 @@ from .mesh import (
     load_mesh,
     quality_report,
     save_mesh,
-    sub_triangulate,
 )
 from .vem import (
-    DofMap,
     GlobalSystem,
     LocalElementOperators,
     assemble,
@@ -34,8 +31,6 @@ from .eigensolver import (
     solve_smallest_positive,
 )
 from .estimator import (
-    EdgeResidual,
-    ElementIndicator,
     GlobalEstimate,
     edge_residuals,
     element_indicators,

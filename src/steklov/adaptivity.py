@@ -17,8 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .estimator import ElementIndicator
-from .mesh import BoundaryTag, MeshError, PolygonalMesh, build_topology, polygon_centroid
+from .mesh import TAGS, BoundaryTag, MeshError, PolygonalMesh, build_topology, polygon_centroid
 
 __all__ = [
     "MarkSet",
@@ -39,23 +38,23 @@ class MarkSet:
     threshold: float
 
 
-def mark(indicators: Sequence[ElementIndicator], fraction: float = 0.5) -> MarkSet:
+def mark(eta2: Sequence[float] | np.ndarray, fraction: float = 0.5) -> MarkSet:
     """Maximum-strategy marking: select cells with eta >= fraction * max(eta).
 
+    ``eta2`` holds the squared indicator of every cell, ``eta = sqrt(eta2)``.
     The comparison is inclusive, so the peak cell is always marked.  When all
     indicators vanish an empty set is returned with a warning (the run is
     either converged or degenerate).
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("marking fraction must lie in (0, 1]")
-    etas = np.array([ind.eta for ind in indicators])
+    etas = np.sqrt(np.asarray(eta2, dtype=float))
     peak = float(etas.max()) if len(etas) else 0.0
     if peak == 0.0:
         warnings.warn("all error indicators are zero; nothing to mark", stacklevel=2)
         return MarkSet(cells=(), threshold=0.0)
     threshold = fraction * peak
-    cells = tuple(int(ind.cell) for ind, eta in zip(indicators, etas) if eta >= threshold)
-    return MarkSet(cells=cells, threshold=threshold)
+    return MarkSet(cells=tuple(np.flatnonzero(etas >= threshold).tolist()), threshold=threshold)
 
 
 @dataclass(frozen=True)
@@ -99,12 +98,23 @@ class _MidpointFactory:
 
 
 def _inherit_boundary_tags(
-    mesh: PolygonalMesh, factory: _MidpointFactory
+    mesh: PolygonalMesh, factory: _MidpointFactory | None = None
 ) -> dict[tuple[int, int], BoundaryTag]:
-    """Boundary tag map for the refined mesh: split edges pass tags to both halves."""
+    """Boundary tag map for the refined mesh: split edges pass tags to both halves.
+
+    Keys are sorted vertex pairs; without a factory this is the tag map of
+    ``mesh`` itself.
+    """
+    boundary = np.flatnonzero(mesh.edge_right < 0)
     tags: dict[tuple[int, int], BoundaryTag] = {}
-    for (a, b), tag in mesh.boundary_tag_map().items():
-        if factory.has_midpoint(a, b):
+    for a, b, code in zip(
+        mesh.edge_a[boundary].tolist(),
+        mesh.edge_b[boundary].tolist(),
+        mesh.edge_tag[boundary].tolist(),
+    ):
+        a, b = (a, b) if a < b else (b, a)
+        tag = TAGS[code]
+        if factory is not None and factory.has_midpoint(a, b):
             m = factory.midpoint(a, b)
             tags[tuple(sorted((a, m)))] = tag
             tags[tuple(sorted((m, b)))] = tag
@@ -128,10 +138,11 @@ def refine_vem(
     if not marked:
         return mesh, RefinementRecord(children={}, new_vertex_ids=(), hanging_cells=())
 
+    cycles = mesh.cycles()
     factory = _MidpointFactory(mesh.vertices)
     centroid_id: dict[int, int] = {}
     for cid in marked:
-        cyc = mesh.cells[cid]
+        cyc = cycles[cid]
         pts = mesh.vertices[cyc]
         c = polygon_centroid(pts)
         n = len(cyc)
@@ -145,28 +156,28 @@ def refine_vem(
                     "quad refinement would invert a child"
                 )
         for k in range(n):
-            factory.midpoint(int(cyc[k]), int(cyc[(k + 1) % n]))
+            factory.midpoint(cyc[k], cyc[(k + 1) % n])
         centroid_id[cid] = factory.append(c)
 
     new_cells: list[list[int]] = []
     children: dict[int, tuple[int, ...]] = {}
     hanging: list[int] = []
     marked_set = set(marked)
-    for cid, cyc in enumerate(mesh.cells):
+    for cid, cyc in enumerate(cycles):
         n = len(cyc)
         if cid in marked_set:
             ids = []
             for k in range(n):
-                m_prev = factory.midpoint(int(cyc[k - 1]), int(cyc[k]))
-                m_next = factory.midpoint(int(cyc[k]), int(cyc[(k + 1) % n]))
+                m_prev = factory.midpoint(cyc[k - 1], cyc[k])
+                m_next = factory.midpoint(cyc[k], cyc[(k + 1) % n])
                 ids.append(len(new_cells))
-                new_cells.append([centroid_id[cid], m_prev, int(cyc[k]), m_next])
+                new_cells.append([centroid_id[cid], m_prev, cyc[k], m_next])
             children[cid] = tuple(ids)
         else:
             cycle: list[int] = []
             gained = False
             for k in range(n):
-                a, b = int(cyc[k]), int(cyc[(k + 1) % n])
+                a, b = cyc[k], cyc[(k + 1) % n]
                 cycle.append(a)
                 if factory.has_midpoint(a, b):
                     cycle.append(factory.midpoint(a, b))
@@ -186,10 +197,13 @@ def refine_vem(
     return refined, record
 
 
-def _require_triangles(mesh: PolygonalMesh, operation: str) -> None:
-    for cid, cyc in enumerate(mesh.cells):
-        if len(cyc) != 3:
-            raise MeshError(f"{operation} requires a triangular mesh; cell {cid} has {len(cyc)} vertices")
+def _require_triangles(mesh: PolygonalMesh, operation: str) -> np.ndarray:
+    """The (n_cells, 3) triangle array of a triangular mesh."""
+    sizes = np.diff(mesh.cell_ptr)
+    if np.any(sizes != 3):
+        cid = int(np.flatnonzero(sizes != 3)[0])
+        raise MeshError(f"{operation} requires a triangular mesh; cell {cid} has {sizes[cid]} vertices")
+    return mesh.cell_vertices.reshape(-1, 3)
 
 
 def normalize_refinement_edges(mesh: PolygonalMesh) -> PolygonalMesh:
@@ -200,16 +214,12 @@ def normalize_refinement_edges(mesh: PolygonalMesh) -> PolygonalMesh:
     its first two vertices.  Meshes produced by :func:`refine_fem` already
     satisfy the convention and must not be re-normalized.
     """
-    _require_triangles(mesh, "refinement-edge normalization")
-    cells = []
-    for cyc in mesh.cells:
-        pts = mesh.vertices[cyc]
-        lengths = [
-            float(np.hypot(*(pts[(k + 1) % 3] - pts[k]))) for k in range(3)
-        ]
-        start = int(np.argmax(lengths))
-        cells.append([int(cyc[(start + j) % 3]) for j in range(3)])
-    return build_topology(mesh.vertices.copy(), cells, mesh.boundary_tag_map())
+    tris = _require_triangles(mesh, "refinement-edge normalization")
+    pts = mesh.vertices[tris]
+    edge = np.roll(pts, -1, axis=1) - pts  # edge k runs from vertex k to k + 1
+    start = np.argmax(np.hypot(edge[..., 0], edge[..., 1]), axis=1)
+    cells = np.take_along_axis(tris, (start[:, None] + np.arange(3)) % 3, axis=1)
+    return build_topology(mesh.vertices.copy(), cells, _inherit_boundary_tags(mesh))
 
 
 def refine_fem(mesh: PolygonalMesh, marks: "MarkSet | Iterable[int]") -> PolygonalMesh:
@@ -221,7 +231,7 @@ def refine_fem(mesh: PolygonalMesh, marks: "MarkSet | Iterable[int]") -> Polygon
     iteratively marks the bisection edge of any triangle touching a marked
     edge, which terminates because marks only grow.
     """
-    _require_triangles(mesh, "newest-vertex bisection")
+    tris = _require_triangles(mesh, "newest-vertex bisection")
     marked = _marked_cell_set(marks, mesh.n_cells)
     if not marked:
         return mesh
@@ -229,7 +239,7 @@ def refine_fem(mesh: PolygonalMesh, marks: "MarkSet | Iterable[int]") -> Polygon
     def edge_key(i: int, j: int) -> tuple[int, int]:
         return (i, j) if i < j else (j, i)
 
-    cycles = [tuple(int(v) for v in cyc) for cyc in mesh.cells]
+    cycles = tris.tolist()
     marked_edges = {edge_key(t[0], t[1]) for t in (cycles[c] for c in marked)}
 
     changed = True
@@ -243,7 +253,7 @@ def refine_fem(mesh: PolygonalMesh, marks: "MarkSet | Iterable[int]") -> Polygon
 
     factory = _MidpointFactory(mesh.vertices)
 
-    def emit(tri: tuple[int, int, int], out: list[list[int]]) -> None:
+    def emit(tri: Sequence[int], out: list[list[int]]) -> None:
         t0, t1, t2 = tri
         if edge_key(t0, t1) not in marked_edges:
             out.append([t0, t1, t2])
@@ -263,11 +273,10 @@ def refine_fem(mesh: PolygonalMesh, marks: "MarkSet | Iterable[int]") -> Polygon
 
 def refine_uniform(mesh: PolygonalMesh) -> PolygonalMesh:
     """Red refinement: every triangle is split into four similar children."""
-    _require_triangles(mesh, "uniform refinement")
+    tris = _require_triangles(mesh, "uniform refinement")
     factory = _MidpointFactory(mesh.vertices)
     new_cells: list[list[int]] = []
-    for cyc in mesh.cells:
-        a, b, c = (int(v) for v in cyc)
+    for a, b, c in tris.tolist():
         mab = factory.midpoint(a, b)
         mbc = factory.midpoint(b, c)
         mca = factory.midpoint(c, a)

@@ -105,9 +105,9 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 def _cmd_mesh_validate(args: argparse.Namespace) -> int:
     mesh = load_mesh(args.path)
     report = quality_report(mesh)
-    boundary = sum(1 for e in mesh.edges if e.is_boundary)
+    boundary = int((mesh.edge_right < 0).sum())
     print(f"{args.path}: OK")
-    print(f"  vertices {mesh.n_vertices}  cells {mesh.n_cells}  edges {len(mesh.edges)} "
+    print(f"  vertices {mesh.n_vertices}  cells {mesh.n_cells}  edges {mesh.n_edges} "
           f"({boundary} boundary, {len(mesh.gamma0_edge_ids())} gamma0)")
     print(f"  gamma estimate {report.gamma_estimate:.4f}  "
           f"gamma_hat estimate {report.gamma_hat_estimate:.4f}")

@@ -93,7 +93,7 @@ def normalize_pair(system: GlobalSystem, pair: SpectralPair) -> SpectralPair:
             "eigenvector has zero boundary mass norm: deflation failure"
         )
     w = w / np.sqrt(m_norm2)
-    for dof in system.dof_map.gamma0_dofs:
+    for dof in system.gamma0_dofs:
         if abs(w[dof]) > _SIGN_THRESHOLD:
             if w[dof] < 0.0:
                 w = -w
@@ -119,7 +119,7 @@ def solve_smallest_positive(system: GlobalSystem, options: SolverOptions = Solve
     if options.count < 1:
         raise EigensolverError("count must be at least 1")
     n = system.n_dofs
-    n_positive = system.dof_map.n_gamma0 - 1
+    n_positive = len(system.gamma0_dofs) - 1
     if options.count > n_positive:
         raise EigensolverError(
             f"requested {options.count} eigenvalues but the pencil has only "

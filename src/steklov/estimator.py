@@ -21,13 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolver import SpectralPair
-from .mesh import BoundaryTag, PolygonalMesh
+from .mesh import TAGS, BoundaryTag, PolygonalMesh
 from .quadrature import gauss_edge_rule
 from .vem import GlobalSystem, project_solution, projected_gradients
 
 __all__ = [
-    "EdgeResidual",
-    "ElementIndicator",
     "GlobalEstimate",
     "edge_residuals",
     "element_indicators",
@@ -36,66 +34,38 @@ __all__ = [
 
 _EDGE_RULE = gauss_edge_rule(2)
 
-_INTERIOR = list(BoundaryTag).index(BoundaryTag.INTERIOR)
-_GAMMA0 = list(BoundaryTag).index(BoundaryTag.GAMMA0)
-_GAMMA1 = list(BoundaryTag).index(BoundaryTag.GAMMA1)
-
-
-@dataclass(frozen=True)
-class EdgeResidual:
-    """Affine edge residual, stored by its endpoint values along (a, b)."""
-
-    edge: int
-    tag: BoundaryTag
-    value_a: float
-    value_b: float
-    norm2: float  # integral of the squared residual over the edge
-
-
-@dataclass(frozen=True)
-class ElementIndicator:
-    """Squared estimator contributions of one cell."""
-
-    cell: int
-    theta2: float  # stabilization energy of the projection complement
-    r2: float      # interior residual (identically zero at lowest order)
-    jump2: float   # diameter-weighted edge residuals of the cell's edges
-
-    @property
-    def eta2(self) -> float:
-        return self.theta2 + self.r2 + self.jump2
-
-    @property
-    def eta(self) -> float:
-        return float(np.sqrt(self.eta2))
+_INTERIOR = TAGS.index(BoundaryTag.INTERIOR)
+_GAMMA0 = TAGS.index(BoundaryTag.GAMMA0)
+_GAMMA1 = TAGS.index(BoundaryTag.GAMMA1)
 
 
 @dataclass(frozen=True)
 class GlobalEstimate:
     eta2: float
     theta2_total: float
-    r2_total: float
     jump2_total: float
     effectivity: float | None
 
 
-def _edge_residual_values(
+def edge_residuals(
     mesh: PolygonalMesh,
     gradients: np.ndarray,
     lambda_h: float,
     trace: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Endpoint values and exact squared norms of all edge residuals.
+    """Per-edge affine residuals of a projected eigenpair.
 
-    Returns ``(value_a, value_b, norm2)`` indexed by edge id.  The normal is
-    the outward normal of each edge's left cell, so interior jumps are
+    ``gradients`` holds the constant projected gradient of each cell and
+    ``trace`` the dof vector of the eigenfunction.  Returns ``(value_a,
+    value_b, norm2)`` indexed by edge id: the residual at both endpoints and
+    the exact integral of its square over the edge.  The normal is the
+    outward normal of each edge's left cell, so interior jumps are
     orientation independent up to sign and their squared norms are well
     defined.
     """
-    arrays = mesh.edge_arrays()
-    a = arrays["a"]
-    b = arrays["b"]
-    tag = arrays["tag"]
+    a = mesh.edge_a
+    b = mesh.edge_b
+    tag = mesh.edge_tag
     pa = mesh.vertices[a]
     pb = mesh.vertices[b]
     tangent = pb - pa
@@ -103,14 +73,14 @@ def _edge_residual_values(
     nx = tangent[:, 1] / length
     ny = -tangent[:, 0] / length
 
-    grad_left = gradients[arrays["left"]]
+    grad_left = gradients[mesh.edge_left]
     flux_left = grad_left[:, 0] * nx + grad_left[:, 1] * ny
 
     value_a = np.empty(len(a))
     value_b = np.empty(len(a))
 
     interior = tag == _INTERIOR
-    grad_right = gradients[np.where(arrays["right"] >= 0, arrays["right"], 0)]
+    grad_right = gradients[np.where(mesh.edge_right >= 0, mesh.edge_right, 0)]
     flux_right = grad_right[:, 0] * nx + grad_right[:, 1] * ny
     half_jump = 0.5 * (flux_left - flux_right)
     value_a[interior] = half_jump[interior]
@@ -130,32 +100,11 @@ def _edge_residual_values(
     return value_a, value_b, norm2
 
 
-def edge_residuals(
-    mesh: PolygonalMesh,
-    gradients: np.ndarray,
-    lambda_h: float,
-    trace: np.ndarray,
-) -> list[EdgeResidual]:
-    """Per-edge affine residuals of a projected eigenpair.
-
-    ``gradients`` holds the constant projected gradient of each cell and
-    ``trace`` the dof vector of the eigenfunction.
-    """
-    value_a, value_b, norm2 = _edge_residual_values(mesh, gradients, lambda_h, trace)
-    return [
-        EdgeResidual(
-            edge=eid,
-            tag=edge.tag,
-            value_a=float(value_a[eid]),
-            value_b=float(value_b[eid]),
-            norm2=float(norm2[eid]),
-        )
-        for eid, edge in enumerate(mesh.edges)
-    ]
-
-
-def element_indicators(system: GlobalSystem, pair: SpectralPair) -> list[ElementIndicator]:
-    """Squared error indicators of every cell for one normalized eigenpair."""
+def element_indicators(system: GlobalSystem, pair: SpectralPair) -> tuple[np.ndarray, np.ndarray]:
+    """Squared error indicators ``(theta2, jump2)`` of every cell for one
+    normalized eigenpair: the stabilization energy of the projection
+    complement and the diameter-weighted residuals of the cell's edges.
+    The cell's squared indicator is ``theta2 + jump2``."""
     if not pair.normalized:
         raise ValueError("indicator evaluation expects a boundary-mass-normalized pair")
     mesh = system.mesh
@@ -163,7 +112,7 @@ def element_indicators(system: GlobalSystem, pair: SpectralPair) -> list[Element
 
     coeffs = project_solution(system, w)
     gradients = projected_gradients(system, coeffs)
-    _, _, norm2 = _edge_residual_values(mesh, gradients, pair.value, w)
+    _, _, norm2 = edge_residuals(mesh, gradients, pair.value, w)
 
     theta2 = np.empty(mesh.n_cells)
     for group in system.groups:
@@ -171,30 +120,22 @@ def element_indicators(system: GlobalSystem, pair: SpectralPair) -> list[Element
         theta2[group.ids] = np.einsum("mi,mij,mj->m", local, group.stabilization, local)
 
     edge_sums = np.zeros(mesh.n_cells)
-    halfedge_edge = np.concatenate(mesh.cell_edges)
-    owner = np.repeat(
-        np.arange(mesh.n_cells), [len(ce) for ce in mesh.cell_edges]
-    )
-    np.add.at(edge_sums, owner, norm2[halfedge_edge])
-    jump2 = system.diameters * edge_sums
-
-    return [
-        ElementIndicator(cell=cid, theta2=float(theta2[cid]), r2=0.0, jump2=float(jump2[cid]))
-        for cid in range(mesh.n_cells)
-    ]
+    owner = np.repeat(np.arange(mesh.n_cells), np.diff(mesh.cell_ptr))
+    np.add.at(edge_sums, owner, norm2[mesh.cell_edges])
+    return theta2, system.diameters * edge_sums
 
 
 def global_estimate(
-    indicators: list[ElementIndicator],
+    theta2: np.ndarray,
+    jump2: np.ndarray,
     lambda_h: float | None = None,
     reference: float | None = None,
 ) -> GlobalEstimate:
-    """Aggregate element indicators; attach an effectivity index when a
+    """Aggregate the per-cell indicators; attach an effectivity index when a
     reference eigenvalue is supplied alongside the computed one."""
-    theta2 = float(sum(ind.theta2 for ind in indicators))
-    r2 = float(sum(ind.r2 for ind in indicators))
-    jump2 = float(sum(ind.jump2 for ind in indicators))
-    eta2 = theta2 + r2 + jump2
+    theta2_total = float(np.sum(theta2))
+    jump2_total = float(np.sum(jump2))
+    eta2 = theta2_total + jump2_total
     effectivity = None
     if lambda_h is not None and reference is not None:
         if eta2 <= 0.0:
@@ -202,8 +143,7 @@ def global_estimate(
         effectivity = abs(reference - lambda_h) / eta2
     return GlobalEstimate(
         eta2=eta2,
-        theta2_total=theta2,
-        r2_total=r2,
-        jump2_total=jump2,
+        theta2_total=theta2_total,
+        jump2_total=jump2_total,
         effectivity=effectivity,
     )

@@ -180,9 +180,11 @@ class RateFit:
 def fit_rate(n_dofs: Sequence[float], errors: Sequence[float | None], last: int = 5) -> RateFit:
     """Fit the convergence order over the trailing ``last`` usable data points.
 
-    Points with missing or non-positive error are skipped; fewer than three
-    usable points raise ValueError.
+    Points with missing or non-positive error are skipped; a window ``last``
+    below three, or fewer than three usable points, raise ValueError.
     """
+    if last < 3:
+        raise ValueError(f"rate fit window must cover at least 3 points, got last={last}")
     usable = [
         (float(n), float(e))
         for n, e in zip(n_dofs, errors)
@@ -236,8 +238,8 @@ def notched_reference_eigenvalue(
         lams.append(pair.value)
         if system.n_dofs >= target_dofs:
             break
-        indicators = element_indicators(system, pair)
-        marks = mark(indicators, 0.5)
+        theta2, jump2 = element_indicators(system, pair)
+        marks = mark(theta2 + jump2, 0.5)
         if not marks.cells:
             break
         mesh, _ = refine_vem(mesh, marks)
@@ -286,8 +288,9 @@ def run_experiment(
             start = time.perf_counter()
             system = assemble(mesh)
             pair = solve_smallest_positive(system, options)[0]
-            indicators = element_indicators(system, pair)
-            estimate = global_estimate(indicators, lambda_h=pair.value, reference=reference)
+            theta2, jump2 = element_indicators(system, pair)
+            eta2 = theta2 + jump2
+            estimate = global_estimate(theta2, jump2, lambda_h=pair.value, reference=reference)
             error = abs(pair.value - reference) if reference is not None else None
             record = ConvergenceRecord(
                 step=step,
@@ -308,8 +311,14 @@ def run_experiment(
                 with open(out_dir / f"indicators_step_{step}.csv", "w", newline="") as fh:
                     writer = csv.writer(fh)
                     writer.writerow(["cell", "theta2", "jump2", "eta2"])
-                    for ind in indicators:
-                        writer.writerow([ind.cell, repr(ind.theta2), repr(ind.jump2), repr(ind.eta2)])
+                    writer.writerows(
+                        zip(
+                            range(len(eta2)),
+                            map(repr, theta2.tolist()),
+                            map(repr, jump2.tolist()),
+                            map(repr, eta2.tolist()),
+                        )
+                    )
             if out_dir is not None and config.dump_matrices:
                 dump_matrix(system.stiffness, out_dir / f"stiffness_step_{step}.txt")
                 dump_matrix(system.boundary_mass, out_dir / f"boundary_mass_step_{step}.txt")
@@ -320,7 +329,7 @@ def run_experiment(
                 result.marks.append(None)
                 mesh = refine_uniform(mesh)
             else:
-                marks = mark(indicators, config.mark_fraction)
+                marks = mark(eta2, config.mark_fraction)
                 result.marks.append(marks)
                 if not marks.cells:
                     break

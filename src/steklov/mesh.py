@@ -5,17 +5,18 @@ vertices created by local refinement are ordinary (possibly collinear) cycle
 entries, so conformity always means exact edge matching: every interior edge
 is traversed once in each direction by its two incident cells.
 
-Validation and the edge table are vectorized over groups of equal-length
-cycles, which keeps topology construction cheap on the fine meshes produced
-late in an adaptive run.
+The mesh is a set of flat arrays: cells in compressed-row form (``cell_ptr``
+into ``cell_vertices``) and one array per edge attribute.  Validation, the
+edge table and the quality report work on groups of equal-length cycles,
+which keeps them cheap on the fine meshes produced late in an adaptive run.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -24,17 +25,17 @@ import numpy as np
 __all__ = [
     "MeshError",
     "BoundaryTag",
-    "Edge",
+    "TAGS",
     "PolygonalMesh",
     "MeshQualityReport",
     "build_topology",
+    "cell_groups",
     "signed_area",
     "polygon_centroid",
     "polygon_diameter",
     "element_area",
     "element_centroid",
     "element_diameter",
-    "sub_triangulate",
     "quality_report",
     "save_mesh",
     "load_mesh",
@@ -55,53 +56,54 @@ class BoundaryTag(Enum):
     GAMMA1 = "gamma1"  # reflecting boundary part (zero normal flux)
 
 
+# edge_tag stores the position of each edge's tag in this tuple
+TAGS = tuple(BoundaryTag)
+
 # A boundary classifier is either an explicit map from the sorted vertex pair
 # to a tag, or a geometric predicate receiving the two endpoint coordinates.
 TagMap = Mapping[tuple[int, int], "BoundaryTag | str"]
 TagRule = Callable[[np.ndarray, np.ndarray], "BoundaryTag | str"]
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Mesh edge oriented as (a, b), the direction its ``left`` cell traverses it.
+def cell_groups(cell_ptr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Cells grouped by vertex count, smallest count first.
 
-    ``right`` is the cell traversing (b, a), or None on the domain boundary.
+    Each group is ``(ids, index)``: the ascending cell ids and the (m, n)
+    positions of their cycles in the flat per-half-edge arrays, so that
+    ``cell_vertices[index]`` stacks the group's cycles.
     """
-
-    a: int
-    b: int
-    left: int
-    right: int | None
-    tag: BoundaryTag
-
-    @property
-    def is_boundary(self) -> bool:
-        return self.right is None
-
-    def key(self) -> tuple[int, int]:
-        return (self.a, self.b) if self.a < self.b else (self.b, self.a)
+    sizes = np.diff(cell_ptr)
+    groups = []
+    for n in np.unique(sizes):
+        ids = np.flatnonzero(sizes == n)
+        groups.append((ids, cell_ptr[ids][:, None] + np.arange(n)))
+    return groups
 
 
 @dataclass(frozen=True, eq=False)
 class PolygonalMesh:
-    """Immutable conforming polygonal mesh.
+    """Immutable conforming polygonal mesh in flat, read-only arrays.
+
+    Cell c is the ccw cycle ``cell_vertices[cell_ptr[c]:cell_ptr[c + 1]]``;
+    ``cell_edges`` is aligned with ``cell_vertices`` and holds the id of the
+    edge from each cycle entry to the next.  Edge e runs from ``edge_a[e]`` to
+    ``edge_b[e]``, the direction its ``edge_left`` cell traverses it;
+    ``edge_right`` is the cell traversing (b, a), or -1 on the domain
+    boundary, and ``edge_tag`` indexes :data:`TAGS`.
 
     Build instances through :func:`build_topology` (or :func:`load_mesh`),
     which validates orientation, simplicity, manifoldness and boundary tags.
     """
 
-    vertices: np.ndarray                    # (n_vertices, 2), read-only
-    cells: tuple[np.ndarray, ...]           # ccw vertex cycles, read-only
-    edges: tuple[Edge, ...]
-    cell_edges: tuple[np.ndarray, ...]      # edge ids of each cell, cycle order
-    _edge_index: dict = field(repr=False)   # sorted vertex pair -> index into edges
-    # flat per-edge arrays "a", "b", "left", "right" (-1 on the boundary) and
-    # "tag" (BoundaryTag ordinal), mirroring ``edges`` for vectorized consumers
-    _edge_arrays: dict = field(repr=False)
-
-    def edge_arrays(self) -> dict[str, np.ndarray]:
-        """Per-edge index arrays; ``tag`` uses the ordinal positions of BoundaryTag."""
-        return self._edge_arrays
+    vertices: np.ndarray       # (n_vertices, 2)
+    cell_ptr: np.ndarray       # (n_cells + 1,)
+    cell_vertices: np.ndarray  # (n_halfedges,)
+    cell_edges: np.ndarray     # (n_halfedges,)
+    edge_a: np.ndarray         # (n_edges,) ...
+    edge_b: np.ndarray
+    edge_left: np.ndarray
+    edge_right: np.ndarray
+    edge_tag: np.ndarray
 
     @property
     def n_vertices(self) -> int:
@@ -109,46 +111,35 @@ class PolygonalMesh:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.cell_ptr) - 1
 
-    def edge_id(self, i: int, j: int) -> int:
-        """Index of the edge with endpoints {i, j}."""
-        key = (i, j) if i < j else (j, i)
-        try:
-            return self._edge_index[key]
-        except KeyError:
-            raise MeshError(f"no edge between vertices {i} and {j}") from None
+    @property
+    def n_edges(self) -> int:
+        return len(self.edge_a)
 
-    def cell_edge_ids(self, cell: int) -> np.ndarray:
-        """Edge indices of one cell, in cycle order."""
-        return self.cell_edges[cell]
+    def cell(self, c: int) -> np.ndarray:
+        """Vertex cycle of one cell."""
+        return self.cell_vertices[self.cell_ptr[c]:self.cell_ptr[c + 1]]
 
-    def gamma0_edge_ids(self) -> list[int]:
-        return [k for k, e in enumerate(self.edges) if e.tag is BoundaryTag.GAMMA0]
+    def cycles(self) -> list[list[int]]:
+        """All vertex cycles as lists of Python ints, converted in one pass."""
+        flat = self.cell_vertices.tolist()
+        ptr = self.cell_ptr.tolist()
+        return [flat[i:j] for i, j in zip(ptr[:-1], ptr[1:])]
+
+    def gamma0_edge_ids(self) -> np.ndarray:
+        return np.flatnonzero(self.edge_tag == TAGS.index(BoundaryTag.GAMMA0))
 
     def gamma0_vertices(self) -> np.ndarray:
         """Sorted vertex indices lying on the spectral boundary."""
-        ids = set()
-        for e in self.edges:
-            if e.tag is BoundaryTag.GAMMA0:
-                ids.add(e.a)
-                ids.add(e.b)
-        return np.array(sorted(ids), dtype=int)
-
-    def boundary_tag_map(self) -> dict[tuple[int, int], BoundaryTag]:
-        """Sorted-vertex-pair -> tag for all boundary edges (used by refinement)."""
-        return {e.key(): e.tag for e in self.edges if e.is_boundary}
+        ids = self.gamma0_edge_ids()
+        return np.unique(np.concatenate([self.edge_a[ids], self.edge_b[ids]]))
 
     def structurally_equal(self, other: "PolygonalMesh") -> bool:
-        if self.n_vertices != other.n_vertices or self.n_cells != other.n_cells:
-            return False
-        if not np.array_equal(self.vertices, other.vertices):
-            return False
-        if any(not np.array_equal(a, b) for a, b in zip(self.cells, other.cells)):
-            return False
-        return [(e.a, e.b, e.tag) for e in self.edges] == [
-            (e.a, e.b, e.tag) for e in other.edges
-        ]
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("vertices", "cell_ptr", "cell_vertices", "edge_a", "edge_b", "edge_tag")
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +180,15 @@ def polygon_diameter(points: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.sum(diff * diff, axis=2))))
 
 
-def _orient(p, q, r) -> float:
-    """Twice the signed area of triangle (p, q, r)."""
-    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+def _stack_shape(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell-local coordinates, signed areas and squared pairwise vertex
+    distances of a (m, n, 2) stack of cycles."""
+    local = pts - pts.mean(axis=1, keepdims=True)
+    x = local[..., 0]
+    y = local[..., 1]
+    area = 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
+    diff = pts[:, :, None, :] - pts[:, None, :, :]
+    return local, area, np.sum(diff * diff, axis=3)
 
 
 # ---------------------------------------------------------------------------
@@ -261,20 +258,13 @@ def _check_simple_group(pts: np.ndarray, ids: np.ndarray, diam: np.ndarray) -> N
                 )
 
 
-def _validate_cycles(verts: np.ndarray, cycles: list[np.ndarray]) -> None:
+def _validate_cycles(verts: np.ndarray, cell_ptr: np.ndarray, cell_vertices: np.ndarray) -> None:
     """Group-wise duplicate/degeneracy/orientation/simplicity checks.
 
-    Clockwise cycles are reversed in place (the lists hold per-cell arrays).
+    Clockwise cycles are reversed in place in ``cell_vertices``.
     """
-    lengths = np.array([len(c) for c in cycles])
-    by_length: dict[int, list[int]] = {}
-    for cid, n in enumerate(lengths):
-        by_length.setdefault(int(n), []).append(cid)
-
-    for n, members in sorted(by_length.items()):
-        ids = np.array(members)
-        stack = np.vstack([cycles[c] for c in members]).astype(np.int64, copy=False)
-        stack = stack.reshape(len(members), n)
+    for ids, index in cell_groups(cell_ptr):
+        stack = cell_vertices[index]
 
         srt = np.sort(stack, axis=1)
         dup = np.any(srt[:, 1:] == srt[:, :-1], axis=1)
@@ -282,15 +272,8 @@ def _validate_cycles(verts: np.ndarray, cycles: list[np.ndarray]) -> None:
             raise MeshError(f"cell {int(ids[_first_true(dup)])} repeats a vertex in its cycle")
 
         pts = verts[stack]
-        local = pts - pts.mean(axis=1, keepdims=True)
-        x = local[..., 0]
-        y = local[..., 1]
-        x1 = np.roll(x, -1, axis=1)
-        y1 = np.roll(y, -1, axis=1)
-        area = 0.5 * np.sum(x * y1 - x1 * y, axis=1)
-
-        diff = pts[:, :, None, :] - pts[:, None, :, :]
-        diam = np.sqrt(np.max(np.sum(diff * diff, axis=3), axis=(1, 2)))
+        _, area, dist2 = _stack_shape(pts)
+        diam = np.sqrt(np.max(dist2, axis=(1, 2)))
 
         degenerate = np.abs(area) <= COLLINEAR_REL * diam * diam
         if np.any(degenerate):
@@ -298,10 +281,8 @@ def _validate_cycles(verts: np.ndarray, cycles: list[np.ndarray]) -> None:
 
         flip = area < 0.0
         if np.any(flip):
-            flipped = stack[flip][:, ::-1]
-            stack[flip] = flipped
-            for row, cid in zip(flipped, ids[flip]):
-                cycles[cid] = np.array(row)
+            stack[flip] = stack[flip][:, ::-1]
+            cell_vertices[index[flip]] = stack[flip]
             pts = verts[stack]
 
         _check_simple_group(pts, ids, diam)
@@ -318,6 +299,22 @@ def _normalize_tag(raw, edge_key) -> BoundaryTag:
     if tag is BoundaryTag.INTERIOR:
         raise MeshError(f"boundary edge {edge_key} tagged as interior")
     return tag
+
+
+def _flatten_cells(cells: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Compressed-row form (cell_ptr, cell_vertices) of a sequence of cycles."""
+    cells = list(cells)
+    try:
+        sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+        flat = np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=int(sizes.sum()))
+    except (TypeError, ValueError):
+        raise MeshError("cells must be sequences of vertex indices") from None
+    short = sizes < 3
+    if np.any(short):
+        raise MeshError(f"cell {_first_true(short)} must list at least 3 vertices")
+    cell_ptr = np.zeros(len(cells) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=cell_ptr[1:])
+    return cell_ptr, flat
 
 
 def build_topology(
@@ -339,32 +336,22 @@ def build_topology(
         raise MeshError("vertex coordinates must be finite")
     n_verts = verts.shape[0]
 
-    cycles: list[np.ndarray] = []
-    for cid, raw in enumerate(cells):
-        cyc = np.asarray(raw, dtype=np.int64)
-        if cyc.ndim != 1 or len(cyc) < 3:
-            raise MeshError(f"cell {cid} must list at least 3 vertices")
-        cycles.append(cyc)
-    if not cycles:
+    cell_ptr, tails = _flatten_cells(cells)
+    n_cells = len(cell_ptr) - 1
+    if n_cells == 0:
         raise MeshError("mesh has no cells")
-
-    entries = np.concatenate(cycles)
-    if entries.size and (entries.min() < 0 or entries.max() >= n_verts):
-        lengths = np.array([len(c) for c in cycles])
-        bad = _first_true((entries < 0) | (entries >= n_verts))
-        cid = int(np.searchsorted(np.cumsum(lengths), bad, side="right"))
+    if tails.min() < 0 or tails.max() >= n_verts:
+        bad = _first_true((tails < 0) | (tails >= n_verts))
+        cid = int(np.searchsorted(cell_ptr, bad, side="right")) - 1
         raise MeshError(f"cell {cid} references a vertex out of range")
 
-    _validate_cycles(verts, cycles)  # may reverse cycles in place
+    _validate_cycles(verts, cell_ptr, tails)  # may reverse cycles in place
 
     # half-edge arrays in cell order
-    lengths = np.array([len(c) for c in cycles])
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    tails = np.concatenate(cycles)
     heads = np.empty_like(tails)
     heads[:-1] = tails[1:]
-    heads[offsets[1:] - 1] = tails[offsets[:-1]]
-    owner = np.repeat(np.arange(len(cycles)), lengths)
+    heads[cell_ptr[1:] - 1] = tails[cell_ptr[:-1]]
+    owner = np.repeat(np.arange(n_cells), np.diff(cell_ptr))
 
     lo = np.minimum(tails, heads)
     hi = np.maximum(tails, heads)
@@ -430,58 +417,29 @@ def build_topology(
         def classify(key, pa, pb):
             return _normalize_tag(boundary_tags(pa, pb), key)
 
-    tag_order = tuple(BoundaryTag)
-    edge_tag = np.zeros(n_edges, dtype=np.int64)
-    edges: list[Edge] = []
-    edge_index: dict[tuple[int, int], int] = {}
-    for eid in range(n_edges):
-        a = int(edge_a[eid])
-        b = int(edge_b[eid])
-        left = int(edge_left[eid])
-        right = int(edge_right[eid]) if edge_right[eid] >= 0 else None
+    # only boundary edges need a classifier call; interior edges keep code 0
+    edge_tag = np.zeros(n_edges, dtype=np.int8)  # TAGS[0] is BoundaryTag.INTERIOR
+    boundary = np.flatnonzero(edge_right < 0)
+    for eid, a, b in zip(boundary.tolist(), edge_a[boundary].tolist(), edge_b[boundary].tolist()):
         key = (a, b) if a < b else (b, a)
-        if right is None:
-            tag = classify(key, verts[a], verts[b])
-        else:
-            tag = BoundaryTag.INTERIOR
-        edges.append(Edge(a=a, b=b, left=left, right=right, tag=tag))
-        edge_tag[eid] = tag_order.index(tag)
-        edge_index[key] = eid
-
-    if not any(e.tag is BoundaryTag.GAMMA0 for e in edges):
+        edge_tag[eid] = TAGS.index(classify(key, verts[a], verts[b]))
+    if not np.any(edge_tag == TAGS.index(BoundaryTag.GAMMA0)):
         raise MeshError("spectral boundary is empty: no edge tagged gamma0")
 
-    cell_edges = []
-    for cid in range(len(cycles)):
-        seg = halfedge_edge[offsets[cid]:offsets[cid + 1]].copy()
-        seg.flags.writeable = False
-        cell_edges.append(seg)
-
-    final_cycles = []
-    for cyc in cycles:
-        arr = np.ascontiguousarray(cyc)
-        arr.flags.writeable = False
-        final_cycles.append(arr)
-
-    edge_arrays = {
-        "a": edge_a,
-        "b": edge_b,
-        "left": edge_left,
-        "right": edge_right,
-        "tag": edge_tag,
-    }
-    for arr in edge_arrays.values():
-        arr.flags.writeable = False
-
-    verts.flags.writeable = False
-    return PolygonalMesh(
+    mesh = PolygonalMesh(
         vertices=verts,
-        cells=tuple(final_cycles),
-        edges=tuple(edges),
-        cell_edges=tuple(cell_edges),
-        _edge_index=edge_index,
-        _edge_arrays=edge_arrays,
+        cell_ptr=cell_ptr,
+        cell_vertices=tails,
+        cell_edges=halfedge_edge,
+        edge_a=edge_a,
+        edge_b=edge_b,
+        edge_left=edge_left,
+        edge_right=edge_right,
+        edge_tag=edge_tag,
     )
+    for arr in vars(mesh).values():
+        arr.flags.writeable = False
+    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -489,35 +447,15 @@ def build_topology(
 
 
 def element_area(mesh: PolygonalMesh, cell: int) -> float:
-    return signed_area(mesh.vertices[mesh.cells[cell]])
+    return signed_area(mesh.vertices[mesh.cell(cell)])
 
 
 def element_centroid(mesh: PolygonalMesh, cell: int) -> np.ndarray:
-    return polygon_centroid(mesh.vertices[mesh.cells[cell]])
+    return polygon_centroid(mesh.vertices[mesh.cell(cell)])
 
 
 def element_diameter(mesh: PolygonalMesh, cell: int) -> float:
-    return polygon_diameter(mesh.vertices[mesh.cells[cell]])
-
-
-def sub_triangulate(mesh: PolygonalMesh, cell: int) -> np.ndarray:
-    """Fan triangulation (centroid, v_k, v_{k+1}) of one cell, shape (n, 3, 2).
-
-    Raises :class:`MeshError` when the cell is not star-shaped with respect to
-    its centroid (some fan triangle would be inverted).
-    """
-    pts = mesh.vertices[mesh.cells[cell]]
-    c = polygon_centroid(pts)
-    diam = polygon_diameter(pts)
-    n = len(pts)
-    tris = np.empty((n, 3, 2))
-    for k in range(n):
-        tris[k, 0] = c
-        tris[k, 1] = pts[k]
-        tris[k, 2] = pts[(k + 1) % n]
-        if _orient(c, pts[k], pts[(k + 1) % n]) <= -COLLINEAR_REL * diam * diam:
-            raise MeshError(f"cell {cell} is not star-shaped with respect to its centroid")
-    return tris
+    return polygon_diameter(mesh.vertices[mesh.cell(cell)])
 
 
 @dataclass(frozen=True)
@@ -542,16 +480,6 @@ class MeshQualityReport:
         return float(np.min(self.min_vertex_gaps / self.diameters))
 
 
-def _point_segment_distance(p, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.hypot(*(p - a)))
-    t = min(1.0, max(0.0, float((p - a) @ ab) / denom))
-    closest = a + t * ab
-    return float(np.hypot(*(p - closest)))
-
-
 def quality_report(mesh: PolygonalMesh, gamma: float = 0.1, gamma_hat: float = 0.1) -> MeshQualityReport:
     """Per-cell diameter/area/inscribed-radius/vertex-gap statistics with flags."""
     nc = mesh.n_cells
@@ -559,21 +487,20 @@ def quality_report(mesh: PolygonalMesh, gamma: float = 0.1, gamma_hat: float = 0
     area = np.empty(nc)
     rho = np.empty(nc)
     gap = np.empty(nc)
-    for cid, cyc in enumerate(mesh.cells):
-        pts = mesh.vertices[cyc]
-        n = len(pts)
-        diam[cid] = polygon_diameter(pts)
-        area[cid] = signed_area(pts)
-        c = polygon_centroid(pts)
-        rho[cid] = min(
-            _point_segment_distance(c, pts[k], pts[(k + 1) % n]) for k in range(n)
-        )
-        diff = pts[:, None, :] - pts[None, :, :]
-        d2 = np.sum(diff * diff, axis=2)
-        d2[np.diag_indices(n)] = np.inf
-        gap[cid] = math.sqrt(float(np.min(d2)))
-    star = tuple(int(i) for i in np.nonzero(rho < gamma * diam)[0])
-    gaps = tuple(int(i) for i in np.nonzero(gap < gamma_hat * diam)[0])
+    for ids, index in cell_groups(mesh.cell_ptr):
+        local, a, dist2 = _stack_shape(mesh.vertices[mesh.cell_vertices[index]])
+        area[ids] = a
+        diam[ids] = np.sqrt(np.max(dist2, axis=(1, 2)))
+        # centroid in local coordinates, then its distance to every edge
+        x, y = local[..., 0], local[..., 1]
+        x1, y1 = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+        cross = x * y1 - x1 * y
+        cx = np.sum((x + x1) * cross, axis=1, keepdims=True) / (6.0 * a[:, None])
+        cy = np.sum((y + y1) * cross, axis=1, keepdims=True) / (6.0 * a[:, None])
+        rho[ids] = np.sqrt(np.min(_segment_distance2(cx, cy, x, y, x1, y1), axis=1))
+        n = index.shape[1]
+        dist2[:, np.arange(n), np.arange(n)] = np.inf
+        gap[ids] = np.sqrt(np.min(dist2, axis=(1, 2)))
     return MeshQualityReport(
         diameters=diam,
         areas=area,
@@ -581,8 +508,8 @@ def quality_report(mesh: PolygonalMesh, gamma: float = 0.1, gamma_hat: float = 0
         min_vertex_gaps=gap,
         gamma=gamma,
         gamma_hat=gamma_hat,
-        star_flags=star,
-        gap_flags=gaps,
+        star_flags=tuple(np.flatnonzero(rho < gamma * diam).tolist()),
+        gap_flags=tuple(np.flatnonzero(gap < gamma_hat * diam).tolist()),
     )
 
 
@@ -592,18 +519,26 @@ def quality_report(mesh: PolygonalMesh, gamma: float = 0.1, gamma_hat: float = 0
 
 def save_mesh(mesh: PolygonalMesh, path: str | Path) -> None:
     """Write the mesh as JSON: vertices, cell cycles and tagged boundary edges."""
+    boundary = np.flatnonzero(mesh.edge_right < 0)
     payload = {
-        "vertices": [[float(x), float(y)] for x, y in mesh.vertices],
-        "cells": [[int(v) for v in cyc] for cyc in mesh.cells],
+        "vertices": mesh.vertices.tolist(),
+        "cells": mesh.cycles(),
         "boundary": [
-            {"edge": [e.a, e.b], "tag": e.tag.value}
-            for e in mesh.edges
-            if e.is_boundary
+            {"edge": [a, b], "tag": TAGS[t].value}
+            for a, b, t in zip(
+                mesh.edge_a[boundary].tolist(),
+                mesh.edge_b[boundary].tolist(),
+                mesh.edge_tag[boundary].tolist(),
+            )
         ],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
         fh.write("\n")
+
+
+def _is_index(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_mesh(path: str | Path) -> PolygonalMesh:
@@ -619,8 +554,21 @@ def load_mesh(path: str | Path) -> PolygonalMesh:
         boundary = payload["boundary"]
     except (KeyError, TypeError) as err:
         raise MeshError(f"mesh file {path} is missing field {err}") from None
+    for cid, cell in enumerate(cells):
+        if not isinstance(cell, list) or not all(map(_is_index, cell)):
+            raise MeshError(f"cell {cid} in {path} is not a list of integer vertex indices")
     tag_map: dict[tuple[int, int], str] = {}
-    for item in boundary:
-        i, j = item["edge"]
-        tag_map[tuple(sorted((int(i), int(j))))] = item["tag"]
+    for k, item in enumerate(boundary):
+        edge = item.get("edge") if isinstance(item, dict) else None
+        if (
+            not isinstance(edge, list)
+            or len(edge) != 2
+            or not all(map(_is_index, edge))
+            or "tag" not in item
+        ):
+            raise MeshError(
+                f"boundary item {k} in {path} must be an object with an integer "
+                f"vertex pair \"edge\" and a \"tag\": {item!r}"
+            )
+        tag_map[tuple(sorted(edge))] = item["tag"]
     return build_topology(vertices, cells, tag_map)

@@ -1,33 +1,17 @@
-"""Gauss quadrature on segments and a degree-2 rule on triangles."""
+"""Gauss-Legendre quadrature on the unit segment."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "EdgeRule",
-    "TriangleRule",
-    "gauss_edge_rule",
-    "triangle_midpoint_rule",
-    "edge_integrate",
-    "triangle_integrate",
-]
+__all__ = ["EdgeRule", "gauss_edge_rule"]
 
 
 @dataclass(frozen=True)
 class EdgeRule:
     """Quadrature nodes in the unit parameter [0, 1] with weights summing to 1."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class TriangleRule:
-    """Barycentric quadrature nodes (m, 3) with weights summing to 1."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -43,59 +27,3 @@ def gauss_edge_rule(n_points: int = 2) -> EdgeRule:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return EdgeRule(nodes=nodes, weights=weights)
-
-
-def triangle_midpoint_rule() -> TriangleRule:
-    """Three edge-midpoint nodes with equal weights; exact for quadratics."""
-    nodes = np.array(
-        [
-            [0.5, 0.5, 0.0],
-            [0.0, 0.5, 0.5],
-            [0.5, 0.0, 0.5],
-        ]
-    )
-    weights = np.full(3, 1.0 / 3.0)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return TriangleRule(nodes=nodes, weights=weights)
-
-
-def edge_integrate(
-    rule: EdgeRule,
-    p0: np.ndarray,
-    p1: np.ndarray,
-    integrand: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """Integrate ``integrand`` over the segment [p0, p1].
-
-    The integrand receives an (m, 2) array of physical points and must return
-    m values.  The segment may be degenerate (zero length gives zero).
-    """
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    length = float(np.hypot(*(p1 - p0)))
-    points = p0[None, :] + rule.nodes[:, None] * (p1 - p0)[None, :]
-    values = np.asarray(integrand(points), dtype=float)
-    return length * float(rule.weights @ values)
-
-
-def triangle_integrate(
-    rule: TriangleRule,
-    triangle: np.ndarray,
-    integrand: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """Integrate ``integrand`` over one triangle given as a (3, 2) vertex array.
-
-    Raises ValueError on a degenerate (zero-area) triangle.
-    """
-    tri = np.asarray(triangle, dtype=float)
-    if tri.shape != (3, 2):
-        raise ValueError("triangle must be a (3, 2) vertex array")
-    v01 = tri[1] - tri[0]
-    v02 = tri[2] - tri[0]
-    area = 0.5 * abs(float(v01[0] * v02[1] - v01[1] * v02[0]))
-    if area == 0.0:
-        raise ValueError("degenerate triangle (zero area)")
-    points = rule.nodes @ tri
-    values = np.asarray(integrand(points), dtype=float)
-    return area * float(rule.weights @ values)

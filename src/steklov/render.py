@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from .mesh import BoundaryTag, PolygonalMesh
+from .mesh import PolygonalMesh
 
 __all__ = ["mesh_to_svg"]
 
@@ -30,11 +30,10 @@ def mesh_to_svg(
     scale = width / (span_x + 2 * margin)
     height = int(round(scale * (span_y + 2 * margin)))
 
-    def to_px(x: float, y: float) -> tuple[float, float]:
-        return (
-            scale * (x - xmin + margin),
-            scale * (ymax - y + margin),  # flip: SVG y axis points down
-        )
+    # pixel coordinates of every vertex (SVG's y axis points down)
+    px = scale * (verts[:, 0] - xmin + margin)
+    py = scale * (ymax - verts[:, 1] + margin)
+    points = [f"{x:.3f},{y:.3f}" for x, y in zip(px.tolist(), py.tolist())]
 
     marked_set = set(int(c) for c in marked)
     stroke = max(0.5, 0.0012 * width)
@@ -43,22 +42,18 @@ def mesh_to_svg(
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for cid, cyc in enumerate(mesh.cells):
-        pts = " ".join(
-            "{:.3f},{:.3f}".format(*to_px(verts[v][0], verts[v][1])) for v in cyc
-        )
+    for cid, cyc in enumerate(mesh.cycles()):
+        pts = " ".join(points[v] for v in cyc)
         fill = "#f4b8b8" if cid in marked_set else "none"
         lines.append(
             f'<polygon points="{pts}" fill="{fill}" stroke="#333333" '
             f'stroke-width="{stroke:.2f}" stroke-linejoin="round"/>'
         )
-    for edge in mesh.edges:
-        if edge.tag is BoundaryTag.GAMMA0:
-            x1, y1 = to_px(*verts[edge.a])
-            x2, y2 = to_px(*verts[edge.b])
-            lines.append(
-                f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
-                f'stroke="#c62828" stroke-width="{2.5 * stroke:.2f}"/>'
-            )
+    gamma0 = mesh.gamma0_edge_ids()
+    for a, b in zip(mesh.edge_a[gamma0].tolist(), mesh.edge_b[gamma0].tolist()):
+        lines.append(
+            f'<line x1="{px[a]:.3f}" y1="{py[a]:.3f}" x2="{px[b]:.3f}" y2="{py[b]:.3f}" '
+            f'stroke="#c62828" stroke-width="{2.5 * stroke:.2f}"/>'
+        )
     lines.append("</svg>")
     Path(path).write_text("\n".join(lines) + "\n")

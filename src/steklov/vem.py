@@ -22,12 +22,11 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import BoundaryTag, MeshError, PolygonalMesh
+from .mesh import MeshError, PolygonalMesh, cell_groups
 
 __all__ = [
     "LocalElementOperators",
     "CellGroup",
-    "DofMap",
     "GlobalSystem",
     "local_operators",
     "local_projector",
@@ -35,7 +34,6 @@ __all__ = [
     "assemble",
     "project_solution",
     "projected_gradients",
-    "evaluate_projection",
     "dump_matrix",
 ]
 
@@ -147,24 +145,20 @@ def _group_operators(pts: np.ndarray, dofs: np.ndarray, ids: np.ndarray) -> Cell
     )
 
 
-def _group_to_ops(group: CellGroup, k: int) -> LocalElementOperators:
-    return LocalElementOperators(
-        projector=group.projector[k],
-        consistency=group.consistency[k],
-        stabilization=group.stabilization[k],
-        stiffness=group.stiffness[k],
-        diameter=float(group.diameter[k]),
-        centroid=group.centroid[k],
-        area=float(group.area[k]),
-    )
-
-
 def local_operators(points: np.ndarray) -> LocalElementOperators:
     """Build all local operators for one cell given its ccw vertex coordinates."""
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     group = _group_operators(pts[None, :, :], np.arange(n)[None, :], np.zeros(1, dtype=int))
-    return _group_to_ops(group, 0)
+    return LocalElementOperators(
+        projector=group.projector[0],
+        consistency=group.consistency[0],
+        stabilization=group.stabilization[0],
+        stiffness=group.stiffness[0],
+        diameter=float(group.diameter[0]),
+        centroid=group.centroid[0],
+        area=float(group.area[0]),
+    )
 
 
 def local_projector(points: np.ndarray) -> np.ndarray:
@@ -179,33 +173,23 @@ def local_boundary_mass(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DofMap:
-    """Vertex-based dof numbering (one dof per vertex for the lowest order)."""
-
-    n_dofs: int
-    cell_dofs: tuple[np.ndarray, ...]
-    gamma0_dofs: np.ndarray
-
-    @property
-    def n_gamma0(self) -> int:
-        return len(self.gamma0_dofs)
-
-
-@dataclass(frozen=True)
 class GlobalSystem:
-    """Assembled stiffness/boundary-mass pair plus the per-cell operators."""
+    """Assembled stiffness/boundary-mass pair plus the grouped cell operators.
+
+    Dofs are the mesh vertices; ``gamma0_dofs`` lists those on the spectral
+    boundary.
+    """
 
     stiffness: sp.csr_matrix
     boundary_mass: sp.csr_matrix
-    dof_map: DofMap
+    gamma0_dofs: np.ndarray
     groups: tuple[CellGroup, ...]
-    local_ops: tuple[LocalElementOperators, ...]
     diameters: np.ndarray  # per-cell diameter, indexed by cell id
     mesh: PolygonalMesh
 
     @property
     def n_dofs(self) -> int:
-        return self.dof_map.n_dofs
+        return self.mesh.n_vertices
 
 
 def assemble(mesh: PolygonalMesh) -> GlobalSystem:
@@ -217,17 +201,15 @@ def assemble(mesh: PolygonalMesh) -> GlobalSystem:
     """
     n = mesh.n_vertices
 
-    by_length: dict[int, list[int]] = {}
-    for cid, cyc in enumerate(mesh.cells):
-        by_length.setdefault(len(cyc), []).append(cid)
-
     groups = []
     rows, cols, data = [], [], []
-    for size in sorted(by_length):
-        ids = np.array(by_length[size], dtype=int)
-        dofs = np.vstack([mesh.cells[c] for c in by_length[size]])
+    diameters = np.empty(mesh.n_cells)
+    for ids, index in cell_groups(mesh.cell_ptr):
+        size = index.shape[1]
+        dofs = mesh.cell_vertices[index]
         group = _group_operators(mesh.vertices[dofs], dofs, ids)
         groups.append(group)
+        diameters[ids] = group.diameter
         rows.append(np.repeat(dofs, size, axis=1).ravel())
         cols.append(np.tile(dofs, (1, size)).ravel())
         data.append(group.stiffness.ravel())
@@ -236,37 +218,22 @@ def assemble(mesh: PolygonalMesh) -> GlobalSystem:
         shape=(n, n),
     ).tocsr()
 
-    mrows, mcols, mdata = [], [], []
-    for edge in mesh.edges:
-        if edge.tag is not BoundaryTag.GAMMA0:
-            continue
-        local = local_boundary_mass(mesh.vertices[edge.a], mesh.vertices[edge.b])
-        pair = (edge.a, edge.b)
-        for i in range(2):
-            for j in range(2):
-                mrows.append(pair[i])
-                mcols.append(pair[j])
-                mdata.append(local[i, j])
+    # exact P1 trace mass of every spectral edge, entries in (edge, i, j) order
+    gamma0 = mesh.gamma0_edge_ids()
+    a = mesh.edge_a[gamma0]
+    b = mesh.edge_b[gamma0]
+    d = mesh.vertices[b] - mesh.vertices[a]
+    length = np.hypot(d[:, 0], d[:, 1])
+    mrows = np.column_stack([a, a, b, b]).ravel()
+    mcols = np.column_stack([a, b, a, b]).ravel()
+    mdata = ((length / 6.0)[:, None] * np.array([2.0, 1.0, 1.0, 2.0])).ravel()
     boundary_mass = sp.coo_matrix((mdata, (mrows, mcols)), shape=(n, n)).tocsr()
 
-    ops: list[LocalElementOperators | None] = [None] * mesh.n_cells
-    diameters = np.empty(mesh.n_cells)
-    for group in groups:
-        diameters[group.ids] = group.diameter
-        for k, cid in enumerate(group.ids):
-            ops[cid] = _group_to_ops(group, k)
-
-    dof_map = DofMap(
-        n_dofs=n,
-        cell_dofs=mesh.cells,
-        gamma0_dofs=mesh.gamma0_vertices(),
-    )
     return GlobalSystem(
         stiffness=stiffness,
         boundary_mass=boundary_mass,
-        dof_map=dof_map,
+        gamma0_dofs=mesh.gamma0_vertices(),
         groups=tuple(groups),
-        local_ops=tuple(ops),
         diameters=diameters,
         mesh=mesh,
     )
@@ -286,16 +253,6 @@ def project_solution(system: GlobalSystem, w: np.ndarray) -> np.ndarray:
 def projected_gradients(system: GlobalSystem, coeffs: np.ndarray) -> np.ndarray:
     """Constant gradient (n_cells, 2) of each cell's projected affine function."""
     return coeffs[:, 1:] / system.diameters[:, None]
-
-
-def evaluate_projection(
-    system: GlobalSystem, coeffs: np.ndarray, cell: int, points: np.ndarray
-) -> np.ndarray:
-    """Evaluate one cell's projected affine function at physical points (m, 2)."""
-    op = system.local_ops[cell]
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    s = coeffs[cell]
-    return s[0] + ((pts - op.centroid) / op.diameter) @ s[1:]
 
 
 def dump_matrix(matrix: sp.spmatrix, path: str | Path) -> None:

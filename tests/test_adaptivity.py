@@ -11,19 +11,15 @@ from steklov.adaptivity import (
     refine_uniform,
     refine_vem,
 )
-from steklov.estimator import ElementIndicator
 from steklov.experiments import initial_mesh
 from steklov.mesh import (
+    TAGS,
     BoundaryTag,
     MeshError,
     build_topology,
     element_area,
     signed_area,
 )
-
-
-def indicator(cell, eta2):
-    return ElementIndicator(cell=cell, theta2=eta2, r2=0.0, jump2=0.0)
 
 
 def top_edge_rule(pa, pb):
@@ -38,8 +34,7 @@ def total_area(mesh):
 
 def min_triangle_angle(mesh):
     worst = np.inf
-    for cyc in mesh.cells:
-        pts = mesh.vertices[cyc]
+    for pts in mesh.vertices[mesh.cell_vertices.reshape(-1, 3)]:
         for k in range(3):
             u = pts[(k + 1) % 3] - pts[k]
             v = pts[(k + 2) % 3] - pts[k]
@@ -53,7 +48,7 @@ def min_triangle_angle(mesh):
 
 
 def test_mark_inclusive_threshold():
-    inds = [indicator(0, 16.0), indicator(1, 4.0), indicator(2, 3.9), indicator(3, 0.1)]
+    inds = np.array([16.0, 4.0, 3.9, 0.1])
     # etas are 4, 2, ~1.97, ~0.3; threshold at 0.5 * 4 = 2 keeps cells 0 and 1
     ms = mark(inds, fraction=0.5)
     assert ms.cells == (0, 1)
@@ -63,14 +58,14 @@ def test_mark_inclusive_threshold():
 
 
 def test_mark_validates_fraction():
-    inds = [indicator(0, 1.0)]
+    inds = np.array([1.0])
     for bad in (0.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             mark(inds, fraction=bad)
 
 
 def test_mark_all_zero_warns_and_returns_empty():
-    inds = [indicator(0, 0.0), indicator(1, 0.0)]
+    inds = np.zeros(2)
     with pytest.warns(UserWarning, match="nothing to mark"):
         ms = mark(inds)
     assert ms.cells == ()
@@ -86,7 +81,7 @@ def test_refine_vem_single_square():
     refined, record = refine_vem(mesh, [0])
     assert refined.n_cells == 4
     assert refined.n_vertices == 9  # 4 corners + 4 midpoints + centroid
-    assert all(len(c) == 4 for c in refined.cells)
+    assert all(len(c) == 4 for c in refined.cycles())
     assert abs(total_area(refined) - 1.0) < 1e-12
     assert record.children == {0: (0, 1, 2, 3)}
     assert len(record.new_vertex_ids) == 5
@@ -103,7 +98,7 @@ def test_refine_vem_neighbor_absorbs_hanging_vertices():
     for cid in record.hanging_cells:
         (child,) = record.children[cid]
         # the absorbed midpoints make the cell cycle longer
-        assert len(refined.cells[child]) > 3
+        assert len(refined.cell(child)) > 3
     assert abs(total_area(refined) - total_area(mesh)) < 1e-12
 
 
@@ -167,7 +162,7 @@ def test_refine_fem_children_follow_bisection_convention():
     # each child lists its own next bisection edge first (one of the parent's
     # short legs) and ends with the new midpoint
     leading = set()
-    for cyc in refined.cells:
+    for cyc in refined.cycles():
         assert cyc[2] == 3
         leading.add(frozenset((int(cyc[0]), int(cyc[1]))))
     assert leading == {frozenset((0, 1)), frozenset((0, 2))}
@@ -179,7 +174,7 @@ def test_refine_fem_closure_keeps_mesh_conforming():
     refined = refine_fem(mesh, [0])
     # closure may split neighbours; conformity is checked by build_topology,
     # and every cell stays a triangle
-    assert all(len(c) == 3 for c in refined.cells)
+    assert all(len(c) == 3 for c in refined.cycles())
     assert refined.n_cells > mesh.n_cells
     assert abs(total_area(refined) - total_area(mesh)) < 1e-12
 
@@ -217,14 +212,13 @@ def test_refine_fem_angles_stay_bounded():
 def test_refine_fem_preserves_boundary_tags():
     mesh = normalize_refinement_edges(initial_mesh("square"))
     refined = refine_fem(mesh, list(range(mesh.n_cells)))
-    for e in refined.edges:
-        if not e.is_boundary:
-            continue
-        mid = 0.5 * (refined.vertices[e.a] + refined.vertices[e.b])
+    for eid in np.flatnonzero(refined.edge_right < 0):
+        mid = 0.5 * (refined.vertices[refined.edge_a[eid]] + refined.vertices[refined.edge_b[eid]])
+        tag = TAGS[refined.edge_tag[eid]]
         if abs(mid[1] - 1.0) < 1e-12:
-            assert e.tag is BoundaryTag.GAMMA0
+            assert tag is BoundaryTag.GAMMA0
         else:
-            assert e.tag is BoundaryTag.GAMMA1
+            assert tag is BoundaryTag.GAMMA1
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Command line interface: subcommands, exit codes, output files."""
 
+import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import steklov
 from steklov.cli import main
 from steklov.experiments import initial_mesh
 from steklov.mesh import save_mesh
@@ -68,6 +72,10 @@ def test_rate_subcommand(tmp_path, capsys):
     text = capsys.readouterr().out
     assert text.startswith("slope -")
     assert "over 4 points" in text
+    # windows below three points are refused, not silently widened or shifted
+    for last in ("0", "-2"):
+        assert main(["rate", "--csv", str(out / "results.csv"), "--last", last]) == 1
+        assert "window" in capsys.readouterr().err
 
 
 def test_rate_rejects_foreign_csv(tmp_path, capsys):
@@ -93,6 +101,21 @@ def test_mesh_validate_rejects_bad_file(tmp_path, capsys):
     assert main(["mesh", "validate", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
 
+    # malformed items are named errors, not tracebacks or a silent "OK"
+    square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    boundary = [{"edge": [k, (k + 1) % 4], "tag": "gamma0"} for k in range(4)]
+    cases = [
+        ([[0, 1, 2, 3]], [{"tag": "gamma0"}] + boundary[1:]),
+        ([[0, 1, 2, 3]], boundary[:3] + [[3, 0]]),
+        ([[0, 1, 2, 3.7]], boundary),
+    ]
+    for cells, items in cases:
+        path.write_text(json.dumps({"vertices": square, "cells": cells, "boundary": items}))
+        assert main(["mesh", "validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "OK" not in captured.out
+        assert captured.err.startswith("error: ")
+
 
 def test_missing_file_is_reported_not_raised(tmp_path, capsys):
     assert main(["mesh", "validate", str(tmp_path / "absent.json")]) == 1
@@ -115,11 +138,16 @@ def test_bad_arguments_exit_with_usage_error(capsys):
 
 
 def test_installed_entry_point_help():
+    # the child imports the package from where this process found it, so the
+    # check also runs from a source checkout that was never installed
+    src = str(Path(steklov.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "steklov.cli", "--help"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "rate" in proc.stdout

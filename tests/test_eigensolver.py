@@ -38,7 +38,7 @@ def test_sparse_matches_dense_reference():
     for mesh in small_meshes():
         system = assemble(mesh)
         dense = dense_reference_solve(system)
-        count = min(3, system.dof_map.n_gamma0 - 1)
+        count = min(3, len(system.gamma0_dofs) - 1)
         pairs = solve_smallest_positive(system, SolverOptions(count=count))
         # dense spectrum starts with the zero mode of the constant vector
         assert abs(dense[0]) < 1e-8
@@ -49,9 +49,10 @@ def test_sparse_matches_dense_reference():
 def test_matches_fem_oracle_eigensolve():
     mesh = initial_mesh("square")
     system = assemble(mesh)
-    triangles = np.vstack([c for c in mesh.cells])
+    triangles = mesh.cell_vertices.reshape(-1, 3)
     K = oracle_stiffness(mesh.vertices, triangles)
-    gamma0 = [(e.a, e.b) for e in mesh.edges if e.tag is BoundaryTag.GAMMA0]
+    g = mesh.gamma0_edge_ids()
+    gamma0 = list(zip(mesh.edge_a[g].tolist(), mesh.edge_b[g].tolist()))
     M = oracle_boundary_mass(mesh.vertices, gamma0)
     values, vectors = dense_steklov_solve(K, M, count=2)
     pairs = solve_smallest_positive(system, SolverOptions(count=2))
@@ -71,12 +72,12 @@ def test_finite_spectrum_size_is_gamma0_dofs_minus_one():
         n_zero = int(np.sum(np.abs(dense) < 1e-8))
         n_positive = int(np.sum(dense > 1e-8))
         assert n_zero == 1
-        assert n_positive == system.dof_map.n_gamma0 - 1
+        assert n_positive == len(system.gamma0_dofs) - 1
 
 
 def test_count_exceeding_spectrum_raises():
     system = assemble(initial_mesh("square"))
-    n_pos = system.dof_map.n_gamma0 - 1
+    n_pos = len(system.gamma0_dofs) - 1
     with pytest.raises(EigensolverError, match="finite positive"):
         solve_smallest_positive(system, SolverOptions(count=n_pos + 1))
     with pytest.raises(EigensolverError, match="at least 1"):
@@ -100,7 +101,7 @@ def test_solution_invariants():
     assert abs(np.ones_like(w) @ (M @ w)) <= 1e-8 * np.linalg.norm(M @ w)
 
     # sign convention: first sizable spectral dof is positive
-    gamma0 = system.dof_map.gamma0_dofs
+    gamma0 = system.gamma0_dofs
     lead = next(d for d in gamma0 if abs(w[d]) > 1e-8)
     assert w[lead] > 0.0
     assert pair.normalized
@@ -115,7 +116,7 @@ def test_normalize_pair_idempotent_and_guards():
     interior = np.zeros(system.n_dofs)
     # a vector supported away from the spectral boundary has no mass norm
     interior_dof = next(
-        d for d in range(system.n_dofs) if d not in set(system.dof_map.gamma0_dofs)
+        d for d in range(system.n_dofs) if d not in set(system.gamma0_dofs)
     )
     interior[interior_dof] = 1.0
     broken = SpectralPair(value=1.0, vector=interior, residual=0.0, normalized=False)

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from steklov.eigensolver import SolverOptions, SpectralPair, solve_smallest_positive
-from steklov.estimator import (
-    ElementIndicator,
-    edge_residuals,
-    element_indicators,
-    global_estimate,
-)
+from steklov.estimator import edge_residuals, element_indicators, global_estimate
 from steklov.experiments import initial_mesh
-from steklov.mesh import BoundaryTag, build_topology
+from steklov.mesh import TAGS, BoundaryTag, build_topology
 from steklov.vem import assemble
 
 from fem_oracle import classical_indicators
@@ -27,10 +22,17 @@ def stacked_squares():
     return build_topology(verts, [[0, 1, 2, 3], [3, 2, 4, 5]], all_gamma0)
 
 
+def edge_between(mesh, i, j):
+    (eid,) = np.flatnonzero(
+        ((mesh.edge_a == i) & (mesh.edge_b == j)) | ((mesh.edge_a == j) & (mesh.edge_b == i))
+    )
+    return eid
+
+
 def interior_residual(mesh, residuals):
-    inner = [r for r in residuals if r.tag is BoundaryTag.INTERIOR]
-    assert len(inner) == 1
-    return inner[0]
+    """(value_a, value_b, norm2) of the single interior edge."""
+    (eid,) = np.flatnonzero(mesh.edge_tag == TAGS.index(BoundaryTag.INTERIOR))
+    return tuple(values[eid] for values in residuals)
 
 
 def test_interior_jump_frozen_value():
@@ -41,19 +43,19 @@ def test_interior_jump_frozen_value():
     mesh = stacked_squares()
     gradients = np.array([[0.0, 2.0], [0.0, 0.0]])
     res = edge_residuals(mesh, gradients, 0.0, np.zeros(6))
-    inner = interior_residual(mesh, res)
-    assert inner.value_a == 1.0
-    assert inner.value_b == 1.0
-    assert abs(inner.norm2 - 1.0) < 1e-15
+    value_a, value_b, norm2 = interior_residual(mesh, res)
+    assert value_a == 1.0
+    assert value_b == 1.0
+    assert abs(norm2 - 1.0) < 1e-15
 
 
 def test_equal_gradients_give_zero_interior_jump():
     mesh = stacked_squares()
     gradients = np.array([[0.7, -1.2], [0.7, -1.2]])
     res = edge_residuals(mesh, gradients, 0.0, np.zeros(6))
-    inner = interior_residual(mesh, res)
-    assert abs(inner.value_a) < 1e-15
-    assert abs(inner.norm2) < 1e-30
+    value_a, _, norm2 = interior_residual(mesh, res)
+    assert abs(value_a) < 1e-15
+    assert abs(norm2) < 1e-30
 
 
 def test_spectral_edge_closed_form():
@@ -65,16 +67,15 @@ def test_spectral_edge_closed_form():
     lam = 2.0
     w = np.array([0.3, -0.8, 0.5, 1.1])
     g = np.array([[3.0, -1.0]])
-    res = edge_residuals(mesh, g, lam, w)
-    eid = mesh.edge_id(2, 3)
-    edge = mesh.edges[eid]
+    value_a, value_b, norm2 = edge_residuals(mesh, g, lam, w)
+    eid = edge_between(mesh, 2, 3)
     # outward normal of the top edge is (0, 1), flux is -1
-    j_a = lam * w[edge.a] - (-1.0)
-    j_b = lam * w[edge.b] - (-1.0)
-    assert abs(res[eid].value_a - j_a) < 1e-15
-    assert abs(res[eid].value_b - j_b) < 1e-15
+    j_a = lam * w[mesh.edge_a[eid]] - (-1.0)
+    j_b = lam * w[mesh.edge_b[eid]] - (-1.0)
+    assert abs(value_a[eid] - j_a) < 1e-15
+    assert abs(value_b[eid] - j_b) < 1e-15
     exact = (j_a**2 + j_a * j_b + j_b**2) / 3.0
-    assert abs(res[eid].norm2 - exact) < 1e-14
+    assert abs(norm2[eid] - exact) < 1e-14
 
 
 def test_reflecting_edge_carries_spurious_flux():
@@ -87,12 +88,12 @@ def test_reflecting_edge_carries_spurious_flux():
 
     mesh = build_topology(verts, [[0, 1, 2, 3]], tags)
     g = np.array([[0.5, 1.5]])
-    res = edge_residuals(mesh, g, 1.0, np.zeros(4))
-    bottom = res[mesh.edge_id(0, 1)]
-    assert bottom.tag is BoundaryTag.GAMMA1
+    value_a, _, norm2 = edge_residuals(mesh, g, 1.0, np.zeros(4))
+    bottom = edge_between(mesh, 0, 1)
+    assert TAGS[mesh.edge_tag[bottom]] is BoundaryTag.GAMMA1
     # bottom edge outward normal is (0, -1): residual is -flux = 1.5
-    assert abs(bottom.value_a - 1.5) < 1e-15
-    assert abs(bottom.norm2 - 2.0 * 1.5**2) < 1e-14
+    assert abs(value_a[bottom] - 1.5) < 1e-15
+    assert abs(norm2[bottom] - 2.0 * 1.5**2) < 1e-14
 
 
 def test_uniform_gradient_field_has_no_interior_jumps():
@@ -100,31 +101,29 @@ def test_uniform_gradient_field_has_no_interior_jumps():
 
     mesh, _ = refine_vem(initial_mesh("square"), [2, 6])
     gradients = np.tile([1.3, -0.4], (mesh.n_cells, 1))
-    res = edge_residuals(mesh, gradients, 0.0, np.zeros(mesh.n_vertices))
-    for r in res:
-        if r.tag is BoundaryTag.INTERIOR:
-            assert abs(r.value_a) < 1e-14
-            assert abs(r.value_b) < 1e-14
+    value_a, value_b, _ = edge_residuals(mesh, gradients, 0.0, np.zeros(mesh.n_vertices))
+    interior = mesh.edge_tag == TAGS.index(BoundaryTag.INTERIOR)
+    assert np.any(interior)
+    assert np.max(np.abs(value_a[interior])) < 1e-14
+    assert np.max(np.abs(value_b[interior])) < 1e-14
 
 
 def test_indicators_match_classical_fem_oracle():
     mesh = initial_mesh("square")
     system = assemble(mesh)
     (pair,) = solve_smallest_positive(system, SolverOptions(count=1))
-    indicators = element_indicators(system, pair)
+    theta2, jump2 = element_indicators(system, pair)
 
-    triangles = np.vstack([c for c in mesh.cells])
-    gamma0 = {e.key() for e in mesh.edges if e.tag is BoundaryTag.GAMMA0}
+    triangles = mesh.cell_vertices.reshape(-1, 3)
+    g = mesh.gamma0_edge_ids()
+    gamma0 = {(min(a, b), max(a, b)) for a, b in zip(mesh.edge_a[g].tolist(), mesh.edge_b[g].tolist())}
     oracle = classical_indicators(
         mesh.vertices, triangles, gamma0, pair.value, pair.vector
     )
-    mine = np.array([ind.eta2 for ind in indicators])
     # on triangles the stabilization term is zero and the projected gradient
     # is the P1 gradient, so the classical estimator must match exactly
-    theta = np.array([ind.theta2 for ind in indicators])
-    assert np.max(theta) < 1e-25
-    assert np.allclose(mine, oracle, rtol=1e-12, atol=1e-15)
-    assert all(ind.r2 == 0.0 for ind in indicators)
+    assert np.max(theta2) < 1e-25
+    assert np.allclose(theta2 + jump2, oracle, rtol=1e-12, atol=1e-15)
 
 
 def test_element_indicators_require_normalized_pair():
@@ -142,31 +141,28 @@ def test_polygonal_mesh_has_positive_stabilization_term():
     mesh, _ = refine_vem(initial_mesh("square"), range(32))
     system = assemble(mesh)
     (pair,) = solve_smallest_positive(system, SolverOptions(count=1))
-    indicators = element_indicators(system, pair)
-    total = global_estimate(indicators)
+    theta2, jump2 = element_indicators(system, pair)
+    total = global_estimate(theta2, jump2)
     assert total.theta2_total > 0.0
     assert total.jump2_total > 0.0
-    assert abs(total.eta2 - sum(i.eta2 for i in indicators)) < 1e-12 * total.eta2
+    assert abs(total.eta2 - sum(theta2 + jump2)) < 1e-12 * total.eta2
 
 
 def test_global_estimate_aggregation_and_effectivity():
-    parts = [
-        ElementIndicator(cell=0, theta2=0.5, r2=0.0, jump2=1.5),
-        ElementIndicator(cell=1, theta2=0.25, r2=0.0, jump2=0.75),
-    ]
-    total = global_estimate(parts)
+    parts = (np.array([0.5, 0.25]), np.array([1.5, 0.75]))
+    total = global_estimate(*parts)
     assert total.eta2 == 3.0
     assert total.theta2_total == 0.75
     assert total.jump2_total == 2.25
     assert total.effectivity is None
 
-    with_eff = global_estimate(parts, lambda_h=2.0, reference=3.2)
+    with_eff = global_estimate(*parts, lambda_h=2.0, reference=3.2)
     assert abs(with_eff.effectivity - 1.2 / 3.0) < 1e-15
 
-    zero = [ElementIndicator(cell=0, theta2=0.0, r2=0.0, jump2=0.0)]
-    assert global_estimate(zero).effectivity is None
+    zero = (np.zeros(1), np.zeros(1))
+    assert global_estimate(*zero).effectivity is None
     with pytest.raises(ValueError, match="zero estimate"):
-        global_estimate(zero, lambda_h=1.0, reference=2.0)
+        global_estimate(*zero, lambda_h=1.0, reference=2.0)
 
 
 def test_estimate_decreases_under_refinement():
@@ -177,7 +173,7 @@ def test_estimate_decreases_under_refinement():
     for _ in range(3):
         system = assemble(mesh)
         (pair,) = solve_smallest_positive(system, SolverOptions(count=1))
-        values.append(global_estimate(element_indicators(system, pair)).eta2)
+        values.append(global_estimate(*element_indicators(system, pair)).eta2)
         mesh = refine_uniform(mesh)
     assert values[0] > values[1] > values[2]
     # first-order method: eta^2 should drop by roughly 4x per uniform step

@@ -18,7 +18,7 @@ from steklov.experiments import (
     read_results_csv,
     run_experiment,
 )
-from steklov.mesh import BoundaryTag, element_area
+from steklov.mesh import element_area
 
 from fem_oracle import boundary_mass as oracle_boundary_mass
 from fem_oracle import dense_steklov_solve
@@ -39,7 +39,7 @@ def test_initial_square_mesh():
     mesh = initial_mesh("square")
     assert mesh.n_vertices == 41  # 5x5 grid plus 16 cell centers
     assert mesh.n_cells == 64
-    assert all(len(c) == 3 for c in mesh.cells)
+    assert np.all(np.diff(mesh.cell_ptr) == 3)
     total = sum(element_area(mesh, c) for c in range(mesh.n_cells))
     assert abs(total - 1.0) < 1e-12
     # spectral boundary is the whole top edge: 4 segments, 5 vertices
@@ -53,7 +53,7 @@ def test_initial_notched_mesh():
     mesh = initial_mesh("notched")
     assert mesh.n_vertices == 17
     assert mesh.n_cells == 19
-    assert all(len(c) == 3 for c in mesh.cells)
+    assert np.all(np.diff(mesh.cell_ptr) == 3)
     total = sum(element_area(mesh, c) for c in range(mesh.n_cells))
     assert abs(total - (1.0 - math.sqrt(3.0) / 36.0)) < 1e-12
 
@@ -63,8 +63,7 @@ def test_initial_notched_mesh():
     apex_id = int(np.argmin(np.sum((mesh.vertices - apex) ** 2, axis=1)))
     assert np.allclose(mesh.vertices[apex_id], apex, atol=1e-15)
     angle = 0.0
-    for cyc in mesh.cells:
-        lst = list(cyc)
+    for lst in mesh.cycles():
         if apex_id not in lst:
             continue
         k = lst.index(apex_id)
@@ -102,6 +101,11 @@ def test_fit_rate_skips_missing_points_and_windows():
         fit_rate([10, 20], [1.0, 0.5])
     with pytest.raises(ValueError, match="at least 3"):
         fit_rate(ns, [None, None, None, None, 1.0, 1.0])
+    # a window of 0 used to fit every point and a negative one dropped the
+    # leading points instead of keeping the trailing ones
+    for last in (0, -2, 2):
+        with pytest.raises(ValueError, match="window"):
+            fit_rate(ns, [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125], last=last)
 
 
 def test_rate_from_records():
@@ -160,9 +164,10 @@ def test_run_experiment_adaptive_fem_matches_oracle_eigensolve():
     result = run_experiment(config)
     for k, record in enumerate(result.records):
         mesh = result.meshes[k]
-        triangles = np.vstack([c for c in mesh.cells])
+        triangles = mesh.cell_vertices.reshape(-1, 3)
         K = oracle_stiffness(mesh.vertices, triangles)
-        gamma0 = [(e.a, e.b) for e in mesh.edges if e.tag is BoundaryTag.GAMMA0]
+        g = mesh.gamma0_edge_ids()
+        gamma0 = list(zip(mesh.edge_a[g].tolist(), mesh.edge_b[g].tolist()))
         M = oracle_boundary_mass(mesh.vertices, gamma0)
         values, _ = dense_steklov_solve(K, M, count=1)
         assert abs(record.lambda_h - values[0]) < 1e-10 * values[0]

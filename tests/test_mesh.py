@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from steklov.mesh import (
+    TAGS,
     BoundaryTag,
     MeshError,
     build_topology,
@@ -18,7 +19,6 @@ from steklov.mesh import (
     quality_report,
     save_mesh,
     signed_area,
-    sub_triangulate,
 )
 
 SQUARE_VERTS = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -38,50 +38,55 @@ def two_triangle_square():
     return build_topology(SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], top_edge_rule)
 
 
+def edge_between(mesh, i, j):
+    (eid,) = np.flatnonzero(
+        ((mesh.edge_a == i) & (mesh.edge_b == j)) | ((mesh.edge_a == j) & (mesh.edge_b == i))
+    )
+    return eid
+
+
 def test_two_triangle_square_topology():
     mesh = two_triangle_square()
     assert mesh.n_vertices == 4
     assert mesh.n_cells == 2
-    assert len(mesh.edges) == 5
+    assert mesh.n_edges == 5
+    assert list(mesh.cell_ptr) == [0, 3, 6]
 
-    interior = [e for e in mesh.edges if not e.is_boundary]
-    assert len(interior) == 1
-    diag = interior[0]
-    assert diag.key() == (0, 2)
-    assert diag.tag is BoundaryTag.INTERIOR
-    assert {diag.left, diag.right} == {0, 1}
+    (diag,) = np.flatnonzero(mesh.edge_right >= 0)
+    assert {int(mesh.edge_a[diag]), int(mesh.edge_b[diag])} == {0, 2}
+    assert TAGS[mesh.edge_tag[diag]] is BoundaryTag.INTERIOR
+    assert {int(mesh.edge_left[diag]), int(mesh.edge_right[diag])} == {0, 1}
     # the left cell traverses the stored direction
-    left_cycle = list(mesh.cells[diag.left])
-    k = left_cycle.index(diag.a)
-    assert left_cycle[(k + 1) % 3] == diag.b
+    left_cycle = list(mesh.cell(mesh.edge_left[diag]))
+    k = left_cycle.index(mesh.edge_a[diag])
+    assert left_cycle[(k + 1) % 3] == mesh.edge_b[diag]
 
-    assert mesh.gamma0_edge_ids() == [mesh.edge_id(2, 3)]
+    assert list(mesh.gamma0_edge_ids()) == [edge_between(mesh, 2, 3)]
     assert list(mesh.gamma0_vertices()) == [2, 3]
-    assert len([e for e in mesh.edges if e.tag is BoundaryTag.GAMMA1]) == 3
+    assert np.count_nonzero(mesh.edge_tag == TAGS.index(BoundaryTag.GAMMA1)) == 3
 
 
 def test_cell_edges_follow_cycle_order():
     mesh = two_triangle_square()
-    for cid, cyc in enumerate(mesh.cells):
-        eids = mesh.cell_edge_ids(cid)
+    for cid, cyc in enumerate(mesh.cycles()):
+        eids = mesh.cell_edges[mesh.cell_ptr[cid]:mesh.cell_ptr[cid + 1]]
         assert len(eids) == len(cyc)
         for k, eid in enumerate(eids):
-            edge = mesh.edges[eid]
-            a, b = int(cyc[k]), int(cyc[(k + 1) % len(cyc)])
-            assert {edge.a, edge.b} == {a, b}
+            a, b = cyc[k], cyc[(k + 1) % len(cyc)]
+            assert {int(mesh.edge_a[eid]), int(mesh.edge_b[eid])} == {a, b}
 
 
 def test_clockwise_cell_is_reversed():
     mesh = build_topology(SQUARE_VERTS, [[0, 2, 1], [0, 2, 3]], top_edge_rule)
     for cid in range(mesh.n_cells):
         assert element_area(mesh, cid) > 0.0
-    assert sorted(mesh.cells[0]) == [0, 1, 2]
+    assert sorted(mesh.cell(0)) == [0, 1, 2]
 
 
 def test_explicit_tag_map_and_string_tags():
     tags = {(0, 1): "gamma1", (1, 2): "gamma1", (2, 3): "gamma0", (3, 0): BoundaryTag.GAMMA1}
     mesh = build_topology(SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], tags)
-    assert mesh.edges[mesh.edge_id(2, 3)].tag is BoundaryTag.GAMMA0
+    assert TAGS[mesh.edge_tag[edge_between(mesh, 2, 3)]] is BoundaryTag.GAMMA0
 
 
 def test_hanging_vertex_cycle_is_accepted():
@@ -159,12 +164,6 @@ def test_empty_spectral_boundary_rejected():
         build_topology(SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], gamma1_only)
 
 
-def test_missing_edge_lookup():
-    mesh = two_triangle_square()
-    with pytest.raises(MeshError, match="no edge between"):
-        mesh.edge_id(1, 3)
-
-
 def test_known_geometry_values():
     mesh = build_topology(SQUARE_VERTS, [[0, 1, 2, 3]], top_edge_rule)
     assert abs(element_area(mesh, 0) - 1.0) < 1e-15
@@ -206,23 +205,6 @@ def test_centroid_cancellation_regression():
     assert abs(c[1] - float(exact_cy)) < 5e-16
 
 
-def test_sub_triangulate_square():
-    mesh = build_topology(SQUARE_VERTS, [[0, 1, 2, 3]], top_edge_rule)
-    tris = sub_triangulate(mesh, 0)
-    assert tris.shape == (4, 3, 2)
-    areas = [signed_area(t) for t in tris]
-    assert np.allclose(areas, 0.25, atol=1e-15)
-    assert abs(sum(areas) - element_area(mesh, 0)) < 1e-15
-
-
-def test_sub_triangulate_rejects_non_star_cell():
-    # concave "dart" whose centroid lies outside the kernel
-    verts = [[0.0, 0.0], [4.0, 0.0], [0.5, 0.5], [0.0, 4.0]]
-    mesh = build_topology(verts, [[0, 1, 2, 3]], all_gamma0)
-    with pytest.raises(MeshError, match="star-shaped"):
-        sub_triangulate(mesh, 0)
-
-
 def test_quality_report_flags_stretched_cells():
     mesh = build_topology(SQUARE_VERTS, [[0, 1, 2, 3]], top_edge_rule)
     rep = quality_report(mesh)
@@ -243,18 +225,25 @@ def test_quality_report_flags_stretched_cells():
 
 
 def test_edge_arrays_mirror_edge_list():
-    mesh = two_triangle_square()
-    arrays = mesh.edge_arrays()
-    order = tuple(BoundaryTag)
-    for eid, e in enumerate(mesh.edges):
-        assert arrays["a"][eid] == e.a
-        assert arrays["b"][eid] == e.b
-        assert arrays["left"][eid] == e.left
-        assert arrays["right"][eid] == (-1 if e.right is None else e.right)
-        assert order[arrays["tag"][eid]] is e.tag
-    for arr in arrays.values():
+    # an edge list rebuilt from the cycles alone, in first-traversal order
+    mesh = build_topology(SQUARE_VERTS + [[0.5, 0.5]], [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]],
+                          top_edge_rule)
+    expected = {}
+    for cid, cyc in enumerate(mesh.cycles()):
+        for k, a in enumerate(cyc):
+            b = cyc[(k + 1) % len(cyc)]
+            key = (min(a, b), max(a, b))
+            if key in expected:
+                expected[key][3] = cid
+            else:
+                expected[key] = [a, b, cid, -1]
+    got = np.column_stack([mesh.edge_a, mesh.edge_b, mesh.edge_left, mesh.edge_right])
+    assert got.tolist() == list(expected.values())
+    boundary_tags = [TAGS[t] for t in mesh.edge_tag[mesh.edge_right < 0]]
+    assert boundary_tags.count(BoundaryTag.GAMMA0) == 1
+    assert all(TAGS[t] is BoundaryTag.INTERIOR for t in mesh.edge_tag[mesh.edge_right >= 0])
+    for arr in vars(mesh).values():
         assert not arr.flags.writeable
-    assert not mesh.vertices.flags.writeable
 
 
 def test_save_load_round_trip(tmp_path):
@@ -277,6 +266,31 @@ def test_load_rejects_malformed_files(tmp_path):
     missing.write_text(json.dumps({"vertices": [[0, 0]]}))
     with pytest.raises(MeshError, match="missing field"):
         load_mesh(missing)
+
+    good_boundary = [
+        {"edge": [0, 1], "tag": "gamma1"},
+        {"edge": [1, 2], "tag": "gamma1"},
+        {"edge": [2, 3], "tag": "gamma0"},
+        {"edge": [3, 0], "tag": "gamma1"},
+    ]
+    cases = [
+        # a boundary item without its vertex pair
+        ([[0, 1, 2, 3]], [{"tag": "gamma0"}] + good_boundary[1:], "boundary item 0"),
+        # a boundary item that is not an object
+        ([[0, 1, 2, 3]], good_boundary[:3] + [[3, 0]], "boundary item 3"),
+        # a boundary item without its tag
+        ([[0, 1, 2, 3]], good_boundary[:1] + [{"edge": [1, 2]}] + good_boundary[2:],
+         "boundary item 1"),
+        # a fractional vertex index must not be truncated to an integer
+        ([[0, 1, 2, 3], [0, 1.7, 2]], good_boundary, "cell 1"),
+        # a cell that is not a list
+        ([[0, 1, 2, 3], 5], good_boundary, "cell 1"),
+    ]
+    for k, (cells, boundary, fragment) in enumerate(cases):
+        path = tmp_path / f"case_{k}.json"
+        path.write_text(json.dumps({"vertices": SQUARE_VERTS, "cells": cells, "boundary": boundary}))
+        with pytest.raises(MeshError, match=fragment):
+            load_mesh(path)
 
 
 def test_structurally_equal_detects_changes():

@@ -1,22 +1,25 @@
-"""Quadrature rules: exactness degrees, invariants, error branches."""
+"""Gauss edge rule: exactness degree, invariants, error branches."""
 
 import numpy as np
 import pytest
 
-from steklov.quadrature import (
-    EdgeRule,
-    edge_integrate,
-    gauss_edge_rule,
-    triangle_integrate,
-    triangle_midpoint_rule,
-)
+from steklov.quadrature import EdgeRule, gauss_edge_rule
+
+
+def segment_integral(rule, p0, p1, integrand):
+    """Integrate integrand((m, 2) points) over the segment [p0, p1]."""
+    p0 = np.asarray(p0, dtype=float)
+    p1 = np.asarray(p1, dtype=float)
+    points = p0 + rule.nodes[:, None] * (p1 - p0)
+    return float(np.hypot(*(p1 - p0))) * float(rule.weights @ integrand(points))
 
 
 def test_two_point_rule_integrates_cubic_exactly():
     rule = gauss_edge_rule(2)
     # int_0^1 s^3 ds = 1/4 on the reference segment
-    value = edge_integrate(rule, [0.0, 0.0], [1.0, 0.0], lambda p: p[:, 0] ** 3)
-    assert abs(value - 0.25) < 1e-15
+    assert abs(float(rule.weights @ rule.nodes**3) - 0.25) < 1e-15
+    # and no further: s^4 integrates to 1/5 only up to the rule's error
+    assert abs(float(rule.weights @ rule.nodes**4) - 0.2) > 1e-3
 
 
 def test_edge_rule_invariants():
@@ -53,73 +56,12 @@ def test_slanted_segment_cubic_against_polynomial_oracle():
     param = sx**3 - 2.0 * sx * sy**2 + sy
     length = float(np.hypot(*(b - a)))
     exact = length * float(np.polyint(param)(1.0) - np.polyint(param)(0.0))
-    assert abs(edge_integrate(rule, a, b, q) - exact) < 1e-13 * abs(exact)
+    assert abs(segment_integral(rule, a, b, q) - exact) < 1e-13 * abs(exact)
 
 
 def test_degenerate_segment_integrates_to_zero():
     rule = gauss_edge_rule(2)
-    assert edge_integrate(rule, [0.3, 0.7], [0.3, 0.7], lambda p: p[:, 0] + 1.0) == 0.0
-
-
-def test_midpoint_rule_exact_for_quadratics_on_unit_triangle():
-    rule = triangle_midpoint_rule()
-    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    # frozen monomial integrals over the reference triangle
-    cases = [
-        (lambda p: np.ones(len(p)), 0.5),
-        (lambda p: p[:, 0], 1.0 / 6.0),
-        (lambda p: p[:, 1], 1.0 / 6.0),
-        (lambda p: p[:, 0] ** 2, 1.0 / 12.0),
-        (lambda p: p[:, 0] * p[:, 1], 1.0 / 24.0),
-        (lambda p: p[:, 1] ** 2, 1.0 / 12.0),
-    ]
-    for f, exact in cases:
-        assert abs(triangle_integrate(rule, tri, f) - exact) < 1e-15
-
-
-def test_midpoint_rule_quadratic_on_general_triangle():
-    rule = triangle_midpoint_rule()
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        tri = rng.uniform(-2.0, 2.0, size=(3, 2))
-        v01, v02 = tri[1] - tri[0], tri[2] - tri[0]
-        area = 0.5 * abs(v01[0] * v02[1] - v01[1] * v02[0])
-        if area < 1e-3:
-            continue
-        # exact integral of (2x - y + 3)^2 by pulling back to the reference
-        # triangle: the integrand becomes (alpha + beta*xi + gamma*eta)^2 whose
-        # reference integrals are known in closed form
-        a, b, c = 2.0, -1.0, 3.0
-
-        def f(p):
-            return (a * p[:, 0] + b * p[:, 1] + c) ** 2
-
-        alpha = a * tri[0, 0] + b * tri[0, 1] + c
-        beta = a * v01[0] + b * v01[1]
-        gamma = a * v02[0] + b * v02[1]
-        exact = 2.0 * area * (
-            alpha**2 / 2.0
-            + (beta**2 + gamma**2) / 12.0
-            + alpha * (beta + gamma) / 3.0
-            + beta * gamma / 12.0
-        )
-        assert abs(triangle_integrate(rule, tri, f) - exact) < 1e-12 * max(1.0, abs(exact))
-
-
-def test_triangle_rule_invariants():
-    rule = triangle_midpoint_rule()
-    assert rule.nodes.shape == (3, 3)
-    assert abs(rule.weights.sum() - 1.0) < 1e-15
-    assert np.allclose(rule.nodes.sum(axis=1), 1.0)
-
-
-def test_triangle_integrate_validates_input():
-    rule = triangle_midpoint_rule()
-    with pytest.raises(ValueError):
-        triangle_integrate(rule, np.zeros((4, 2)), lambda p: np.ones(len(p)))
-    degenerate = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    with pytest.raises(ValueError):
-        triangle_integrate(rule, degenerate, lambda p: np.ones(len(p)))
+    assert segment_integral(rule, [0.3, 0.7], [0.3, 0.7], lambda p: p[:, 0] + 1.0) == 0.0
 
 
 def test_edge_rule_is_plain_dataclass():

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from steklov.experiments import initial_mesh
-from steklov.mesh import BoundaryTag, MeshError, build_topology
+from steklov.mesh import MeshError
 from steklov.vem import (
     assemble,
     dump_matrix,
-    evaluate_projection,
     local_boundary_mass,
     local_operators,
     local_projector,
@@ -137,11 +136,12 @@ def test_local_boundary_mass_frozen_values():
 def test_assembly_matches_fem_oracle_on_triangle_mesh():
     mesh = initial_mesh("square")
     system = assemble(mesh)
-    triangles = np.vstack([c for c in mesh.cells])
+    triangles = mesh.cell_vertices.reshape(-1, 3)
     K_oracle = oracle_stiffness(mesh.vertices, triangles)
     assert np.allclose(system.stiffness.toarray(), K_oracle, atol=1e-12)
 
-    gamma0 = [(e.a, e.b) for e in mesh.edges if e.tag is BoundaryTag.GAMMA0]
+    g = mesh.gamma0_edge_ids()
+    gamma0 = list(zip(mesh.edge_a[g].tolist(), mesh.edge_b[g].tolist()))
     # sanity: the spectral boundary of this mesh is the top side
     for a, b in gamma0:
         assert abs(mesh.vertices[a, 1] - 1.0) < 1e-12
@@ -162,8 +162,8 @@ def test_global_stiffness_invariants():
     assert abs(K - K.T).max() < 1e-14
     ones = np.ones(system.n_dofs)
     assert np.max(np.abs(K @ ones)) < 1e-13
-    assert system.dof_map.n_dofs == mesh.n_vertices
-    assert list(system.dof_map.gamma0_dofs) == list(mesh.gamma0_vertices())
+    assert system.n_dofs == mesh.n_vertices
+    assert list(system.gamma0_dofs) == list(mesh.gamma0_vertices())
 
 
 def test_batched_groups_match_single_cell_path_bitwise():
@@ -174,16 +174,19 @@ def test_batched_groups_match_single_cell_path_bitwise():
     # refine a few cells so the mesh mixes triangles, quads and pentagons
     mesh, _ = refine_vem(mesh, [0, 3, 7])
     system = assemble(mesh)
-    sizes = {len(c) for c in mesh.cells}
-    assert len(sizes) > 1
-    for cid, cyc in enumerate(mesh.cells):
-        single = local_operators(mesh.vertices[cyc])
-        grouped = system.local_ops[cid]
-        assert np.array_equal(single.projector, grouped.projector)
-        assert np.array_equal(single.stiffness, grouped.stiffness)
-        assert single.diameter == grouped.diameter
-        assert np.array_equal(single.centroid, grouped.centroid)
-        assert single.area == grouped.area
+    assert len(system.groups) > 1
+    seen = []
+    for group in system.groups:
+        for k, cid in enumerate(group.ids):
+            seen.append(cid)
+            single = local_operators(mesh.vertices[mesh.cell(cid)])
+            assert np.array_equal(group.dofs[k], mesh.cell(cid))
+            assert np.array_equal(single.projector, group.projector[k])
+            assert np.array_equal(single.stiffness, group.stiffness[k])
+            assert single.diameter == group.diameter[k] == system.diameters[cid]
+            assert np.array_equal(single.centroid, group.centroid[k])
+            assert single.area == group.area[k]
+    assert sorted(seen) == list(range(mesh.n_cells))
 
 
 def test_projection_pipeline_exact_for_affine_fields():
@@ -196,11 +199,14 @@ def test_projection_pipeline_exact_for_affine_fields():
     coeffs = project_solution(system, w)
     grads = projected_gradients(system, coeffs)
     assert np.allclose(grads, [[b, c]] * mesh.n_cells, atol=1e-12)
+    # each cell's projection, evaluated away from the cell, is the field itself
     rng = np.random.default_rng(2)
-    for cid in range(0, mesh.n_cells, 5):
-        pts = rng.uniform(0.0, 1.0, size=(4, 2))
-        vals = evaluate_projection(system, coeffs, cid, pts)
-        assert np.allclose(vals, a + b * pts[:, 0] + c * pts[:, 1], atol=1e-12)
+    for group in system.groups:
+        pts = rng.uniform(0.0, 1.0, size=(len(group.ids), 4, 2))
+        scaled = (pts - group.centroid[:, None, :]) / group.diameter[:, None, None]
+        s = coeffs[group.ids]
+        vals = s[:, None, 0] + np.einsum("mpk,mk->mp", scaled, s[:, 1:])
+        assert np.allclose(vals, a + b * pts[..., 0] + c * pts[..., 1], atol=1e-12)
 
 
 def test_project_solution_validates_length():
