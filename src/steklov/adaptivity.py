@@ -7,6 +7,13 @@ edge-conforming by construction.  Triangular meshes are refined either
 uniformly (four similar children) or adaptively by newest-vertex bisection
 with conforming closure; the bisection edge of every stored triangle is the
 edge between its first two cycle entries.
+
+All three refiners work on edge ids (after Funken, Praetorius & Wissgott,
+"Efficient implementation of adaptive P1-FEM in Matlab", CMAM 2011): the
+split edges form a boolean array, the midpoint of split edge e gets a new
+vertex id from the rank of e in the order the cells first reach it, and the
+children are written straight into compressed-row arrays for
+:func:`build_topology`.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .mesh import TAGS, BoundaryTag, MeshError, PolygonalMesh, build_topology, polygon_centroid
+from .mesh import TAGS, BoundaryTag, MeshError, PolygonalMesh, build_topology, cell_groups
 
 __all__ = [
     "MarkSet",
@@ -57,70 +64,105 @@ def mark(eta2: Sequence[float] | np.ndarray, fraction: float = 0.5) -> MarkSet:
     return MarkSet(cells=tuple(np.flatnonzero(etas >= threshold).tolist()), threshold=threshold)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefinementRecord:
-    """Parent-to-children map and bookkeeping of one refinement pass."""
+    """Where the cells of a refined mesh come from.
 
-    children: dict[int, tuple[int, ...]]
-    new_vertex_ids: tuple[int, ...]
-    hanging_cells: tuple[int, ...]  # unmarked cells that absorbed midpoints
+    ``parent[k]`` is the coarse cell that new cell k covers part of (all of,
+    for an unmarked cell); ``hanging_cells`` lists, ascending, the unmarked
+    coarse cells that absorbed midpoints as hanging vertices.
+    """
+
+    parent: np.ndarray
+    hanging_cells: np.ndarray
 
 
-def _marked_cell_set(marks: "MarkSet | Iterable[int]", n_cells: int) -> list[int]:
-    cells = marks.cells if isinstance(marks, MarkSet) else tuple(marks)
-    out = sorted(set(int(c) for c in cells))
-    if out and (out[0] < 0 or out[-1] >= n_cells):
+def _marked_cells(marks: "MarkSet | Iterable[int]", n_cells: int) -> np.ndarray:
+    """Ascending, distinct marked cell ids."""
+    cells = marks.cells if isinstance(marks, MarkSet) else marks
+    out = np.unique(np.fromiter(cells, dtype=np.int64))
+    if len(out) and (out[0] < 0 or out[-1] >= n_cells):
         raise MeshError("marked cell index out of range")
     return out
 
 
-class _MidpointFactory:
-    """Creates edge midpoints on demand, one vertex per undirected edge."""
+def _first_encounter_ids(keys: np.ndarray, n_keys: int, base: int) -> np.ndarray:
+    """``base`` plus the rank of each key in ``range(n_keys)`` by its first
+    appearance in ``keys``; -1 for keys that do not appear."""
+    unique, first = np.unique(keys, return_index=True)
+    ids = np.full(n_keys, -1, dtype=np.int64)
+    ids[unique[np.argsort(first)]] = base + np.arange(len(unique))
+    return ids
 
-    def __init__(self, vertices: np.ndarray):
-        self.points = [p for p in vertices]
-        self.cache: dict[tuple[int, int], int] = {}
 
-    def midpoint(self, i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        if key not in self.cache:
-            self.cache[key] = len(self.points)
-            self.points.append(0.5 * (self.points[i] + self.points[j]))
-        return self.cache[key]
-
-    def append(self, point: np.ndarray) -> int:
-        self.points.append(np.asarray(point, dtype=float))
-        return len(self.points) - 1
-
-    def has_midpoint(self, i: int, j: int) -> bool:
-        key = (i, j) if i < j else (j, i)
-        return key in self.cache
+def _refined_vertices(mesh: PolygonalMesh, midpoint: np.ndarray, n_extra: int = 0) -> np.ndarray:
+    """The vertex array grown by the midpoints of the split edges (vertex
+    ``midpoint[e]`` for edge e; -1 where e is not split), with ``n_extra``
+    further rows left for the caller to fill."""
+    split = np.flatnonzero(midpoint >= 0)
+    points = np.empty((mesh.n_vertices + len(split) + n_extra, 2))
+    points[: mesh.n_vertices] = mesh.vertices
+    points[midpoint[split]] = 0.5 * (mesh.vertices[mesh.edge_a[split]] + mesh.vertices[mesh.edge_b[split]])
+    return points
 
 
 def _inherit_boundary_tags(
-    mesh: PolygonalMesh, factory: _MidpointFactory | None = None
+    mesh: PolygonalMesh, midpoint: np.ndarray | None = None
 ) -> dict[tuple[int, int], BoundaryTag]:
     """Boundary tag map for the refined mesh: split edges pass tags to both halves.
 
-    Keys are sorted vertex pairs; without a factory this is the tag map of
-    ``mesh`` itself.
+    Keys are sorted vertex pairs; ``midpoint`` is as in
+    :func:`_refined_vertices`, and without it this is the tag map of ``mesh``.
     """
     boundary = np.flatnonzero(mesh.edge_right < 0)
+    mids = midpoint[boundary].tolist() if midpoint is not None else [-1] * len(boundary)
     tags: dict[tuple[int, int], BoundaryTag] = {}
-    for a, b, code in zip(
+    for a, b, m, code in zip(
         mesh.edge_a[boundary].tolist(),
         mesh.edge_b[boundary].tolist(),
+        mids,
         mesh.edge_tag[boundary].tolist(),
     ):
-        a, b = (a, b) if a < b else (b, a)
         tag = TAGS[code]
-        if factory is not None and factory.has_midpoint(a, b):
-            m = factory.midpoint(a, b)
-            tags[tuple(sorted((a, m)))] = tag
-            tags[tuple(sorted((m, b)))] = tag
+        if m < 0:
+            tags[(a, b) if a < b else (b, a)] = tag
         else:
-            tags[(a, b)] = tag
+            tags[(a, m) if a < m else (m, a)] = tag
+            tags[(m, b) if m < b else (b, m)] = tag
     return tags
+
+
+def _star_centroids(mesh: PolygonalMesh, cells: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Area centroids of equal-length cycles, checked for star-shapedness.
+
+    ``index`` holds the (m, n) half-edge positions of ``cells``.  The
+    arithmetic is :func:`~steklov.mesh.polygon_centroid`'s, per cell and in
+    the same order, so the centroids are bitwise equal to it.  Raises
+    :class:`MeshError` naming the lowest cell that is not star-shaped with
+    respect to its centroid.
+    """
+    pts = mesh.vertices[mesh.cell_vertices[index]]
+    ref = pts.mean(axis=1)
+    local = pts - ref[:, None, :]
+    x, y = local[..., 0], local[..., 1]
+    x1, y1 = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+    cross = x * y1 - x1 * y
+    area = 0.5 * np.sum(cross, axis=1)
+    centroid = ref + np.stack(
+        [np.sum((x + x1) * cross, axis=1), np.sum((y + y1) * cross, axis=1)], axis=1
+    ) / (6.0 * area[:, None])
+
+    d = pts - centroid[:, None, :]
+    diam2 = np.max(np.sum(d**2, axis=2), axis=1)
+    dx, dy = d[..., 0], d[..., 1]
+    fan = dx * np.roll(dy, -1, axis=1) - dy * np.roll(dx, -1, axis=1)
+    bad = np.any(fan <= 1e-12 * diam2[:, None], axis=1)
+    if np.any(bad):
+        raise MeshError(
+            f"cell {int(cells[bad].min())} is not star-shaped with respect to its centroid; "
+            "quad refinement would invert a child"
+        )
+    return centroid
 
 
 def refine_vem(
@@ -131,69 +173,72 @@ def refine_vem(
     Every child is (centroid, edge midpoint, vertex, next edge midpoint);
     midpoints are shared between neighbouring cells, and unmarked neighbours
     keep their polygon with the midpoints inserted as additional vertices.
-    Raises :class:`MeshError` when a marked cell is not star-shaped with
-    respect to its centroid, which would create inverted children.
+    New vertices are numbered marked cell by marked cell: its edge midpoints
+    not yet numbered, in cycle order, then its centroid.  Raises
+    :class:`MeshError` when a marked cell is not star-shaped with respect to
+    its centroid, which would create inverted children.
     """
-    marked = _marked_cell_set(marks, mesh.n_cells)
-    if not marked:
-        return mesh, RefinementRecord(children={}, new_vertex_ids=(), hanging_cells=())
+    marked = _marked_cells(marks, mesh.n_cells)
+    if not len(marked):
+        return mesh, RefinementRecord(
+            parent=np.arange(mesh.n_cells), hanging_cells=np.empty(0, dtype=np.int64)
+        )
 
-    cycles = mesh.cycles()
-    factory = _MidpointFactory(mesh.vertices)
-    centroid_id: dict[int, int] = {}
-    for cid in marked:
-        cyc = cycles[cid]
-        pts = mesh.vertices[cyc]
-        c = polygon_centroid(pts)
-        n = len(cyc)
-        diam2 = float(np.max(np.sum((pts - c) ** 2, axis=1)))
-        for k in range(n):
-            p, q = pts[k], pts[(k + 1) % n]
-            cross = (p[0] - c[0]) * (q[1] - c[1]) - (p[1] - c[1]) * (q[0] - c[0])
-            if cross <= 1e-12 * diam2:
-                raise MeshError(
-                    f"cell {cid} is not star-shaped with respect to its centroid; "
-                    "quad refinement would invert a child"
-                )
-        for k in range(n):
-            factory.midpoint(cyc[k], cyc[(k + 1) % n])
-        centroid_id[cid] = factory.append(c)
+    ptr, tails, edges = mesh.cell_ptr, mesh.cell_vertices, mesh.cell_edges
+    sizes = np.diff(ptr)
+    owner = np.repeat(np.arange(mesh.n_cells), sizes)
+    is_marked = np.zeros(mesh.n_cells, dtype=bool)
+    is_marked[marked] = True
+    in_marked = is_marked[owner]
+    halves = np.flatnonzero(in_marked)  # half-edges of the marked cells, in cell order
 
-    new_cells: list[list[int]] = []
-    children: dict[int, tuple[int, ...]] = {}
-    hanging: list[int] = []
-    marked_set = set(marked)
-    for cid, cyc in enumerate(cycles):
-        n = len(cyc)
-        if cid in marked_set:
-            ids = []
-            for k in range(n):
-                m_prev = factory.midpoint(cyc[k - 1], cyc[k])
-                m_next = factory.midpoint(cyc[k], cyc[(k + 1) % n])
-                ids.append(len(new_cells))
-                new_cells.append([centroid_id[cid], m_prev, cyc[k], m_next])
-            children[cid] = tuple(ids)
-        else:
-            cycle: list[int] = []
-            gained = False
-            for k in range(n):
-                a, b = cyc[k], cyc[(k + 1) % n]
-                cycle.append(a)
-                if factory.has_midpoint(a, b):
-                    cycle.append(factory.midpoint(a, b))
-                    gained = True
-            children[cid] = (len(new_cells),)
-            if gained:
-                hanging.append(cid)
-            new_cells.append(cycle)
+    # centroids by vertex count; a group's ids index `marked`
+    marked_ptr = np.zeros(len(marked) + 1, dtype=np.int64)
+    np.cumsum(sizes[marked], out=marked_ptr[1:])
+    centroid = np.empty((len(marked), 2))
+    for ids, index in cell_groups(marked_ptr):
+        centroid[ids] = _star_centroids(mesh, marked[ids], halves[index])
 
-    tags = _inherit_boundary_tags(mesh, factory)
-    refined = build_topology(np.array(factory.points), new_cells, tags)
-    record = RefinementRecord(
-        children=children,
-        new_vertex_ids=tuple(range(mesh.n_vertices, refined.n_vertices)),
-        hanging_cells=tuple(hanging),
+    # number the new vertices in the order the marked cells reach them: each
+    # cell's edges (key: edge id), then its centroid (key: n_edges + its
+    # position in `marked`)
+    keys = np.empty(len(halves) + len(marked), dtype=np.int64)
+    keys[marked_ptr[1:] + np.arange(len(marked))] = mesh.n_edges + np.arange(len(marked))
+    keys[np.arange(len(halves)) + np.repeat(np.arange(len(marked)), sizes[marked])] = edges[halves]
+    ids = _first_encounter_ids(keys, mesh.n_edges + len(marked), mesh.n_vertices)
+    midpoint, centroid_id = ids[: mesh.n_edges], ids[mesh.n_edges:]
+    points = _refined_vertices(mesh, midpoint, n_extra=len(marked))
+    points[centroid_id] = centroid
+
+    # each half-edge writes its stretch of the new cell array: a marked
+    # cell's k-th child (centroid, midpoint k - 1, vertex k, midpoint k), an
+    # unmarked cell's vertex followed by the midpoint of a split edge
+    hanging = ~in_marked & (midpoint[edges] >= 0)
+    width = np.where(in_marked, 4, 1 + hanging)
+    offset = np.zeros(len(tails) + 1, dtype=np.int64)
+    np.cumsum(width, out=offset[1:])
+    start = offset[:-1]
+    cell_vertices = np.empty(offset[-1], dtype=np.int64)
+    plain = ~in_marked
+    cell_vertices[start[plain]] = tails[plain]
+    cell_vertices[start[hanging] + 1] = midpoint[edges[hanging]]
+    prev = np.arange(-1, len(tails) - 1)
+    prev[ptr[:-1]] = ptr[1:] - 1
+    s = start[halves]
+    cell_vertices[s] = np.repeat(centroid_id, sizes[marked])
+    cell_vertices[s + 1] = midpoint[edges[prev[halves]]]
+    cell_vertices[s + 2] = tails[halves]
+    cell_vertices[s + 3] = midpoint[edges[halves]]
+
+    opens = in_marked.copy()  # half-edges that begin a new cell
+    opens[ptr[:-1]] = True
+    refined = build_topology(
+        points,
+        cell_vertices,
+        _inherit_boundary_tags(mesh, midpoint),
+        cell_ptr=np.append(start[opens], offset[-1]),
     )
+    record = RefinementRecord(parent=owner[opens], hanging_cells=np.unique(owner[hanging]))
     return refined, record
 
 
@@ -219,7 +264,23 @@ def normalize_refinement_edges(mesh: PolygonalMesh) -> PolygonalMesh:
     edge = np.roll(pts, -1, axis=1) - pts  # edge k runs from vertex k to k + 1
     start = np.argmax(np.hypot(edge[..., 0], edge[..., 1]), axis=1)
     cells = np.take_along_axis(tris, (start[:, None] + np.arange(3)) % 3, axis=1)
-    return build_topology(mesh.vertices.copy(), cells, _inherit_boundary_tags(mesh))
+    return build_topology(
+        mesh.vertices.copy(), cells.ravel(), _inherit_boundary_tags(mesh), cell_ptr=mesh.cell_ptr
+    )
+
+
+# Newest-vertex bisection children of a triangle (t0, t1, t2) whose edges
+# (t0, t1), (t1, t2), (t2, t0) have midpoints m0, m1, m2, keyed by which
+# edges are split (bit k for edge k).  Entries index (t0, t1, t2, m0, m1, m2);
+# each child lists its own bisection edge first.  Closure makes every split
+# triangle split its bisection edge, so these five patterns are all there is.
+_BISECTION_CHILDREN = {
+    0b000: [[0, 1, 2]],
+    0b001: [[2, 0, 3], [1, 2, 3]],
+    0b101: [[3, 2, 5], [0, 3, 5], [1, 2, 3]],
+    0b011: [[2, 0, 3], [3, 1, 4], [2, 3, 4]],
+    0b111: [[3, 2, 5], [0, 3, 5], [3, 1, 4], [2, 3, 4]],
+}
 
 
 def refine_fem(mesh: PolygonalMesh, marks: "MarkSet | Iterable[int]") -> PolygonalMesh:
@@ -228,60 +289,61 @@ def refine_fem(mesh: PolygonalMesh, marks: "MarkSet | Iterable[int]") -> Polygon
     The bisection edge of each triangle is the edge between its first two
     cycle entries; children are emitted with their own bisection edges first,
     so repeated calls implement the usual newest-vertex hierarchy.  Closure
-    iteratively marks the bisection edge of any triangle touching a marked
-    edge, which terminates because marks only grow.
+    marks the bisection edge of any triangle touching a marked edge until no
+    mark is added, which terminates because marks only grow.  Midpoints are
+    numbered triangle by triangle in the order (t0, t1), (t2, t0), (t1, t2),
+    the order in which bisection reaches them.
     """
     tris = _require_triangles(mesh, "newest-vertex bisection")
-    marked = _marked_cell_set(marks, mesh.n_cells)
-    if not marked:
+    marked = _marked_cells(marks, mesh.n_cells)
+    if not len(marked):
         return mesh
 
-    def edge_key(i: int, j: int) -> tuple[int, int]:
-        return (i, j) if i < j else (j, i)
+    edges = mesh.cell_edges.reshape(-1, 3)
+    split = np.zeros(mesh.n_edges, dtype=bool)
+    split[edges[marked, 0]] = True
+    while True:
+        grow = split[edges].any(axis=1) & ~split[edges[:, 0]]
+        if not np.any(grow):
+            break
+        split[edges[grow, 0]] = True
 
-    cycles = tris.tolist()
-    marked_edges = {edge_key(t[0], t[1]) for t in (cycles[c] for c in marked)}
+    reached = edges[:, [0, 2, 1]].ravel()
+    midpoint = _first_encounter_ids(reached[split[reached]], mesh.n_edges, mesh.n_vertices)
+    corners = np.concatenate([tris, midpoint[edges]], axis=1)
+    pattern = split[edges] @ np.array([1, 2, 4])
+    n_children = np.zeros(8, dtype=np.int64)
+    n_children[list(_BISECTION_CHILDREN)] = [len(c) for c in _BISECTION_CHILDREN.values()]
+    count = n_children[pattern]
+    first = np.cumsum(count) - count
+    cells = np.empty((count.sum(), 3), dtype=np.int64)
+    for code, children in _BISECTION_CHILDREN.items():
+        ids = np.flatnonzero(pattern == code)
+        rows = first[ids][:, None] + np.arange(len(children))
+        cells[rows] = corners[ids][:, children]
 
-    changed = True
-    while changed:
-        changed = False
-        for tri in cycles:
-            keys = [edge_key(tri[0], tri[1]), edge_key(tri[1], tri[2]), edge_key(tri[2], tri[0])]
-            if any(k in marked_edges for k in keys) and keys[0] not in marked_edges:
-                marked_edges.add(keys[0])
-                changed = True
-
-    factory = _MidpointFactory(mesh.vertices)
-
-    def emit(tri: Sequence[int], out: list[list[int]]) -> None:
-        t0, t1, t2 = tri
-        if edge_key(t0, t1) not in marked_edges:
-            out.append([t0, t1, t2])
-            return
-        m = factory.midpoint(t0, t1)
-        # children are listed bisection-edge-first: (t2,t0) and (t1,t2)
-        emit((t2, t0, m), out)
-        emit((t1, t2, m), out)
-
-    new_cells: list[list[int]] = []
-    for tri in cycles:
-        emit(tri, new_cells)
-
-    tags = _inherit_boundary_tags(mesh, factory)
-    return build_topology(np.array(factory.points), new_cells, tags)
+    return build_topology(
+        _refined_vertices(mesh, midpoint),
+        cells.ravel(),
+        _inherit_boundary_tags(mesh, midpoint),
+        cell_ptr=np.arange(0, cells.size + 1, 3),
+    )
 
 
 def refine_uniform(mesh: PolygonalMesh) -> PolygonalMesh:
-    """Red refinement: every triangle is split into four similar children."""
+    """Red refinement: every triangle is split into four similar children.
+
+    Edge ids are first-encounter ordered, so the midpoint of edge e is
+    vertex ``n_vertices + e``.
+    """
     tris = _require_triangles(mesh, "uniform refinement")
-    factory = _MidpointFactory(mesh.vertices)
-    new_cells: list[list[int]] = []
-    for a, b, c in tris.tolist():
-        mab = factory.midpoint(a, b)
-        mbc = factory.midpoint(b, c)
-        mca = factory.midpoint(c, a)
-        new_cells.extend(
-            [[a, mab, mca], [mab, b, mbc], [mca, mbc, c], [mab, mbc, mca]]
-        )
-    tags = _inherit_boundary_tags(mesh, factory)
-    return build_topology(np.array(factory.points), new_cells, tags)
+    midpoint = mesh.n_vertices + np.arange(mesh.n_edges)
+    a, b, c = tris.T
+    mab, mbc, mca = midpoint[mesh.cell_edges.reshape(-1, 3)].T
+    cells = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca], axis=1)
+    return build_topology(
+        _refined_vertices(mesh, midpoint),
+        cells.ravel(),
+        _inherit_boundary_tags(mesh, midpoint),
+        cell_ptr=np.arange(0, cells.size + 1, 3),
+    )

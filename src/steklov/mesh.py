@@ -302,32 +302,72 @@ def _normalize_tag(raw, edge_key) -> BoundaryTag:
 
 
 def _flatten_cells(cells: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Compressed-row form (cell_ptr, cell_vertices) of a sequence of cycles."""
+    """Compressed-row form (cell_ptr, cell_vertices) of a sequence of cycles.
+
+    The entries keep the dtype numpy infers for them; :func:`_index_arrays`
+    checks that they are integers.
+    """
     cells = list(cells)
     try:
         sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
-        flat = np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=int(sizes.sum()))
+        flat = np.array(list(chain.from_iterable(cells)))
     except (TypeError, ValueError):
         raise MeshError("cells must be sequences of vertex indices") from None
-    short = sizes < 3
-    if np.any(short):
-        raise MeshError(f"cell {_first_true(short)} must list at least 3 vertices")
     cell_ptr = np.zeros(len(cells) + 1, dtype=np.int64)
     np.cumsum(sizes, out=cell_ptr[1:])
     return cell_ptr, flat
 
 
+def _index_arrays(cell_ptr, cell_vertices) -> tuple[np.ndarray, np.ndarray]:
+    """Checked int64 copies of compressed-row cells.
+
+    Rejects a malformed ``cell_ptr``, cells of fewer than three vertices and
+    vertex indices that are not integers (a fractional or non-finite float
+    names its cell instead of being truncated).
+    """
+    ptr = np.asarray(cell_ptr)
+    flat = np.asarray(cell_vertices)
+    if (
+        ptr.ndim != 1
+        or ptr.dtype.kind not in "iu"
+        or len(ptr) == 0
+        or ptr[0] != 0
+        or flat.ndim != 1
+        or ptr[-1] != len(flat)
+    ):
+        raise MeshError("cell_ptr must be an integer array running from 0 to the number of cell entries")
+    short = np.diff(ptr) < 3
+    if np.any(short):
+        raise MeshError(f"cell {_first_true(short)} must list at least 3 vertices")
+    if flat.dtype.kind == "f":
+        fractional = ~np.isfinite(flat) | (flat != np.trunc(flat))
+        if np.any(fractional):
+            cid = int(np.searchsorted(ptr, _first_true(fractional), side="right")) - 1
+            raise MeshError(f"cell {cid} has a vertex index that is not an integer")
+    elif flat.dtype.kind not in "iu":
+        raise MeshError("cells must be sequences of vertex indices")
+    return ptr.astype(np.int64), flat.astype(np.int64)
+
+
 def build_topology(
     vertices: Sequence | np.ndarray,
-    cells: Iterable[Sequence[int]],
+    cells: Iterable[Sequence[int]] | np.ndarray,
     boundary_tags: TagMap | TagRule,
+    *,
+    cell_ptr: np.ndarray | None = None,
 ) -> PolygonalMesh:
     """Validate raw vertex/cell data and construct the edge table.
 
+    ``cells`` is a sequence of vertex cycles or, when ``cell_ptr`` is given,
+    the flat vertex array of compressed-row cells: cycle c is
+    ``cells[cell_ptr[c]:cell_ptr[c + 1]]``.  Both forms are copied and go
+    through the same checks.
+
     Clockwise cells are silently reversed.  Raises :class:`MeshError` (naming
-    the offending cell or edge) on degenerate or repeated-vertex cells,
-    self-intersecting cycles, non-manifold edges, irreparably inconsistent
-    orientation, untagged boundary edges, or an empty spectral boundary.
+    the offending cell or edge) on non-integer vertex indices, degenerate or
+    repeated-vertex cells, self-intersecting cycles, non-manifold edges,
+    irreparably inconsistent orientation, untagged boundary edges, or an
+    empty spectral boundary.
     """
     verts = np.ascontiguousarray(np.asarray(vertices, dtype=float))
     if verts.ndim != 2 or verts.shape[1] != 2:
@@ -336,7 +376,9 @@ def build_topology(
         raise MeshError("vertex coordinates must be finite")
     n_verts = verts.shape[0]
 
-    cell_ptr, tails = _flatten_cells(cells)
+    if cell_ptr is None:
+        cell_ptr, cells = _flatten_cells(cells)
+    cell_ptr, tails = _index_arrays(cell_ptr, cells)
     n_cells = len(cell_ptr) - 1
     if n_cells == 0:
         raise MeshError("mesh has no cells")
@@ -532,9 +574,10 @@ def save_mesh(mesh: PolygonalMesh, path: str | Path) -> None:
             )
         ],
     }
+    # one json.dumps call runs the C encoder; json.dump streams through the
+    # pure-Python one, several times slower for the same bytes
     with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def _is_index(value) -> bool:

@@ -83,9 +83,8 @@ def test_refine_vem_single_square():
     assert refined.n_vertices == 9  # 4 corners + 4 midpoints + centroid
     assert all(len(c) == 4 for c in refined.cycles())
     assert abs(total_area(refined) - 1.0) < 1e-12
-    assert record.children == {0: (0, 1, 2, 3)}
-    assert len(record.new_vertex_ids) == 5
-    assert record.hanging_cells == ()
+    assert record.parent.tolist() == [0, 0, 0, 0]
+    assert record.hanging_cells.tolist() == []
     # spectral boundary tag survives on both halves of the top edge
     assert len(refined.gamma0_edge_ids()) == 2
 
@@ -93,10 +92,10 @@ def test_refine_vem_single_square():
 def test_refine_vem_neighbor_absorbs_hanging_vertices():
     mesh = initial_mesh("square")
     refined, record = refine_vem(mesh, [0])
-    assert len(record.children[0]) == 3  # triangle splits into three quads
+    assert np.count_nonzero(record.parent == 0) == 3  # triangle splits into three quads
     assert len(record.hanging_cells) > 0
     for cid in record.hanging_cells:
-        (child,) = record.children[cid]
+        (child,) = np.flatnonzero(record.parent == cid)
         # the absorbed midpoints make the cell cycle longer
         assert len(refined.cell(child)) > 3
     assert abs(total_area(refined) - total_area(mesh)) < 1e-12
@@ -115,7 +114,8 @@ def test_refine_vem_empty_marks_returns_same_mesh():
     mesh = initial_mesh("square")
     same, record = refine_vem(mesh, [])
     assert same is mesh
-    assert record.children == {}
+    assert record.parent.tolist() == list(range(mesh.n_cells))
+    assert record.hanging_cells.tolist() == []
 
 
 def test_refine_vem_rejects_non_star_cell():

@@ -117,10 +117,39 @@ def test_validation_errors():
         ([[0.0, 0.0, 0.0]], [[0, 0, 0]], all_gamma0, "shape"),
         # non-finite coordinates
         ([[0.0, 0.0], [1.0, np.inf], [0.0, 1.0]], [[0, 1, 2]], all_gamma0, "finite"),
+        # fractional or non-finite vertex index: named, not truncated
+        (SQUARE_VERTS, [[0, 1, 2], [0, 2.5, 3]], top_edge_rule, "cell 1 has a vertex index that is not an integer"),
+        (SQUARE_VERTS, [[0, 1.7, 2], [0, 2, 3]], top_edge_rule, "cell 0 has a vertex index that is not an integer"),
+        (SQUARE_VERTS, [[0, 1, 2], [0, 2, np.nan]], top_edge_rule, "cell 1 has a vertex index that is not an integer"),
+        # entries that are not numbers at all
+        (SQUARE_VERTS, [[0, 1, 2], [0, 2, "3"]], top_edge_rule, "sequences of vertex indices"),
+        (SQUARE_VERTS, [[0, 1, 2], 5], top_edge_rule, "sequences of vertex indices"),
     ]
     for verts, cells, tags, fragment in cases:
         with pytest.raises(MeshError, match=fragment):
             build_topology(verts, cells, tags)
+
+
+def test_compressed_row_input_matches_cycle_list():
+    cycles = [[0, 2, 1], [0, 2, 3]]  # the first is clockwise and gets reversed
+    ptr = np.array([0, 3, 6])
+    flat = np.array([0, 2, 1, 0, 2, 3])
+    from_csr = build_topology(SQUARE_VERTS, flat, top_edge_rule, cell_ptr=ptr)
+    from_list = build_topology(SQUARE_VERTS, cycles, top_edge_rule)
+    assert from_csr.structurally_equal(from_list)
+    assert np.array_equal(from_csr.cell_edges, from_list.cell_edges)
+    # the caller's arrays are copied, not reversed or frozen in place
+    assert flat.tolist() == [0, 2, 1, 0, 2, 3] and flat.flags.writeable
+    # integral floats are indices; fractional ones name their cell
+    as_float = build_topology(SQUARE_VERTS, flat.astype(float), top_edge_rule, cell_ptr=ptr)
+    assert as_float.structurally_equal(from_list)
+    with pytest.raises(MeshError, match="cell 1 has a vertex index that is not an integer"):
+        build_topology(SQUARE_VERTS, [0, 1, 2, 0, 2, 3.25], top_edge_rule, cell_ptr=ptr)
+    for bad_ptr in ([1, 3, 6], [0, 3, 5], [0.0, 3.0, 6.0], [[0, 3, 6]]):
+        with pytest.raises(MeshError, match="cell_ptr"):
+            build_topology(SQUARE_VERTS, flat, top_edge_rule, cell_ptr=np.array(bad_ptr))
+    with pytest.raises(MeshError, match="cell 0 must list at least 3 vertices"):
+        build_topology(SQUARE_VERTS, flat, top_edge_rule, cell_ptr=np.array([0, 2, 6]))
 
 
 def test_non_manifold_edge_rejected():

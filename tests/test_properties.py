@@ -10,13 +10,20 @@ initial meshes with it, and checks after every step, from the flat arrays:
 * conservation of the area and of the length of Gamma0;
 * inheritance of boundary tags: every boundary edge lies on a boundary edge
   of the parent mesh and carries its tag.
+
+A second set of properties runs the same kind of sequences through the
+array refiners and through the loop-based reference refiners of
+``refine_oracle`` and requires identical meshes, numbering included, and
+a ``RefinementRecord.parent`` that maps every new cell into the coarse cell
+whose area it covers.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steklov.adaptivity import refine_fem, refine_uniform, refine_vem
+import refine_oracle as oracle
+from steklov.adaptivity import normalize_refinement_edges, refine_fem, refine_uniform, refine_vem
 from steklov.experiments import initial_mesh
 
 SETTINGS = settings(max_examples=20, deadline=5000, derandomize=True, database=None)
@@ -122,4 +129,90 @@ def test_refine_fem_invariants(name, steps, data):
             refined = refine_fem(mesh, marks_for(data, mesh))
         check_invariants(mesh, refined, reference)
         assert np.all(np.diff(refined.cell_ptr) == 3)
+        mesh = refined
+
+
+# ---------------------------------------------------------------------------
+# array refiners against the loop-based oracle
+
+
+def identical(mesh, expected):
+    """Same vertices, cycles, numbering, orientation and tags."""
+    return mesh.structurally_equal(expected) and all(
+        np.array_equal(getattr(mesh, name), getattr(expected, name))
+        for name in ("edge_left", "edge_right", "cell_edges")
+    )
+
+
+def cell_areas(mesh):
+    tails, heads = halfedges(mesh)
+    p, q = mesh.vertices[tails], mesh.vertices[heads]
+    owner = np.repeat(np.arange(mesh.n_cells), np.diff(mesh.cell_ptr))
+    return 0.5 * np.bincount(owner, weights=p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1])
+
+
+def inside(point, polygon):
+    """Crossing-number test of a point strictly inside a polygon."""
+    x, y = point
+    px, py = polygon[:, 0], polygon[:, 1]
+    qx, qy = np.roll(px, -1), np.roll(py, -1)
+    straddles = (py > y) != (qy > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at = px + (y - py) * (qx - px) / (qy - py)
+    return np.count_nonzero(straddles & (x < at)) % 2 == 1
+
+
+def parents_covered(coarse, fine, parent):
+    """Each coarse cell's area is its children's, and each child's vertex
+    mean lies inside its parent."""
+    if len(parent) != fine.n_cells:
+        return False
+    area = cell_areas(coarse)
+    summed = np.bincount(parent, weights=cell_areas(fine), minlength=coarse.n_cells)
+    if not np.all(np.abs(summed - area) <= 1e-12 * area):
+        return False
+    return all(
+        inside(fine.vertices[fine.cell(k)].mean(axis=0), coarse.vertices[coarse.cell(p)])
+        for k, p in enumerate(parent.tolist())
+    )
+
+
+def mark_subset(data, mesh):
+    """A random share of the cells, from a few up to all of them, so that
+    split edges meet in every pattern a cell can have."""
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    share = data.draw(st.sampled_from([0.02, 0.1, 0.3, 0.6, 1.0]), label="share")
+    chosen = np.random.default_rng(seed).random(mesh.n_cells) < share
+    return np.flatnonzero(chosen).tolist() or [0]
+
+
+@SETTINGS
+@given(name=st.sampled_from(sorted(INITIAL)), steps=st.integers(1, 3), data=st.data())
+def test_refine_vem_matches_oracle(name, steps, data):
+    mesh = INITIAL[name]
+    for _ in range(steps):
+        marks = mark_subset(data, mesh)
+        refined, record = refine_vem(mesh, marks)
+        expected, expected_record = oracle.refine_vem(mesh, marks)
+        assert identical(refined, expected)
+        expected_parent = np.empty(expected.n_cells, dtype=np.int64)
+        for cid, children in expected_record.children.items():
+            expected_parent[list(children)] = cid
+        assert np.array_equal(record.parent, expected_parent)
+        assert record.hanging_cells.tolist() == list(expected_record.hanging_cells)
+        assert parents_covered(mesh, refined, record.parent)
+        mesh = refined
+
+
+@SETTINGS
+@given(name=st.sampled_from(sorted(INITIAL)), steps=st.integers(1, 4), data=st.data())
+def test_refine_fem_and_uniform_match_oracle(name, steps, data):
+    mesh = normalize_refinement_edges(INITIAL[name])
+    for _ in range(steps):
+        if mesh.n_cells < 300 and data.draw(st.booleans(), label="uniform"):
+            refined, expected = refine_uniform(mesh), oracle.refine_uniform(mesh)
+        else:
+            marks = mark_subset(data, mesh)
+            refined, expected = refine_fem(mesh, marks), oracle.refine_fem(mesh, marks)
+        assert identical(refined, expected)
         mesh = refined
