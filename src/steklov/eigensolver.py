@@ -5,14 +5,15 @@ dofs), so K w = lambda M w is solved through the shifted pencil
 
     M x = mu (K + M) x,        mu = 1 / (lambda + 1) in (0, 1].
 
-K + M is symmetric positive definite on connected meshes and is factorized
-once; the smallest positive lambda correspond to the largest mu below 1.  The
-constant vector (mu = 1, lambda = 0) is deflated explicitly by M-orthogonal
-projection inside the iteration, which keeps round-off from re-introducing
-the zero mode.  Iteration is blocked subspace iteration with Rayleigh-Ritz
-extraction in the (K + M) inner product; because the deflated operator has
-rank equal to the number of spectral-boundary dofs minus one, the block often
-spans the full nonzero eigenspace and converges in a handful of sweeps.
+K + M is symmetric positive definite on connected meshes (disconnected ones
+are rejected) and is factorized once; the smallest positive lambda are the
+largest mu below 1.  The constant vector (mu = 1, lambda = 0) is deflated by
+using M - m m^T / (1^T m), m = M 1, in place of M: it maps the constants to
+zero, so round-off cannot bring the zero mode back.  ARPACK's implicitly
+restarted Lanczos in generalized mode (Lehoucq, Sorensen & Yang, ARPACK
+Users' Guide, SIAM 1998) finds the largest mu of this deflated pencil with
+one LU column solve per step, to machine precision; the residual contract is
+checked on its result.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .vem import GlobalSystem
 
@@ -56,7 +58,7 @@ class ConvergenceError(EigensolverError):
 class SolverOptions:
     count: int = 1
     tol: float = 1e-10
-    max_iterations: int = 500
+    max_iterations: int = 500  # ARPACK restarts
     seed: int = 0
 
 
@@ -84,8 +86,12 @@ def normalize_pair(system: GlobalSystem, pair: SpectralPair) -> SpectralPair:
     """Scale to unit boundary mass and fix the sign convention.
 
     The sign is chosen so that the first spectral-boundary dof (ascending
-    index) whose magnitude exceeds 1e-8 is positive.  Idempotent.
+    index) whose magnitude exceeds 1e-8 is positive.  Idempotent: a pair
+    that is already normalized is returned as it is, since dividing by a
+    boundary mass norm that is 1 only to round-off would change its bits.
     """
+    if pair.normalized:
+        return pair
     w = np.asarray(pair.vector, dtype=float)
     m_norm2 = float(w @ (system.boundary_mass @ w))
     if m_norm2 <= 0.0:
@@ -101,12 +107,9 @@ def normalize_pair(system: GlobalSystem, pair: SpectralPair) -> SpectralPair:
     return replace(pair, vector=w, normalized=True)
 
 
-def _deflate(columns: np.ndarray, ones_vec: np.ndarray, m_ones: np.ndarray, scale: float) -> np.ndarray:
-    """Project columns onto the M-orthogonal complement of the constant vector."""
-    coef = (m_ones @ columns) / scale
-    if columns.ndim == 1:
-        return columns - coef * ones_vec
-    return columns - np.outer(ones_vec, coef)
+def _deflate(x: np.ndarray, m_ones: np.ndarray, scale: float) -> np.ndarray:
+    """Project x onto the M-orthogonal complement of the constant vector."""
+    return x - (m_ones @ x) / scale
 
 
 def solve_smallest_positive(system: GlobalSystem, options: SolverOptions = SolverOptions()) -> list[SpectralPair]:
@@ -127,6 +130,15 @@ def solve_smallest_positive(system: GlobalSystem, options: SolverOptions = Solve
         )
 
     K = system.stiffness.tocsc()
+    # the sparsity structure, not the values: right-angled P1 triangles
+    # couple their hypotenuse ends by an exact zero
+    structure = sp.csc_matrix((np.ones(K.nnz), K.indices, K.indptr), shape=K.shape)
+    n_components = connected_components(structure, directed=False, return_labels=False)
+    if n_components > 1:
+        raise EigensolverError(
+            f"the mesh is disconnected: its stiffness graph has {n_components} "
+            "connected components"
+        )
     M = system.boundary_mass.tocsc()
     shifted = (K + M).tocsc()
     try:
@@ -134,7 +146,7 @@ def solve_smallest_positive(system: GlobalSystem, options: SolverOptions = Solve
     except RuntimeError as err:
         raise EigensolverError(
             f"factorization of the shifted matrix failed ({err}); "
-            "the mesh may be disconnected or the assembly broken"
+            "the assembly may be broken"
         ) from None
 
     ones_vec = np.ones(n)
@@ -143,67 +155,43 @@ def solve_smallest_positive(system: GlobalSystem, options: SolverOptions = Solve
     if scale <= 0.0:
         raise EigensolverError("boundary mass matrix has no positive mass")
 
-    block = min(n_positive, options.count + 4)
-    rng = np.random.default_rng(options.seed)
-    X = _deflate(rng.standard_normal((n, block)), ones_vec, m_ones, scale)
-
-    def apply_deflated_mass(cols: np.ndarray) -> np.ndarray:
-        out = M @ cols
-        return out - np.outer(m_ones, (m_ones @ cols) / scale)
-
-    best_residual = np.inf
-    for _ in range(options.max_iterations):
-        X = lu.solve(apply_deflated_mass(X))
-        X = _deflate(X, ones_vec, m_ones, scale)
-
-        # orthonormalize in the (K + M) inner product, refreshing any
-        # direction that collapsed numerically
-        CX = shifted @ X
-        gram = X.T @ CX
-        evals, evecs = scipy.linalg.eigh(0.5 * (gram + gram.T))
-        keep = evals > 1e-24 * max(float(evals[-1]), 0.0)
-        if not np.all(keep):
-            X[:, ~keep] = _deflate(
-                rng.standard_normal((n, int(np.sum(~keep)))), ones_vec, m_ones, scale
-            )
-            continue
-        X = X @ (evecs / np.sqrt(evals))
-
-        # Rayleigh-Ritz on the deflated mass form
-        projected = X.T @ apply_deflated_mass(X)
-        mu, U = scipy.linalg.eigh(0.5 * (projected + projected.T))
-        take = np.argsort(mu)[::-1][: options.count]
-        candidates = X @ U[:, take]
-        mus = mu[take]
-        if np.any(mus <= 0.0):
-            continue
-        if np.any(mus >= 1.0 - 1e-12):
-            raise EigensolverError(
-                "found an eigenvalue at mu = 1: the constant mode escaped deflation"
-            )
-        values = 1.0 / mus - 1.0
-        residuals = np.array(
-            [residual_norm(system, lam, candidates[:, j]) for j, lam in enumerate(values)]
-        )
-        best_residual = min(best_residual, float(np.max(residuals)))
-        if np.all(residuals <= options.tol):
-            pairs = []
-            for j in np.argsort(values):
-                w = _deflate(candidates[:, j].copy(), ones_vec, m_ones, scale)
-                pair = SpectralPair(
-                    value=float(values[j]),
-                    vector=w,
-                    residual=float(residuals[j]),
-                    normalized=False,
-                )
-                pairs.append(normalize_pair(system, pair))
-            return pairs
-
-    raise ConvergenceError(
-        f"eigensolver did not reach tol={options.tol:g} within "
-        f"{options.max_iterations} iterations (best residual {best_residual:.3e})",
-        best_residual=best_residual,
+    deflated_mass = spla.LinearOperator(
+        (n, n), matvec=lambda x: M @ x - m_ones * ((m_ones @ x) / scale), dtype=float
     )
+    v0 = _deflate(np.random.default_rng(options.seed).standard_normal(n), m_ones, scale)
+    converged = True
+    try:
+        mus, X = spla.eigsh(
+            deflated_mass, k=options.count, M=shifted,
+            Minv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
+            which="LA", v0=v0, tol=0.0, maxiter=options.max_iterations,
+        )
+    except spla.ArpackNoConvergence as err:
+        mus, X, converged = err.eigenvalues, err.eigenvectors, False
+    if np.any(mus >= 1.0 - 1e-12):
+        raise EigensolverError(
+            "found an eigenvalue at mu = 1: the constant mode escaped deflation"
+        )
+    positive = mus > 0.0
+    converged = converged and bool(np.all(positive))
+    values = 1.0 / mus[positive] - 1.0
+    residuals = [residual_norm(system, lam, w) for lam, w in zip(values, X[:, positive].T)]
+    worst = max(residuals, default=np.inf)
+    if not converged or worst > options.tol:
+        raise ConvergenceError(
+            f"eigensolver did not reach tol={options.tol:g} within "
+            f"{options.max_iterations} restarts ({len(values)} of {options.count} "
+            f"positive pairs found, best residual {worst:.3e})",
+            best_residual=worst,
+        )
+    pairs = []
+    for j in np.argsort(values):
+        w = _deflate(X[:, j], m_ones, scale)
+        pair = SpectralPair(
+            value=float(values[j]), vector=w, residual=float(residuals[j]), normalized=False
+        )
+        pairs.append(normalize_pair(system, pair))
+    return pairs
 
 
 def dense_reference_solve(system: GlobalSystem, n_limit: int = 2000) -> np.ndarray:

@@ -180,15 +180,26 @@ def polygon_diameter(points: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.sum(diff * diff, axis=2))))
 
 
-def _stack_shape(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cell-local coordinates, signed areas and squared pairwise vertex
-    distances of a (m, n, 2) stack of cycles."""
+def _stack_shape(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cell-local coordinates, signed areas, diameters and smallest vertex
+    gaps of a (m, n, 2) stack of cycles.
+
+    Vertex distances are taken one offset k at a time (vertex i against
+    vertex i + k), which reaches every pair for k <= n / 2 without holding
+    all n * n differences at once.
+    """
     local = pts - pts.mean(axis=1, keepdims=True)
     x = local[..., 0]
     y = local[..., 1]
     area = 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    return local, area, np.sum(diff * diff, axis=3)
+    far2 = np.zeros(len(pts))
+    near2 = np.full(len(pts), np.inf)
+    for k in range(1, pts.shape[1] // 2 + 1):
+        diff = pts - np.roll(pts, -k, axis=1)
+        dist2 = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
+        far2 = np.maximum(far2, np.max(dist2, axis=1))
+        near2 = np.minimum(near2, np.min(dist2, axis=1))
+    return local, area, np.sqrt(far2), np.sqrt(near2)
 
 
 # ---------------------------------------------------------------------------
@@ -211,51 +222,55 @@ def _segment_distance2(px, py, ax, ay, bx, by):
     return dx * dx + dy * dy
 
 
+_PAIR_CHUNK = 1 << 16  # (cell, edge pair) entries tested at once
+
+
 def _check_simple_group(pts: np.ndarray, ids: np.ndarray, diam: np.ndarray) -> None:
-    """Reject self-intersecting cycles, vectorized over a (m, n, 2) group.
+    """Reject self-intersecting cycles, vectorized over a (m, n, 2) group and
+    over its pairs of non-adjacent edges.
 
     Adjacent edges may touch (shared endpoint, collinear hanging vertices);
-    any contact between non-adjacent edges makes the cycle non-simple.
+    any contact between non-adjacent edges makes the cycle non-simple.  The
+    error names the first offending edge pair (i, j) in ascending order and
+    the lowest cell in which it meets.
     """
     m, n, _ = pts.shape
     if n == 3:
         return
+    i, j = np.triu_indices(n, 2)
+    keep = (i > 0) | (j < n - 1)  # edges (0,1) and (n-1,0) are adjacent
+    i, j = i[keep], j[keep]
     x = pts[..., 0]
     y = pts[..., 1]
-    area_tol = COLLINEAR_REL * diam * diam
-    dist_tol2 = (COLLINEAR_REL * diam) ** 2
-
-    def orient(i, j, k):
-        return (x[:, j] - x[:, i]) * (y[:, k] - y[:, i]) - (y[:, j] - y[:, i]) * (
-            x[:, k] - x[:, i]
+    area_tol = (COLLINEAR_REL * diam * diam)[:, None]
+    dist_tol2 = ((COLLINEAR_REL * diam) ** 2)[:, None]
+    step = max(1, _PAIR_CHUNK // m)
+    for start in range(0, len(i), step):
+        a, c = i[start:start + step], j[start:start + step]
+        ax, ay, bx, by = x[:, a], y[:, a], x[:, (a + 1) % n], y[:, (a + 1) % n]
+        cx, cy, dx, dy = x[:, c], y[:, c], x[:, (c + 1) % n], y[:, (c + 1) % n]
+        d1 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
+        d2 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
+        d3 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        d4 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
+        proper = (
+            ((d1 > area_tol) & (d2 < -area_tol)) | ((d1 < -area_tol) & (d2 > area_tol))
+        ) & (((d3 > area_tol) & (d4 < -area_tol)) | ((d3 < -area_tol) & (d4 > area_tol)))
+        touch = (
+            (_segment_distance2(ax, ay, cx, cy, dx, dy) <= dist_tol2)
+            | (_segment_distance2(bx, by, cx, cy, dx, dy) <= dist_tol2)
+            | (_segment_distance2(cx, cy, ax, ay, bx, by) <= dist_tol2)
+            | (_segment_distance2(dx, dy, ax, ay, bx, by) <= dist_tol2)
         )
-
-    for i in range(n):
-        i1 = (i + 1) % n
-        for j in range(i + 1, n):
-            j1 = (j + 1) % n
-            if j == i or j1 == i or i1 == j:
-                continue
-            d1 = orient(j, j1, i)
-            d2 = orient(j, j1, i1)
-            d3 = orient(i, i1, j)
-            d4 = orient(i, i1, j1)
-            proper = (
-                ((d1 > area_tol) & (d2 < -area_tol)) | ((d1 < -area_tol) & (d2 > area_tol))
-            ) & (((d3 > area_tol) & (d4 < -area_tol)) | ((d3 < -area_tol) & (d4 > area_tol)))
-            touch = (
-                (_segment_distance2(x[:, i], y[:, i], x[:, j], y[:, j], x[:, j1], y[:, j1]) <= dist_tol2)
-                | (_segment_distance2(x[:, i1], y[:, i1], x[:, j], y[:, j], x[:, j1], y[:, j1]) <= dist_tol2)
-                | (_segment_distance2(x[:, j], y[:, j], x[:, i], y[:, i], x[:, i1], y[:, i1]) <= dist_tol2)
-                | (_segment_distance2(x[:, j1], y[:, j1], x[:, i], y[:, i], x[:, i1], y[:, i1]) <= dist_tol2)
+        bad = proper | touch
+        if np.any(bad):
+            pair = _first_true(np.any(bad, axis=0))
+            cid = int(ids[_first_true(bad[:, pair])])
+            p, q = int(a[pair]), int(c[pair])
+            raise MeshError(
+                f"cell {cid} is not a simple polygon: edges ({p},{(p + 1) % n}) and "
+                f"({q},{(q + 1) % n}) of its cycle intersect"
             )
-            bad = proper | touch
-            if np.any(bad):
-                cid = int(ids[_first_true(bad)])
-                raise MeshError(
-                    f"cell {cid} is not a simple polygon: edges ({i},{i1}) and "
-                    f"({j},{j1}) of its cycle intersect"
-                )
 
 
 def _validate_cycles(verts: np.ndarray, cell_ptr: np.ndarray, cell_vertices: np.ndarray) -> None:
@@ -272,8 +287,7 @@ def _validate_cycles(verts: np.ndarray, cell_ptr: np.ndarray, cell_vertices: np.
             raise MeshError(f"cell {int(ids[_first_true(dup)])} repeats a vertex in its cycle")
 
         pts = verts[stack]
-        _, area, dist2 = _stack_shape(pts)
-        diam = np.sqrt(np.max(dist2, axis=(1, 2)))
+        _, area, diam, _ = _stack_shape(pts)
 
         degenerate = np.abs(area) <= COLLINEAR_REL * diam * diam
         if np.any(degenerate):
@@ -530,9 +544,8 @@ def quality_report(mesh: PolygonalMesh, gamma: float = 0.1, gamma_hat: float = 0
     rho = np.empty(nc)
     gap = np.empty(nc)
     for ids, index in cell_groups(mesh.cell_ptr):
-        local, a, dist2 = _stack_shape(mesh.vertices[mesh.cell_vertices[index]])
+        local, a, diam[ids], gap[ids] = _stack_shape(mesh.vertices[mesh.cell_vertices[index]])
         area[ids] = a
-        diam[ids] = np.sqrt(np.max(dist2, axis=(1, 2)))
         # centroid in local coordinates, then its distance to every edge
         x, y = local[..., 0], local[..., 1]
         x1, y1 = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
@@ -540,9 +553,6 @@ def quality_report(mesh: PolygonalMesh, gamma: float = 0.1, gamma_hat: float = 0
         cx = np.sum((x + x1) * cross, axis=1, keepdims=True) / (6.0 * a[:, None])
         cy = np.sum((y + y1) * cross, axis=1, keepdims=True) / (6.0 * a[:, None])
         rho[ids] = np.sqrt(np.min(_segment_distance2(cx, cy, x, y, x1, y1), axis=1))
-        n = index.shape[1]
-        dist2[:, np.arange(n), np.arange(n)] = np.inf
-        gap[ids] = np.sqrt(np.min(dist2, axis=(1, 2)))
     return MeshQualityReport(
         diameters=diam,
         areas=area,

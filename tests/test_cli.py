@@ -9,9 +9,12 @@ from pathlib import Path
 import pytest
 
 import steklov
+from steklov import experiments
 from steklov.cli import main
 from steklov.experiments import initial_mesh
 from steklov.mesh import save_mesh
+
+from test_eigensolver import two_disconnected_squares
 
 
 def test_run_writes_outputs_and_progress(tmp_path, capsys):
@@ -127,6 +130,13 @@ def test_solver_failure_maps_to_exit_code(tmp_path, capsys):
     code = main(["run", "--steps", "1", "--eigs", "99", "--out", str(out), "--quiet"])
     assert code == 1
     assert "finite positive" in capsys.readouterr().err
+
+
+def test_disconnected_mesh_exits_with_message(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "initial_mesh", lambda test: two_disconnected_squares())
+    code = main(["run", "--steps", "1", "--out", str(tmp_path / "split"), "--quiet"])
+    assert code == 1
+    assert "disconnected: its stiffness graph has 2 connected components" in capsys.readouterr().err
 
 
 def test_bad_arguments_exit_with_usage_error(capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from steklov.adaptivity import refine_uniform, refine_vem
 from steklov.eigensolver import (
@@ -174,3 +175,63 @@ def test_exactness_on_two_dof_boundary():
     dense = dense_reference_solve(system)
     (pair,) = solve_smallest_positive(system)
     assert abs(pair.value - dense[1]) < 1e-10 * dense[1]
+
+
+def two_disconnected_squares():
+    """Unit squares at x in [0, 1] and [2, 3]; only the left one has Gamma0
+    (its top edge)."""
+    verts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+             [2.0, 0.0], [3.0, 0.0], [3.0, 1.0], [2.0, 1.0]]
+
+    def tags(pa, pb):
+        if pa[0] <= 1.0 and pb[0] <= 1.0 and pa[1] == 1.0 and pb[1] == 1.0:
+            return BoundaryTag.GAMMA0
+        return BoundaryTag.GAMMA1
+
+    return build_topology(verts, [[0, 1, 2, 3], [4, 5, 6, 7]], tags)
+
+
+def test_disconnected_mesh_is_rejected():
+    system = assemble(two_disconnected_squares())
+    with pytest.raises(EigensolverError, match="disconnected.* 2 connected components"):
+        solve_smallest_positive(system)
+
+
+def quad_split_notched():
+    """The notched mesh with every cell quad-split four times: 3,753 dofs."""
+    mesh = initial_mesh("notched")
+    for _ in range(4):
+        mesh, _ = refine_vem(mesh, range(mesh.n_cells))
+    return mesh
+
+
+def test_arpack_stall_is_a_convergence_error():
+    # one restart is too few for six pairs: ARPACK gives up with a partial
+    # set, whose residuals the error reports
+    system = assemble(quad_split_notched())
+    with pytest.raises(ConvergenceError, match="of 6 positive pairs found") as info:
+        solve_smallest_positive(system, SolverOptions(count=6, max_iterations=1))
+    assert info.value.best_residual > 0.0
+
+
+def test_column_solves_per_call_stay_within_budget(monkeypatch):
+    system = assemble(quad_split_notched())
+    columns = []
+    splu = spla.splu
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            columns[-1] += 1 if rhs.ndim == 1 else rhs.shape[1]
+            return self.lu.solve(rhs)
+
+    def counting_splu(matrix, *args, **kwargs):
+        columns.append(0)
+        return CountingLU(splu(matrix, *args, **kwargs))
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    (pair,) = solve_smallest_positive(system)
+    assert system.n_dofs == 3753 and pair.residual <= 1e-10
+    assert len(columns) == 1 and 0 < columns[0] <= 30

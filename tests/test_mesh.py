@@ -130,6 +130,27 @@ def test_validation_errors():
             build_topology(verts, cells, tags)
 
 
+def test_self_intersection_names_first_edge_pair_and_lowest_cell():
+    # three 12-gons on disjoint circles: cell 0 is simple, cell 1 swaps the
+    # vertices at cycle positions 6 and 7, cell 2 those at 3 and 4, so
+    # edges (5,6)/(7,8) cross in cell 1 and (2,3)/(4,5) in cell 2
+    ring = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+    circle = np.column_stack([np.cos(ring), np.sin(ring)])
+    verts = np.vstack([circle + [3.0 * k, 0.0] for k in range(3)])
+    cells = [list(range(12 * k, 12 * k + 12)) for k in range(3)]
+    cells[1][6], cells[1][7] = cells[1][7], cells[1][6]
+    cells[2][3], cells[2][4] = cells[2][4], cells[2][3]
+    with pytest.raises(
+        MeshError,
+        match=r"cell 2 is not a simple polygon: edges \(2,3\) and \(4,5\) of its cycle intersect",
+    ):
+        build_topology(verts, cells, all_gamma0)
+    # with cell 2 repaired, the next offending cell and pair are named
+    cells[2][3], cells[2][4] = cells[2][4], cells[2][3]
+    with pytest.raises(MeshError, match=r"cell 1 .* edges \(5,6\) and \(7,8\)"):
+        build_topology(verts, cells, all_gamma0)
+
+
 def test_compressed_row_input_matches_cycle_list():
     cycles = [[0, 2, 1], [0, 2, 3]]  # the first is clockwise and gets reversed
     ptr = np.array([0, 3, 6])

@@ -16,6 +16,12 @@ array refiners and through the loop-based reference refiners of
 ``refine_oracle`` and requires identical meshes, numbering included, and
 a ``RefinementRecord.parent`` that maps every new cell into the coarse cell
 whose area it covers.
+
+The eigensolver properties solve on such refined meshes and compare with a
+dense solve of the same pencil, check the exact symmetries of the discrete
+eigenvalue (``lambda -> lambda / s`` when the domain is scaled by ``s``,
+invariance under a translation far from the origin), and check that
+``normalize_pair`` is idempotent on random vectors.
 """
 
 import numpy as np
@@ -24,7 +30,16 @@ from hypothesis import strategies as st
 
 import refine_oracle as oracle
 from steklov.adaptivity import normalize_refinement_edges, refine_fem, refine_uniform, refine_vem
+from steklov.eigensolver import (
+    SolverOptions,
+    SpectralPair,
+    dense_reference_solve,
+    normalize_pair,
+    solve_smallest_positive,
+)
 from steklov.experiments import initial_mesh
+from steklov.mesh import TAGS, build_topology
+from steklov.vem import assemble
 
 SETTINGS = settings(max_examples=20, deadline=5000, derandomize=True, database=None)
 
@@ -216,3 +231,64 @@ def test_refine_fem_and_uniform_match_oracle(name, steps, data):
             refined, expected = refine_fem(mesh, marks), oracle.refine_fem(mesh, marks)
         assert identical(refined, expected)
         mesh = refined
+
+
+# ---------------------------------------------------------------------------
+# eigensolver
+
+
+def moved(mesh, vertices):
+    """The mesh rebuilt, and validated, on new vertex coordinates."""
+    b = np.flatnonzero(mesh.edge_right < 0)
+    tags = {
+        (a, c): TAGS[t]
+        for a, c, t in zip(mesh.edge_a[b].tolist(), mesh.edge_b[b].tolist(), mesh.edge_tag[b].tolist())
+    }
+    return build_topology(vertices, mesh.cell_vertices, tags, cell_ptr=mesh.cell_ptr)
+
+
+def smallest(mesh, count):
+    """The ``count`` smallest positive eigenvalues of the mesh's pencil."""
+    pairs = solve_smallest_positive(assemble(mesh), SolverOptions(count=count))
+    return np.array([p.value for p in pairs])
+
+
+@SETTINGS
+@given(
+    name=st.sampled_from(sorted(INITIAL)),
+    fem=st.booleans(),
+    steps=st.integers(0, 3),
+    count=st.integers(1, 3),
+    scale=st.sampled_from([1e-3, 0.37, 5.0, 1e3]),
+    data=st.data(),
+)
+def test_solver_matches_dense_and_keeps_symmetries(name, fem, steps, count, scale, data):
+    mesh = INITIAL[name]
+    for _ in range(steps):
+        marks = marks_for(data, mesh)
+        mesh = refine_fem(mesh, marks) if fem else refine_vem(mesh, marks)[0]
+    count = min(count, len(mesh.gamma0_vertices()) - 1)
+    values = smallest(mesh, count)
+    dense = dense_reference_solve(assemble(mesh))[1:count + 1]
+    assert np.all(np.abs(values - dense) <= 1e-8 * dense)
+    assert np.all(np.abs(smallest(moved(mesh, mesh.vertices * scale), count) * scale - values) <= 1e-10 * values)
+    far = mesh.vertices + np.array([1e4, -3e4])
+    assert np.all(np.abs(smallest(moved(mesh, far), count) - values) <= 1e-8 * values)
+
+
+NORMALIZE_MESHES = [INITIAL["square"], INITIAL["notched"], refine_vem(INITIAL["square"], range(8))[0]]
+
+
+@SETTINGS
+@given(which=st.integers(0, len(NORMALIZE_MESHES) - 1), seed=st.integers(0, 2**32 - 1),
+       magnitude=st.floats(-6.0, 6.0))
+def test_normalize_pair_is_idempotent_on_random_vectors(which, seed, magnitude):
+    system = assemble(NORMALIZE_MESHES[which])
+    vector = 10.0**magnitude * np.random.default_rng(seed).standard_normal(system.n_dofs)
+    once = normalize_pair(system, SpectralPair(value=1.0, vector=vector, residual=0.0, normalized=False))
+    twice = normalize_pair(system, once)
+    assert np.array_equal(twice.vector, once.vector) and twice.normalized
+    w = once.vector
+    assert abs(w @ (system.boundary_mass @ w) - 1.0) <= 1e-12
+    lead = next(d for d in system.gamma0_dofs if abs(w[d]) > 1e-8)
+    assert w[lead] > 0.0
