@@ -46,6 +46,7 @@ from .adaptivity import (
     refine_vem,
 )
 from .experiments import (
+    NOTCHED_REFERENCE,
     ConvergenceRecord,
     ExperimentConfig,
     ExperimentResult,

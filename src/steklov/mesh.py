@@ -378,10 +378,10 @@ def build_topology(
     through the same checks.
 
     Clockwise cells are silently reversed.  Raises :class:`MeshError` (naming
-    the offending cell or edge) on non-integer vertex indices, degenerate or
-    repeated-vertex cells, self-intersecting cycles, non-manifold edges,
-    irreparably inconsistent orientation, untagged boundary edges, or an
-    empty spectral boundary.
+    the offending cell, vertex or edge) on non-integer vertex indices,
+    degenerate or repeated-vertex cells, self-intersecting cycles, vertices
+    that no cell uses, non-manifold edges, irreparably inconsistent
+    orientation, untagged boundary edges, or an empty spectral boundary.
     """
     verts = np.ascontiguousarray(np.asarray(vertices, dtype=float))
     if verts.ndim != 2 or verts.shape[1] != 2:
@@ -459,6 +459,11 @@ def build_topology(
                 "orientation cannot be repaired"
             )
         edge_right[rank[paired_ids]] = owner[second_half]
+
+    used = np.zeros(n_verts, dtype=bool)
+    used[tails] = True
+    if not np.all(used):
+        raise MeshError(f"vertex {_first_true(~used)} is not used by any cell")
 
     if isinstance(boundary_tags, Mapping):
         lookup = {tuple(sorted(k)): v for k, v in boundary_tags.items()}

@@ -364,7 +364,7 @@ def _min_angle(mesh):
 
 def test_criterion_7_refinement_invariants():
     vem = run_experiment(
-        ExperimentConfig(test="square", method="adaptive-vem", steps=10)
+        ExperimentConfig(test="square", method="adaptive-vem", steps=11)
     )
     worst_area = 0.0
     for mesh in vem.meshes:
@@ -375,7 +375,7 @@ def test_criterion_7_refinement_invariants():
         assert abs(_gamma0_length(mesh) - 1.0) < 1e-10
 
     fem = run_experiment(
-        ExperimentConfig(test="square", method="adaptive-fem", steps=10)
+        ExperimentConfig(test="square", method="adaptive-fem", steps=11)
     )
     base_angle = _min_angle(fem.meshes[0])
     min_ratio = min(_min_angle(mesh) / base_angle for mesh in fem.meshes)

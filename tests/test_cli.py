@@ -11,8 +11,8 @@ import pytest
 import steklov
 from steklov import experiments
 from steklov.cli import main
-from steklov.experiments import initial_mesh
-from steklov.mesh import save_mesh
+from steklov.experiments import initial_mesh, read_results_csv
+from steklov.mesh import load_mesh, save_mesh
 
 from test_eigensolver import two_disconnected_squares
 
@@ -28,12 +28,17 @@ def test_run_writes_outputs_and_progress(tmp_path, capsys):
     lines = captured.out.strip().splitlines()
     assert lines[0].startswith("step 0  N 41  lambda_h ")
     assert "error" in lines[0] and "eta2" in lines[0]
-    assert lines[-1].startswith("wrote ")
+    assert lines[-1].startswith("wrote 6 files")
     assert (out / "results.csv").exists()
     assert (out / "curves.csv").exists()
-    for k in range(3):
-        assert (out / f"mesh_step_{k}.json").exists()
+    # one mesh per solved step, none past the last solve
+    ns, _, _ = read_results_csv(out / "results.csv")
+    assert len(ns) == 2
+    for k, n in enumerate(ns):
+        assert load_mesh(out / f"mesh_step_{k}.json").n_vertices == n
         assert (out / f"mesh_step_{k}.svg").exists()
+    assert not (out / "mesh_step_2.json").exists()
+    assert not (out / "mesh_step_2.svg").exists()
 
 
 def test_run_quiet_silences_stdout(tmp_path, capsys):
@@ -108,16 +113,17 @@ def test_mesh_validate_rejects_bad_file(tmp_path, capsys):
     square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
     boundary = [{"edge": [k, (k + 1) % 4], "tag": "gamma0"} for k in range(4)]
     cases = [
-        ([[0, 1, 2, 3]], [{"tag": "gamma0"}] + boundary[1:]),
-        ([[0, 1, 2, 3]], boundary[:3] + [[3, 0]]),
-        ([[0, 1, 2, 3.7]], boundary),
+        (square, [[0, 1, 2, 3]], [{"tag": "gamma0"}] + boundary[1:], "error: "),
+        (square, [[0, 1, 2, 3]], boundary[:3] + [[3, 0]], "error: "),
+        (square, [[0, 1, 2, 3.7]], boundary, "error: "),
+        (square + [[5.0, 5.0]], [[0, 1, 2, 3]], boundary, "error: vertex 4 is not used by any cell"),
     ]
-    for cells, items in cases:
-        path.write_text(json.dumps({"vertices": square, "cells": cells, "boundary": items}))
+    for verts, cells, items, message in cases:
+        path.write_text(json.dumps({"vertices": verts, "cells": cells, "boundary": items}))
         assert main(["mesh", "validate", str(path)]) == 1
         captured = capsys.readouterr()
         assert "OK" not in captured.out
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith(message)
 
 
 def test_missing_file_is_reported_not_raised(tmp_path, capsys):

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from steklov import experiments
 from steklov.eigensolver import EigensolverError
 from steklov.experiments import (
+    NOTCHED_REFERENCE,
     RESULTS_HEADER,
     ConvergenceRecord,
     ExperimentConfig,
@@ -14,6 +16,7 @@ from steklov.experiments import (
     exact_eigenvalue_square,
     fit_rate,
     initial_mesh,
+    notched_reference_eigenvalue,
     rate_from_records,
     read_results_csv,
     run_experiment,
@@ -131,8 +134,10 @@ def test_run_experiment_adaptive_vem_square():
     config = ExperimentConfig(test="square", method="adaptive-vem", steps=3)
     result = run_experiment(config)
     assert len(result.records) == 3
-    assert len(result.meshes) == 4  # refined once more after the last solve
+    assert len(result.meshes) == 3  # the mesh solved at each step, none past the last
     assert len(result.marks) == 3
+    for mesh, record in zip(result.meshes, result.records):
+        assert mesh.n_vertices == record.n_dofs
     assert result.reference == exact_eigenvalue_square(1)
 
     ns = [r.n_dofs for r in result.records]
@@ -180,6 +185,21 @@ def test_run_experiment_reference_override():
     assert abs(result.records[0].error - abs(result.records[0].lambda_h - 3.14)) < 1e-15
 
 
+def test_frozen_notched_reference_matches_ladder():
+    # default arguments share the cached ladder with acceptance criterion 6
+    assert abs(notched_reference_eigenvalue() - NOTCHED_REFERENCE) <= 1e-10
+
+
+def test_notched_run_uses_frozen_reference(monkeypatch):
+    def ladder(*args, **kwargs):
+        raise AssertionError("the reference ladder must not run")
+
+    monkeypatch.setattr(experiments, "notched_reference_eigenvalue", ladder)
+    result = run_experiment(ExperimentConfig(test="notched", method="adaptive-vem", steps=1, seed=5))
+    assert result.reference == NOTCHED_REFERENCE
+    assert result.records[0].error == abs(result.records[0].lambda_h - NOTCHED_REFERENCE)
+
+
 def test_run_experiment_validates_config():
     with pytest.raises(ValueError, match="unknown test"):
         run_experiment(ExperimentConfig(test="disk"))
@@ -220,9 +240,12 @@ def test_emit_outputs_and_read_back(tmp_path):
     names = sorted(p.name for p in written)
     assert names == sorted(
         ["results.csv", "curves.csv"]
-        + [f"mesh_step_{k}.json" for k in range(3)]
-        + [f"mesh_step_{k}.svg" for k in range(3)]
+        + [f"mesh_step_{k}.json" for k in range(2)]
+        + [f"mesh_step_{k}.svg" for k in range(2)]
     )
+    assert len(result.meshes) == len(result.records) == 2
+    for mesh, record in zip(result.meshes, result.records):
+        assert mesh.n_vertices == record.n_dofs
     for p in written:
         assert p.exists() and p.stat().st_size > 0
 
@@ -231,9 +254,11 @@ def test_emit_outputs_and_read_back(tmp_path):
     assert lams == [r.lambda_h for r in result.records]
     assert errs == [r.error for r in result.records]
 
-    # the svg of a solved step shades its marked cells
-    svg = (out / "mesh_step_0.svg").read_text()
-    assert "<svg" in svg and "polygon" in svg
+    # the svg of a solved step shades its marked cells, the last one included
+    for k in range(2):
+        svg = (out / f"mesh_step_{k}.svg").read_text()
+        assert "<svg" in svg and "polygon" in svg
+        assert svg.count('fill="#f4b8b8"') == len(result.marks[k].cells) > 0
 
 
 def test_emit_outputs_requires_out_dir():

@@ -124,6 +124,9 @@ def test_validation_errors():
         # entries that are not numbers at all
         (SQUARE_VERTS, [[0, 1, 2], [0, 2, "3"]], top_edge_rule, "sequences of vertex indices"),
         (SQUARE_VERTS, [[0, 1, 2], 5], top_edge_rule, "sequences of vertex indices"),
+        # a vertex no cell uses: named, lowest first
+        (SQUARE_VERTS + [[5.0, 5.0]], [[0, 1, 2, 3]], top_edge_rule, "vertex 4 is not used by any cell"),
+        (SQUARE_VERTS + [[2.0, 0.0], [2.0, 1.0]], [[0, 1, 2]], top_edge_rule, "vertex 3 is not used by any cell"),
     ]
     for verts, cells, tags, fragment in cases:
         with pytest.raises(MeshError, match=fragment):

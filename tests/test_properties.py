@@ -20,8 +20,10 @@ whose area it covers.
 The eigensolver properties solve on such refined meshes and compare with a
 dense solve of the same pencil, check the exact symmetries of the discrete
 eigenvalue (``lambda -> lambda / s`` when the domain is scaled by ``s``,
-invariance under a translation far from the origin), and check that
-``normalize_pair`` is idempotent on random vectors.
+invariance under a translation far from the origin, and under a random
+renumbering of the vertices, reordering of the cells and choice of each
+cycle's first vertex), and check that ``normalize_pair`` is idempotent on
+random vectors.
 """
 
 import numpy as np
@@ -237,14 +239,34 @@ def test_refine_fem_and_uniform_match_oracle(name, steps, data):
 # eigensolver
 
 
-def moved(mesh, vertices):
-    """The mesh rebuilt, and validated, on new vertex coordinates."""
+def boundary_tags(mesh, new_id):
+    """Tag of every boundary edge, keyed by the vertex ids ``new_id`` gives."""
     b = np.flatnonzero(mesh.edge_right < 0)
-    tags = {
-        (a, c): TAGS[t]
+    return {
+        (new_id[a], new_id[c]): TAGS[t]
         for a, c, t in zip(mesh.edge_a[b].tolist(), mesh.edge_b[b].tolist(), mesh.edge_tag[b].tolist())
     }
+
+
+def moved(mesh, vertices):
+    """The mesh rebuilt, and validated, on new vertex coordinates."""
+    tags = boundary_tags(mesh, range(mesh.n_vertices))
     return build_topology(vertices, mesh.cell_vertices, tags, cell_ptr=mesh.cell_ptr)
+
+
+def relabelled(mesh, rng):
+    """The same mesh with its vertices renumbered, its cells reordered and
+    each cycle started at a random vertex, rebuilt through build_topology."""
+    new_id = rng.permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new_id] = mesh.vertices
+    cycles = mesh.cycles()
+    cells = []
+    for c in rng.permutation(mesh.n_cells).tolist():
+        cyc = new_id[cycles[c]].tolist()
+        shift = int(rng.integers(len(cyc)))
+        cells.append(cyc[shift:] + cyc[:shift])
+    return build_topology(vertices, cells, boundary_tags(mesh, new_id.tolist()))
 
 
 def smallest(mesh, count):
@@ -274,6 +296,25 @@ def test_solver_matches_dense_and_keeps_symmetries(name, fem, steps, count, scal
     assert np.all(np.abs(smallest(moved(mesh, mesh.vertices * scale), count) * scale - values) <= 1e-10 * values)
     far = mesh.vertices + np.array([1e4, -3e4])
     assert np.all(np.abs(smallest(moved(mesh, far), count) - values) <= 1e-8 * values)
+
+
+@SETTINGS
+@given(
+    name=st.sampled_from(sorted(INITIAL)),
+    fem=st.booleans(),
+    steps=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_eigenvalue_is_invariant_under_relabelling(name, fem, steps, seed, data):
+    mesh = INITIAL[name]
+    for _ in range(steps):
+        marks = marks_for(data, mesh)
+        mesh = refine_fem(mesh, marks) if fem else refine_vem(mesh, marks)[0]
+    shuffled = relabelled(mesh, np.random.default_rng(seed))
+    assert not np.array_equal(shuffled.cell_vertices, mesh.cell_vertices)
+    value = smallest(mesh, 1)[0]
+    assert abs(smallest(shuffled, 1)[0] - value) <= 1e-10 * value
 
 
 NORMALIZE_MESHES = [INITIAL["square"], INITIAL["notched"], refine_vem(INITIAL["square"], range(8))[0]]
