@@ -12,11 +12,8 @@ from .mesh import (
 )
 from .vem import (
     GlobalSystem,
-    LocalElementOperators,
     assemble,
-    local_boundary_mass,
     local_operators,
-    local_projector,
     project_solution,
     projected_gradients,
 )

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .mesh import TAGS, BoundaryTag, MeshError, PolygonalMesh, build_topology, cell_groups
+from .mesh import TAGS, BoundaryTag, MeshError, PolygonalMesh, build_topology, cell_groups, polygon_geometry
 
 __all__ = [
     "MarkSet",
@@ -135,22 +135,13 @@ def _inherit_boundary_tags(
 def _star_centroids(mesh: PolygonalMesh, cells: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Area centroids of equal-length cycles, checked for star-shapedness.
 
-    ``index`` holds the (m, n) half-edge positions of ``cells``.  The
-    arithmetic is :func:`~steklov.mesh.polygon_centroid`'s, per cell and in
-    the same order, so the centroids are bitwise equal to it.  Raises
+    ``index`` holds the (m, n) half-edge positions of ``cells``.  Raises
     :class:`MeshError` naming the lowest cell that is not star-shaped with
     respect to its centroid.
     """
     pts = mesh.vertices[mesh.cell_vertices[index]]
-    ref = pts.mean(axis=1)
-    local = pts - ref[:, None, :]
-    x, y = local[..., 0], local[..., 1]
-    x1, y1 = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
-    cross = x * y1 - x1 * y
-    area = 0.5 * np.sum(cross, axis=1)
-    centroid = ref + np.stack(
-        [np.sum((x + x1) * cross, axis=1), np.sum((y + y1) * cross, axis=1)], axis=1
-    ) / (6.0 * area[:, None])
+    origin, _, _, centroid, _, _ = polygon_geometry(pts)
+    centroid += origin
 
     d = pts - centroid[:, None, :]
     diam2 = np.max(np.sum(d**2, axis=2), axis=1)

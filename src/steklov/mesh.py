@@ -30,12 +30,7 @@ __all__ = [
     "MeshQualityReport",
     "build_topology",
     "cell_groups",
-    "signed_area",
-    "polygon_centroid",
-    "polygon_diameter",
-    "element_area",
-    "element_centroid",
-    "element_diameter",
+    "polygon_geometry",
     "quality_report",
     "save_mesh",
     "load_mesh",
@@ -146,52 +141,31 @@ class PolygonalMesh:
 # polygon geometry on raw coordinate arrays
 
 
-def signed_area(points: np.ndarray) -> float:
-    """Shoelace signed area of a vertex cycle; positive when counterclockwise.
+def polygon_geometry(pts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Shape of a (m, n, 2) stack of vertex cycles, vectorized over the stack.
 
-    Coordinates are shifted to a local origin first: tiny cells far from the
-    global origin would otherwise lose most significant digits to cancellation
-    in the cross products.
-    """
-    local = points - points.mean(axis=0)
-    x = local[:, 0]
-    y = local[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def polygon_centroid(points: np.ndarray) -> np.ndarray:
-    """Area centroid of a simple polygon (shoelace moments, local coordinates)."""
-    ref = points.mean(axis=0)
-    local = points - ref
-    x = local[:, 0]
-    y = local[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-    area = 0.5 * float(np.sum(cross))
-    if area == 0.0:
-        raise MeshError("centroid of a zero-area polygon is undefined")
-    cx = float(np.sum((x + np.roll(x, -1)) * cross)) / (6.0 * area)
-    cy = float(np.sum((y + np.roll(y, -1)) * cross)) / (6.0 * area)
-    return ref + np.array([cx, cy])
-
-
-def polygon_diameter(points: np.ndarray) -> float:
-    """Largest pairwise vertex distance."""
-    diff = points[:, None, :] - points[None, :, :]
-    return float(np.sqrt(np.max(np.sum(diff * diff, axis=2))))
-
-
-def _stack_shape(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Cell-local coordinates, signed areas, diameters and smallest vertex
-    gaps of a (m, n, 2) stack of cycles.
+    Returns ``(origin, local, area, centroid, diameter, gap)``: each cycle's
+    vertex mean (m, 2), its coordinates relative to that mean (m, n, 2), its
+    signed shoelace area (positive when counterclockwise), its area centroid
+    relative to ``origin`` (m, 2), and its largest and smallest vertex
+    distance.  Area and centroid are taken in the local coordinates: tiny
+    cells far from the global origin would otherwise lose most significant
+    digits to cancellation in the cross products.  The centroid of a
+    zero-area cycle is not finite.
 
     Vertex distances are taken one offset k at a time (vertex i against
     vertex i + k), which reaches every pair for k <= n / 2 without holding
     all n * n differences at once.
     """
-    local = pts - pts.mean(axis=1, keepdims=True)
-    x = local[..., 0]
-    y = local[..., 1]
-    area = 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
+    origin = pts.mean(axis=1)
+    local = pts - origin[:, None, :]
+    x, y = local[..., 0], local[..., 1]
+    x1, y1 = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+    cross = x * y1 - x1 * y
+    area = 0.5 * np.sum(cross, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centroid = np.stack([np.sum((x + x1) * cross, axis=1), np.sum((y + y1) * cross, axis=1)], axis=1)
+        centroid /= 6.0 * area[:, None]
     far2 = np.zeros(len(pts))
     near2 = np.full(len(pts), np.inf)
     for k in range(1, pts.shape[1] // 2 + 1):
@@ -199,7 +173,7 @@ def _stack_shape(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
         dist2 = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
         far2 = np.maximum(far2, np.max(dist2, axis=1))
         near2 = np.minimum(near2, np.min(dist2, axis=1))
-    return local, area, np.sqrt(far2), np.sqrt(near2)
+    return origin, local, area, centroid, np.sqrt(far2), np.sqrt(near2)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +261,7 @@ def _validate_cycles(verts: np.ndarray, cell_ptr: np.ndarray, cell_vertices: np.
             raise MeshError(f"cell {int(ids[_first_true(dup)])} repeats a vertex in its cycle")
 
         pts = verts[stack]
-        _, area, diam, _ = _stack_shape(pts)
+        _, _, area, _, diam, _ = polygon_geometry(pts)
 
         degenerate = np.abs(area) <= COLLINEAR_REL * diam * diam
         if np.any(degenerate):
@@ -378,12 +352,16 @@ def build_topology(
     through the same checks.
 
     Clockwise cells are silently reversed.  Raises :class:`MeshError` (naming
-    the offending cell, vertex or edge) on non-integer vertex indices,
+    the offending cell, vertex or edge) on vertex data that is not an
+    (n, 2) array of finite numbers, non-integer vertex indices,
     degenerate or repeated-vertex cells, self-intersecting cycles, vertices
     that no cell uses, non-manifold edges, irreparably inconsistent
     orientation, untagged boundary edges, or an empty spectral boundary.
     """
-    verts = np.ascontiguousarray(np.asarray(vertices, dtype=float))
+    try:
+        verts = np.ascontiguousarray(np.asarray(vertices, dtype=float))
+    except (TypeError, ValueError):  # ragged or non-numeric
+        verts = np.empty(0)
     if verts.ndim != 2 or verts.shape[1] != 2:
         raise MeshError("vertex array must have shape (n, 2)")
     if not np.all(np.isfinite(verts)):
@@ -504,19 +482,7 @@ def build_topology(
 
 
 # ---------------------------------------------------------------------------
-# per-element geometry
-
-
-def element_area(mesh: PolygonalMesh, cell: int) -> float:
-    return signed_area(mesh.vertices[mesh.cell(cell)])
-
-
-def element_centroid(mesh: PolygonalMesh, cell: int) -> np.ndarray:
-    return polygon_centroid(mesh.vertices[mesh.cell(cell)])
-
-
-def element_diameter(mesh: PolygonalMesh, cell: int) -> float:
-    return polygon_diameter(mesh.vertices[mesh.cell(cell)])
+# shape regularity
 
 
 @dataclass(frozen=True)
@@ -549,15 +515,11 @@ def quality_report(mesh: PolygonalMesh, gamma: float = 0.1, gamma_hat: float = 0
     rho = np.empty(nc)
     gap = np.empty(nc)
     for ids, index in cell_groups(mesh.cell_ptr):
-        local, a, diam[ids], gap[ids] = _stack_shape(mesh.vertices[mesh.cell_vertices[index]])
-        area[ids] = a
-        # centroid in local coordinates, then its distance to every edge
+        _, local, area[ids], c, diam[ids], gap[ids] = polygon_geometry(mesh.vertices[mesh.cell_vertices[index]])
+        # distance from the centroid to every edge, in local coordinates
         x, y = local[..., 0], local[..., 1]
         x1, y1 = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
-        cross = x * y1 - x1 * y
-        cx = np.sum((x + x1) * cross, axis=1, keepdims=True) / (6.0 * a[:, None])
-        cy = np.sum((y + y1) * cross, axis=1, keepdims=True) / (6.0 * a[:, None])
-        rho[ids] = np.sqrt(np.min(_segment_distance2(cx, cy, x, y, x1, y1), axis=1))
+        rho[ids] = np.sqrt(np.min(_segment_distance2(c[:, :1], c[:, 1:], x, y, x1, y1), axis=1))
     return MeshQualityReport(
         diameters=diam,
         areas=area,
@@ -612,6 +574,9 @@ def load_mesh(path: str | Path) -> PolygonalMesh:
         boundary = payload["boundary"]
     except (KeyError, TypeError) as err:
         raise MeshError(f"mesh file {path} is missing field {err}") from None
+    for field, value in (("cells", cells), ("boundary", boundary)):
+        if not isinstance(value, list):
+            raise MeshError(f"field {field!r} in mesh file {path} must be a list")
     for cid, cell in enumerate(cells):
         if not isinstance(cell, list) or not all(map(_is_index, cell)):
             raise MeshError(f"cell {cid} in {path} is not a list of integer vertex indices")

@@ -11,7 +11,7 @@ plus the plain euclidean (dofi-dofi) stabilization of the projection
 complement.
 
 Local operators are computed for whole groups of equal-size cells at once;
-``local_operators`` is the single-cell view of the same code path.
+``local_operators`` is the one-cell group of the same code path.
 """
 
 from __future__ import annotations
@@ -22,42 +22,17 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import MeshError, PolygonalMesh, cell_groups
+from .mesh import MeshError, PolygonalMesh, cell_groups, polygon_geometry
 
 __all__ = [
-    "LocalElementOperators",
     "CellGroup",
     "GlobalSystem",
     "local_operators",
-    "local_projector",
-    "local_boundary_mass",
     "assemble",
     "project_solution",
     "projected_gradients",
     "dump_matrix",
 ]
-
-
-@dataclass(frozen=True)
-class LocalElementOperators:
-    """Projector and stiffness pieces of one cell.
-
-    ``projector`` holds the coefficients of the projected basis functions in
-    the scaled monomial basis, one column per vertex dof.  ``stiffness`` is
-    ``consistency + stabilization``.
-    """
-
-    projector: np.ndarray       # (3, n)
-    consistency: np.ndarray     # (n, n)
-    stabilization: np.ndarray   # (n, n)
-    stiffness: np.ndarray       # (n, n)
-    diameter: float
-    centroid: np.ndarray
-    area: float
-
-    @property
-    def n_vertices(self) -> int:
-        return self.projector.shape[1]
 
 
 @dataclass(frozen=True)
@@ -78,40 +53,25 @@ class CellGroup:
 def _group_operators(pts: np.ndarray, dofs: np.ndarray, ids: np.ndarray) -> CellGroup:
     """Local operators of a stack of same-size cells, pts of shape (m, n, 2)."""
     m, n, _ = pts.shape
-    # work in cell-local coordinates: shoelace moments of tiny cells far from
-    # the global origin would otherwise cancel catastrophically
-    ref = pts.mean(axis=1, keepdims=True)
-    local = pts - ref
-    x = local[..., 0]
-    y = local[..., 1]
-    x_next = np.roll(x, -1, axis=1)
-    y_next = np.roll(y, -1, axis=1)
-    x_prev = np.roll(x, 1, axis=1)
-    y_prev = np.roll(y, 1, axis=1)
-
-    cross = x * y_next - x_next * y
-    area = 0.5 * np.sum(cross, axis=1)
+    origin, local, area, centroid, h, _ = polygon_geometry(pts)
     if not np.all(area > 0.0):
         bad = int(ids[np.nonzero(~(area > 0.0))[0][0]])
         raise MeshError(f"cell {bad} has non-positive area (degenerate or clockwise cycle)")
-    cx = np.sum((x + x_next) * cross, axis=1) / (6.0 * area)
-    cy = np.sum((y + y_next) * cross, axis=1) / (6.0 * area)
-
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    h = np.sqrt(np.max(np.sum(diff * diff, axis=3), axis=(1, 2)))
+    x = local[..., 0]
+    y = local[..., 1]
 
     # dof matrix: scaled monomial values at the vertices
     D = np.empty((m, n, 3))
     D[..., 0] = 1.0
-    D[..., 1] = (x - cx[:, None]) / h[:, None]
-    D[..., 2] = (y - cy[:, None]) / h[:, None]
+    D[..., 1] = (x - centroid[:, :1]) / h[:, None]
+    D[..., 2] = (y - centroid[:, 1:]) / h[:, None]
 
     # projector equations: vertex average (row 0) and boundary-integrated
     # gradient conditions (rows 1-2, trapezoid rule over the P1 trace)
     B = np.empty((m, 3, n))
     B[:, 0, :] = 1.0 / n
-    B[:, 1, :] = (y_next - y_prev) / (2.0 * h[:, None])
-    B[:, 2, :] = -(x_next - x_prev) / (2.0 * h[:, None])
+    B[:, 1, :] = (np.roll(y, -1, axis=1) - np.roll(y, 1, axis=1)) / (2.0 * h[:, None])
+    B[:, 2, :] = -(np.roll(x, -1, axis=1) - np.roll(x, 1, axis=1)) / (2.0 * h[:, None])
 
     G = B @ D
     try:
@@ -140,36 +100,15 @@ def _group_operators(pts: np.ndarray, dofs: np.ndarray, ids: np.ndarray) -> Cell
         stabilization=stabilization,
         stiffness=consistency + stabilization,
         diameter=h,
-        centroid=np.column_stack([cx, cy]) + ref[:, 0, :],
+        centroid=centroid + origin,
         area=area,
     )
 
 
-def local_operators(points: np.ndarray) -> LocalElementOperators:
-    """Build all local operators for one cell given its ccw vertex coordinates."""
+def local_operators(points: np.ndarray) -> CellGroup:
+    """The one-cell :class:`CellGroup` of a ccw vertex cycle (n, 2)."""
     pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    group = _group_operators(pts[None, :, :], np.arange(n)[None, :], np.zeros(1, dtype=int))
-    return LocalElementOperators(
-        projector=group.projector[0],
-        consistency=group.consistency[0],
-        stabilization=group.stabilization[0],
-        stiffness=group.stiffness[0],
-        diameter=float(group.diameter[0]),
-        centroid=group.centroid[0],
-        area=float(group.area[0]),
-    )
-
-
-def local_projector(points: np.ndarray) -> np.ndarray:
-    """Energy-projector coefficient matrix (3, n) of one cell."""
-    return local_operators(points).projector
-
-
-def local_boundary_mass(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """Exact mass matrix of the two linear trace functions on one edge."""
-    length = float(np.hypot(*(np.asarray(p1, float) - np.asarray(p0, float))))
-    return (length / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+    return _group_operators(pts[None], np.arange(len(pts))[None], np.zeros(1, dtype=int))
 
 
 @dataclass(frozen=True)

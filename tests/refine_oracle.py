@@ -6,7 +6,9 @@ vertex pair, created in the order the loops first ask for them, and the
 newest-vertex bisection emits children by recursion.  The array refiners in
 ``steklov.adaptivity`` must reproduce their meshes exactly (vertices,
 numbering, cycles and tags), which the properties in ``test_properties.py``
-check over random mark sequences.
+check over random mark sequences.  The oracle keeps its own per-cell
+``polygon_centroid`` (the package's former helper), so the centroids it
+checks against do not come from the vectorized geometry kernel.
 """
 
 from __future__ import annotations
@@ -17,7 +19,22 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from steklov.adaptivity import MarkSet
-from steklov.mesh import TAGS, BoundaryTag, MeshError, PolygonalMesh, build_topology, polygon_centroid
+from steklov.mesh import TAGS, BoundaryTag, MeshError, PolygonalMesh, build_topology
+
+
+def polygon_centroid(points: np.ndarray) -> np.ndarray:
+    """Area centroid of a simple polygon (shoelace moments, local coordinates)."""
+    ref = points.mean(axis=0)
+    local = points - ref
+    x = local[:, 0]
+    y = local[:, 1]
+    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
+    area = 0.5 * float(np.sum(cross))
+    if area == 0.0:
+        raise MeshError("centroid of a zero-area polygon is undefined")
+    cx = float(np.sum((x + np.roll(x, -1)) * cross)) / (6.0 * area)
+    cy = float(np.sum((y + np.roll(y, -1)) * cross)) / (6.0 * area)
+    return ref + np.array([cx, cy])
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,7 @@ from steklov.mesh import (
     BoundaryTag,
     MeshError,
     build_topology,
-    element_area,
-    signed_area,
+    quality_report,
 )
 
 
@@ -29,7 +28,7 @@ def top_edge_rule(pa, pb):
 
 
 def total_area(mesh):
-    return sum(element_area(mesh, c) for c in range(mesh.n_cells))
+    return float(np.sum(quality_report(mesh).areas))
 
 
 def min_triangle_angle(mesh):
@@ -231,7 +230,7 @@ def test_refine_uniform_creates_four_similar_children():
     refined = refine_uniform(mesh)
     assert refined.n_cells == 4
     assert refined.n_vertices == 6
-    areas = [element_area(refined, c) for c in range(4)]
+    areas = quality_report(refined).areas
     assert np.allclose(areas, 0.125, atol=1e-15)
     # all children are similar to the parent: same angle set
     parent_angle = min_triangle_angle(mesh)

@@ -117,6 +117,8 @@ def test_mesh_validate_rejects_bad_file(tmp_path, capsys):
         (square, [[0, 1, 2, 3]], boundary[:3] + [[3, 0]], "error: "),
         (square, [[0, 1, 2, 3.7]], boundary, "error: "),
         (square + [[5.0, 5.0]], [[0, 1, 2, 3]], boundary, "error: vertex 4 is not used by any cell"),
+        (square[:3], 5, [], "error: field 'cells' "),
+        (square, [[0, 1, 2, 3]], 7, "error: field 'boundary' "),
     ]
     for verts, cells, items, message in cases:
         path.write_text(json.dumps({"vertices": verts, "cells": cells, "boundary": items}))

@@ -78,6 +78,25 @@ def test_spectral_edge_closed_form():
     assert abs(norm2[eid] - exact) < 1e-14
 
 
+def test_edge_norm_matches_gauss_legendre_integral():
+    # norm2 is the closed form of the integral of an affine residual's
+    # square; compare it with a 5-point Gauss-Legendre rule (exact up to
+    # degree 9) on the edges of a refined mesh with random gradients
+    from steklov.adaptivity import refine_vem
+
+    mesh, _ = refine_vem(initial_mesh("notched"), [0, 4, 9])
+    rng = np.random.default_rng(17)
+    gradients = rng.standard_normal((mesh.n_cells, 2))
+    value_a, value_b, norm2 = edge_residuals(mesh, gradients, 1.7, rng.standard_normal(mesh.n_vertices))
+    x, w = np.polynomial.legendre.leggauss(5)
+    s = 0.5 * (x + 1.0)
+    along = value_a[:, None] * (1.0 - s) + value_b[:, None] * s
+    d = mesh.vertices[mesh.edge_b] - mesh.vertices[mesh.edge_a]
+    expected = np.hypot(d[:, 0], d[:, 1]) * ((along * along) @ (0.5 * w))
+    assert np.all(norm2 >= 0.0)
+    assert np.allclose(norm2, expected, rtol=1e-13, atol=0.0)
+
+
 def test_reflecting_edge_carries_spurious_flux():
     verts = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]
 

@@ -21,7 +21,7 @@ from steklov.experiments import (
     read_results_csv,
     run_experiment,
 )
-from steklov.mesh import element_area
+from steklov.mesh import quality_report
 
 from fem_oracle import boundary_mass as oracle_boundary_mass
 from fem_oracle import dense_steklov_solve
@@ -43,7 +43,7 @@ def test_initial_square_mesh():
     assert mesh.n_vertices == 41  # 5x5 grid plus 16 cell centers
     assert mesh.n_cells == 64
     assert np.all(np.diff(mesh.cell_ptr) == 3)
-    total = sum(element_area(mesh, c) for c in range(mesh.n_cells))
+    total = float(np.sum(quality_report(mesh).areas))
     assert abs(total - 1.0) < 1e-12
     # spectral boundary is the whole top edge: 4 segments, 5 vertices
     assert len(mesh.gamma0_edge_ids()) == 4
@@ -57,7 +57,7 @@ def test_initial_notched_mesh():
     assert mesh.n_vertices == 17
     assert mesh.n_cells == 19
     assert np.all(np.diff(mesh.cell_ptr) == 3)
-    total = sum(element_area(mesh, c) for c in range(mesh.n_cells))
+    total = float(np.sum(quality_report(mesh).areas))
     assert abs(total - (1.0 - math.sqrt(3.0) / 36.0)) < 1e-12
 
     # the notch apex carries the single reentrant corner: the cell angles

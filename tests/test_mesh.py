@@ -1,4 +1,4 @@
-"""Mesh construction, validation, geometry helpers, quality report, JSON I/O."""
+"""Mesh construction, validation, the geometry kernel, quality report, JSON I/O."""
 
 import json
 
@@ -10,15 +10,10 @@ from steklov.mesh import (
     BoundaryTag,
     MeshError,
     build_topology,
-    element_area,
-    element_centroid,
-    element_diameter,
     load_mesh,
-    polygon_centroid,
-    polygon_diameter,
+    polygon_geometry,
     quality_report,
     save_mesh,
-    signed_area,
 )
 
 SQUARE_VERTS = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -78,8 +73,7 @@ def test_cell_edges_follow_cycle_order():
 
 def test_clockwise_cell_is_reversed():
     mesh = build_topology(SQUARE_VERTS, [[0, 2, 1], [0, 2, 3]], top_edge_rule)
-    for cid in range(mesh.n_cells):
-        assert element_area(mesh, cid) > 0.0
+    assert np.all(quality_report(mesh).areas > 0.0)
     assert sorted(mesh.cell(0)) == [0, 1, 2]
 
 
@@ -94,7 +88,7 @@ def test_hanging_vertex_cycle_is_accepted():
     verts = SQUARE_VERTS + [[0.5, 1.0]]
     mesh = build_topology(verts, [[0, 1, 2, 4, 3]], top_edge_rule)
     assert mesh.n_cells == 1
-    assert abs(element_area(mesh, 0) - 1.0) < 1e-15
+    assert abs(quality_report(mesh).areas[0] - 1.0) < 1e-15
     assert len(mesh.gamma0_edge_ids()) == 2
 
 
@@ -127,6 +121,9 @@ def test_validation_errors():
         # a vertex no cell uses: named, lowest first
         (SQUARE_VERTS + [[5.0, 5.0]], [[0, 1, 2, 3]], top_edge_rule, "vertex 4 is not used by any cell"),
         (SQUARE_VERTS + [[2.0, 0.0], [2.0, 1.0]], [[0, 1, 2]], top_edge_rule, "vertex 3 is not used by any cell"),
+        # vertex data numpy cannot convert: ragged or non-numeric
+        ([[0.0, 0.0], [1.0]], [[0, 1, 2]], all_gamma0, r"vertex array must have shape \(n, 2\)"),
+        ([[0.0, "a"], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]], all_gamma0, r"vertex array must have shape \(n, 2\)"),
     ]
     for verts, cells, tags, fragment in cases:
         with pytest.raises(MeshError, match=fragment):
@@ -219,14 +216,21 @@ def test_empty_spectral_boundary_rejected():
 
 def test_known_geometry_values():
     mesh = build_topology(SQUARE_VERTS, [[0, 1, 2, 3]], top_edge_rule)
-    assert abs(element_area(mesh, 0) - 1.0) < 1e-15
-    assert np.allclose(element_centroid(mesh, 0), [0.5, 0.5], atol=1e-15)
-    assert abs(element_diameter(mesh, 0) - np.sqrt(2.0)) < 1e-15
+    rep = quality_report(mesh)
+    assert abs(rep.areas[0] - 1.0) < 1e-15
+    assert abs(rep.diameters[0] - np.sqrt(2.0)) < 1e-15
 
-    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert abs(signed_area(tri) - 0.5) < 1e-15
-    assert np.allclose(polygon_centroid(tri), [1.0 / 3.0, 1.0 / 3.0], atol=1e-15)
-    assert abs(polygon_diameter(tri) - np.sqrt(2.0)) < 1e-15
+    quads = np.array([SQUARE_VERTS, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-0.5, 0.5]]])
+    origin, local, area, centroid, diameter, gap = polygon_geometry(quads)
+    assert np.allclose(origin[:, None, :] + local, quads, atol=1e-15)
+    assert np.allclose(origin + centroid, [[0.5, 0.5], [1.0 / 6.0, 7.0 / 18.0]], atol=1e-15)
+    assert np.allclose(area, [1.0, 0.75], atol=1e-15)
+    assert np.allclose(diameter, [np.sqrt(2.0), np.sqrt(2.5)], atol=1e-15)
+    assert np.allclose(gap, [1.0, np.sqrt(0.5)], atol=1e-15)
+    # a clockwise cycle has negative area and the same centroid
+    _, _, area_cw, centroid_cw, _, _ = polygon_geometry(quads[:, ::-1])
+    assert np.allclose(area_cw, -area, atol=1e-15)
+    assert np.allclose(centroid_cw, centroid, atol=1e-15)
 
 
 def test_centroid_cancellation_regression():
@@ -248,12 +252,12 @@ def test_centroid_cancellation_regression():
     exact_cx = sum((fx[i] + fx[(i + 1) % 4]) * cross[i] for i in range(4)) / (6 * exact_area)
     exact_cy = sum((fy[i] + fy[(i + 1) % 4]) * cross[i] for i in range(4)) / (6 * exact_area)
 
-    area = signed_area(pts)
-    assert abs(area - float(exact_area)) < 1e-12 * float(exact_area)
+    origin, _, area, centroid, _, _ = polygon_geometry(pts[None])
+    assert abs(area[0] - float(exact_area)) < 1e-12 * float(exact_area)
     # the only admissible centroid error is rounding the result itself into a
     # double (a few ulp at coordinate scale 0.5); the old global-coordinate
     # code was off by about 25 cell diameters here
-    c = polygon_centroid(pts)
+    c = origin[0] + centroid[0]
     assert abs(c[0] - float(exact_cx)) < 5e-16
     assert abs(c[1] - float(exact_cy)) < 5e-16
 
@@ -338,6 +342,9 @@ def test_load_rejects_malformed_files(tmp_path):
         ([[0, 1, 2, 3], [0, 1.7, 2]], good_boundary, "cell 1"),
         # a cell that is not a list
         ([[0, 1, 2, 3], 5], good_boundary, "cell 1"),
+        # fields that are not lists at all
+        (5, good_boundary, "field 'cells' .* must be a list"),
+        ([[0, 1, 2, 3]], 7, "field 'boundary' .* must be a list"),
     ]
     for k, (cells, boundary, fragment) in enumerate(cases):
         path = tmp_path / f"case_{k}.json"

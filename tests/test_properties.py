@@ -24,7 +24,18 @@ invariance under a translation far from the origin, and under a random
 renumbering of the vertices, reordering of the cells and choice of each
 cycle's first vertex), and check that ``normalize_pair`` is idempotent on
 random vectors.
+
+The cell-level properties draw random star-shaped polygons at random scale
+and far from the origin: the one-cell operators of ``local_operators``
+reproduce affine functions, their stiffness has exactly the constants as
+kernel and their stabilization is positive semidefinite, and the geometry
+kernel ``polygon_geometry`` agrees with the oracle's per-cell centroid, a
+fan-triangle area and a brute-force pairwise diameter.  A last property
+round-trips refined meshes through ``save_mesh``/``load_mesh``.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -40,8 +51,8 @@ from steklov.eigensolver import (
     solve_smallest_positive,
 )
 from steklov.experiments import initial_mesh
-from steklov.mesh import TAGS, build_topology
-from steklov.vem import assemble
+from steklov.mesh import TAGS, build_topology, load_mesh, polygon_geometry, save_mesh
+from steklov.vem import assemble, local_operators
 
 SETTINGS = settings(max_examples=20, deadline=5000, derandomize=True, database=None)
 
@@ -333,3 +344,79 @@ def test_normalize_pair_is_idempotent_on_random_vectors(which, seed, magnitude):
     assert abs(w @ (system.boundary_mass @ w) - 1.0) <= 1e-12
     lead = next(d for d in system.gamma0_dofs if abs(w[d]) > 1e-8)
     assert w[lead] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# single cells: random star-shaped polygons
+
+
+@st.composite
+def star_polygons(draw):
+    """(points, center, scale): a ccw polygon of 3-12 vertices, star-shaped
+    about ``center``, with one vertex per angular sector (so consecutive
+    vertices are less than pi apart as seen from the center)."""
+    n = draw(st.integers(3, 12), label="n")
+    jitter = np.array(draw(st.lists(st.floats(0.0, 0.45), min_size=n, max_size=n), label="jitter"))
+    radii = np.array(draw(st.lists(st.floats(0.3, 1.5), min_size=n, max_size=n), label="radii"))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0), label="log_scale")
+    center = scale * np.array(draw(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), label="offset"))
+    angles = 2.0 * np.pi * (np.arange(n) + jitter) / n
+    points = center + scale * np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    return points, center, scale
+
+
+@SETTINGS
+@given(polygon=star_polygons(), coeffs=st.tuples(*[st.floats(-2.0, 2.0)] * 3))
+def test_local_operators_on_random_star_polygons(polygon, coeffs):
+    pts, center, scale = polygon
+    n = len(pts)
+    ops = local_operators(pts)
+    a, b, c = coeffs
+    # an affine function in coordinates centred and scaled with the cell
+    w = a + (b * (pts[:, 0] - center[0]) + c * (pts[:, 1] - center[1])) / scale
+    shift = (ops.centroid[0] - center) / scale
+    h = ops.diameter[0] / scale
+    expected = [a + b * shift[0] + c * shift[1], b * h, c * h]
+    assert np.allclose(ops.projector[0] @ w, expected, rtol=0.0, atol=1e-10)
+    assert np.allclose(ops.stabilization[0] @ w, 0.0, atol=1e-10)
+
+    stiffness = ops.stiffness[0]
+    eig = np.linalg.eigvalsh(stiffness)
+    assert np.max(np.abs(stiffness @ np.ones(n))) <= 1e-12 * eig[-1]
+    assert eig[1] > 1e-6 * eig[-1]  # nothing but the constants in the kernel
+    assert np.linalg.eigvalsh(ops.stabilization[0]).min() >= -1e-12 * eig[-1]
+
+
+@SETTINGS
+@given(polygon=star_polygons())
+def test_geometry_kernel_matches_per_cell_oracles(polygon):
+    pts, center, scale = polygon
+    origin, local, area, centroid, diameter, gap = polygon_geometry(pts[None])
+    tol = 1e-14 * (scale + np.max(np.abs(center)))
+    assert np.allclose(origin[0] + centroid[0], oracle.polygon_centroid(pts), rtol=0.0, atol=tol)
+
+    rel = pts - center
+    fan = rel[:, 0] * np.roll(rel[:, 1], -1) - rel[:, 1] * np.roll(rel[:, 0], -1)
+    assert np.all(fan > 0.0)
+    assert abs(area[0] - 0.5 * np.sum(fan)) <= 1e-12 * scale * scale
+
+    dist = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
+    assert abs(diameter[0] - dist.max()) <= 1e-14 * dist.max()
+    assert abs(gap[0] - dist[~np.eye(len(pts), dtype=bool)].min()) <= 1e-14 * dist.max()
+
+
+# ---------------------------------------------------------------------------
+# JSON round trip
+
+
+@SETTINGS
+@given(name=st.sampled_from(sorted(INITIAL)), fem=st.booleans(), steps=st.integers(0, 3), data=st.data())
+def test_save_load_round_trips_refined_meshes(name, fem, steps, data):
+    mesh = INITIAL[name]
+    for _ in range(steps):
+        marks = mark_subset(data, mesh)
+        mesh = refine_fem(mesh, marks) if fem else refine_vem(mesh, marks)[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mesh.json"
+        save_mesh(mesh, path)
+        assert identical(load_mesh(path), mesh)

@@ -8,9 +8,7 @@ from steklov.mesh import MeshError
 from steklov.vem import (
     assemble,
     dump_matrix,
-    local_boundary_mass,
     local_operators,
-    local_projector,
     project_solution,
     projected_gradients,
 )
@@ -31,14 +29,15 @@ def random_star_polygon(rng, n):
 
 def test_reference_triangle_matches_p1_stiffness():
     ops = local_operators(REFERENCE_TRIANGLE)
+    assert ops.ids.tolist() == [0] and ops.dofs.tolist() == [[0, 1, 2]]
     expected = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
     # on triangles the virtual space is plain P1: consistency equals the FEM
     # matrix and the stabilization sees a zero projection complement
-    assert np.allclose(ops.consistency, expected, atol=1e-14)
-    assert np.allclose(ops.stabilization, 0.0, atol=1e-13)
-    assert np.allclose(ops.stiffness, expected, atol=1e-13)
-    assert abs(ops.area - 0.5) < 1e-15
-    assert abs(ops.diameter - np.sqrt(2.0)) < 1e-15
+    assert np.allclose(ops.consistency[0], expected, atol=1e-14)
+    assert np.allclose(ops.stabilization[0], 0.0, atol=1e-13)
+    assert np.allclose(ops.stiffness[0], expected, atol=1e-13)
+    assert abs(ops.area[0] - 0.5) < 1e-15
+    assert abs(ops.diameter[0] - np.sqrt(2.0)) < 1e-15
 
 
 def test_triangle_stiffness_equals_fem_for_random_triangles():
@@ -50,7 +49,7 @@ def test_triangle_stiffness_equals_fem_for_random_triangles():
             continue
         ops = local_operators(tri)
         fem = oracle_stiffness(tri, np.array([[0, 1, 2]]))
-        assert np.allclose(ops.stiffness, fem, atol=1e-12)
+        assert np.allclose(ops.stiffness[0], fem, atol=1e-12)
 
 
 def test_unit_square_operators_match_hand_construction():
@@ -79,11 +78,11 @@ def test_unit_square_operators_match_hand_construction():
     S = (np.eye(n) - D @ P).T @ (np.eye(n) - D @ P)
 
     ops = local_operators(pts)
-    assert np.allclose(ops.projector, P, atol=1e-14)
-    assert np.allclose(ops.consistency, 0.5 * (Kc + Kc.T), atol=1e-14)
-    assert np.allclose(ops.stabilization, 0.5 * (S + S.T), atol=1e-14)
-    assert np.allclose(ops.stiffness, ops.consistency + ops.stabilization, atol=1e-15)
-    assert abs(ops.area - 1.0) < 1e-15
+    assert np.allclose(ops.projector[0], P, atol=1e-14)
+    assert np.allclose(ops.consistency[0], 0.5 * (Kc + Kc.T), atol=1e-14)
+    assert np.allclose(ops.stabilization[0], 0.5 * (S + S.T), atol=1e-14)
+    assert np.allclose(ops.stiffness[0], ops.consistency[0] + ops.stabilization[0], atol=1e-15)
+    assert abs(ops.area[0] - 1.0) < 1e-15
 
 
 def test_projector_reproduces_affine_functions():
@@ -94,18 +93,18 @@ def test_projector_reproduces_affine_functions():
         for _ in range(5):
             a, b, c = rng.uniform(-2.0, 2.0, 3)
             w = a + b * pts[:, 0] + c * pts[:, 1]
-            coeffs = ops.projector @ w
+            coeffs = ops.projector[0] @ w
             expected = np.array(
                 [
-                    a + b * ops.centroid[0] + c * ops.centroid[1],
-                    b * ops.diameter,
-                    c * ops.diameter,
+                    a + b * ops.centroid[0][0] + c * ops.centroid[0][1],
+                    b * ops.diameter[0],
+                    c * ops.diameter[0],
                 ]
             )
             assert np.allclose(coeffs, expected, atol=1e-13)
             # the projection complement vanishes on affine data, so the
             # stabilization adds nothing there
-            assert np.allclose(ops.stabilization @ w, 0.0, atol=1e-13)
+            assert np.allclose(ops.stabilization[0] @ w, 0.0, atol=1e-13)
 
 
 def test_constants_in_stiffness_kernel():
@@ -113,24 +112,17 @@ def test_constants_in_stiffness_kernel():
     for n in (3, 4, 7):
         pts = random_star_polygon(rng, n)
         ops = local_operators(pts)
-        assert np.allclose(ops.stiffness @ np.ones(n), 0.0, atol=1e-13)
+        assert np.allclose(ops.stiffness[0] @ np.ones(n), 0.0, atol=1e-13)
         # symmetry and positive semidefiniteness
-        assert np.allclose(ops.stiffness, ops.stiffness.T, atol=1e-14)
-        assert np.linalg.eigvalsh(ops.stiffness).min() > -1e-12
+        assert np.allclose(ops.stiffness[0], ops.stiffness[0].T, atol=1e-14)
+        assert np.linalg.eigvalsh(ops.stiffness[0]).min() > -1e-12
 
 
 def test_degenerate_cell_raises():
     with pytest.raises(MeshError, match="non-positive area"):
         local_operators(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
     with pytest.raises(MeshError, match="non-positive area"):
-        local_projector(UNIT_SQUARE[::-1])  # clockwise
-
-
-def test_local_boundary_mass_frozen_values():
-    M = local_boundary_mass([0.0, 0.0], [2.0, 0.0])
-    assert np.allclose(M, np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0, atol=1e-15)
-    M = local_boundary_mass([1.0, 1.0], [1.0, 1.0])
-    assert np.allclose(M, 0.0)
+        local_operators(UNIT_SQUARE[::-1])  # clockwise
 
 
 def test_assembly_matches_fem_oracle_on_triangle_mesh():
@@ -181,11 +173,11 @@ def test_batched_groups_match_single_cell_path_bitwise():
             seen.append(cid)
             single = local_operators(mesh.vertices[mesh.cell(cid)])
             assert np.array_equal(group.dofs[k], mesh.cell(cid))
-            assert np.array_equal(single.projector, group.projector[k])
-            assert np.array_equal(single.stiffness, group.stiffness[k])
-            assert single.diameter == group.diameter[k] == system.diameters[cid]
-            assert np.array_equal(single.centroid, group.centroid[k])
-            assert single.area == group.area[k]
+            assert np.array_equal(single.projector[0], group.projector[k])
+            assert np.array_equal(single.stiffness[0], group.stiffness[k])
+            assert single.diameter[0] == group.diameter[k] == system.diameters[cid]
+            assert np.array_equal(single.centroid[0], group.centroid[k])
+            assert single.area[0] == group.area[k]
     assert sorted(seen) == list(range(mesh.n_cells))
 
 
