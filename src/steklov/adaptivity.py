@@ -12,8 +12,9 @@ All three refiners work on edge ids (after Funken, Praetorius & Wissgott,
 "Efficient implementation of adaptive P1-FEM in Matlab", CMAM 2011): the
 split edges form a boolean array, the midpoint of split edge e gets a new
 vertex id from the rank of e in the order the cells first reach it, and the
-children are written straight into compressed-row arrays for
-:func:`build_topology`.
+children are written straight into compressed-row arrays from which the
+edge table of the refined mesh is built.  A refiner cannot turn a valid mesh
+into an invalid one, so its output skips the checks of ``build_topology``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .mesh import TAGS, BoundaryTag, MeshError, PolygonalMesh, build_topology, cell_groups, polygon_geometry
+from .mesh import MeshError, PolygonalMesh, _edge_table, _first_true, cell_groups, polygon_geometry
 
 __all__ = [
     "MarkSet",
@@ -106,39 +107,40 @@ def _refined_vertices(mesh: PolygonalMesh, midpoint: np.ndarray, n_extra: int = 
     return points
 
 
-def _inherit_boundary_tags(
-    mesh: PolygonalMesh, midpoint: np.ndarray | None = None
-) -> dict[tuple[int, int], BoundaryTag]:
-    """Boundary tag map for the refined mesh: split edges pass tags to both halves.
+def _refined_mesh(
+    mesh: PolygonalMesh, points: np.ndarray, cell_ptr: np.ndarray, cells: np.ndarray, midpoint: np.ndarray
+) -> PolygonalMesh:
+    """The mesh of compressed-row ccw ``cells`` on ``points``, refined from
+    ``mesh`` with ``midpoint`` as in :func:`_refined_vertices`.
 
-    Keys are sorted vertex pairs; ``midpoint`` is as in
-    :func:`_refined_vertices`, and without it this is the tag map of ``mesh``.
+    Each boundary edge takes the tag of the coarse edge it lies on: a split
+    half that of the edge whose midpoint is its higher vertex, an unsplit
+    edge that of the coarse boundary edge with the same endpoints.
     """
+    n = mesh.n_vertices
+    split = np.flatnonzero(midpoint >= 0)
+    coarse_of = np.empty(len(points), dtype=np.int64)
+    coarse_of[midpoint[split]] = split
     boundary = np.flatnonzero(mesh.edge_right < 0)
-    mids = midpoint[boundary].tolist() if midpoint is not None else [-1] * len(boundary)
-    tags: dict[tuple[int, int], BoundaryTag] = {}
-    for a, b, m, code in zip(
-        mesh.edge_a[boundary].tolist(),
-        mesh.edge_b[boundary].tolist(),
-        mids,
-        mesh.edge_tag[boundary].tolist(),
-    ):
-        tag = TAGS[code]
-        if m < 0:
-            tags[(a, b) if a < b else (b, a)] = tag
-        else:
-            tags[(a, m) if a < m else (m, a)] = tag
-            tags[(m, b) if m < b else (b, m)] = tag
-    return tags
+    a, b = mesh.edge_a[boundary], mesh.edge_b[boundary]
+    keys = np.minimum(a, b) * n + np.maximum(a, b)
+    order = np.argsort(keys)
+
+    def tags(edge_a, edge_b):
+        lo, hi = np.minimum(edge_a, edge_b), np.maximum(edge_a, edge_b)
+        half = hi >= n
+        coarse = np.empty(len(hi), dtype=np.int64)
+        coarse[half] = coarse_of[hi[half]]
+        coarse[~half] = boundary[order[np.searchsorted(keys, lo[~half] * n + hi[~half], sorter=order)]]
+        return mesh.edge_tag[coarse]
+
+    return _edge_table(points, cell_ptr, cells, tags)
 
 
-def _star_centroids(mesh: PolygonalMesh, cells: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Area centroids of equal-length cycles, checked for star-shapedness.
-
-    ``index`` holds the (m, n) half-edge positions of ``cells``.  Raises
-    :class:`MeshError` naming the lowest cell that is not star-shaped with
-    respect to its centroid.
-    """
+def _star_centroids(mesh: PolygonalMesh, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Area centroids of the equal-length cycles at the (m, n) half-edge
+    positions ``index``, and whether each cycle is star-shaped with respect
+    to its centroid."""
     pts = mesh.vertices[mesh.cell_vertices[index]]
     origin, _, _, centroid, _, _ = polygon_geometry(pts)
     centroid += origin
@@ -147,13 +149,7 @@ def _star_centroids(mesh: PolygonalMesh, cells: np.ndarray, index: np.ndarray) -
     diam2 = np.max(np.sum(d**2, axis=2), axis=1)
     dx, dy = d[..., 0], d[..., 1]
     fan = dx * np.roll(dy, -1, axis=1) - dy * np.roll(dx, -1, axis=1)
-    bad = np.any(fan <= 1e-12 * diam2[:, None], axis=1)
-    if np.any(bad):
-        raise MeshError(
-            f"cell {int(cells[bad].min())} is not star-shaped with respect to its centroid; "
-            "quad refinement would invert a child"
-        )
-    return centroid
+    return centroid, np.all(fan > 1e-12 * diam2[:, None], axis=1)
 
 
 def refine_vem(
@@ -187,8 +183,14 @@ def refine_vem(
     marked_ptr = np.zeros(len(marked) + 1, dtype=np.int64)
     np.cumsum(sizes[marked], out=marked_ptr[1:])
     centroid = np.empty((len(marked), 2))
+    star = np.empty(len(marked), dtype=bool)
     for ids, index in cell_groups(marked_ptr):
-        centroid[ids] = _star_centroids(mesh, marked[ids], halves[index])
+        centroid[ids], star[ids] = _star_centroids(mesh, halves[index])
+    if not np.all(star):
+        raise MeshError(
+            f"cell {int(marked[_first_true(~star)])} is not star-shaped with respect to its centroid; "
+            "quad refinement would invert a child"
+        )
 
     # number the new vertices in the order the marked cells reach them: each
     # cell's edges (key: edge id), then its centroid (key: n_edges + its
@@ -223,12 +225,7 @@ def refine_vem(
 
     opens = in_marked.copy()  # half-edges that begin a new cell
     opens[ptr[:-1]] = True
-    refined = build_topology(
-        points,
-        cell_vertices,
-        _inherit_boundary_tags(mesh, midpoint),
-        cell_ptr=np.append(start[opens], offset[-1]),
-    )
+    refined = _refined_mesh(mesh, points, np.append(start[opens], offset[-1]), cell_vertices, midpoint)
     record = RefinementRecord(parent=owner[opens], hanging_cells=np.unique(owner[hanging]))
     return refined, record
 
@@ -255,9 +252,7 @@ def normalize_refinement_edges(mesh: PolygonalMesh) -> PolygonalMesh:
     edge = np.roll(pts, -1, axis=1) - pts  # edge k runs from vertex k to k + 1
     start = np.argmax(np.hypot(edge[..., 0], edge[..., 1]), axis=1)
     cells = np.take_along_axis(tris, (start[:, None] + np.arange(3)) % 3, axis=1)
-    return build_topology(
-        mesh.vertices.copy(), cells.ravel(), _inherit_boundary_tags(mesh), cell_ptr=mesh.cell_ptr
-    )
+    return _refined_mesh(mesh, mesh.vertices, mesh.cell_ptr, cells.ravel(), np.full(mesh.n_edges, -1))
 
 
 # Newest-vertex bisection children of a triangle (t0, t1, t2) whose edges
@@ -313,12 +308,8 @@ def refine_fem(mesh: PolygonalMesh, marks: "MarkSet | Iterable[int]") -> Polygon
         rows = first[ids][:, None] + np.arange(len(children))
         cells[rows] = corners[ids][:, children]
 
-    return build_topology(
-        _refined_vertices(mesh, midpoint),
-        cells.ravel(),
-        _inherit_boundary_tags(mesh, midpoint),
-        cell_ptr=np.arange(0, cells.size + 1, 3),
-    )
+    points = _refined_vertices(mesh, midpoint)
+    return _refined_mesh(mesh, points, np.arange(0, cells.size + 1, 3), cells.ravel(), midpoint)
 
 
 def refine_uniform(mesh: PolygonalMesh) -> PolygonalMesh:
@@ -332,9 +323,5 @@ def refine_uniform(mesh: PolygonalMesh) -> PolygonalMesh:
     a, b, c = tris.T
     mab, mbc, mca = midpoint[mesh.cell_edges.reshape(-1, 3)].T
     cells = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca], axis=1)
-    return build_topology(
-        _refined_vertices(mesh, midpoint),
-        cells.ravel(),
-        _inherit_boundary_tags(mesh, midpoint),
-        cell_ptr=np.arange(0, cells.size + 1, 3),
-    )
+    points = _refined_vertices(mesh, midpoint)
+    return _refined_mesh(mesh, points, np.arange(0, cells.size + 1, 3), cells.ravel(), midpoint)

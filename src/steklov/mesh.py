@@ -86,8 +86,10 @@ class PolygonalMesh:
     ``edge_right`` is the cell traversing (b, a), or -1 on the domain
     boundary, and ``edge_tag`` indexes :data:`TAGS`.
 
-    Build instances through :func:`build_topology` (or :func:`load_mesh`),
-    which validates orientation, simplicity, manifoldness and boundary tags.
+    Data from outside becomes a mesh through :func:`build_topology` (or
+    :func:`load_mesh`), which validates orientation, simplicity, manifoldness
+    and boundary tags; the refiners build their output from the edge table
+    directly.
     """
 
     vertices: np.ndarray       # (n_vertices, 2)
@@ -289,11 +291,12 @@ def _normalize_tag(raw, edge_key) -> BoundaryTag:
     return tag
 
 
-def _flatten_cells(cells: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Compressed-row form (cell_ptr, cell_vertices) of a sequence of cycles.
+def _cell_arrays(cells: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Checked compressed-row form (cell_ptr, cell_vertices) of a sequence of cycles.
 
-    The entries keep the dtype numpy infers for them; :func:`_index_arrays`
-    checks that they are integers.
+    Rejects cells of fewer than three vertices and vertex indices that are not
+    integers (a fractional or non-finite float names its cell instead of
+    being truncated).
     """
     cells = list(cells)
     try:
@@ -301,99 +304,44 @@ def _flatten_cells(cells: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarr
         flat = np.array(list(chain.from_iterable(cells)))
     except (TypeError, ValueError):
         raise MeshError("cells must be sequences of vertex indices") from None
+    if np.any(sizes < 3):
+        raise MeshError(f"cell {_first_true(sizes < 3)} must list at least 3 vertices")
     cell_ptr = np.zeros(len(cells) + 1, dtype=np.int64)
     np.cumsum(sizes, out=cell_ptr[1:])
-    return cell_ptr, flat
-
-
-def _index_arrays(cell_ptr, cell_vertices) -> tuple[np.ndarray, np.ndarray]:
-    """Checked int64 copies of compressed-row cells.
-
-    Rejects a malformed ``cell_ptr``, cells of fewer than three vertices and
-    vertex indices that are not integers (a fractional or non-finite float
-    names its cell instead of being truncated).
-    """
-    ptr = np.asarray(cell_ptr)
-    flat = np.asarray(cell_vertices)
-    if (
-        ptr.ndim != 1
-        or ptr.dtype.kind not in "iu"
-        or len(ptr) == 0
-        or ptr[0] != 0
-        or flat.ndim != 1
-        or ptr[-1] != len(flat)
-    ):
-        raise MeshError("cell_ptr must be an integer array running from 0 to the number of cell entries")
-    short = np.diff(ptr) < 3
-    if np.any(short):
-        raise MeshError(f"cell {_first_true(short)} must list at least 3 vertices")
     if flat.dtype.kind == "f":
         fractional = ~np.isfinite(flat) | (flat != np.trunc(flat))
         if np.any(fractional):
-            cid = int(np.searchsorted(ptr, _first_true(fractional), side="right")) - 1
+            cid = int(np.searchsorted(cell_ptr, _first_true(fractional), side="right")) - 1
             raise MeshError(f"cell {cid} has a vertex index that is not an integer")
     elif flat.dtype.kind not in "iu":
         raise MeshError("cells must be sequences of vertex indices")
-    return ptr.astype(np.int64), flat.astype(np.int64)
+    return cell_ptr, flat.astype(np.int64)
 
 
-def build_topology(
-    vertices: Sequence | np.ndarray,
-    cells: Iterable[Sequence[int]] | np.ndarray,
-    boundary_tags: TagMap | TagRule,
-    *,
-    cell_ptr: np.ndarray | None = None,
+def _edge_table(
+    verts: np.ndarray,
+    cell_ptr: np.ndarray,
+    tails: np.ndarray,
+    boundary_tags: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> PolygonalMesh:
-    """Validate raw vertex/cell data and construct the edge table.
+    """The mesh of compressed-row ccw cycles, with its edges numbered in the
+    order the cells first reach them; its arrays are taken over and frozen.
 
-    ``cells`` is a sequence of vertex cycles or, when ``cell_ptr`` is given,
-    the flat vertex array of compressed-row cells: cycle c is
-    ``cells[cell_ptr[c]:cell_ptr[c + 1]]``.  Both forms are copied and go
-    through the same checks.
-
-    Clockwise cells are silently reversed.  Raises :class:`MeshError` (naming
-    the offending cell, vertex or edge) on vertex data that is not an
-    (n, 2) array of finite numbers, non-integer vertex indices,
-    degenerate or repeated-vertex cells, self-intersecting cycles, vertices
-    that no cell uses, non-manifold edges, irreparably inconsistent
-    orientation, untagged boundary edges, or an empty spectral boundary.
+    ``boundary_tags(edge_a, edge_b)`` receives the endpoints of the boundary
+    edges and returns their positions in :data:`TAGS`.  Only the errors that
+    pairing the half-edges turns up are raised here: an edge shared by more
+    than two cells or traversed twice in one direction.
     """
-    try:
-        verts = np.ascontiguousarray(np.asarray(vertices, dtype=float))
-    except (TypeError, ValueError):  # ragged or non-numeric
-        verts = np.empty(0)
-    if verts.ndim != 2 or verts.shape[1] != 2:
-        raise MeshError("vertex array must have shape (n, 2)")
-    if not np.all(np.isfinite(verts)):
-        raise MeshError("vertex coordinates must be finite")
-    n_verts = verts.shape[0]
-
-    if cell_ptr is None:
-        cell_ptr, cells = _flatten_cells(cells)
-    cell_ptr, tails = _index_arrays(cell_ptr, cells)
-    n_cells = len(cell_ptr) - 1
-    if n_cells == 0:
-        raise MeshError("mesh has no cells")
-    if tails.min() < 0 or tails.max() >= n_verts:
-        bad = _first_true((tails < 0) | (tails >= n_verts))
-        cid = int(np.searchsorted(cell_ptr, bad, side="right")) - 1
-        raise MeshError(f"cell {cid} references a vertex out of range")
-
-    _validate_cycles(verts, cell_ptr, tails)  # may reverse cycles in place
-
-    # half-edge arrays in cell order
+    n_verts, n_cells = len(verts), len(cell_ptr) - 1
     heads = np.empty_like(tails)
     heads[:-1] = tails[1:]
     heads[cell_ptr[1:] - 1] = tails[cell_ptr[:-1]]
     owner = np.repeat(np.arange(n_cells), np.diff(cell_ptr))
 
-    lo = np.minimum(tails, heads)
-    hi = np.maximum(tails, heads)
-    keys = lo * np.int64(n_verts) + hi
+    keys = np.minimum(tails, heads) * np.int64(n_verts) + np.maximum(tails, heads)
     unique_keys, first_idx, inverse, counts = np.unique(
         keys, return_index=True, return_inverse=True, return_counts=True
     )
-
     if np.any(counts > 2):
         k = int(unique_keys[_first_true(counts > 2)])
         raise MeshError(
@@ -405,11 +353,9 @@ def build_topology(
     order = np.argsort(first_idx, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    halfedge_edge = rank[inverse]
 
     perm = np.argsort(inverse, kind="stable")
     starts = np.concatenate([[0], np.cumsum(counts)])
-
     n_edges = len(unique_keys)
     edge_a = np.empty(n_edges, dtype=np.int64)
     edge_b = np.empty(n_edges, dtype=np.int64)
@@ -423,7 +369,6 @@ def build_topology(
 
     paired = counts == 2
     if np.any(paired):
-        paired_ids = np.nonzero(paired)[0]
         second_half = perm[starts[:-1][paired] + 1]
         same_dir = tails[second_half] == tails[first_half[paired]]
         if np.any(same_dir):
@@ -436,48 +381,80 @@ def build_topology(
                 f"by cells {int(owner[h1])} and {int(owner[h2])}: "
                 "orientation cannot be repaired"
             )
-        edge_right[rank[paired_ids]] = owner[second_half]
+        edge_right[rank[paired]] = owner[second_half]
 
-    used = np.zeros(n_verts, dtype=bool)
-    used[tails] = True
-    if not np.all(used):
-        raise MeshError(f"vertex {_first_true(~used)} is not used by any cell")
+    # interior edges keep code 0: TAGS[0] is BoundaryTag.INTERIOR
+    edge_tag = np.zeros(n_edges, dtype=np.int8)
+    boundary = np.flatnonzero(edge_right < 0)
+    edge_tag[boundary] = boundary_tags(edge_a[boundary], edge_b[boundary])
+    mesh = PolygonalMesh(verts, cell_ptr, tails, rank[inverse], edge_a, edge_b, edge_left, edge_right, edge_tag)
+    for arr in vars(mesh).values():
+        arr.flags.writeable = False
+    return mesh
+
+
+def build_topology(
+    vertices: Sequence | np.ndarray,
+    cells: Iterable[Sequence[int]],
+    boundary_tags: TagMap | TagRule,
+) -> PolygonalMesh:
+    """Validate raw vertex/cell data from outside and construct the edge table.
+
+    ``cells`` is a sequence of vertex cycles; it is copied, never changed.
+    Clockwise cells are silently reversed.  Raises :class:`MeshError` (naming
+    the offending cell, vertex or edge) on vertex data that is not an
+    (n, 2) array of finite numbers, non-integer vertex indices,
+    degenerate or repeated-vertex cells, self-intersecting cycles, vertices
+    that no cell uses, non-manifold edges, irreparably inconsistent
+    orientation, untagged boundary edges, or an empty spectral boundary.
+    """
+    try:
+        verts = np.asarray(vertices)
+    except (TypeError, ValueError):  # ragged
+        verts = np.empty(0)
+    if verts.ndim != 2 or verts.shape[1] != 2 or verts.dtype.kind not in "iuf":
+        raise MeshError("vertex array must have shape (n, 2) and hold numbers")
+    verts = np.ascontiguousarray(verts, dtype=float)
+    if not np.all(np.isfinite(verts)):
+        raise MeshError("vertex coordinates must be finite")
+    n_verts = verts.shape[0]
+
+    cell_ptr, tails = _cell_arrays(cells)
+    if len(cell_ptr) == 1:
+        raise MeshError("mesh has no cells")
+    if tails.min() < 0 or tails.max() >= n_verts:
+        bad = _first_true((tails < 0) | (tails >= n_verts))
+        cid = int(np.searchsorted(cell_ptr, bad, side="right")) - 1
+        raise MeshError(f"cell {cid} references a vertex out of range")
+
+    _validate_cycles(verts, cell_ptr, tails)  # may reverse cycles in place
 
     if isinstance(boundary_tags, Mapping):
         lookup = {tuple(sorted(k)): v for k, v in boundary_tags.items()}
 
-        def classify(key, pa, pb):
+        def classify(a, b):
+            key = (a, b) if a < b else (b, a)
             if key not in lookup:
                 raise MeshError(f"untagged boundary edge {key}")
             return _normalize_tag(lookup[key], key)
 
     else:
 
-        def classify(key, pa, pb):
-            return _normalize_tag(boundary_tags(pa, pb), key)
+        def classify(a, b):
+            return _normalize_tag(boundary_tags(verts[a], verts[b]), (min(a, b), max(a, b)))
 
-    # only boundary edges need a classifier call; interior edges keep code 0
-    edge_tag = np.zeros(n_edges, dtype=np.int8)  # TAGS[0] is BoundaryTag.INTERIOR
-    boundary = np.flatnonzero(edge_right < 0)
-    for eid, a, b in zip(boundary.tolist(), edge_a[boundary].tolist(), edge_b[boundary].tolist()):
-        key = (a, b) if a < b else (b, a)
-        edge_tag[eid] = TAGS.index(classify(key, verts[a], verts[b]))
-    if not np.any(edge_tag == TAGS.index(BoundaryTag.GAMMA0)):
+    def codes(edge_a, edge_b):
+        # called once the half-edges are paired: a bad edge is named before
+        # an unused vertex
+        used = np.zeros(n_verts, dtype=bool)
+        used[tails] = True
+        if not np.all(used):
+            raise MeshError(f"vertex {_first_true(~used)} is not used by any cell")
+        return [TAGS.index(classify(a, b)) for a, b in zip(edge_a.tolist(), edge_b.tolist())]
+
+    mesh = _edge_table(verts, cell_ptr, tails, codes)
+    if not np.any(mesh.edge_tag == TAGS.index(BoundaryTag.GAMMA0)):
         raise MeshError("spectral boundary is empty: no edge tagged gamma0")
-
-    mesh = PolygonalMesh(
-        vertices=verts,
-        cell_ptr=cell_ptr,
-        cell_vertices=tails,
-        cell_edges=halfedge_edge,
-        edge_a=edge_a,
-        edge_b=edge_b,
-        edge_left=edge_left,
-        edge_right=edge_right,
-        edge_tag=edge_tag,
-    )
-    for arr in vars(mesh).values():
-        arr.flags.writeable = False
     return mesh
 
 
@@ -561,6 +538,10 @@ def _is_index(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_mesh(path: str | Path) -> PolygonalMesh:
     """Read a JSON mesh and run full topology validation on it."""
     try:
@@ -574,9 +555,12 @@ def load_mesh(path: str | Path) -> PolygonalMesh:
         boundary = payload["boundary"]
     except (KeyError, TypeError) as err:
         raise MeshError(f"mesh file {path} is missing field {err}") from None
-    for field, value in (("cells", cells), ("boundary", boundary)):
+    for field, value in (("vertices", vertices), ("cells", cells), ("boundary", boundary)):
         if not isinstance(value, list):
             raise MeshError(f"field {field!r} in mesh file {path} must be a list")
+    for vid, vertex in enumerate(vertices):
+        if not isinstance(vertex, list) or not all(map(_is_number, vertex)):
+            raise MeshError(f"vertex {vid} in {path} is not a list of numbers")
     for cid, cell in enumerate(cells):
         if not isinstance(cell, list) or not all(map(_is_index, cell)):
             raise MeshError(f"cell {cid} in {path} is not a list of integer vertex indices")

@@ -123,6 +123,17 @@ def test_refine_vem_rejects_non_star_cell():
     with pytest.raises(MeshError, match="star-shaped"):
         refine_vem(mesh, [0])
 
+    # cell 0 is a non-star pentagon and cell 1 a non-star quadrilateral: the
+    # quadrilaterals' vertex-count group is checked first, the lower cell is named
+    verts = [[0.0, 0.0], [4.0, 0.0], [0.5, 0.5], [0.0, 4.0], [-0.5, 2.0],
+             [8.0, 0.0], [7.5, 0.5], [8.0, 4.0]]
+    cells = [[0, 1, 2, 3, 4], [1, 5, 7, 6]]
+    mesh = build_topology(verts, cells, lambda a, b: BoundaryTag.GAMMA0)
+    with pytest.raises(MeshError, match="cell 0 is not star-shaped"):
+        refine_vem(mesh, [0, 1])
+    with pytest.raises(MeshError, match="cell 1 is not star-shaped"):
+        refine_vem(mesh, [1])
+
 
 def test_refine_vem_rejects_out_of_range_marks():
     mesh = initial_mesh("square")
@@ -171,9 +182,13 @@ def test_refine_fem_children_follow_bisection_convention():
 def test_refine_fem_closure_keeps_mesh_conforming():
     mesh = normalize_refinement_edges(initial_mesh("square"))
     refined = refine_fem(mesh, [0])
-    # closure may split neighbours; conformity is checked by build_topology,
-    # and every cell stays a triangle
+    # closure may split neighbours; the refined mesh passes every check of
+    # build_topology unchanged, and every cell stays a triangle
     assert all(len(c) == 3 for c in refined.cycles())
+    rebuilt = build_topology(refined.vertices, refined.cycles(), top_edge_rule)
+    assert rebuilt.structurally_equal(refined)
+    assert all(np.array_equal(getattr(rebuilt, name), getattr(refined, name))
+               for name in ("cell_edges", "edge_left", "edge_right"))
     assert refined.n_cells > mesh.n_cells
     assert abs(total_area(refined) - total_area(mesh)) < 1e-12
 

@@ -119,6 +119,9 @@ def test_mesh_validate_rejects_bad_file(tmp_path, capsys):
         (square + [[5.0, 5.0]], [[0, 1, 2, 3]], boundary, "error: vertex 4 is not used by any cell"),
         (square[:3], 5, [], "error: field 'cells' "),
         (square, [[0, 1, 2, 3]], 7, "error: field 'boundary' "),
+        # coordinates given as a string or a boolean are not read as 1.0
+        (square[:1] + [["1", 0.0]] + square[2:], [[0, 1, 2, 3]], boundary, "error: vertex 1 "),
+        (square[:3] + [[True, 1.0]], [[0, 1, 2, 3]], boundary, "error: vertex 3 "),
     ]
     for verts, cells, items, message in cases:
         path.write_text(json.dumps({"vertices": verts, "cells": cells, "boundary": items}))

@@ -111,6 +111,11 @@ def test_validation_errors():
         ([[0.0, 0.0, 0.0]], [[0, 0, 0]], all_gamma0, "shape"),
         # non-finite coordinates
         ([[0.0, 0.0], [1.0, np.inf], [0.0, 1.0]], [[0, 1, 2]], all_gamma0, "finite"),
+        ([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]], [[0, 1, 2]], all_gamma0, "finite"),
+        # coordinates that are strings or booleans, not numbers
+        ([[0, 0], ["1", 0], [1, 1], [0, 1]], [[0, 1, 2, 3]], all_gamma0, "hold numbers"),
+        ([[False, False], [True, False], [True, True], [False, True]], [[0, 1, 2, 3]], all_gamma0,
+         "hold numbers"),
         # fractional or non-finite vertex index: named, not truncated
         (SQUARE_VERTS, [[0, 1, 2], [0, 2.5, 3]], top_edge_rule, "cell 1 has a vertex index that is not an integer"),
         (SQUARE_VERTS, [[0, 1.7, 2], [0, 2, 3]], top_edge_rule, "cell 0 has a vertex index that is not an integer"),
@@ -152,25 +157,22 @@ def test_self_intersection_names_first_edge_pair_and_lowest_cell():
 
 
 def test_compressed_row_input_matches_cycle_list():
+    # cells come as cycles only: a list of lists or an (m, n) array of them
     cycles = [[0, 2, 1], [0, 2, 3]]  # the first is clockwise and gets reversed
-    ptr = np.array([0, 3, 6])
-    flat = np.array([0, 2, 1, 0, 2, 3])
-    from_csr = build_topology(SQUARE_VERTS, flat, top_edge_rule, cell_ptr=ptr)
+    stacked = np.array(cycles)
     from_list = build_topology(SQUARE_VERTS, cycles, top_edge_rule)
-    assert from_csr.structurally_equal(from_list)
-    assert np.array_equal(from_csr.cell_edges, from_list.cell_edges)
-    # the caller's arrays are copied, not reversed or frozen in place
-    assert flat.tolist() == [0, 2, 1, 0, 2, 3] and flat.flags.writeable
-    # integral floats are indices; fractional ones name their cell
-    as_float = build_topology(SQUARE_VERTS, flat.astype(float), top_edge_rule, cell_ptr=ptr)
-    assert as_float.structurally_equal(from_list)
-    with pytest.raises(MeshError, match="cell 1 has a vertex index that is not an integer"):
-        build_topology(SQUARE_VERTS, [0, 1, 2, 0, 2, 3.25], top_edge_rule, cell_ptr=ptr)
-    for bad_ptr in ([1, 3, 6], [0, 3, 5], [0.0, 3.0, 6.0], [[0, 3, 6]]):
-        with pytest.raises(MeshError, match="cell_ptr"):
-            build_topology(SQUARE_VERTS, flat, top_edge_rule, cell_ptr=np.array(bad_ptr))
-    with pytest.raises(MeshError, match="cell 0 must list at least 3 vertices"):
-        build_topology(SQUARE_VERTS, flat, top_edge_rule, cell_ptr=np.array([0, 2, 6]))
+    from_array = build_topology(SQUARE_VERTS, stacked, top_edge_rule)
+    assert from_array.structurally_equal(from_list)
+    assert np.array_equal(from_array.cell_edges, from_list.cell_edges)
+    # the caller's cycles are copied, not reversed or frozen in place
+    assert cycles == [[0, 2, 1], [0, 2, 3]]
+    assert stacked.tolist() == cycles and stacked.flags.writeable
+    # integral floats are indices
+    assert build_topology(SQUARE_VERTS, stacked.astype(float), top_edge_rule).structurally_equal(from_list)
+    # the mesh's own compressed-row cells, read back as cycles, give the same mesh
+    again = build_topology(from_list.vertices, from_list.cycles(), top_edge_rule)
+    assert again.structurally_equal(from_list)
+    assert np.array_equal(again.cell_edges, from_list.cell_edges)
 
 
 def test_non_manifold_edge_rejected():
@@ -349,6 +351,20 @@ def test_load_rejects_malformed_files(tmp_path):
     for k, (cells, boundary, fragment) in enumerate(cases):
         path = tmp_path / f"case_{k}.json"
         path.write_text(json.dumps({"vertices": SQUARE_VERTS, "cells": cells, "boundary": boundary}))
+        with pytest.raises(MeshError, match=fragment):
+            load_mesh(path)
+
+    # vertex entries that are not JSON numbers (booleans included) are named
+    vertex_cases = [
+        (SQUARE_VERTS[:1] + [["1", 0.0]] + SQUARE_VERTS[2:], "vertex 1 .* not a list of numbers"),
+        (SQUARE_VERTS[:3] + [[True, 0.0]], "vertex 3 .* not a list of numbers"),
+        (SQUARE_VERTS[:2] + [[1.0, None]] + SQUARE_VERTS[3:], "vertex 2 .* not a list of numbers"),
+        (5, "field 'vertices' .* must be a list"),
+        (SQUARE_VERTS[:3] + [[float("nan"), 1.0]], "finite"),
+    ]
+    for k, (verts, fragment) in enumerate(vertex_cases):
+        path = tmp_path / f"vertex_case_{k}.json"
+        path.write_text(json.dumps({"vertices": verts, "cells": [[0, 1, 2, 3]], "boundary": good_boundary}))
         with pytest.raises(MeshError, match=fragment):
             load_mesh(path)
 

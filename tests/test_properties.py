@@ -15,7 +15,11 @@ A second set of properties runs the same kind of sequences through the
 array refiners and through the loop-based reference refiners of
 ``refine_oracle`` and requires identical meshes, numbering included, and
 a ``RefinementRecord.parent`` that maps every new cell into the coarse cell
-whose area it covers.
+whose area it covers.  The refiners build their output without the checks
+of ``build_topology``, so every output must come back unchanged through
+them, its boundary tagged by the initial meshes' own rule; and
+newest-vertex bisection must create at most four triangle shapes per
+shape of the initial mesh.
 
 The eigensolver properties solve on such refined meshes and compare with a
 dense solve of the same pencil, check the exact symmetries of the discrete
@@ -247,6 +251,62 @@ def test_refine_fem_and_uniform_match_oracle(name, steps, data):
 
 
 # ---------------------------------------------------------------------------
+# refiner output against the checks of build_topology, and bisection shapes
+
+
+def top_side_rule(pa, pb):
+    """The tag rule both initial meshes are built with: Gamma0 is the side
+    y = 1, every other boundary edge is Gamma1."""
+    return "gamma0" if abs(pa[1] - 1.0) <= 1e-12 and abs(pb[1] - 1.0) <= 1e-12 else "gamma1"
+
+
+def rebuilt(mesh):
+    """The mesh read back from its cycles through every check of
+    build_topology, its boundary tagged by the initial meshes' rule rather
+    than by its own tags."""
+    return build_topology(mesh.vertices, mesh.cycles(), top_side_rule)
+
+
+@SETTINGS
+@given(name=st.sampled_from(sorted(INITIAL)), steps=st.integers(1, 3), data=st.data())
+def test_refiner_output_passes_build_topology_unchanged(name, steps, data):
+    vem = INITIAL[name]
+    fem = normalize_refinement_edges(vem)
+    assert identical(rebuilt(fem), fem)
+    for _ in range(steps):
+        vem, _ = refine_vem(vem, mark_subset(data, vem))
+        if fem.n_cells < 300 and data.draw(st.booleans(), label="uniform"):
+            fem = refine_uniform(fem)
+        else:
+            fem = refine_fem(fem, mark_subset(data, fem))
+        assert identical(rebuilt(vem), vem)
+        assert identical(rebuilt(fem), fem)
+
+
+def triangle_shapes(mesh):
+    """Distinct triangle shapes: sorted edge lengths over the longest,
+    rounded to 1e-9."""
+    pts = mesh.vertices[mesh.cell_vertices.reshape(-1, 3)]
+    d = np.roll(pts, -1, axis=1) - pts
+    lengths = np.sort(np.hypot(d[..., 0], d[..., 1]), axis=1)
+    return set(map(tuple, np.round(lengths / lengths[:, 2:], 9).tolist()))
+
+
+@SETTINGS
+@given(name=st.sampled_from(sorted(INITIAL)), steps=st.integers(1, 8), data=st.data())
+def test_bisection_keeps_at_most_four_shapes_per_initial_shape(name, steps, data):
+    # newest-vertex bisection produces at most four similarity classes from
+    # each initial triangle (Sewell; Mitchell)
+    mesh = normalize_refinement_edges(INITIAL[name])
+    bound = 4 * len(triangle_shapes(mesh))
+    shapes = set()
+    for _ in range(steps):
+        mesh = refine_fem(mesh, marks_for(data, mesh))
+        shapes |= triangle_shapes(mesh)
+    assert len(shapes) <= bound
+
+
+# ---------------------------------------------------------------------------
 # eigensolver
 
 
@@ -262,7 +322,7 @@ def boundary_tags(mesh, new_id):
 def moved(mesh, vertices):
     """The mesh rebuilt, and validated, on new vertex coordinates."""
     tags = boundary_tags(mesh, range(mesh.n_vertices))
-    return build_topology(vertices, mesh.cell_vertices, tags, cell_ptr=mesh.cell_ptr)
+    return build_topology(vertices, mesh.cycles(), tags)
 
 
 def relabelled(mesh, rng):
