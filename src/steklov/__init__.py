@@ -38,6 +38,7 @@ from .adaptivity import (
     RefinementRecord,
     mark,
     normalize_refinement_edges,
+    prolong,
     refine_fem,
     refine_uniform,
     refine_vem,

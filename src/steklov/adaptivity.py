@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import MeshError, PolygonalMesh, _edge_table, _first_true, cell_groups, polygon_geometry
 
@@ -35,6 +36,7 @@ __all__ = [
     "refine_fem",
     "refine_uniform",
     "normalize_refinement_edges",
+    "prolong",
 ]
 
 
@@ -325,3 +327,38 @@ def refine_uniform(mesh: PolygonalMesh) -> PolygonalMesh:
     cells = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca], axis=1)
     points = _refined_vertices(mesh, midpoint)
     return _refined_mesh(mesh, points, np.arange(0, cells.size + 1, 3), cells.ravel(), midpoint)
+
+
+def prolong(coarse: PolygonalMesh, fine: PolygonalMesh, w: np.ndarray) -> np.ndarray:
+    """Carry a vertex vector of ``coarse`` over to its refinement ``fine``.
+
+    All three refiners keep the coarse vertices, with their ids, ahead of
+    the new ones.  Coarse vertices keep their values; each new vertex takes
+    the mean over its fine-mesh neighbours that already have one, in passes
+    until every vertex has a value (an edge midpoint is reached in the first
+    pass, a ``refine_vem`` centroid, whose neighbours are all midpoints, in
+    the second).  Raises ``ValueError`` when ``fine`` does not start with
+    the vertices of ``coarse`` or has a vertex no pass reaches.
+    """
+    n = coarse.n_vertices
+    w = np.asarray(w, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"coarse vector must have shape ({n},), got {w.shape}")
+    if fine.n_vertices < n or not np.array_equal(fine.vertices[:n], coarse.vertices):
+        raise ValueError("the fine mesh does not keep the coarse vertices first")
+    values = np.zeros(fine.n_vertices)
+    values[:n] = w
+    known = np.zeros(fine.n_vertices, dtype=bool)
+    known[:n] = True
+    ends = np.concatenate([fine.edge_a, fine.edge_b])
+    adjacency = sp.csr_matrix(
+        (np.ones(len(ends)), (ends, np.roll(ends, fine.n_edges))), shape=(fine.n_vertices,) * 2
+    )
+    while not np.all(known):
+        count = adjacency @ known
+        fill = ~known & (count > 0)
+        if not np.any(fill):
+            raise ValueError(f"fine vertex {_first_true(~known)} is not connected to the coarse vertices")
+        values[fill] = (adjacency @ values)[fill] / count[fill]
+        known |= fill
+    return values

@@ -291,6 +291,17 @@ def _normalize_tag(raw, edge_key) -> BoundaryTag:
     return tag
 
 
+_BOOLEANS = {bool, np.bool_}
+
+
+def _first_boolean(entries: list) -> int | None:
+    """Position of the first boolean in a flat list of numbers, which numpy
+    would otherwise read as 0 or 1; None if there is none."""
+    if _BOOLEANS.isdisjoint(map(type, entries)):
+        return None
+    return next(k for k, value in enumerate(entries) if type(value) in _BOOLEANS)
+
+
 def _cell_arrays(cells: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Checked compressed-row form (cell_ptr, cell_vertices) of a sequence of cycles.
 
@@ -301,13 +312,18 @@ def _cell_arrays(cells: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray
     cells = list(cells)
     try:
         sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
-        flat = np.array(list(chain.from_iterable(cells)))
+        entries = list(chain.from_iterable(cells))
+        flat = np.array(entries)
     except (TypeError, ValueError):
         raise MeshError("cells must be sequences of vertex indices") from None
     if np.any(sizes < 3):
         raise MeshError(f"cell {_first_true(sizes < 3)} must list at least 3 vertices")
     cell_ptr = np.zeros(len(cells) + 1, dtype=np.int64)
     np.cumsum(sizes, out=cell_ptr[1:])
+    boolean = _first_boolean(entries)
+    if boolean is not None:
+        cid = int(np.searchsorted(cell_ptr, boolean, side="right")) - 1
+        raise MeshError(f"cell {cid} has a boolean vertex index")
     if flat.dtype.kind == "f":
         fractional = ~np.isfinite(flat) | (flat != np.trunc(flat))
         if np.any(fractional):
@@ -403,7 +419,8 @@ def build_topology(
     ``cells`` is a sequence of vertex cycles; it is copied, never changed.
     Clockwise cells are silently reversed.  Raises :class:`MeshError` (naming
     the offending cell, vertex or edge) on vertex data that is not an
-    (n, 2) array of finite numbers, non-integer vertex indices,
+    (n, 2) array of finite numbers, booleans among the coordinates or
+    vertex indices, non-integer vertex indices,
     degenerate or repeated-vertex cells, self-intersecting cycles, vertices
     that no cell uses, non-manifold edges, irreparably inconsistent
     orientation, untagged boundary edges, or an empty spectral boundary.
@@ -414,6 +431,10 @@ def build_topology(
         verts = np.empty(0)
     if verts.ndim != 2 or verts.shape[1] != 2 or verts.dtype.kind not in "iuf":
         raise MeshError("vertex array must have shape (n, 2) and hold numbers")
+    if not isinstance(vertices, np.ndarray):
+        boolean = _first_boolean(list(chain.from_iterable(vertices)))
+        if boolean is not None:
+            raise MeshError(f"vertex {boolean // 2} has a boolean coordinate")
     verts = np.ascontiguousarray(verts, dtype=float)
     if not np.all(np.isfinite(verts)):
         raise MeshError("vertex coordinates must be finite")

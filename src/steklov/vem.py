@@ -3,12 +3,18 @@
 Each polygonal cell carries one degree of freedom per vertex.  The local
 energy projector maps a virtual function onto affine polynomials expressed in
 the scaled monomial basis {1, (x - x_c)/h, (y - y_c)/h} centered at the cell
-centroid.  The gradient equations of the projector reduce to boundary
-integrals of the piecewise-linear trace (trapezoid rule, exact for affine
-test polynomials); the remaining degree of freedom is fixed by matching the
-vertex average.  The local bilinear form is the exact affine consistency part
-plus the plain euclidean (dofi-dofi) stabilization of the projection
-complement.
+centroid.  Every operator has a closed form in the coordinates (x, y) of the
+vertices relative to their mean.  The projected gradient of vertex basis
+function i is the boundary integral of its piecewise-linear trace (trapezoid
+rule, exact for affine test polynomials) over the area |E|,
+
+    gx_i = (y_{i+1} - y_{i-1}) / (2 |E|),    gy_i = (x_{i-1} - x_{i+1}) / (2 |E|),
+
+and the constant is fixed by matching the vertex average, so the projection
+of the basis functions, evaluated at the vertices, is 1/n + x gx^T + y gy^T.
+The local bilinear form is the exact affine consistency part
+|E| (gx gx^T + gy gy^T) plus the plain euclidean (dofi-dofi) stabilization
+C^T C of the projection complement C = I - (1/n + x gx^T + y gy^T).
 
 Local operators are computed for whole groups of equal-size cells at once;
 ``local_operators`` is the one-cell group of the same code path.
@@ -52,7 +58,7 @@ class CellGroup:
 
 def _group_operators(pts: np.ndarray, dofs: np.ndarray, ids: np.ndarray) -> CellGroup:
     """Local operators of a stack of same-size cells, pts of shape (m, n, 2)."""
-    m, n, _ = pts.shape
+    n = pts.shape[1]
     origin, local, area, centroid, h, _ = polygon_geometry(pts)
     if not np.all(area > 0.0):
         bad = int(ids[np.nonzero(~(area > 0.0))[0][0]])
@@ -60,37 +66,23 @@ def _group_operators(pts: np.ndarray, dofs: np.ndarray, ids: np.ndarray) -> Cell
     x = local[..., 0]
     y = local[..., 1]
 
-    # dof matrix: scaled monomial values at the vertices
-    D = np.empty((m, n, 3))
-    D[..., 0] = 1.0
-    D[..., 1] = (x - centroid[:, :1]) / h[:, None]
-    D[..., 2] = (y - centroid[:, 1:]) / h[:, None]
+    # gradient of the projection of each basis function (trapezoid rule over
+    # the P1 trace, exact for affine test functions)
+    two_area = 2.0 * area[:, None]
+    gx = (np.roll(y, -1, axis=1) - np.roll(y, 1, axis=1)) / two_area
+    gy = (np.roll(x, 1, axis=1) - np.roll(x, -1, axis=1)) / two_area
 
-    # projector equations: vertex average (row 0) and boundary-integrated
-    # gradient conditions (rows 1-2, trapezoid rule over the P1 trace)
-    B = np.empty((m, 3, n))
-    B[:, 0, :] = 1.0 / n
-    B[:, 1, :] = (np.roll(y, -1, axis=1) - np.roll(y, 1, axis=1)) / (2.0 * h[:, None])
-    B[:, 2, :] = -(np.roll(x, -1, axis=1) - np.roll(x, 1, axis=1)) / (2.0 * h[:, None])
+    projector = np.empty((len(pts), 3, n))
+    projector[:, 0] = 1.0 / n + gx * centroid[:, :1] + gy * centroid[:, 1:]
+    projector[:, 1] = h[:, None] * gx
+    projector[:, 2] = h[:, None] * gy
 
-    G = B @ D
-    try:
-        projector = np.linalg.solve(G, B)
-    except np.linalg.LinAlgError:
-        raise MeshError("projector system is singular (degenerate cell geometry)") from None
+    consistency = area[:, None, None] * (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
 
-    # consistency uses only the gradient block of G; zero the affine-offset
-    # row and column so the constant mode carries no energy
-    G_grad = G.copy()
-    G_grad[:, 0, :] = 0.0
-    G_grad[:, :, 0] = 0.0
-    pi_t = projector.transpose(0, 2, 1)
-    consistency = pi_t @ G_grad @ projector
-    consistency = 0.5 * (consistency + consistency.transpose(0, 2, 1))
-
-    complement = np.eye(n)[None, :, :] - D @ projector
+    # I - (projection evaluated at the vertices), whose Gram matrix is the
+    # dofi-dofi stabilization
+    complement = np.eye(n) - (1.0 / n + x[:, :, None] * gx[:, None, :] + y[:, :, None] * gy[:, None, :])
     stabilization = complement.transpose(0, 2, 1) @ complement
-    stabilization = 0.5 * (stabilization + stabilization.transpose(0, 2, 1))
 
     return CellGroup(
         ids=ids,

@@ -7,6 +7,7 @@ from steklov.adaptivity import (
     MarkSet,
     mark,
     normalize_refinement_edges,
+    prolong,
     refine_fem,
     refine_uniform,
     refine_vem,
@@ -259,3 +260,31 @@ def test_refine_uniform_grows_geometrically():
         mesh = refine_uniform(mesh)
         assert mesh.n_cells == n0 * 4**k
     assert abs(total_area(mesh) - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# prolongation
+
+
+def test_prolong_interpolates_midpoints_and_centroids():
+    # an affine function is carried over exactly: midpoints average their
+    # edge, the centroid of a square averages its edge midpoints
+    verts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    mesh = build_topology(verts, [[0, 1, 2, 3]], top_edge_rule)
+    refined, _ = refine_vem(mesh, [0])
+
+    def affine(points):
+        return 1.0 + 2.0 * points[:, 0] - 3.0 * points[:, 1]
+
+    values = prolong(mesh, refined, affine(mesh.vertices))
+    assert np.allclose(values, affine(refined.vertices), rtol=0.0, atol=1e-15)
+
+
+def test_prolong_rejects_a_mesh_that_is_not_a_refinement():
+    mesh = initial_mesh("square")
+    fine = refine_uniform(mesh)
+    with pytest.raises(ValueError, match="coarse vector must have shape"):
+        prolong(mesh, fine, np.ones(mesh.n_vertices + 1))
+    with pytest.raises(ValueError, match="keep the coarse vertices first"):
+        prolong(fine, mesh, np.ones(fine.n_vertices))
+

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from steklov.adaptivity import refine_uniform, refine_vem
+from steklov.adaptivity import prolong, refine_uniform, refine_vem
 from steklov.eigensolver import (
     ConvergenceError,
     EigensolverError,
@@ -214,9 +214,11 @@ def test_arpack_stall_is_a_convergence_error():
     assert info.value.best_residual > 0.0
 
 
-def test_column_solves_per_call_stay_within_budget(monkeypatch):
-    system = assemble(quad_split_notched())
-    columns = []
+@pytest.fixture
+def factors(monkeypatch):
+    """Per ``splu`` call of the solver: ``{"columns": ..., "fill": ...}``,
+    the number of column solves and ``L.nnz + U.nnz`` of the factor."""
+    calls = []
     splu = spla.splu
 
     class CountingLU:
@@ -224,14 +226,50 @@ def test_column_solves_per_call_stay_within_budget(monkeypatch):
             self.lu = lu
 
         def solve(self, rhs):
-            columns[-1] += 1 if rhs.ndim == 1 else rhs.shape[1]
+            calls[-1]["columns"] += 1 if rhs.ndim == 1 else rhs.shape[1]
             return self.lu.solve(rhs)
 
     def counting_splu(matrix, *args, **kwargs):
-        columns.append(0)
-        return CountingLU(splu(matrix, *args, **kwargs))
+        lu = splu(matrix, *args, **kwargs)
+        calls.append({"columns": 0, "fill": lu.L.nnz + lu.U.nnz})
+        return CountingLU(lu)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
+    return calls
+
+
+def test_column_solves_per_call_stay_within_budget(factors):
+    system = assemble(quad_split_notched())
     (pair,) = solve_smallest_positive(system)
     assert system.n_dofs == 3753 and pair.residual <= 1e-10
-    assert len(columns) == 1 and 0 < columns[0] <= 30
+    assert len(factors) == 1 and 0 < factors[0]["columns"] <= 30
+
+
+def test_warm_start_from_the_prolonged_coarse_solution(factors):
+    coarse = initial_mesh("notched")
+    for _ in range(3):
+        coarse, _ = refine_vem(coarse, range(coarse.n_cells))
+    (coarse_pair,) = solve_smallest_positive(assemble(coarse))
+    fine, _ = refine_vem(coarse, range(coarse.n_cells))
+    system = assemble(fine)
+    (cold,) = solve_smallest_positive(system)
+    (warm,) = solve_smallest_positive(system, start=prolong(coarse, fine, coarse_pair.vector))
+    assert system.n_dofs == 3753 and warm.residual <= 1e-10
+    assert abs(warm.value - cold.value) <= 1e-12 * cold.value
+    # the prolonged vector is 2e-3 off the fine eigenvector, so the ten-vector
+    # Lanczos basis restarts once; only a start within round-off of the
+    # eigenvector converges in its first pass (11 solves)
+    assert len(factors) == 3 and 0 < factors[2]["columns"] <= 16 < factors[1]["columns"]
+
+
+def test_factor_fill_stays_within_budget(factors):
+    # reverse Cuthill-McKee plus minimum degree on A^T + A: 190,274 entries,
+    # where COLAMD on the refiners' numbering needs 248,090
+    solve_smallest_positive(assemble(quad_split_notched()))
+    assert len(factors) == 1 and factors[0]["fill"] <= 200_000
+
+
+def test_start_vector_of_the_wrong_length_is_refused():
+    system = assemble(initial_mesh("square"))
+    with pytest.raises(EigensolverError, match="start vector must have shape"):
+        solve_smallest_positive(system, start=np.ones(system.n_dofs + 1))

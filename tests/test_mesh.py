@@ -116,6 +116,14 @@ def test_validation_errors():
         ([[0, 0], ["1", 0], [1, 1], [0, 1]], [[0, 1, 2, 3]], all_gamma0, "hold numbers"),
         ([[False, False], [True, False], [True, True], [False, True]], [[0, 1, 2, 3]], all_gamma0,
          "hold numbers"),
+        # booleans among numbers: named, not read as 0 or 1
+        ([[0, 0], [True, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]], all_gamma0,
+         "vertex 1 has a boolean coordinate"),
+        ([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, np.True_]], [[0, 1, 2, 3]], all_gamma0,
+         "vertex 3 has a boolean coordinate"),
+        (SQUARE_VERTS, [[0, True, 2, 3]], top_edge_rule, "cell 0 has a boolean vertex index"),
+        (SQUARE_VERTS, [[0, 1, 2], [0, 2, 3, np.True_], [True, 2, 3]], top_edge_rule,
+         "cell 1 has a boolean vertex index"),
         # fractional or non-finite vertex index: named, not truncated
         (SQUARE_VERTS, [[0, 1, 2], [0, 2.5, 3]], top_edge_rule, "cell 1 has a vertex index that is not an integer"),
         (SQUARE_VERTS, [[0, 1.7, 2], [0, 2, 3]], top_edge_rule, "cell 0 has a vertex index that is not an integer"),

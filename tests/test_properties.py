@@ -27,12 +27,17 @@ eigenvalue (``lambda -> lambda / s`` when the domain is scaled by ``s``,
 invariance under a translation far from the origin, and under a random
 renumbering of the vertices, reordering of the cells and choice of each
 cycle's first vertex), and check that ``normalize_pair`` is idempotent on
-random vectors.
+random vectors.  A solve started from the coarse eigenvector, carried to
+the refined mesh by ``prolong``, must return the cold solve's eigenvalue,
+and ``prolong`` must keep every coarse value and fill every new vertex with
+a mean of them.
 
 The cell-level properties draw random star-shaped polygons at random scale
 and far from the origin: the one-cell operators of ``local_operators``
 reproduce affine functions, their stiffness has exactly the constants as
-kernel and their stabilization is positive semidefinite, and the geometry
+kernel and their stabilization is positive semidefinite; the closed-form
+operators of a group of such cells match the batched-solve routine kept in
+``vem_oracle`` to round-off; and the geometry
 kernel ``polygon_geometry`` agrees with the oracle's per-cell centroid, a
 fan-triangle area and a brute-force pairwise diameter.  A last property
 round-trips refined meshes through ``save_mesh``/``load_mesh``.
@@ -46,7 +51,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refine_oracle as oracle
-from steklov.adaptivity import normalize_refinement_edges, refine_fem, refine_uniform, refine_vem
+import vem_oracle
+from steklov.adaptivity import normalize_refinement_edges, prolong, refine_fem, refine_uniform, refine_vem
 from steklov.eigensolver import (
     SolverOptions,
     SpectralPair,
@@ -56,7 +62,7 @@ from steklov.eigensolver import (
 )
 from steklov.experiments import initial_mesh
 from steklov.mesh import TAGS, build_topology, load_mesh, polygon_geometry, save_mesh
-from steklov.vem import assemble, local_operators
+from steklov.vem import _group_operators, assemble, local_operators
 
 SETTINGS = settings(max_examples=20, deadline=5000, derandomize=True, database=None)
 
@@ -388,6 +394,54 @@ def test_eigenvalue_is_invariant_under_relabelling(name, fem, steps, seed, data)
     assert abs(smallest(shuffled, 1)[0] - value) <= 1e-10 * value
 
 
+def refined_pair(name, fem, steps, data):
+    """A random refinement sequence: the last coarse mesh and its refinement."""
+    mesh = INITIAL[name]
+    for _ in range(steps):
+        coarse, marks = mesh, marks_for(data, mesh)
+        mesh = refine_fem(mesh, marks) if fem else refine_vem(mesh, marks)[0]
+    return coarse, mesh
+
+
+@SETTINGS
+@given(name=st.sampled_from(sorted(INITIAL)), fem=st.booleans(), steps=st.integers(1, 3), data=st.data())
+def test_warm_start_returns_the_cold_eigenvalue(name, fem, steps, data):
+    coarse, fine = refined_pair(name, fem, steps, data)
+    (coarse_pair,) = solve_smallest_positive(assemble(coarse))
+    system = assemble(fine)
+    (cold,) = solve_smallest_positive(system)
+    (warm,) = solve_smallest_positive(system, start=prolong(coarse, fine, coarse_pair.vector))
+    assert warm.residual <= 1e-10
+    assert abs(warm.value - cold.value) <= 1e-12 * cold.value
+
+
+@SETTINGS
+@given(
+    name=st.sampled_from(sorted(INITIAL)),
+    refiner=st.sampled_from(["vem", "fem", "uniform"]),
+    steps=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_prolong_keeps_coarse_values_and_fills_every_vertex(name, refiner, steps, seed, data):
+    fine = INITIAL[name]
+    for _ in range(steps):
+        coarse = fine
+        if refiner == "vem":
+            fine = refine_vem(coarse, mark_subset(data, coarse))[0]
+        elif refiner == "fem":
+            fine = refine_fem(coarse, mark_subset(data, coarse))
+        else:
+            fine = refine_uniform(coarse)
+    w = np.random.default_rng(seed).standard_normal(coarse.n_vertices)
+    values = prolong(coarse, fine, w)
+    assert values.shape == (fine.n_vertices,)
+    assert np.array_equal(values[: coarse.n_vertices], w)
+    # every new value is a mean of values already there
+    assert np.all(np.isfinite(values))
+    assert w.min() <= values.min() and values.max() <= w.max()
+
+
 NORMALIZE_MESHES = [INITIAL["square"], INITIAL["notched"], refine_vem(INITIAL["square"], range(8))[0]]
 
 
@@ -445,6 +499,27 @@ def test_local_operators_on_random_star_polygons(polygon, coeffs):
     assert np.max(np.abs(stiffness @ np.ones(n))) <= 1e-12 * eig[-1]
     assert eig[1] > 1e-6 * eig[-1]  # nothing but the constants in the kernel
     assert np.linalg.eigvalsh(ops.stabilization[0]).min() >= -1e-12 * eig[-1]
+
+
+@SETTINGS
+@given(polygons=st.lists(star_polygons(), min_size=1, max_size=4), n=st.integers(3, 12))
+def test_closed_form_operators_match_the_batched_solve(polygons, n):
+    # a group of same-size cells: each drawn polygon resampled to n vertices
+    pts = np.stack([p[np.linspace(0, len(p), n, endpoint=False).astype(int)] for p, _, _ in polygons])
+    dofs = np.arange(pts.shape[0] * n).reshape(-1, n)
+    ids = np.arange(pts.shape[0])
+    ops = _group_operators(pts, dofs, ids)
+    expected = vem_oracle._group_operators(pts, dofs, ids)
+    # measured against each cell's largest entry of the projector or the
+    # stiffness (a triangle's stabilization is zero up to round-off)
+    for field in ("projector", "consistency", "stabilization", "stiffness"):
+        got, want = getattr(ops, field), getattr(expected, field)
+        scale = expected.projector if field == "projector" else expected.stiffness
+        largest = np.max(np.abs(scale), axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * largest), field
+    for field in ("diameter", "centroid", "area"):
+        assert np.array_equal(getattr(ops, field), getattr(expected, field))
+    assert np.array_equal(ops.stiffness, ops.stiffness.transpose(0, 2, 1))
 
 
 @SETTINGS

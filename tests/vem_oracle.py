@@ -1,0 +1,72 @@
+"""Batched-solve reference implementation of the VEM cell operators.
+
+This is the group-operator routine the package used before the operators
+were written in closed form: it builds the dof matrix D of the scaled
+monomials at the vertices and the projector equations B, solves G = B D for
+the projector, takes the consistency part from the gradient block of G and
+the stabilization from I - D Pi, and symmetrizes both.  The closed-form
+operators of ``steklov.vem`` must agree with it to round-off, which the
+properties in ``test_properties.py`` check on random star-shaped polygons.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from steklov.mesh import MeshError, polygon_geometry
+from steklov.vem import CellGroup
+
+
+def _group_operators(pts: np.ndarray, dofs: np.ndarray, ids: np.ndarray) -> CellGroup:
+    """Local operators of a stack of same-size cells, pts of shape (m, n, 2)."""
+    m, n, _ = pts.shape
+    origin, local, area, centroid, h, _ = polygon_geometry(pts)
+    if not np.all(area > 0.0):
+        bad = int(ids[np.nonzero(~(area > 0.0))[0][0]])
+        raise MeshError(f"cell {bad} has non-positive area (degenerate or clockwise cycle)")
+    x = local[..., 0]
+    y = local[..., 1]
+
+    # dof matrix: scaled monomial values at the vertices
+    D = np.empty((m, n, 3))
+    D[..., 0] = 1.0
+    D[..., 1] = (x - centroid[:, :1]) / h[:, None]
+    D[..., 2] = (y - centroid[:, 1:]) / h[:, None]
+
+    # projector equations: vertex average (row 0) and boundary-integrated
+    # gradient conditions (rows 1-2, trapezoid rule over the P1 trace)
+    B = np.empty((m, 3, n))
+    B[:, 0, :] = 1.0 / n
+    B[:, 1, :] = (np.roll(y, -1, axis=1) - np.roll(y, 1, axis=1)) / (2.0 * h[:, None])
+    B[:, 2, :] = -(np.roll(x, -1, axis=1) - np.roll(x, 1, axis=1)) / (2.0 * h[:, None])
+
+    G = B @ D
+    try:
+        projector = np.linalg.solve(G, B)
+    except np.linalg.LinAlgError:
+        raise MeshError("projector system is singular (degenerate cell geometry)") from None
+
+    # consistency uses only the gradient block of G; zero the affine-offset
+    # row and column so the constant mode carries no energy
+    G_grad = G.copy()
+    G_grad[:, 0, :] = 0.0
+    G_grad[:, :, 0] = 0.0
+    pi_t = projector.transpose(0, 2, 1)
+    consistency = pi_t @ G_grad @ projector
+    consistency = 0.5 * (consistency + consistency.transpose(0, 2, 1))
+
+    complement = np.eye(n)[None, :, :] - D @ projector
+    stabilization = complement.transpose(0, 2, 1) @ complement
+    stabilization = 0.5 * (stabilization + stabilization.transpose(0, 2, 1))
+
+    return CellGroup(
+        ids=ids,
+        dofs=dofs,
+        projector=projector,
+        consistency=consistency,
+        stabilization=stabilization,
+        stiffness=consistency + stabilization,
+        diameter=h,
+        centroid=centroid + origin,
+        area=area,
+    )
