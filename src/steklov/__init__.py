@@ -13,16 +13,13 @@ from .mesh import (
 from .vem import (
     GlobalSystem,
     assemble,
-    local_operators,
-    project_solution,
-    projected_gradients,
+    project,
 )
 from .eigensolver import (
     ConvergenceError,
     EigensolverError,
     SolverOptions,
     SpectralPair,
-    dense_reference_solve,
     normalize_pair,
     residual_norm,
     solve_smallest_positive,

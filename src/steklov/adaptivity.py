@@ -54,11 +54,17 @@ def mark(eta2: Sequence[float] | np.ndarray, fraction: float = 0.5) -> MarkSet:
     ``eta2`` holds the squared indicator of every cell, ``eta = sqrt(eta2)``.
     The comparison is inclusive, so the peak cell is always marked.  When all
     indicators vanish an empty set is returned with a warning (the run is
-    either converged or degenerate).
+    either converged or degenerate).  Raises ``ValueError`` naming the lowest
+    cell whose indicator is NaN, infinite or negative.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("marking fraction must lie in (0, 1]")
-    etas = np.sqrt(np.asarray(eta2, dtype=float))
+    eta2 = np.asarray(eta2, dtype=float)
+    bad = ~(np.isfinite(eta2) & (eta2 >= 0.0))
+    if bad.any():
+        cell = int(np.argmax(bad))
+        raise ValueError(f"cell {cell} has an invalid indicator eta2 = {eta2[cell]!r}")
+    etas = np.sqrt(eta2)
     peak = float(etas.max()) if len(etas) else 0.0
     if peak == 0.0:
         warnings.warn("all error indicators are zero; nothing to mark", stacklevel=2)

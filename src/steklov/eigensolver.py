@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
@@ -42,7 +41,6 @@ __all__ = [
     "residual_norm",
     "normalize_pair",
     "solve_smallest_positive",
-    "dense_reference_solve",
 ]
 
 _SIGN_THRESHOLD = 1e-8  # smallest boundary value trusted to fix the sign
@@ -218,22 +216,3 @@ def solve_smallest_positive(
         )
         pairs.append(normalize_pair(system, pair))
     return pairs
-
-
-def dense_reference_solve(system: GlobalSystem, n_limit: int = 2000) -> np.ndarray:
-    """All finite eigenvalues (ascending) by a dense solve of the shifted pencil.
-
-    Validation tool for small problems; refuses systems above ``n_limit`` dofs.
-    Eigenvalues with mu below 1e-10 are reported as infinite and dropped.  A
-    connected mesh yields exactly one numerically-zero eigenvalue.
-    """
-    n = system.n_dofs
-    if n > n_limit:
-        raise EigensolverError(
-            f"dense reference solve limited to {n_limit} dofs (got {n})"
-        )
-    M = system.boundary_mass.toarray()
-    C = (system.stiffness + system.boundary_mass).toarray()
-    mu = scipy.linalg.eigh(M, C, eigvals_only=True)
-    finite = mu[mu > 1e-10]
-    return np.sort(1.0 / finite - 1.0)

@@ -2,7 +2,8 @@
 
 For the lowest-order method the projected solution is affine on each cell, so
 the interior residual vanishes identically and the estimator reduces to the
-stabilization energy plus weighted edge terms:
+stabilization energy ``theta2 = |C w|^2`` of the projection complement (zero
+on triangles) plus weighted edge terms:
 
 * interior edges carry half the normal-flux jump of the projected gradients,
 * spectral-boundary edges carry ``lambda_h * w - grad(Pi w) . n`` (affine
@@ -22,7 +23,7 @@ import numpy as np
 
 from .eigensolver import SpectralPair
 from .mesh import TAGS, BoundaryTag, PolygonalMesh
-from .vem import GlobalSystem, project_solution, projected_gradients
+from .vem import GlobalSystem, project
 
 __all__ = [
     "GlobalEstimate",
@@ -105,14 +106,8 @@ def element_indicators(system: GlobalSystem, pair: SpectralPair) -> tuple[np.nda
     mesh = system.mesh
     w = pair.vector
 
-    coeffs = project_solution(system, w)
-    gradients = projected_gradients(system, coeffs)
+    gradients, theta2 = project(system, w)
     _, _, norm2 = edge_residuals(mesh, gradients, pair.value, w)
-
-    theta2 = np.empty(mesh.n_cells)
-    for group in system.groups:
-        local = w[group.dofs]
-        theta2[group.ids] = np.einsum("mi,mij,mj->m", local, group.stabilization, local)
 
     edge_sums = np.zeros(mesh.n_cells)
     owner = np.repeat(np.arange(mesh.n_cells), np.diff(mesh.cell_ptr))

@@ -132,12 +132,6 @@ class PolygonalMesh:
         ids = self.gamma0_edge_ids()
         return np.unique(np.concatenate([self.edge_a[ids], self.edge_b[ids]]))
 
-    def structurally_equal(self, other: "PolygonalMesh") -> bool:
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("vertices", "cell_ptr", "cell_vertices", "edge_a", "edge_b", "edge_tag")
-        )
-
 
 # ---------------------------------------------------------------------------
 # polygon geometry on raw coordinate arrays

@@ -1,23 +1,28 @@
 """Lowest-order virtual element operators and global assembly.
 
 Each polygonal cell carries one degree of freedom per vertex.  The local
-energy projector maps a virtual function onto affine polynomials expressed in
-the scaled monomial basis {1, (x - x_c)/h, (y - y_c)/h} centered at the cell
-centroid.  Every operator has a closed form in the coordinates (x, y) of the
-vertices relative to their mean.  The projected gradient of vertex basis
-function i is the boundary integral of its piecewise-linear trace (trapezoid
-rule, exact for affine test polynomials) over the area |E|,
+energy projector maps a virtual function onto affine polynomials.  Every
+operator has a closed form in the coordinates (x, y) of the vertices
+relative to their mean.  The projected gradient of vertex basis function i is
+the boundary integral of its piecewise-linear trace (trapezoid rule, exact
+for affine test polynomials) over the area |E|,
 
     gx_i = (y_{i+1} - y_{i-1}) / (2 |E|),    gy_i = (x_{i-1} - x_{i+1}) / (2 |E|),
 
 and the constant is fixed by matching the vertex average, so the projection
-of the basis functions, evaluated at the vertices, is 1/n + x gx^T + y gy^T.
+of a dof vector w, evaluated at the vertices, is mean(w) + x (gx.w) + y (gy.w)
+and its complement is
+
+    C w = w - mean(w) - x (gx.w) - y (gy.w).
+
 The local bilinear form is the exact affine consistency part
 |E| (gx gx^T + gy gy^T) plus the plain euclidean (dofi-dofi) stabilization
-C^T C of the projection complement C = I - (1/n + x gx^T + y gy^T).
+C^T C.  On a triangle every vertex function is affine, so C is zero in exact
+arithmetic and neither the stiffness nor the indicator gets a stabilization
+term there.
 
-Local operators are computed for whole groups of equal-size cells at once;
-``local_operators`` is the one-cell group of the same code path.
+Cells are handled in groups of equal vertex count; a group keeps only its
+geometry and gradients, and the stiffness is built from them during assembly.
 """
 
 from __future__ import annotations
@@ -33,79 +38,71 @@ from .mesh import MeshError, PolygonalMesh, cell_groups, polygon_geometry
 __all__ = [
     "CellGroup",
     "GlobalSystem",
-    "local_operators",
     "assemble",
-    "project_solution",
-    "projected_gradients",
+    "project",
     "dump_matrix",
 ]
 
 
 @dataclass(frozen=True)
 class CellGroup:
-    """Stacked local data of all cells sharing one vertex count."""
+    """Per-cell arrays of all cells sharing one vertex count n."""
 
-    ids: np.ndarray            # (m,) cell indices
-    dofs: np.ndarray           # (m, n) vertex/dof indices
-    projector: np.ndarray      # (m, 3, n)
-    consistency: np.ndarray    # (m, n, n)
-    stabilization: np.ndarray  # (m, n, n)
-    stiffness: np.ndarray      # (m, n, n)
-    diameter: np.ndarray       # (m,)
-    centroid: np.ndarray       # (m, 2)
-    area: np.ndarray           # (m,)
+    ids: np.ndarray       # (m,) cell indices
+    dofs: np.ndarray      # (m, n) vertex/dof indices
+    x: np.ndarray         # (m, n) vertex coordinates relative to their mean
+    y: np.ndarray         # (m, n)
+    gx: np.ndarray        # (m, n) projected gradient of each basis function
+    gy: np.ndarray        # (m, n)
+    area: np.ndarray      # (m,)
+    diameter: np.ndarray  # (m,)
 
 
-def _group_operators(pts: np.ndarray, dofs: np.ndarray, ids: np.ndarray) -> CellGroup:
-    """Local operators of a stack of same-size cells, pts of shape (m, n, 2)."""
-    n = pts.shape[1]
-    origin, local, area, centroid, h, _ = polygon_geometry(pts)
+def _cell_group(pts: np.ndarray, dofs: np.ndarray, ids: np.ndarray) -> CellGroup:
+    """Geometry and projected gradients of a stack of same-size cells, pts of
+    shape (m, n, 2)."""
+    _, local, area, _, h, _ = polygon_geometry(pts)
     if not np.all(area > 0.0):
         bad = int(ids[np.nonzero(~(area > 0.0))[0][0]])
         raise MeshError(f"cell {bad} has non-positive area (degenerate or clockwise cycle)")
     x = local[..., 0]
     y = local[..., 1]
-
-    # gradient of the projection of each basis function (trapezoid rule over
-    # the P1 trace, exact for affine test functions)
     two_area = 2.0 * area[:, None]
     gx = (np.roll(y, -1, axis=1) - np.roll(y, 1, axis=1)) / two_area
     gy = (np.roll(x, 1, axis=1) - np.roll(x, -1, axis=1)) / two_area
-
-    projector = np.empty((len(pts), 3, n))
-    projector[:, 0] = 1.0 / n + gx * centroid[:, :1] + gy * centroid[:, 1:]
-    projector[:, 1] = h[:, None] * gx
-    projector[:, 2] = h[:, None] * gy
-
-    consistency = area[:, None, None] * (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
-
-    # I - (projection evaluated at the vertices), whose Gram matrix is the
-    # dofi-dofi stabilization
-    complement = np.eye(n) - (1.0 / n + x[:, :, None] * gx[:, None, :] + y[:, :, None] * gy[:, None, :])
-    stabilization = complement.transpose(0, 2, 1) @ complement
-
-    return CellGroup(
-        ids=ids,
-        dofs=dofs,
-        projector=projector,
-        consistency=consistency,
-        stabilization=stabilization,
-        stiffness=consistency + stabilization,
-        diameter=h,
-        centroid=centroid + origin,
-        area=area,
-    )
+    return CellGroup(ids=ids, dofs=dofs, x=x, y=y, gx=gx, gy=gy, area=area, diameter=h)
 
 
-def local_operators(points: np.ndarray) -> CellGroup:
-    """The one-cell :class:`CellGroup` of a ccw vertex cycle (n, 2)."""
-    pts = np.asarray(points, dtype=float)
-    return _group_operators(pts[None], np.arange(len(pts))[None], np.zeros(1, dtype=int))
+def _stiffness(group: CellGroup) -> np.ndarray:
+    """Local stiffness matrices (m, n, n) of a group: the consistency part,
+    plus the stabilization C^T C on cells with more than three vertices."""
+    gx, gy = group.gx, group.gy
+    consistency = group.area[:, None, None] * (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
+    n = gx.shape[1]
+    if n == 3:
+        return consistency
+    complement = np.eye(n) - (1.0 / n + group.x[:, :, None] * gx[:, None, :] + group.y[:, :, None] * gy[:, None, :])
+    return consistency + complement.transpose(0, 2, 1) @ complement
+
+
+def _project_group(group: CellGroup, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projected gradients (m, 2) and ``|C w|^2`` (m,) of the vertex values
+    ``local`` (m, n) of a group's cells; ``|C w|^2`` is 0 on triangles."""
+    gxw = np.einsum("mi,mi->m", group.gx, local)
+    gyw = np.einsum("mi,mi->m", group.gy, local)
+    theta2 = np.zeros(len(local))
+    if local.shape[1] > 3:
+        # subtracting the mean last also removes the offset that the rounded
+        # vertex mean leaves in x and y
+        rest = local - group.x * gxw[:, None] - group.y * gyw[:, None]
+        complement = rest - rest.mean(axis=1, keepdims=True)
+        theta2 = np.einsum("mi,mi->m", complement, complement)
+    return np.column_stack([gxw, gyw]), theta2
 
 
 @dataclass(frozen=True)
 class GlobalSystem:
-    """Assembled stiffness/boundary-mass pair plus the grouped cell operators.
+    """Assembled stiffness/boundary-mass pair plus the grouped cell data.
 
     Dofs are the mesh vertices; ``gamma0_dofs`` lists those on the spectral
     boundary.
@@ -138,12 +135,12 @@ def assemble(mesh: PolygonalMesh) -> GlobalSystem:
     for ids, index in cell_groups(mesh.cell_ptr):
         size = index.shape[1]
         dofs = mesh.cell_vertices[index]
-        group = _group_operators(mesh.vertices[dofs], dofs, ids)
+        group = _cell_group(mesh.vertices[dofs], dofs, ids)
         groups.append(group)
         diameters[ids] = group.diameter
         rows.append(np.repeat(dofs, size, axis=1).ravel())
         cols.append(np.tile(dofs, (1, size)).ravel())
-        data.append(group.stiffness.ravel())
+        data.append(_stiffness(group).ravel())
     stiffness = sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
@@ -170,20 +167,18 @@ def assemble(mesh: PolygonalMesh) -> GlobalSystem:
     )
 
 
-def project_solution(system: GlobalSystem, w: np.ndarray) -> np.ndarray:
-    """Per-cell affine coefficients (n_cells, 3) of the projected dof vector."""
+def project(system: GlobalSystem, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projected gradient ``(gx.w, gy.w)`` of a dof vector on every cell
+    (n_cells, 2) and the squared norm ``theta2 = |C w|^2`` (n_cells,) of its
+    projection complement at the cell's vertices, exactly 0 on triangles."""
     w = np.asarray(w, dtype=float)
     if w.shape != (system.n_dofs,):
         raise ValueError(f"dof vector must have length {system.n_dofs}")
-    coeffs = np.empty((system.mesh.n_cells, 3))
+    gradients = np.empty((system.mesh.n_cells, 2))
+    theta2 = np.empty(system.mesh.n_cells)
     for group in system.groups:
-        coeffs[group.ids] = np.einsum("mij,mj->mi", group.projector, w[group.dofs])
-    return coeffs
-
-
-def projected_gradients(system: GlobalSystem, coeffs: np.ndarray) -> np.ndarray:
-    """Constant gradient (n_cells, 2) of each cell's projected affine function."""
-    return coeffs[:, 1:] / system.diameters[:, None]
+        gradients[group.ids], theta2[group.ids] = _project_group(group, w[group.dofs])
+    return gradients, theta2
 
 
 def dump_matrix(matrix: sp.spmatrix, path: str | Path) -> None:

@@ -9,6 +9,7 @@ numbering, cycles and tags), which the properties in ``test_properties.py``
 check over random mark sequences.  The oracle keeps its own per-cell
 ``polygon_centroid`` (the package's former helper), so the centroids it
 checks against do not come from the vectorized geometry kernel.
+``structurally_equal`` is the mesh comparison the tests share.
 """
 
 from __future__ import annotations
@@ -20,6 +21,14 @@ import numpy as np
 
 from steklov.adaptivity import MarkSet
 from steklov.mesh import TAGS, BoundaryTag, MeshError, PolygonalMesh, build_topology
+
+
+def structurally_equal(mesh: PolygonalMesh, other: PolygonalMesh) -> bool:
+    """Same vertices, cycles, edge endpoints and tags."""
+    return all(
+        np.array_equal(getattr(mesh, name), getattr(other, name))
+        for name in ("vertices", "cell_ptr", "cell_vertices", "edge_a", "edge_b", "edge_tag")
+    )
 
 
 def polygon_centroid(points: np.ndarray) -> np.ndarray:

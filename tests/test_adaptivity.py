@@ -21,6 +21,8 @@ from steklov.mesh import (
     quality_report,
 )
 
+from refine_oracle import structurally_equal
+
 
 def top_edge_rule(pa, pb):
     if abs(pa[1] - 1.0) < 1e-12 and abs(pb[1] - 1.0) < 1e-12:
@@ -69,6 +71,23 @@ def test_mark_all_zero_warns_and_returns_empty():
     with pytest.warns(UserWarning, match="nothing to mark"):
         ms = mark(inds)
     assert ms.cells == ()
+
+
+@pytest.mark.parametrize(
+    "inds, cell",
+    [
+        ([1.0, np.nan, 0.3], 1),
+        ([-1.0, 0.5], 0),
+        ([0.5, 2.0, np.inf, np.nan], 2),
+        ([0.0, 0.0, -np.inf], 2),
+        ([0.2, -1e-300], 1),
+    ],
+)
+def test_mark_rejects_invalid_indicators(inds, cell):
+    # a NaN or negative indicator used to give an empty mark set with a NaN
+    # threshold, so the loop refined nothing and went on
+    with pytest.raises(ValueError, match=f"cell {cell} has an invalid indicator"):
+        mark(inds)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +167,14 @@ def test_refine_vem_deterministic():
     mesh = initial_mesh("square")
     a, _ = refine_vem(mesh, [3, 5, 11])
     b, _ = refine_vem(mesh, [3, 5, 11])
-    assert a.structurally_equal(b)
+    assert structurally_equal(a, b)
 
 
 def test_refine_vem_accepts_markset():
     mesh = initial_mesh("square")
     via_set, _ = refine_vem(mesh, MarkSet(cells=(2, 4), threshold=0.5))
     via_list, _ = refine_vem(mesh, [2, 4])
-    assert via_set.structurally_equal(via_list)
+    assert structurally_equal(via_set, via_list)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +206,7 @@ def test_refine_fem_closure_keeps_mesh_conforming():
     # build_topology unchanged, and every cell stays a triangle
     assert all(len(c) == 3 for c in refined.cycles())
     rebuilt = build_topology(refined.vertices, refined.cycles(), top_edge_rule)
-    assert rebuilt.structurally_equal(refined)
+    assert structurally_equal(rebuilt, refined)
     assert all(np.array_equal(getattr(rebuilt, name), getattr(refined, name))
                for name in ("cell_edges", "edge_left", "edge_right"))
     assert refined.n_cells > mesh.n_cells

@@ -10,7 +10,6 @@ from steklov.eigensolver import (
     EigensolverError,
     SolverOptions,
     SpectralPair,
-    dense_reference_solve,
     normalize_pair,
     residual_norm,
     solve_smallest_positive,
@@ -20,7 +19,7 @@ from steklov.mesh import BoundaryTag, build_topology
 from steklov.vem import assemble
 
 from fem_oracle import boundary_mass as oracle_boundary_mass
-from fem_oracle import dense_steklov_solve
+from fem_oracle import dense_reference_solve, dense_steklov_solve
 from fem_oracle import p1_stiffness as oracle_stiffness
 
 

@@ -27,17 +27,20 @@ eigenvalue (``lambda -> lambda / s`` when the domain is scaled by ``s``,
 invariance under a translation far from the origin, and under a random
 renumbering of the vertices, reordering of the cells and choice of each
 cycle's first vertex), and check that ``normalize_pair`` is idempotent on
-random vectors.  A solve started from the coarse eigenvector, carried to
-the refined mesh by ``prolong``, must return the cold solve's eigenvalue,
+random vectors.  Under newest-vertex bisection the P1 eigenvalue never
+rises and stays above the square's exact value (min-max principle on nested
+conforming spaces).  A solve started from the coarse eigenvector, carried
+to the refined mesh by ``prolong``, must return the cold solve's eigenvalue,
 and ``prolong`` must keep every coarse value and fill every new vertex with
 a mean of them.
 
 The cell-level properties draw random star-shaped polygons at random scale
-and far from the origin: the one-cell operators of ``local_operators``
-reproduce affine functions, their stiffness has exactly the constants as
-kernel and their stabilization is positive semidefinite; the closed-form
-operators of a group of such cells match the batched-solve routine kept in
-``vem_oracle`` to round-off; and the geometry
+and far from the origin: the package's kernels reproduce the gradient of
+affine functions and give them a zero projection complement, the stiffness
+has exactly the constants as kernel; the closed-form kernels of a group of
+such cells match the batched-solve routine kept in ``vem_oracle`` to
+round-off; ``theta2 = |C w|^2`` of ``w = affine + eps v`` on tiny cells far
+from the origin is ``eps^2 |C v|^2`` down to ``eps = 1e-10``; and the geometry
 kernel ``polygon_geometry`` agrees with the oracle's per-cell centroid, a
 fan-triangle area and a brute-force pairwise diameter.  A last property
 round-trips refined meshes through ``save_mesh``/``load_mesh``.
@@ -53,16 +56,11 @@ from hypothesis import strategies as st
 import refine_oracle as oracle
 import vem_oracle
 from steklov.adaptivity import normalize_refinement_edges, prolong, refine_fem, refine_uniform, refine_vem
-from steklov.eigensolver import (
-    SolverOptions,
-    SpectralPair,
-    dense_reference_solve,
-    normalize_pair,
-    solve_smallest_positive,
-)
-from steklov.experiments import initial_mesh
+from fem_oracle import dense_reference_solve
+from steklov.eigensolver import SolverOptions, SpectralPair, normalize_pair, solve_smallest_positive
+from steklov.experiments import exact_eigenvalue_square, initial_mesh
 from steklov.mesh import TAGS, build_topology, load_mesh, polygon_geometry, save_mesh
-from steklov.vem import _group_operators, assemble, local_operators
+from steklov.vem import _cell_group, _project_group, _stiffness, assemble
 
 SETTINGS = settings(max_examples=20, deadline=5000, derandomize=True, database=None)
 
@@ -176,7 +174,7 @@ def test_refine_fem_invariants(name, steps, data):
 
 def identical(mesh, expected):
     """Same vertices, cycles, numbering, orientation and tags."""
-    return mesh.structurally_equal(expected) and all(
+    return oracle.structurally_equal(mesh, expected) and all(
         np.array_equal(getattr(mesh, name), getattr(expected, name))
         for name in ("edge_left", "edge_right", "cell_edges")
     )
@@ -394,6 +392,22 @@ def test_eigenvalue_is_invariant_under_relabelling(name, fem, steps, seed, data)
     assert abs(smallest(shuffled, 1)[0] - value) <= 1e-10 * value
 
 
+@SETTINGS
+@given(name=st.sampled_from(sorted(INITIAL)), steps=st.integers(1, 4), data=st.data())
+def test_fem_eigenvalue_never_rises_under_bisection(name, steps, data):
+    # bisection nests the P1 spaces, so by the min-max principle lambda_h
+    # cannot rise, and conforming P1 approximates the square's pi tanh(pi)
+    # from above; the VEM spaces of refine_vem are not nested
+    mesh = INITIAL[name]
+    values = [smallest(mesh, 1)[0]]
+    for _ in range(steps):
+        mesh = refine_fem(mesh, marks_for(data, mesh))
+        values.append(smallest(mesh, 1)[0])
+    assert np.all(np.diff(values) <= 1e-12 * values[0])
+    if name == "square":
+        assert values[-1] >= exact_eigenvalue_square()
+
+
 def refined_pair(name, fem, steps, data):
     """A random refinement sequence: the last coarse mesh and its refinement."""
     mesh = INITIAL[name]
@@ -465,15 +479,23 @@ def test_normalize_pair_is_idempotent_on_random_vectors(which, seed, magnitude):
 
 
 @st.composite
-def star_polygons(draw):
+def star_polygons(draw, tiny_and_far=False):
     """(points, center, scale): a ccw polygon of 3-12 vertices, star-shaped
     about ``center``, with one vertex per angular sector (so consecutive
-    vertices are less than pi apart as seen from the center)."""
+    vertices are less than pi apart as seen from the center).  A random
+    scale and a center at up to 1e3 scales from the origin; with
+    ``tiny_and_far``, a scale of 1e-4 to 1e-2 and a center 1e2 to 1e3 from
+    the origin in each coordinate."""
     n = draw(st.integers(3, 12), label="n")
     jitter = np.array(draw(st.lists(st.floats(0.0, 0.45), min_size=n, max_size=n), label="jitter"))
     radii = np.array(draw(st.lists(st.floats(0.3, 1.5), min_size=n, max_size=n), label="radii"))
-    scale = 10.0 ** draw(st.floats(-3.0, 3.0), label="log_scale")
-    center = scale * np.array(draw(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), label="offset"))
+    if tiny_and_far:
+        scale = 10.0 ** draw(st.floats(-4.0, -2.0), label="log_scale")
+        far = st.floats(1e2, 1e3).flatmap(lambda r: st.sampled_from([-r, r]))
+        center = np.array(draw(st.tuples(far, far), label="center"))
+    else:
+        scale = 10.0 ** draw(st.floats(-3.0, 3.0), label="log_scale")
+        center = scale * np.array(draw(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), label="offset"))
     angles = 2.0 * np.pi * (np.arange(n) + jitter) / n
     points = center + scale * np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
     return points, center, scale
@@ -484,42 +506,72 @@ def star_polygons(draw):
 def test_local_operators_on_random_star_polygons(polygon, coeffs):
     pts, center, scale = polygon
     n = len(pts)
-    ops = local_operators(pts)
+    ops = vem_oracle.local_operators(pts)
     a, b, c = coeffs
-    # an affine function in coordinates centred and scaled with the cell
+    # an affine function in coordinates centred and scaled with the cell:
+    # its gradient in those coordinates is (b, c) and its complement is zero
     w = a + (b * (pts[:, 0] - center[0]) + c * (pts[:, 1] - center[1])) / scale
-    shift = (ops.centroid[0] - center) / scale
-    h = ops.diameter[0] / scale
-    expected = [a + b * shift[0] + c * shift[1], b * h, c * h]
-    assert np.allclose(ops.projector[0] @ w, expected, rtol=0.0, atol=1e-10)
-    assert np.allclose(ops.stabilization[0] @ w, 0.0, atol=1e-10)
+    gradient, theta2 = ops.project(w)
+    assert np.allclose(scale * gradient, [b, c], rtol=0.0, atol=1e-10)
+    assert np.sqrt(theta2) <= 1e-10
 
-    stiffness = ops.stiffness[0]
+    stiffness = ops.stiffness
     eig = np.linalg.eigvalsh(stiffness)
     assert np.max(np.abs(stiffness @ np.ones(n))) <= 1e-12 * eig[-1]
+    assert eig[0] >= -1e-12 * eig[-1]
     assert eig[1] > 1e-6 * eig[-1]  # nothing but the constants in the kernel
-    assert np.linalg.eigvalsh(ops.stabilization[0]).min() >= -1e-12 * eig[-1]
 
 
 @SETTINGS
-@given(polygons=st.lists(star_polygons(), min_size=1, max_size=4), n=st.integers(3, 12))
-def test_closed_form_operators_match_the_batched_solve(polygons, n):
+@given(polygons=st.lists(star_polygons(), min_size=1, max_size=4), n=st.integers(3, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_form_operators_match_the_batched_solve(polygons, n, seed):
     # a group of same-size cells: each drawn polygon resampled to n vertices
     pts = np.stack([p[np.linspace(0, len(p), n, endpoint=False).astype(int)] for p, _, _ in polygons])
-    dofs = np.arange(pts.shape[0] * n).reshape(-1, n)
-    ids = np.arange(pts.shape[0])
-    ops = _group_operators(pts, dofs, ids)
-    expected = vem_oracle._group_operators(pts, dofs, ids)
-    # measured against each cell's largest entry of the projector or the
-    # stiffness (a triangle's stabilization is zero up to round-off)
-    for field in ("projector", "consistency", "stabilization", "stiffness"):
-        got, want = getattr(ops, field), getattr(expected, field)
-        scale = expected.projector if field == "projector" else expected.stiffness
-        largest = np.max(np.abs(scale), axis=(1, 2), keepdims=True)
-        assert np.all(np.abs(got - want) <= 1e-12 * largest), field
-    for field in ("diameter", "centroid", "area"):
-        assert np.array_equal(getattr(ops, field), getattr(expected, field))
-    assert np.array_equal(ops.stiffness, ops.stiffness.transpose(0, 2, 1))
+    m = len(pts)
+    group = _cell_group(pts, np.arange(m * n).reshape(-1, n), np.arange(m))
+    expected = vem_oracle.batched_solve(pts)
+    for field in ("diameter", "area"):
+        assert np.array_equal(getattr(group, field), getattr(expected, field))
+
+    # the stiffness, measured against each cell's largest entry (a
+    # triangle's oracle stabilization is zero up to round-off)
+    stiffness = _stiffness(group)
+    largest = np.max(np.abs(expected.stiffness), axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(stiffness - expected.stiffness) <= 1e-12 * largest)
+    assert np.array_equal(stiffness, stiffness.transpose(0, 2, 1))
+
+    # gradients and complement norms of random vertex values: the oracle's
+    # scaled-monomial projector holds diameter * gradient in rows 1-2
+    w = np.random.default_rng(seed).standard_normal((m, n))
+    gradient, theta2 = _project_group(group, w)
+    want = np.einsum("mkj,mj->mk", expected.projector[:, 1:], w) / expected.diameter[:, None]
+    size = np.max(np.abs(expected.projector[:, 1:]), axis=(1, 2)) / expected.diameter
+    assert np.all(np.abs(gradient - want) <= 1e-12 * size[:, None] * np.abs(w).sum(axis=1)[:, None])
+    complement = np.einsum("mij,mj->mi", expected.complement, w)
+    bound = (1.0 + np.sum(expected.complement**2, axis=(1, 2))) * np.sum(w * w, axis=1)
+    assert np.all(np.abs(theta2 - np.sum(complement**2, axis=1)) <= 1e-12 * bound)
+
+
+@SETTINGS
+@given(polygon=star_polygons(tiny_and_far=True), coeffs=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_theta2_scales_with_the_square_of_the_non_affine_part(polygon, coeffs, seed):
+    # theta2 = |C w|^2 with C zero on affine functions, so for w = affine +
+    # eps v it is eps^2 |C v|^2 exactly; the cancelling form w^T (C^T C) w
+    # lost that on tiny cells far from the origin, down to negative values
+    pts, center, scale = polygon
+    ops = vem_oracle.local_operators(pts)
+    a, b, c = coeffs
+    affine = a + (b * (pts[:, 0] - center[0]) + c * (pts[:, 1] - center[1])) / scale
+    v = np.random.default_rng(seed).standard_normal(len(pts))
+    theta2 = np.array([ops.project(affine + eps * v)[1] for eps in (1e-2, 1e-6, 1e-10)])
+    if len(pts) == 3:
+        assert np.all(theta2 == 0.0)
+        return
+    assert np.all(theta2 >= 0.0)
+    ratio = theta2 / np.array([1e-2, 1e-6, 1e-10]) ** 2
+    assert np.all(np.abs(ratio - ratio[0]) <= 1e-2 * ratio[0])
 
 
 @SETTINGS

@@ -1,20 +1,15 @@
-"""Virtual element operators: projector, stiffness, assembly, projections."""
+"""Virtual element operators: gradients, complement, stiffness, assembly."""
 
 import numpy as np
 import pytest
 
 from steklov.experiments import initial_mesh
 from steklov.mesh import MeshError
-from steklov.vem import (
-    assemble,
-    dump_matrix,
-    local_operators,
-    project_solution,
-    projected_gradients,
-)
+from steklov.vem import _stiffness, assemble, dump_matrix, project
 
 from fem_oracle import boundary_mass as oracle_boundary_mass
 from fem_oracle import p1_stiffness as oracle_stiffness
+from vem_oracle import local_operators
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 REFERENCE_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -29,15 +24,16 @@ def random_star_polygon(rng, n):
 
 def test_reference_triangle_matches_p1_stiffness():
     ops = local_operators(REFERENCE_TRIANGLE)
-    assert ops.ids.tolist() == [0] and ops.dofs.tolist() == [[0, 1, 2]]
+    assert ops.group.ids.tolist() == [0] and ops.group.dofs.tolist() == [[0, 1, 2]]
     expected = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
-    # on triangles the virtual space is plain P1: consistency equals the FEM
-    # matrix and the stabilization sees a zero projection complement
-    assert np.allclose(ops.consistency[0], expected, atol=1e-14)
-    assert np.allclose(ops.stabilization[0], 0.0, atol=1e-13)
-    assert np.allclose(ops.stiffness[0], expected, atol=1e-13)
-    assert abs(ops.area[0] - 0.5) < 1e-15
-    assert abs(ops.diameter[0] - np.sqrt(2.0)) < 1e-15
+    # on triangles the virtual space is plain P1: the stiffness is the FEM
+    # matrix and the projection complement is zero
+    assert np.allclose(ops.stiffness, expected, atol=1e-14)
+    gradient, theta2 = ops.project([0.3, -1.0, 2.0])
+    assert np.allclose(gradient, [-1.3, 1.7], atol=1e-14)
+    assert theta2 == 0.0
+    assert abs(ops.group.area[0] - 0.5) < 1e-15
+    assert abs(ops.group.diameter[0] - np.sqrt(2.0)) < 1e-15
 
 
 def test_triangle_stiffness_equals_fem_for_random_triangles():
@@ -49,7 +45,8 @@ def test_triangle_stiffness_equals_fem_for_random_triangles():
             continue
         ops = local_operators(tri)
         fem = oracle_stiffness(tri, np.array([[0, 1, 2]]))
-        assert np.allclose(ops.stiffness[0], fem, atol=1e-12)
+        assert np.allclose(ops.stiffness, fem, atol=1e-12)
+        assert ops.project(rng.standard_normal(3))[1] == 0.0
 
 
 def test_unit_square_operators_match_hand_construction():
@@ -78,11 +75,14 @@ def test_unit_square_operators_match_hand_construction():
     S = (np.eye(n) - D @ P).T @ (np.eye(n) - D @ P)
 
     ops = local_operators(pts)
-    assert np.allclose(ops.projector[0], P, atol=1e-14)
-    assert np.allclose(ops.consistency[0], 0.5 * (Kc + Kc.T), atol=1e-14)
-    assert np.allclose(ops.stabilization[0], 0.5 * (S + S.T), atol=1e-14)
-    assert np.allclose(ops.stiffness[0], ops.consistency[0] + ops.stabilization[0], atol=1e-15)
-    assert abs(ops.area[0] - 1.0) < 1e-15
+    assert np.allclose(ops.stiffness, 0.5 * (Kc + Kc.T) + 0.5 * (S + S.T), atol=1e-14)
+    # the gradient is the scaled projector's monomial part, theta2 the
+    # stabilization energy
+    for w in np.random.default_rng(1).standard_normal((5, n)):
+        gradient, theta2 = ops.project(w)
+        assert np.allclose(gradient, P[1:] @ w / h, atol=1e-14)
+        assert abs(theta2 - w @ S @ w) <= 1e-14 * (w @ w)
+    assert abs(ops.group.area[0] - 1.0) < 1e-15
 
 
 def test_projector_reproduces_affine_functions():
@@ -93,18 +93,11 @@ def test_projector_reproduces_affine_functions():
         for _ in range(5):
             a, b, c = rng.uniform(-2.0, 2.0, 3)
             w = a + b * pts[:, 0] + c * pts[:, 1]
-            coeffs = ops.projector[0] @ w
-            expected = np.array(
-                [
-                    a + b * ops.centroid[0][0] + c * ops.centroid[0][1],
-                    b * ops.diameter[0],
-                    c * ops.diameter[0],
-                ]
-            )
-            assert np.allclose(coeffs, expected, atol=1e-13)
+            gradient, theta2 = ops.project(w)
+            assert np.allclose(gradient, [b, c], atol=1e-13)
             # the projection complement vanishes on affine data, so the
             # stabilization adds nothing there
-            assert np.allclose(ops.stabilization[0] @ w, 0.0, atol=1e-13)
+            assert np.sqrt(theta2) <= 1e-13
 
 
 def test_constants_in_stiffness_kernel():
@@ -112,10 +105,10 @@ def test_constants_in_stiffness_kernel():
     for n in (3, 4, 7):
         pts = random_star_polygon(rng, n)
         ops = local_operators(pts)
-        assert np.allclose(ops.stiffness[0] @ np.ones(n), 0.0, atol=1e-13)
+        assert np.allclose(ops.stiffness @ np.ones(n), 0.0, atol=1e-13)
         # symmetry and positive semidefiniteness
-        assert np.allclose(ops.stiffness[0], ops.stiffness[0].T, atol=1e-14)
-        assert np.linalg.eigvalsh(ops.stiffness[0]).min() > -1e-12
+        assert np.allclose(ops.stiffness, ops.stiffness.T, atol=1e-14)
+        assert np.linalg.eigvalsh(ops.stiffness).min() > -1e-12
 
 
 def test_degenerate_cell_raises():
@@ -161,23 +154,22 @@ def test_global_stiffness_invariants():
 def test_batched_groups_match_single_cell_path_bitwise():
     from steklov.adaptivity import refine_vem
 
-    mesh = initial_mesh("square")
-    system = assemble(mesh)
     # refine a few cells so the mesh mixes triangles, quads and pentagons
-    mesh, _ = refine_vem(mesh, [0, 3, 7])
+    mesh, _ = refine_vem(initial_mesh("square"), [0, 3, 7])
     system = assemble(mesh)
     assert len(system.groups) > 1
     seen = []
     for group in system.groups:
+        stiffness = _stiffness(group)
         for k, cid in enumerate(group.ids):
             seen.append(cid)
             single = local_operators(mesh.vertices[mesh.cell(cid)])
             assert np.array_equal(group.dofs[k], mesh.cell(cid))
-            assert np.array_equal(single.projector[0], group.projector[k])
-            assert np.array_equal(single.stiffness[0], group.stiffness[k])
-            assert single.diameter[0] == group.diameter[k] == system.diameters[cid]
-            assert np.array_equal(single.centroid[0], group.centroid[k])
-            assert single.area[0] == group.area[k]
+            for field in ("x", "y", "gx", "gy"):
+                assert np.array_equal(getattr(single.group, field)[0], getattr(group, field)[k]), field
+            assert np.array_equal(single.stiffness, stiffness[k])
+            assert single.group.diameter[0] == group.diameter[k] == system.diameters[cid]
+            assert single.group.area[0] == group.area[k]
     assert sorted(seen) == list(range(mesh.n_cells))
 
 
@@ -188,23 +180,19 @@ def test_projection_pipeline_exact_for_affine_fields():
     system = assemble(mesh)
     a, b, c = 0.7, -1.3, 2.1
     w = a + b * mesh.vertices[:, 0] + c * mesh.vertices[:, 1]
-    coeffs = project_solution(system, w)
-    grads = projected_gradients(system, coeffs)
+    grads, theta2 = project(system, w)
     assert np.allclose(grads, [[b, c]] * mesh.n_cells, atol=1e-12)
-    # each cell's projection, evaluated away from the cell, is the field itself
-    rng = np.random.default_rng(2)
-    for group in system.groups:
-        pts = rng.uniform(0.0, 1.0, size=(len(group.ids), 4, 2))
-        scaled = (pts - group.centroid[:, None, :]) / group.diameter[:, None, None]
-        s = coeffs[group.ids]
-        vals = s[:, None, 0] + np.einsum("mpk,mk->mp", scaled, s[:, 1:])
-        assert np.allclose(vals, a + b * pts[..., 0] + c * pts[..., 1], atol=1e-12)
+    assert np.all(np.sqrt(theta2) <= 1e-12)
+    # on triangles theta2 is not small but exactly zero, for any dof vector
+    _, theta2 = project(system, np.random.default_rng(2).standard_normal(system.n_dofs))
+    sizes = np.diff(mesh.cell_ptr)
+    assert np.all(theta2[sizes == 3] == 0.0) and np.all(theta2[sizes > 3] > 0.0)
 
 
-def test_project_solution_validates_length():
+def test_project_validates_length():
     system = assemble(initial_mesh("square"))
     with pytest.raises(ValueError, match="dof vector"):
-        project_solution(system, np.zeros(3))
+        project(system, np.zeros(3))
 
 
 def test_dump_matrix_round_trip(tmp_path):

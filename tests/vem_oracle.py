@@ -1,29 +1,49 @@
-"""Batched-solve reference implementation of the VEM cell operators.
+"""Reference implementations of the VEM cell operators, and a one-cell view
+of the package's kernels.
 
-This is the group-operator routine the package used before the operators
-were written in closed form: it builds the dof matrix D of the scaled
-monomials at the vertices and the projector equations B, solves G = B D for
-the projector, takes the consistency part from the gradient block of G and
-the stabilization from I - D Pi, and symmetrizes both.  The closed-form
-operators of ``steklov.vem`` must agree with it to round-off, which the
-properties in ``test_properties.py`` check on random star-shaped polygons.
+``batched_solve`` is the group-operator routine the package used before the
+operators were written in closed form: it builds the dof matrix D of the
+scaled monomials at the vertices and the projector equations B, solves
+G = B D for the projector, takes the consistency part from the gradient
+block of G and the stabilization from the complement I - D Pi, and
+symmetrizes both.  The closed-form kernels of ``steklov.vem`` must agree with
+it to round-off, which the properties in ``test_properties.py`` check on
+random star-shaped polygons.
+
+``local_operators`` runs the package's own kernels on a single vertex cycle,
+for tests that look at one cell at a time.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from steklov import vem
 from steklov.mesh import MeshError, polygon_geometry
-from steklov.vem import CellGroup
 
 
-def _group_operators(pts: np.ndarray, dofs: np.ndarray, ids: np.ndarray) -> CellGroup:
+@dataclass(frozen=True)
+class OracleOperators:
+    """Dense local operators of a stack of m same-size cells."""
+
+    projector: np.ndarray      # (m, 3, n) scaled-monomial coefficients
+    complement: np.ndarray     # (m, n, n) I - D Pi
+    consistency: np.ndarray    # (m, n, n)
+    stabilization: np.ndarray  # (m, n, n)
+    stiffness: np.ndarray      # (m, n, n)
+    diameter: np.ndarray       # (m,)
+    centroid: np.ndarray       # (m, 2)
+    area: np.ndarray           # (m,)
+
+
+def batched_solve(pts: np.ndarray) -> OracleOperators:
     """Local operators of a stack of same-size cells, pts of shape (m, n, 2)."""
     m, n, _ = pts.shape
     origin, local, area, centroid, h, _ = polygon_geometry(pts)
     if not np.all(area > 0.0):
-        bad = int(ids[np.nonzero(~(area > 0.0))[0][0]])
-        raise MeshError(f"cell {bad} has non-positive area (degenerate or clockwise cycle)")
+        raise MeshError("non-positive area (degenerate or clockwise cycle)")
     x = local[..., 0]
     y = local[..., 1]
 
@@ -59,10 +79,9 @@ def _group_operators(pts: np.ndarray, dofs: np.ndarray, ids: np.ndarray) -> Cell
     stabilization = complement.transpose(0, 2, 1) @ complement
     stabilization = 0.5 * (stabilization + stabilization.transpose(0, 2, 1))
 
-    return CellGroup(
-        ids=ids,
-        dofs=dofs,
+    return OracleOperators(
         projector=projector,
+        complement=complement,
         consistency=consistency,
         stabilization=stabilization,
         stiffness=consistency + stabilization,
@@ -70,3 +89,22 @@ def _group_operators(pts: np.ndarray, dofs: np.ndarray, ids: np.ndarray) -> Cell
         centroid=centroid + origin,
         area=area,
     )
+
+
+@dataclass(frozen=True)
+class LocalOperators:
+    """The package's kernels on one ccw vertex cycle (n, 2)."""
+
+    group: vem.CellGroup   # the one-cell group, dofs 0..n-1
+    stiffness: np.ndarray  # (n, n)
+
+    def project(self, w: np.ndarray) -> tuple[np.ndarray, float]:
+        """Projected gradient (2,) and ``theta2 = |C w|^2`` of vertex values w."""
+        gradient, theta2 = vem._project_group(self.group, np.asarray(w, dtype=float)[None])
+        return gradient[0], float(theta2[0])
+
+
+def local_operators(points: np.ndarray) -> LocalOperators:
+    pts = np.asarray(points, dtype=float)
+    group = vem._cell_group(pts[None], np.arange(len(pts))[None], np.zeros(1, dtype=int))
+    return LocalOperators(group=group, stiffness=vem._stiffness(group)[0])
