@@ -40,8 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--steps", type=int, default=8)
     run.add_argument("--mark-frac", type=float, default=0.5,
                      help="marking threshold as a fraction of the peak indicator")
-    run.add_argument("--eigs", type=int, default=1,
-                     help="number of eigenpairs to compute (records track the first)")
     run.add_argument("--tol", type=float, default=1e-10)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out", required=True, help="output directory")
@@ -71,7 +69,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         method=args.method,
         steps=args.steps,
         mark_fraction=args.mark_frac,
-        count=args.eigs,
         tol=args.tol,
         seed=args.seed,
         reference=args.reference,

@@ -130,6 +130,8 @@ def solve_smallest_positive(
     """
     if options.count < 1:
         raise EigensolverError("count must be at least 1")
+    if not options.tol > 0.0:
+        raise EigensolverError(f"tol must be positive, got {options.tol:g}")
     n = system.n_dofs
     n_positive = len(system.gamma0_dofs) - 1
     if options.count > n_positive:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -54,9 +53,9 @@ METHODS = ("uniform-fem", "adaptive-fem", "adaptive-vem")
 RESULTS_HEADER = ["step", "N", "lambda_h", "error", "theta2", "jump2", "eta2", "effectivity"]
 
 # Reference eigenvalue of the notched benchmark: notched_reference_eigenvalue()
-# with its defaults (tol 1e-11, 150,000 target dofs, seed 0) at commit 4ff9280,
-# bit for bit, when every ladder solve started cold; the warm-started ladder
-# returns it to within 4e-13.  Call that function to recompute it.
+# at commit 4ff9280, bit for bit, when every ladder solve started cold (tol
+# 1e-11, seed 0, up to 150,000 dofs); the warm-started ladder returns
+# 3.100622662087519, 3.8e-13 below it.  Call that function to recompute it.
 NOTCHED_REFERENCE = 3.1006226620879023
 
 
@@ -138,22 +137,12 @@ class ExperimentConfig:
     method: str = "adaptive-vem"
     steps: int = 8
     mark_fraction: float = 0.5
-    count: int = 1
     tol: float = 1e-10
-    max_iterations: int = 500
     seed: int = 0
     reference: float | None = None
     out_dir: str | None = None
     dump_indicators: bool = False
     dump_matrices: bool = False
-
-    def solver_options(self) -> SolverOptions:
-        return SolverOptions(
-            count=self.count,
-            tol=self.tol,
-            max_iterations=self.max_iterations,
-            seed=self.seed,
-        )
 
 
 @dataclass(frozen=True)
@@ -166,7 +155,6 @@ class ConvergenceRecord:
     jump2: float
     eta2: float
     effectivity: float | None
-    wall_time: float
 
 
 @dataclass
@@ -224,41 +212,22 @@ def _extrapolate(n_dofs: np.ndarray, lambdas: np.ndarray) -> float:
     return best[1]
 
 
-@functools.lru_cache(maxsize=8)
-def notched_reference_eigenvalue(
-    tol: float = 1e-11,
-    seed: int = 0,
-    target_dofs: int = 150000,
-    max_steps: int = 40,
-) -> float:
+@functools.cache
+def notched_reference_eigenvalue() -> float:
     """Reference eigenvalue of the notched benchmark by fine-mesh extrapolation.
 
-    Runs an adaptive polygonal ladder until ``target_dofs`` and extrapolates
-    the eigenvalue sequence to N -> infinity.  Each solve after the first
-    starts from the previous eigenvector prolonged to the refined mesh, so
-    ``seed`` only picks the first start vector.  Deterministic and cached.
+    Runs the adaptive polygonal loop at solver tolerance 1e-11 and
+    extrapolates its eigenvalue sequence to N -> infinity.  Deterministic
+    and cached.
     """
-    mesh = initial_mesh("notched")
-    options = SolverOptions(count=1, tol=tol, seed=seed)
-    ns: list[float] = []
-    lams: list[float] = []
-    start = None
-    for _ in range(max_steps):
-        system = assemble(mesh)
-        pair = solve_smallest_positive(system, options, start=start)[0]
-        ns.append(system.n_dofs)
-        lams.append(pair.value)
-        if system.n_dofs >= target_dofs:
-            break
-        theta2, jump2 = element_indicators(system, pair)
-        marks = mark(theta2 + jump2, 0.5)
-        if not marks.cells:
-            break
-        fine, _ = refine_vem(mesh, marks)
-        start = prolong(mesh, fine, pair.vector)
-        mesh = fine
-    tail = max(6, len(ns) // 2)
-    return _extrapolate(np.array(ns[-tail:]), np.array(lams[-tail:]))
+    # the 18th solve is the first at or above 150,000 dofs (it has 181,036)
+    steps = 18
+    config = ExperimentConfig(test="notched", method="adaptive-vem", steps=steps, tol=1e-11)
+    records = run_experiment(config).records[-max(6, steps // 2):]
+    return _extrapolate(
+        np.array([r.n_dofs for r in records]),
+        np.array([r.lambda_h for r in records]),
+    )
 
 
 def _resolve_reference(config: ExperimentConfig) -> float | None:
@@ -288,10 +257,14 @@ def run_experiment(
         raise ValueError(f"unknown method {config.method!r}; expected one of {METHODS}")
     if config.steps < 1:
         raise ValueError("need at least one step")
+    if not 0.0 < config.mark_fraction <= 1.0:
+        raise ValueError(f"mark fraction must lie in (0, 1], got {config.mark_fraction}")
+    if not config.tol > 0.0:
+        raise ValueError(f"solver tolerance must be positive, got {config.tol}")
 
     reference = _resolve_reference(config)
     mesh = initial_mesh(config.test)
-    options = config.solver_options()
+    options = SolverOptions(tol=config.tol, seed=config.seed)
     out_dir = Path(config.out_dir) if config.out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -302,7 +275,6 @@ def run_experiment(
     start = None  # the previous eigenvector, prolonged to the current mesh
     try:
         for step in range(config.steps):
-            clock = time.perf_counter()
             system = assemble(mesh)
             pair = solve_smallest_positive(system, options, start=start)[0]
             theta2, jump2 = element_indicators(system, pair)
@@ -318,7 +290,6 @@ def run_experiment(
                 jump2=estimate.jump2_total,
                 eta2=estimate.eta2,
                 effectivity=estimate.effectivity,
-                wall_time=time.perf_counter() - clock,
             )
             result.records.append(record)
             if progress is not None:

@@ -15,6 +15,7 @@ from steklov.experiments import initial_mesh, read_results_csv
 from steklov.mesh import load_mesh, save_mesh
 
 from test_eigensolver import two_disconnected_squares
+from test_experiments import failing_second_solve
 
 
 def test_run_writes_outputs_and_progress(tmp_path, capsys):
@@ -136,11 +137,11 @@ def test_missing_file_is_reported_not_raised(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_solver_failure_maps_to_exit_code(tmp_path, capsys):
-    out = tmp_path / "fail"
-    code = main(["run", "--steps", "1", "--eigs", "99", "--out", str(out), "--quiet"])
+def test_solver_failure_maps_to_exit_code(tmp_path, capsys, monkeypatch):
+    failing_second_solve(monkeypatch)
+    code = main(["run", "--steps", "2", "--out", str(tmp_path / "fail"), "--quiet"])
     assert code == 1
-    assert "finite positive" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: no convergence")
 
 
 def test_disconnected_mesh_exits_with_message(tmp_path, capsys, monkeypatch):
@@ -153,6 +154,9 @@ def test_disconnected_mesh_exits_with_message(tmp_path, capsys, monkeypatch):
 def test_bad_arguments_exit_with_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["run", "--test", "cube", "--out", "/tmp/x"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--eigs", "2", "--out", "/tmp/x"])
     assert info.value.code == 2
     with pytest.raises(SystemExit):
         main([])

@@ -82,6 +82,9 @@ def test_count_exceeding_spectrum_raises():
         solve_smallest_positive(system, SolverOptions(count=n_pos + 1))
     with pytest.raises(EigensolverError, match="at least 1"):
         solve_smallest_positive(system, SolverOptions(count=0))
+    for tol in (0.0, -1.0):
+        with pytest.raises(EigensolverError, match="tol must be positive"):
+            solve_smallest_positive(system, SolverOptions(tol=tol))
 
 
 def test_solution_invariants():

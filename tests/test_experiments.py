@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from steklov import experiments
-from steklov.eigensolver import EigensolverError
+from steklov.eigensolver import ConvergenceError, solve_smallest_positive
 from steklov.experiments import (
     NOTCHED_REFERENCE,
     RESULTS_HEADER,
@@ -122,7 +122,6 @@ def test_rate_from_records():
             jump2=0.0,
             eta2=1.0,
             effectivity=None,
-            wall_time=0.0,
         )
         for k in range(5)
     ]
@@ -200,26 +199,51 @@ def test_notched_run_uses_frozen_reference(monkeypatch):
     assert result.records[0].error == abs(result.records[0].lambda_h - NOTCHED_REFERENCE)
 
 
-def test_run_experiment_validates_config():
-    with pytest.raises(ValueError, match="unknown test"):
-        run_experiment(ExperimentConfig(test="disk"))
-    with pytest.raises(ValueError, match="unknown method"):
-        run_experiment(ExperimentConfig(method="collocation"))
-    with pytest.raises(ValueError, match="at least one step"):
-        run_experiment(ExperimentConfig(steps=0))
+def test_run_experiment_validates_config(monkeypatch):
+    def no_work(mesh):
+        raise AssertionError("a bad config must be refused before any assembly")
+
+    monkeypatch.setattr(experiments, "assemble", no_work)
+    cases = [
+        (dict(test="disk"), "unknown test"),
+        (dict(method="collocation"), "unknown method"),
+        (dict(steps=0), "at least one step"),
+        (dict(mark_fraction=0.0), "mark fraction"),
+        (dict(mark_fraction=-0.5), "mark fraction"),
+        (dict(method="uniform-fem", mark_fraction=5.0), "mark fraction"),
+        (dict(mark_fraction=float("nan")), "mark fraction"),
+        (dict(tol=0.0), "tolerance"),
+        (dict(tol=-1.0), "tolerance"),
+    ]
+    for fields, message in cases:
+        with pytest.raises(ValueError, match=message):
+            run_experiment(ExperimentConfig(**fields))
 
 
-def test_run_experiment_flushes_partial_results_on_failure(tmp_path):
-    # asking for more eigenvalues than the pencil owns fails at the first
-    # solve; the results file must still appear, holding just the header
+def failing_second_solve(monkeypatch):
+    """Make the second eigensolve of a run raise ConvergenceError."""
+    calls = 0
+
+    def solve(system, options, start=None):
+        nonlocal calls
+        calls += 1
+        if calls == 2:
+            raise ConvergenceError("no convergence", best_residual=1.0)
+        return solve_smallest_positive(system, options, start=start)
+
+    monkeypatch.setattr(experiments, "solve_smallest_positive", solve)
+
+
+def test_run_experiment_flushes_partial_results_on_failure(tmp_path, monkeypatch):
+    # the second solve fails; the results file must still hold step 0's row
+    failing_second_solve(monkeypatch)
     out = tmp_path / "broken"
-    config = ExperimentConfig(
-        test="square", method="adaptive-vem", steps=2, count=10, out_dir=str(out)
-    )
-    with pytest.raises(EigensolverError, match="finite positive"):
+    config = ExperimentConfig(test="square", method="adaptive-vem", steps=3, out_dir=str(out))
+    with pytest.raises(ConvergenceError):
         run_experiment(config)
     lines = (out / "results.csv").read_text().splitlines()
-    assert lines == [",".join(RESULTS_HEADER)]
+    assert lines[0] == ",".join(RESULTS_HEADER)
+    assert len(lines) == 2 and lines[1].startswith("0,41,")
 
 
 def test_progress_callback_sees_every_record():
