@@ -25,13 +25,10 @@ from .eigensolver import (
     solve_smallest_positive,
 )
 from .estimator import (
-    GlobalEstimate,
     edge_residuals,
     element_indicators,
-    global_estimate,
 )
 from .adaptivity import (
-    MarkSet,
     RefinementRecord,
     mark,
     normalize_refinement_edges,

@@ -26,10 +26,11 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import MeshError, PolygonalMesh, _edge_table, _first_true, cell_groups, polygon_geometry
+from .mesh import (
+    MeshError, PolygonalMesh, _edge_table, _first_boolean, _first_true, cell_groups, polygon_geometry,
+)
 
 __all__ = [
-    "MarkSet",
     "RefinementRecord",
     "mark",
     "refine_vem",
@@ -40,20 +41,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MarkSet:
-    """Cells selected for refinement plus the threshold that selected them."""
-
-    cells: tuple[int, ...]
-    threshold: float
-
-
-def mark(eta2: Sequence[float] | np.ndarray, fraction: float = 0.5) -> MarkSet:
-    """Maximum-strategy marking: select cells with eta >= fraction * max(eta).
+def mark(eta2: Sequence[float] | np.ndarray, fraction: float = 0.5) -> np.ndarray:
+    """Maximum-strategy marking: the ascending int64 ids of the cells with
+    eta >= fraction * max(eta).
 
     ``eta2`` holds the squared indicator of every cell, ``eta = sqrt(eta2)``.
     The comparison is inclusive, so the peak cell is always marked.  When all
-    indicators vanish an empty set is returned with a warning (the run is
+    indicators vanish no cell is marked and a warning is issued (the run is
     either converged or degenerate).  Raises ``ValueError`` naming the lowest
     cell whose indicator is NaN, infinite or negative.
     """
@@ -65,12 +59,11 @@ def mark(eta2: Sequence[float] | np.ndarray, fraction: float = 0.5) -> MarkSet:
         cell = int(np.argmax(bad))
         raise ValueError(f"cell {cell} has an invalid indicator eta2 = {eta2[cell]!r}")
     etas = np.sqrt(eta2)
-    peak = float(etas.max()) if len(etas) else 0.0
+    peak = etas.max() if len(etas) else 0.0
     if peak == 0.0:
         warnings.warn("all error indicators are zero; nothing to mark", stacklevel=2)
-        return MarkSet(cells=(), threshold=0.0)
-    threshold = fraction * peak
-    return MarkSet(cells=tuple(np.flatnonzero(etas >= threshold).tolist()), threshold=threshold)
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(etas >= fraction * peak)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,10 +79,26 @@ class RefinementRecord:
     hanging_cells: np.ndarray
 
 
-def _marked_cells(marks: "MarkSet | Iterable[int]", n_cells: int) -> np.ndarray:
-    """Ascending, distinct marked cell ids."""
-    cells = marks.cells if isinstance(marks, MarkSet) else marks
-    out = np.unique(np.fromiter(cells, dtype=np.int64))
+def _marked_cells(marks: Iterable[int], n_cells: int) -> np.ndarray:
+    """Ascending, distinct marked cell ids.
+
+    A boolean entry (a mask is not a list of ids) or one that is not an
+    integer raises :class:`MeshError` naming the first such entry.
+    """
+    entries = marks if isinstance(marks, np.ndarray) else list(marks)
+    # the entries of an array share one dtype, so its first one speaks for all
+    boolean = _first_boolean(entries if isinstance(entries, list) else entries[:1].tolist())
+    if boolean is not None:
+        raise MeshError(f"mark entry {boolean} is a boolean, not a cell id")
+    cells = np.asarray(entries)
+    if cells.dtype.kind == "f":
+        fractional = ~np.isfinite(cells) | (cells != np.trunc(cells))
+        if fractional.any():
+            k = _first_true(fractional)
+            raise MeshError(f"mark entry {k} is not an integer cell id: {float(cells[k])!r}")
+    elif cells.dtype.kind not in "iu":
+        raise MeshError("marks must be integer cell ids")
+    out = np.unique(cells.astype(np.int64))
     if len(out) and (out[0] < 0 or out[-1] >= n_cells):
         raise MeshError("marked cell index out of range")
     return out
@@ -161,7 +170,7 @@ def _star_centroids(mesh: PolygonalMesh, index: np.ndarray) -> tuple[np.ndarray,
 
 
 def refine_vem(
-    mesh: PolygonalMesh, marks: "MarkSet | Iterable[int]"
+    mesh: PolygonalMesh, marks: Iterable[int]
 ) -> tuple[PolygonalMesh, RefinementRecord]:
     """Split each marked polygon into one quadrilateral per vertex.
 
@@ -277,7 +286,7 @@ _BISECTION_CHILDREN = {
 }
 
 
-def refine_fem(mesh: PolygonalMesh, marks: "MarkSet | Iterable[int]") -> PolygonalMesh:
+def refine_fem(mesh: PolygonalMesh, marks: Iterable[int]) -> PolygonalMesh:
     """Newest-vertex bisection of the marked triangles with conforming closure.
 
     The bisection edge of each triangle is the edge between its first two

@@ -78,10 +78,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
 
     def progress(record) -> None:
-        err = "" if record.error is None else f"  error {record.error:.6e}"
         print(
             f"step {record.step}  N {record.n_dofs}  lambda_h {record.lambda_h:.10f}"
-            f"{err}  eta2 {record.eta2:.6e}",
+            f"  error {record.error:.6e}  eta2 {record.eta2:.6e}",
             flush=True,
         )
 
@@ -108,7 +107,7 @@ def _cmd_mesh_validate(args: argparse.Namespace) -> int:
           f"({boundary} boundary, {len(mesh.gamma0_edge_ids())} gamma0)")
     print(f"  gamma estimate {report.gamma_estimate:.4f}  "
           f"gamma_hat estimate {report.gamma_hat_estimate:.4f}")
-    if report.star_flags:
+    if len(report.star_flags):
         print(f"  note: {len(report.star_flags)} cells below the gamma threshold")
     return 0
 

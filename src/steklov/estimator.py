@@ -17,8 +17,6 @@ cells, scaled by that cell's diameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .eigensolver import SpectralPair
@@ -26,23 +24,13 @@ from .mesh import TAGS, BoundaryTag, PolygonalMesh
 from .vem import GlobalSystem, project
 
 __all__ = [
-    "GlobalEstimate",
     "edge_residuals",
     "element_indicators",
-    "global_estimate",
 ]
 
 _INTERIOR = TAGS.index(BoundaryTag.INTERIOR)
 _GAMMA0 = TAGS.index(BoundaryTag.GAMMA0)
 _GAMMA1 = TAGS.index(BoundaryTag.GAMMA1)
-
-
-@dataclass(frozen=True)
-class GlobalEstimate:
-    eta2: float
-    theta2_total: float
-    jump2_total: float
-    effectivity: float | None
 
 
 def edge_residuals(
@@ -113,27 +101,3 @@ def element_indicators(system: GlobalSystem, pair: SpectralPair) -> tuple[np.nda
     owner = np.repeat(np.arange(mesh.n_cells), np.diff(mesh.cell_ptr))
     np.add.at(edge_sums, owner, norm2[mesh.cell_edges])
     return theta2, system.diameters * edge_sums
-
-
-def global_estimate(
-    theta2: np.ndarray,
-    jump2: np.ndarray,
-    lambda_h: float | None = None,
-    reference: float | None = None,
-) -> GlobalEstimate:
-    """Aggregate the per-cell indicators; attach an effectivity index when a
-    reference eigenvalue is supplied alongside the computed one."""
-    theta2_total = float(np.sum(theta2))
-    jump2_total = float(np.sum(jump2))
-    eta2 = theta2_total + jump2_total
-    effectivity = None
-    if lambda_h is not None and reference is not None:
-        if eta2 <= 0.0:
-            raise ValueError("effectivity is undefined for a zero estimate")
-        effectivity = abs(reference - lambda_h) / eta2
-    return GlobalEstimate(
-        eta2=eta2,
-        theta2_total=theta2_total,
-        jump2_total=jump2_total,
-        effectivity=effectivity,
-    )

@@ -13,17 +13,15 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .adaptivity import (
-    MarkSet, mark, normalize_refinement_edges, prolong, refine_fem, refine_uniform, refine_vem,
-)
+from .adaptivity import mark, normalize_refinement_edges, prolong, refine_fem, refine_uniform, refine_vem
 from .eigensolver import SolverOptions, solve_smallest_positive
-from .estimator import element_indicators, global_estimate
+from .estimator import element_indicators
 from .mesh import PolygonalMesh, build_topology, save_mesh
 from .render import mesh_to_svg
 from .vem import assemble, dump_matrix
@@ -150,20 +148,20 @@ class ConvergenceRecord:
     step: int
     n_dofs: int
     lambda_h: float
-    error: float | None
+    error: float
     theta2: float
     jump2: float
     eta2: float
-    effectivity: float | None
+    effectivity: float
 
 
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
-    reference: float | None
+    reference: float
     records: list[ConvergenceRecord]
     meshes: list[PolygonalMesh]
-    marks: list[MarkSet | None] = field(default_factory=list)
+    marks: list[np.ndarray | None]  # marked cell ids of each mesh; None for uniform-fem
 
 
 @dataclass(frozen=True)
@@ -230,9 +228,9 @@ def notched_reference_eigenvalue() -> float:
     )
 
 
-def _resolve_reference(config: ExperimentConfig) -> float | None:
+def _resolve_reference(config: ExperimentConfig) -> float:
     if config.reference is not None:
-        return config.reference
+        return float(config.reference)
     if config.test == "square":
         return exact_eigenvalue_square(1)
     return NOTCHED_REFERENCE
@@ -245,11 +243,12 @@ def run_experiment(
     """Run the solve/estimate/mark/refine loop for one configuration.
 
     Returns per-step convergence records together with the mesh solved at
-    each step (initial mesh first) and the mark set drawn on it; nothing is
-    refined after the last solve.  Every solve after the first starts from
-    the previous eigenvector prolonged to the refined mesh.  If a step fails
-    midway the records collected so far are flushed to ``results.csv``
-    before the exception propagates.
+    each step (initial mesh first) and the ids of the cells marked on it;
+    nothing is refined after the last solve.  Every solve after the first
+    starts from the previous eigenvector prolonged to the refined mesh.  A
+    zero estimate raises ``ValueError``.  If a step fails midway the records
+    collected so far are flushed to ``results.csv`` before the exception
+    propagates.
     """
     if config.test not in TESTS:
         raise ValueError(f"unknown test {config.test!r}; expected one of {TESTS}")
@@ -261,6 +260,8 @@ def run_experiment(
         raise ValueError(f"mark fraction must lie in (0, 1], got {config.mark_fraction}")
     if not config.tol > 0.0:
         raise ValueError(f"solver tolerance must be positive, got {config.tol}")
+    if config.reference is not None and not 0.0 < config.reference < math.inf:
+        raise ValueError(f"reference eigenvalue must be finite and positive, got {config.reference}")
 
     reference = _resolve_reference(config)
     mesh = initial_mesh(config.test)
@@ -279,17 +280,22 @@ def run_experiment(
             pair = solve_smallest_positive(system, options, start=start)[0]
             theta2, jump2 = element_indicators(system, pair)
             eta2 = theta2 + jump2
-            estimate = global_estimate(theta2, jump2, lambda_h=pair.value, reference=reference)
-            error = abs(pair.value - reference) if reference is not None else None
+            theta2_total = float(np.sum(theta2))
+            jump2_total = float(np.sum(jump2))
+            eta2_total = theta2_total + jump2_total
+            # mark returns no cells only for a zero estimate, which stops here
+            if eta2_total <= 0.0:
+                raise ValueError("effectivity is undefined for a zero estimate")
+            error = abs(pair.value - reference)
             record = ConvergenceRecord(
                 step=step,
                 n_dofs=system.n_dofs,
                 lambda_h=pair.value,
                 error=error,
-                theta2=estimate.theta2_total,
-                jump2=estimate.jump2_total,
-                eta2=estimate.eta2,
-                effectivity=estimate.effectivity,
+                theta2=theta2_total,
+                jump2=jump2_total,
+                eta2=eta2_total,
+                effectivity=error / eta2_total,
             )
             result.records.append(record)
             if progress is not None:
@@ -314,8 +320,8 @@ def run_experiment(
             marks = None if config.method == "uniform-fem" else mark(eta2, config.mark_fraction)
             result.marks.append(marks)
             # meshes[k] is the mesh solved at step k: nothing is refined after
-            # the last solve or after an empty mark set
-            if step == config.steps - 1 or (marks is not None and not marks.cells):
+            # the last solve
+            if step == config.steps - 1:
                 break
             if marks is None:
                 fine = refine_uniform(mesh)
@@ -333,10 +339,6 @@ def run_experiment(
     return result
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def _write_results_csv(records: Sequence[ConvergenceRecord], path: Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -347,11 +349,11 @@ def _write_results_csv(records: Sequence[ConvergenceRecord], path: Path) -> None
                     r.step,
                     r.n_dofs,
                     repr(r.lambda_h),
-                    _fmt(r.error),
+                    repr(r.error),
                     repr(r.theta2),
                     repr(r.jump2),
                     repr(r.eta2),
-                    _fmt(r.effectivity),
+                    repr(r.effectivity),
                 ]
             )
 
@@ -389,17 +391,14 @@ def emit_outputs(result: ExperimentResult) -> list[Path]:
         writer = csv.writer(fh)
         writer.writerow(["N", "error", "eta2"])
         for r in result.records:
-            writer.writerow([r.n_dofs, _fmt(r.error), _fmt(r.eta2)])
+            writer.writerow([r.n_dofs, repr(r.error), repr(r.eta2)])
     written.append(curves_path)
 
-    for k, mesh in enumerate(result.meshes):
+    for k, (mesh, marks) in enumerate(zip(result.meshes, result.marks)):
         json_path = out_dir / f"mesh_step_{k}.json"
         save_mesh(mesh, json_path)
         written.append(json_path)
-        marked: tuple[int, ...] = ()
-        if k < len(result.marks) and result.marks[k] is not None:
-            marked = result.marks[k].cells
         svg_path = out_dir / f"mesh_step_{k}.svg"
-        mesh_to_svg(mesh, svg_path, marked=marked)
+        mesh_to_svg(mesh, svg_path, marked=() if marks is None else marks)
         written.append(svg_path)
     return written

@@ -477,6 +477,14 @@ def build_topology(
 # shape regularity
 
 
+# thresholds of the mesh-regularity assumptions of the a posteriori analysis:
+# every cell is star-shaped with respect to a ball of radius >= GAMMA * h, and
+# its vertices are at least GAMMA_HAT * h apart; quality_report flags the cells
+# whose centroid-to-edge distance or smallest vertex gap falls below them
+GAMMA = 0.1
+GAMMA_HAT = 0.1
+
+
 @dataclass(frozen=True)
 class MeshQualityReport:
     """Shape-regularity diagnostics; thresholds flag cells but never reject them."""
@@ -485,10 +493,8 @@ class MeshQualityReport:
     areas: np.ndarray
     inscribed_radii: np.ndarray      # distance from centroid to nearest boundary edge
     min_vertex_gaps: np.ndarray      # smallest pairwise vertex distance per cell
-    gamma: float                     # threshold on inscribed_radius / diameter
-    gamma_hat: float                 # threshold on min_vertex_gap / diameter
-    star_flags: tuple[int, ...]      # cells with inscribed_radius < gamma * h
-    gap_flags: tuple[int, ...]       # cells with min_vertex_gap < gamma_hat * h
+    star_flags: np.ndarray           # ids of cells with inscribed_radius < GAMMA * h
+    gap_flags: np.ndarray            # ids of cells with min_vertex_gap < GAMMA_HAT * h
 
     @property
     def gamma_estimate(self) -> float:
@@ -499,7 +505,7 @@ class MeshQualityReport:
         return float(np.min(self.min_vertex_gaps / self.diameters))
 
 
-def quality_report(mesh: PolygonalMesh, gamma: float = 0.1, gamma_hat: float = 0.1) -> MeshQualityReport:
+def quality_report(mesh: PolygonalMesh) -> MeshQualityReport:
     """Per-cell diameter/area/inscribed-radius/vertex-gap statistics with flags."""
     nc = mesh.n_cells
     diam = np.empty(nc)
@@ -517,10 +523,8 @@ def quality_report(mesh: PolygonalMesh, gamma: float = 0.1, gamma_hat: float = 0
         areas=area,
         inscribed_radii=rho,
         min_vertex_gaps=gap,
-        gamma=gamma,
-        gamma_hat=gamma_hat,
-        star_flags=tuple(np.flatnonzero(rho < gamma * diam).tolist()),
-        gap_flags=tuple(np.flatnonzero(gap < gamma_hat * diam).tolist()),
+        star_flags=np.flatnonzero(rho < GAMMA * diam),
+        gap_flags=np.flatnonzero(gap < GAMMA_HAT * diam),
     )
 
 

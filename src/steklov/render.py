@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable
+from typing import Sequence
+
+import numpy as np
 
 from .mesh import PolygonalMesh
 
@@ -13,7 +15,7 @@ __all__ = ["mesh_to_svg"]
 def mesh_to_svg(
     mesh: PolygonalMesh,
     path: str | Path,
-    marked: Iterable[int] = (),
+    marked: Sequence[int] | np.ndarray = (),
     width: int = 720,
 ) -> None:
     """Write the mesh as an SVG file; cells in ``marked`` are shaded.
@@ -35,16 +37,16 @@ def mesh_to_svg(
     py = scale * (ymax - verts[:, 1] + margin)
     points = [f"{x:.3f},{y:.3f}" for x, y in zip(px.tolist(), py.tolist())]
 
-    marked_set = set(int(c) for c in marked)
+    shaded = np.isin(np.arange(mesh.n_cells), marked)
     stroke = max(0.5, 0.0012 * width)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for cid, cyc in enumerate(mesh.cycles()):
+    for cyc, shade in zip(mesh.cycles(), shaded.tolist()):
         pts = " ".join(points[v] for v in cyc)
-        fill = "#f4b8b8" if cid in marked_set else "none"
+        fill = "#f4b8b8" if shade else "none"
         lines.append(
             f'<polygon points="{pts}" fill="{fill}" stroke="#333333" '
             f'stroke-width="{stroke:.2f}" stroke-linejoin="round"/>'

@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from steklov.adaptivity import MarkSet
 from steklov.mesh import TAGS, BoundaryTag, MeshError, PolygonalMesh, build_topology
 
 
@@ -55,9 +54,8 @@ class OracleRecord:
     hanging_cells: tuple[int, ...]  # unmarked cells that absorbed midpoints
 
 
-def _marked_cell_set(marks: "MarkSet | Iterable[int]", n_cells: int) -> list[int]:
-    cells = marks.cells if isinstance(marks, MarkSet) else tuple(marks)
-    out = sorted(set(int(c) for c in cells))
+def _marked_cell_set(marks: Iterable[int], n_cells: int) -> list[int]:
+    out = sorted(set(int(c) for c in marks))
     if out and (out[0] < 0 or out[-1] >= n_cells):
         raise MeshError("marked cell index out of range")
     return out
@@ -113,7 +111,7 @@ def _inherit_boundary_tags(
 
 
 def refine_vem(
-    mesh: PolygonalMesh, marks: "MarkSet | Iterable[int]"
+    mesh: PolygonalMesh, marks: Iterable[int]
 ) -> tuple[PolygonalMesh, OracleRecord]:
     """Split each marked polygon into one quadrilateral per vertex."""
     marked = _marked_cell_set(marks, mesh.n_cells)
@@ -179,7 +177,7 @@ def refine_vem(
     return refined, record
 
 
-def refine_fem(mesh: PolygonalMesh, marks: "MarkSet | Iterable[int]") -> PolygonalMesh:
+def refine_fem(mesh: PolygonalMesh, marks: Iterable[int]) -> PolygonalMesh:
     """Newest-vertex bisection of the marked triangles with conforming closure."""
     tris = mesh.cell_vertices.reshape(-1, 3)
     marked = _marked_cell_set(marks, mesh.n_cells)

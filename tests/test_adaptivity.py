@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from steklov.adaptivity import (
-    MarkSet,
     mark,
     normalize_refinement_edges,
     prolong,
@@ -53,10 +52,12 @@ def test_mark_inclusive_threshold():
     inds = np.array([16.0, 4.0, 3.9, 0.1])
     # etas are 4, 2, ~1.97, ~0.3; threshold at 0.5 * 4 = 2 keeps cells 0 and 1
     ms = mark(inds, fraction=0.5)
-    assert ms.cells == (0, 1)
-    assert abs(ms.threshold - 2.0) < 1e-15
+    assert ms.dtype == np.int64
+    assert ms.tolist() == [0, 1]
     # the peak cell is always kept, even at fraction 1
-    assert mark(inds, fraction=1.0).cells == (0,)
+    assert mark(inds, fraction=1.0).tolist() == [0]
+    # ids come back ascending, whatever the order of the indicators
+    assert mark(np.array([0.1, 16.0, 3.9, 4.0])).tolist() == [1, 3]
 
 
 def test_mark_validates_fraction():
@@ -70,7 +71,7 @@ def test_mark_all_zero_warns_and_returns_empty():
     inds = np.zeros(2)
     with pytest.warns(UserWarning, match="nothing to mark"):
         ms = mark(inds)
-    assert ms.cells == ()
+    assert ms.dtype == np.int64 and ms.size == 0
 
 
 @pytest.mark.parametrize(
@@ -170,11 +171,42 @@ def test_refine_vem_deterministic():
     assert structurally_equal(a, b)
 
 
-def test_refine_vem_accepts_markset():
+def test_refiners_accept_mark_output():
     mesh = initial_mesh("square")
-    via_set, _ = refine_vem(mesh, MarkSet(cells=(2, 4), threshold=0.5))
-    via_list, _ = refine_vem(mesh, [2, 4])
-    assert structurally_equal(via_set, via_list)
+    eta2 = np.zeros(mesh.n_cells)
+    eta2[[2, 4]] = 1.0
+    marks = mark(eta2)
+    assert structurally_equal(refine_vem(mesh, marks)[0], refine_vem(mesh, [4, 2])[0])
+    # integral floats name cells, as they name vertices in build_topology
+    assert structurally_equal(refine_vem(mesh, marks)[0], refine_vem(mesh, np.array([4.0, 2.0]))[0])
+    assert structurally_equal(refine_fem(mesh, marks), refine_fem(mesh, range(2, 5, 2)))
+
+
+def _mask(n_cells):
+    mask = np.zeros(n_cells, dtype=bool)
+    mask[[5, 9, 20]] = True
+    return mask
+
+
+@pytest.mark.parametrize("refine", [refine_vem, refine_fem])
+@pytest.mark.parametrize(
+    "marks, message",
+    [
+        # a mask used to refine cells 0 and 1, its True entries read as 1
+        (_mask, "mark entry 0 is a boolean"),
+        (lambda n: [3, True], "mark entry 1 is a boolean"),
+        (lambda n: [np.int64(2), np.bool_(False)], "mark entry 1 is a boolean"),
+        # fractions used to be truncated: [1.7, 3.2] refined cells 1 and 3
+        (lambda n: [1.7, 3.2], "mark entry 0 is not an integer cell id: 1.7"),
+        (lambda n: np.array([4.0, 2.5]), "mark entry 1 is not an integer cell id: 2.5"),
+        (lambda n: [1.0, float("nan")], "mark entry 1 is not an integer cell id: nan"),
+        (lambda n: ["3"], "integer cell ids"),
+    ],
+)
+def test_refiners_refuse_boolean_and_fractional_marks(refine, marks, message):
+    mesh = initial_mesh("square")
+    with pytest.raises(MeshError, match=message):
+        refine(mesh, marks(mesh.n_cells))
 
 
 # ---------------------------------------------------------------------------

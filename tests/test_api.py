@@ -1,8 +1,10 @@
-"""Public API surface: every exported name resolves."""
+"""Public API surface: every exported name resolves, and the README's
+Python example runs."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import steklov
@@ -27,3 +29,14 @@ def test_package_imports_only_exported_names():
         for alias in node.names:
             assert hasattr(steklov, alias.name), alias.name
             assert alias.name in module.__all__, f"{alias.name} is not in steklov.{node.module}.__all__"
+
+
+def test_readme_python_example_runs(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.S)
+    namespace: dict = {}
+    exec(compile(block, str(readme), "exec"), namespace)
+    result = namespace["result"]
+    # the relation the paragraph after the example states
+    assert len(result.meshes) == len(result.records) == len(result.marks)
+    assert capsys.readouterr().out.count("\n") == len(result.records) + 1

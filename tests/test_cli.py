@@ -61,7 +61,7 @@ def test_run_dump_flags_produce_files(tmp_path):
     assert (out / "boundary_mass_step_0.txt").exists()
 
 
-def test_run_reference_override(tmp_path):
+def test_run_reference_override(tmp_path, capsys):
     out = tmp_path / "ref"
     code = main(
         ["run", "--steps", "1", "--out", str(out), "--quiet", "--reference", "3.0"]
@@ -70,6 +70,13 @@ def test_run_reference_override(tmp_path):
     header, row = (out / "results.csv").read_text().splitlines()
     lam, err = float(row.split(",")[2]), float(row.split(",")[3])
     assert abs(err - abs(lam - 3.0)) < 1e-15
+    # a NaN reference used to exit 0 with nan in the error columns, which
+    # `steklov rate` then could not fit
+    for bad in ("nan", "inf", "0", "-1"):
+        out = tmp_path / f"ref_{bad}"
+        assert main(["run", "--steps", "3", "--out", str(out), "--quiet", "--reference", bad]) == 1
+        assert capsys.readouterr().err.startswith("error: reference eigenvalue must be finite and positive")
+        assert not out.exists()
 
 
 def test_rate_subcommand(tmp_path, capsys):

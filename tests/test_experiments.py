@@ -121,7 +121,7 @@ def test_rate_from_records():
             theta2=0.0,
             jump2=0.0,
             eta2=1.0,
-            effectivity=None,
+            effectivity=float(2.0 ** (-k)),
         )
         for k in range(5)
     ]
@@ -143,13 +143,14 @@ def test_run_experiment_adaptive_vem_square():
     assert ns[0] == 41
     assert ns == sorted(ns) and len(set(ns)) == len(ns)
     for r in result.records:
-        assert r.error is not None and r.error > 0.0
-        assert r.effectivity is not None and r.effectivity > 0.0
-        assert abs(r.eta2 - (r.theta2 + r.jump2)) < 1e-12 * r.eta2
+        assert r.error > 0.0
+        assert r.effectivity > 0.0
+        assert r.eta2 == r.theta2 + r.jump2
     assert result.records[-1].error < result.records[0].error
     # marks drive the mesh growth
-    for ms in result.marks:
-        assert ms is not None and len(ms.cells) > 0
+    for mesh, ms in zip(result.meshes, result.marks):
+        assert ms.dtype == np.int64 and ms.size > 0
+        assert np.all(np.diff(ms) > 0) and 0 <= ms[0] and ms[-1] < mesh.n_cells
 
 
 def test_run_experiment_uniform_fem_dof_sequence():
@@ -175,6 +176,24 @@ def test_run_experiment_adaptive_fem_matches_oracle_eigensolve():
         M = oracle_boundary_mass(mesh.vertices, gamma0)
         values, _ = dense_steklov_solve(K, M, count=1)
         assert abs(record.lambda_h - values[0]) < 1e-10 * values[0]
+
+
+def test_records_aggregate_the_indicators(monkeypatch):
+    theta2, jump2 = np.array([0.5, 0.25]), np.array([1.5, 0.75])
+    monkeypatch.setattr(experiments, "element_indicators", lambda system, pair: (theta2, jump2))
+    config = ExperimentConfig(test="square", method="adaptive-vem", steps=1, reference=3.2)
+    (record,) = run_experiment(config).records
+    assert (record.theta2, record.jump2, record.eta2) == (0.75, 2.25, 3.0)
+    assert record.error == abs(record.lambda_h - 3.2)
+    assert record.effectivity == record.error / 3.0
+
+
+def test_run_experiment_refuses_zero_estimate(monkeypatch):
+    zeros = lambda system, pair: (np.zeros(system.mesh.n_cells), np.zeros(system.mesh.n_cells))
+    monkeypatch.setattr(experiments, "element_indicators", zeros)
+    for method in ("adaptive-vem", "uniform-fem"):
+        with pytest.raises(ValueError, match="zero estimate"):
+            run_experiment(ExperimentConfig(test="square", method=method, steps=2))
 
 
 def test_run_experiment_reference_override():
@@ -214,6 +233,10 @@ def test_run_experiment_validates_config(monkeypatch):
         (dict(mark_fraction=float("nan")), "mark fraction"),
         (dict(tol=0.0), "tolerance"),
         (dict(tol=-1.0), "tolerance"),
+        (dict(reference=float("nan")), "reference eigenvalue must be finite and positive"),
+        (dict(reference=float("inf")), "reference eigenvalue"),
+        (dict(reference=0.0), "reference eigenvalue"),
+        (dict(reference=-1.0), "reference eigenvalue"),
     ]
     for fields, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -282,7 +305,7 @@ def test_emit_outputs_and_read_back(tmp_path):
     for k in range(2):
         svg = (out / f"mesh_step_{k}.svg").read_text()
         assert "<svg" in svg and "polygon" in svg
-        assert svg.count('fill="#f4b8b8"') == len(result.marks[k].cells) > 0
+        assert svg.count('fill="#f4b8b8"') == len(result.marks[k]) > 0
 
 
 def test_emit_outputs_requires_out_dir():
