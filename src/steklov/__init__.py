@@ -18,7 +18,6 @@ from .vem import (
 from .eigensolver import (
     ConvergenceError,
     EigensolverError,
-    SolverOptions,
     SpectralPair,
     normalize_pair,
     residual_norm,
@@ -29,7 +28,6 @@ from .estimator import (
     element_indicators,
 )
 from .adaptivity import (
-    RefinementRecord,
     mark,
     normalize_refinement_edges,
     prolong,

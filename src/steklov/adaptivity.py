@@ -20,7 +20,6 @@ into an invalid one, so its output skips the checks of ``build_topology``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,7 +30,6 @@ from .mesh import (
 )
 
 __all__ = [
-    "RefinementRecord",
     "mark",
     "refine_vem",
     "refine_fem",
@@ -64,19 +62,6 @@ def mark(eta2: Sequence[float] | np.ndarray, fraction: float = 0.5) -> np.ndarra
         warnings.warn("all error indicators are zero; nothing to mark", stacklevel=2)
         return np.empty(0, dtype=np.int64)
     return np.flatnonzero(etas >= fraction * peak)
-
-
-@dataclass(frozen=True, eq=False)
-class RefinementRecord:
-    """Where the cells of a refined mesh come from.
-
-    ``parent[k]`` is the coarse cell that new cell k covers part of (all of,
-    for an unmarked cell); ``hanging_cells`` lists, ascending, the unmarked
-    coarse cells that absorbed midpoints as hanging vertices.
-    """
-
-    parent: np.ndarray
-    hanging_cells: np.ndarray
 
 
 def _marked_cells(marks: Iterable[int], n_cells: int) -> np.ndarray:
@@ -169,9 +154,7 @@ def _star_centroids(mesh: PolygonalMesh, index: np.ndarray) -> tuple[np.ndarray,
     return centroid, np.all(fan > 1e-12 * diam2[:, None], axis=1)
 
 
-def refine_vem(
-    mesh: PolygonalMesh, marks: Iterable[int]
-) -> tuple[PolygonalMesh, RefinementRecord]:
+def refine_vem(mesh: PolygonalMesh, marks: Iterable[int]) -> PolygonalMesh:
     """Split each marked polygon into one quadrilateral per vertex.
 
     Every child is (centroid, edge midpoint, vertex, next edge midpoint);
@@ -184,16 +167,13 @@ def refine_vem(
     """
     marked = _marked_cells(marks, mesh.n_cells)
     if not len(marked):
-        return mesh, RefinementRecord(
-            parent=np.arange(mesh.n_cells), hanging_cells=np.empty(0, dtype=np.int64)
-        )
+        return mesh
 
     ptr, tails, edges = mesh.cell_ptr, mesh.cell_vertices, mesh.cell_edges
     sizes = np.diff(ptr)
-    owner = np.repeat(np.arange(mesh.n_cells), sizes)
     is_marked = np.zeros(mesh.n_cells, dtype=bool)
     is_marked[marked] = True
-    in_marked = is_marked[owner]
+    in_marked = np.repeat(is_marked, sizes)
     halves = np.flatnonzero(in_marked)  # half-edges of the marked cells, in cell order
 
     # centroids by vertex count; a group's ids index `marked`
@@ -242,9 +222,7 @@ def refine_vem(
 
     opens = in_marked.copy()  # half-edges that begin a new cell
     opens[ptr[:-1]] = True
-    refined = _refined_mesh(mesh, points, np.append(start[opens], offset[-1]), cell_vertices, midpoint)
-    record = RefinementRecord(parent=owner[opens], hanging_cells=np.unique(owner[hanging]))
-    return refined, record
+    return _refined_mesh(mesh, points, np.append(start[opens], offset[-1]), cell_vertices, midpoint)
 
 
 def _require_triangles(mesh: PolygonalMesh, operation: str) -> np.ndarray:

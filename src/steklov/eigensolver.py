@@ -36,7 +36,6 @@ from .vem import GlobalSystem
 __all__ = [
     "EigensolverError",
     "ConvergenceError",
-    "SolverOptions",
     "SpectralPair",
     "residual_norm",
     "normalize_pair",
@@ -44,6 +43,7 @@ __all__ = [
 ]
 
 _SIGN_THRESHOLD = 1e-8  # smallest boundary value trusted to fix the sign
+_MAX_ITERATIONS = 500  # ARPACK restarts
 
 
 class EigensolverError(Exception):
@@ -56,14 +56,6 @@ class ConvergenceError(EigensolverError):
     def __init__(self, message: str, best_residual: float):
         super().__init__(message)
         self.best_residual = best_residual
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    count: int = 1
-    tol: float = 1e-10
-    max_iterations: int = 500  # ARPACK restarts
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -117,30 +109,49 @@ def _deflate(x: np.ndarray, m_ones: np.ndarray, scale: float) -> np.ndarray:
 
 
 def solve_smallest_positive(
-    system: GlobalSystem, options: SolverOptions = SolverOptions(), start: np.ndarray | None = None
+    system: GlobalSystem, *, count: int = 1, tol: float = 1e-10, seed: int = 0,
+    start: np.ndarray | None = None,
 ) -> list[SpectralPair]:
-    """Compute the ``options.count`` smallest positive eigenvalues, ascending.
+    """Compute the ``count`` smallest positive eigenvalues, ascending.
 
     The Lanczos iteration starts from ``start`` (a dof vector, e.g. a coarse
     eigenvector prolonged to this mesh) when given, otherwise from a random
-    vector seeded by ``options.seed``.  Returned pairs are normalized (unit
-    boundary mass, sign convention) and each satisfies the residual
-    tolerance; otherwise :class:`ConvergenceError` reports the best residual
-    reached.
+    vector seeded by ``seed``.  Returned pairs are normalized (unit boundary
+    mass, sign convention) and each satisfies the residual tolerance ``tol``
+    within 500 restarts; otherwise :class:`ConvergenceError` reports the
+    best residual reached.  A negative seed, or a start vector that has the
+    wrong shape, is not finite or is constant (zero once the constant mode
+    is deflated), raises :class:`EigensolverError` before any work.
     """
-    if options.count < 1:
+    if count < 1:
         raise EigensolverError("count must be at least 1")
-    if not options.tol > 0.0:
-        raise EigensolverError(f"tol must be positive, got {options.tol:g}")
+    if not tol > 0.0:
+        raise EigensolverError(f"tol must be positive, got {tol:g}")
+    if seed < 0:
+        raise EigensolverError(f"seed must be non-negative, got {seed}")
     n = system.n_dofs
     n_positive = len(system.gamma0_dofs) - 1
-    if options.count > n_positive:
+    if count > n_positive:
         raise EigensolverError(
-            f"requested {options.count} eigenvalues but the pencil has only "
+            f"requested {count} eigenvalues but the pencil has only "
             f"{n_positive} finite positive ones"
         )
-    if start is not None and np.shape(start) != (n,):
+    M = system.boundary_mass.tocsc()
+    ones_vec = np.ones(n)
+    m_ones = M @ ones_vec
+    scale = float(ones_vec @ m_ones)
+    if scale <= 0.0:
+        raise EigensolverError("boundary mass matrix has no positive mass")
+    if start is None:
+        start = np.random.default_rng(seed).standard_normal(n)
+    elif np.shape(start) != (n,):
         raise EigensolverError(f"start vector must have shape ({n},), got {np.shape(start)}")
+    start = np.asarray(start, dtype=float)
+    if not np.all(np.isfinite(start)):
+        raise EigensolverError("start vector must be finite")
+    v0 = _deflate(start, m_ones, scale)
+    if not np.linalg.norm(v0) > 1e-12 * np.linalg.norm(start):
+        raise EigensolverError("start vector is zero once the constant mode is deflated")
 
     K = system.stiffness.tocsc()
     # the sparsity structure, not the values: right-angled P1 triangles
@@ -152,7 +163,6 @@ def solve_smallest_positive(
             f"the mesh is disconnected: its stiffness graph has {n_components} "
             "connected components"
         )
-    M = system.boundary_mass.tocsc()
     shifted = (K + M).tocsc()
     # the iteration runs in the RCM numbering: dof perm[i] is unknown i
     perm = reverse_cuthill_mckee(shifted, symmetric_mode=True)
@@ -168,27 +178,18 @@ def solve_smallest_positive(
             "the assembly may be broken"
         ) from None
 
-    ones_vec = np.ones(n)
-    m_ones = M @ ones_vec
-    scale = float(ones_vec @ m_ones)
-    if scale <= 0.0:
-        raise EigensolverError("boundary mass matrix has no positive mass")
-
     Mp = M[perm][:, perm]
     mp_ones = m_ones[perm]
     deflated_mass = spla.LinearOperator(
         (n, n), matvec=lambda x: Mp @ x - mp_ones * ((mp_ones @ x) / scale), dtype=float
     )
-    if start is None:
-        start = np.random.default_rng(options.seed).standard_normal(n)
-    v0 = _deflate(np.asarray(start, dtype=float), m_ones, scale)[perm]
     converged = True
     try:
         mus, Xp = spla.eigsh(
-            deflated_mass, k=options.count, M=shifted,
+            deflated_mass, k=count, M=shifted,
             Minv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
-            which="LA", v0=v0, ncv=min(n, max(2 * options.count + 1, 10)),
-            tol=0.0, maxiter=options.max_iterations,
+            which="LA", v0=v0[perm], ncv=min(n, max(2 * count + 1, 10)),
+            tol=0.0, maxiter=_MAX_ITERATIONS,
         )
     except spla.ArpackNoConvergence as err:
         mus, Xp, converged = err.eigenvalues, err.eigenvectors, False
@@ -203,10 +204,10 @@ def solve_smallest_positive(
     values = 1.0 / mus[positive] - 1.0
     residuals = [residual_norm(system, lam, w) for lam, w in zip(values, X[:, positive].T)]
     worst = max(residuals, default=np.inf)
-    if not converged or worst > options.tol:
+    if not converged or worst > tol:
         raise ConvergenceError(
-            f"eigensolver did not reach tol={options.tol:g} within "
-            f"{options.max_iterations} restarts ({len(values)} of {options.count} "
+            f"eigensolver did not reach tol={tol:g} within "
+            f"{_MAX_ITERATIONS} restarts ({len(values)} of {count} "
             f"positive pairs found, best residual {worst:.3e})",
             best_residual=worst,
         )

@@ -97,7 +97,6 @@ def element_indicators(system: GlobalSystem, pair: SpectralPair) -> tuple[np.nda
     gradients, theta2 = project(system, w)
     _, _, norm2 = edge_residuals(mesh, gradients, pair.value, w)
 
-    edge_sums = np.zeros(mesh.n_cells)
     owner = np.repeat(np.arange(mesh.n_cells), np.diff(mesh.cell_ptr))
-    np.add.at(edge_sums, owner, norm2[mesh.cell_edges])
+    edge_sums = np.bincount(owner, weights=norm2[mesh.cell_edges], minlength=mesh.n_cells)
     return theta2, system.diameters * edge_sums

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .adaptivity import mark, normalize_refinement_edges, prolong, refine_fem, refine_uniform, refine_vem
-from .eigensolver import SolverOptions, solve_smallest_positive
+from .eigensolver import solve_smallest_positive
 from .estimator import element_indicators
 from .mesh import PolygonalMesh, build_topology, save_mesh
 from .render import mesh_to_svg
@@ -175,15 +175,16 @@ class RateFit:
 def fit_rate(n_dofs: Sequence[float], errors: Sequence[float | None], last: int = 5) -> RateFit:
     """Fit the convergence order over the trailing ``last`` usable data points.
 
-    Points with missing or non-positive error are skipped; a window ``last``
-    below three, or fewer than three usable points, raise ValueError.
+    Points with missing, non-finite or non-positive error are skipped; a
+    window ``last`` below three, or fewer than three usable points, raise
+    ValueError.
     """
     if last < 3:
         raise ValueError(f"rate fit window must cover at least 3 points, got last={last}")
     usable = [
         (float(n), float(e))
         for n, e in zip(n_dofs, errors)
-        if e is not None and e > 0.0 and n > 0
+        if e is not None and 0.0 < e < math.inf and n > 0
     ]
     usable = usable[-last:]
     if len(usable) < 3:
@@ -260,12 +261,13 @@ def run_experiment(
         raise ValueError(f"mark fraction must lie in (0, 1], got {config.mark_fraction}")
     if not config.tol > 0.0:
         raise ValueError(f"solver tolerance must be positive, got {config.tol}")
+    if config.seed < 0:
+        raise ValueError(f"solver seed must be non-negative, got {config.seed}")
     if config.reference is not None and not 0.0 < config.reference < math.inf:
         raise ValueError(f"reference eigenvalue must be finite and positive, got {config.reference}")
 
     reference = _resolve_reference(config)
     mesh = initial_mesh(config.test)
-    options = SolverOptions(tol=config.tol, seed=config.seed)
     out_dir = Path(config.out_dir) if config.out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -277,7 +279,7 @@ def run_experiment(
     try:
         for step in range(config.steps):
             system = assemble(mesh)
-            pair = solve_smallest_positive(system, options, start=start)[0]
+            pair = solve_smallest_positive(system, tol=config.tol, seed=config.seed, start=start)[0]
             theta2, jump2 = element_indicators(system, pair)
             eta2 = theta2 + jump2
             theta2_total = float(np.sum(theta2))
@@ -328,7 +330,7 @@ def run_experiment(
             elif config.method == "adaptive-fem":
                 fine = refine_fem(mesh, marks)
             else:
-                fine, _ = refine_vem(mesh, marks)
+                fine = refine_vem(mesh, marks)
             start = prolong(mesh, fine, pair.vector)
             mesh = fine
             result.meshes.append(mesh)

@@ -417,7 +417,8 @@ def build_topology(
     vertex indices, non-integer vertex indices,
     degenerate or repeated-vertex cells, self-intersecting cycles, vertices
     that no cell uses, non-manifold edges, irreparably inconsistent
-    orientation, untagged boundary edges, or an empty spectral boundary.
+    orientation, untagged boundary edges, a tag map key that is not a
+    boundary edge, or an empty spectral boundary.
     """
     try:
         verts = np.asarray(vertices)
@@ -465,7 +466,13 @@ def build_topology(
         used[tails] = True
         if not np.all(used):
             raise MeshError(f"vertex {_first_true(~used)} is not used by any cell")
-        return [TAGS.index(classify(a, b)) for a, b in zip(edge_a.tolist(), edge_b.tolist())]
+        tags = [TAGS.index(classify(a, b)) for a, b in zip(edge_a.tolist(), edge_b.tolist())]
+        # every boundary edge has a key by now, so any key left over is stray
+        if isinstance(boundary_tags, Mapping) and len(lookup) > len(tags):
+            on_boundary = zip(np.minimum(edge_a, edge_b).tolist(), np.maximum(edge_a, edge_b).tolist())
+            a, b = min(lookup.keys() - set(on_boundary))
+            raise MeshError(f"tagged edge ({a}, {b}) is not a boundary edge of the mesh")
+        return tags
 
     mesh = _edge_table(verts, cell_ptr, tails, codes)
     if not np.any(mesh.edge_tag == TAGS.index(BoundaryTag.GAMMA0)):
@@ -583,7 +590,7 @@ def load_mesh(path: str | Path) -> PolygonalMesh:
     for cid, cell in enumerate(cells):
         if not isinstance(cell, list) or not all(map(_is_index, cell)):
             raise MeshError(f"cell {cid} in {path} is not a list of integer vertex indices")
-    tag_map: dict[tuple[int, int], str] = {}
+    item_of: dict[tuple[int, int], int] = {}  # edge key -> its boundary item
     for k, item in enumerate(boundary):
         edge = item.get("edge") if isinstance(item, dict) else None
         if (
@@ -596,5 +603,8 @@ def load_mesh(path: str | Path) -> PolygonalMesh:
                 f"boundary item {k} in {path} must be an object with an integer "
                 f"vertex pair \"edge\" and a \"tag\": {item!r}"
             )
-        tag_map[tuple(sorted(edge))] = item["tag"]
-    return build_topology(vertices, cells, tag_map)
+        key = tuple(sorted(edge))
+        if key in item_of:
+            raise MeshError(f"boundary items {item_of[key]} and {k} in {path} both tag edge {list(key)}")
+        item_of[key] = k
+    return build_topology(vertices, cells, {key: boundary[k]["tag"] for key, k in item_of.items()})

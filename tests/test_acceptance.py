@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from steklov.adaptivity import refine_fem, refine_uniform, refine_vem
-from steklov.eigensolver import SolverOptions, solve_smallest_positive
+from steklov.eigensolver import solve_smallest_positive
 from steklov.estimator import element_indicators
 from steklov.experiments import (
     ExperimentConfig,
@@ -142,7 +142,7 @@ def test_criterion_2_fem_equivalence():
         K_ref = oracle_stiffness(mesh.vertices, triangles)
         worst_k = max(worst_k, np.max(np.abs(system.stiffness.toarray() - K_ref)))
 
-        (pair,) = solve_smallest_positive(system, SolverOptions(count=1))
+        (pair,) = solve_smallest_positive(system, count=1)
         theta2, jump2 = element_indicators(system, pair)
         worst_theta = max(worst_theta, float(np.max(theta2)))
 
@@ -173,8 +173,8 @@ def _ten_small_meshes():
         notched,
         refine_uniform(square),
         refine_uniform(notched),
-        refine_vem(square, range(16))[0],
-        refine_vem(notched, range(notched.n_cells))[0],
+        refine_vem(square, range(16)),
+        refine_vem(notched, range(notched.n_cells)),
         refine_fem(square, range(10)),
         refine_fem(notched, range(8)),
         build_topology(
@@ -182,7 +182,7 @@ def _ten_small_meshes():
             [[0, 1, 2, 3]],
             lambda a, b: BoundaryTag.GAMMA0,
         ),
-        refine_vem(refine_vem(notched, range(5))[0], range(5))[0],
+        refine_vem(refine_vem(notched, range(5)), range(5)),
     ]
     return meshes
 
@@ -198,7 +198,7 @@ def test_criterion_3_eigensolver_oracle():
         assert system.n_dofs <= 200
         dense = dense_reference_solve(system)
         count = min(2, len(system.gamma0_dofs) - 1)
-        pairs = solve_smallest_positive(system, SolverOptions(count=count))
+        pairs = solve_smallest_positive(system, count=count)
         for j, pair in enumerate(pairs):
             worst_val = max(worst_val, abs(pair.value - dense[1 + j]) / dense[1 + j])
             mw = system.boundary_mass @ pair.vector

@@ -98,32 +98,39 @@ def test_mark_rejects_invalid_indicators(inds, cell):
 def test_refine_vem_single_square():
     verts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
     mesh = build_topology(verts, [[0, 1, 2, 3]], top_edge_rule)
-    refined, record = refine_vem(mesh, [0])
+    refined = refine_vem(mesh, [0])
     assert refined.n_cells == 4
     assert refined.n_vertices == 9  # 4 corners + 4 midpoints + centroid
     assert all(len(c) == 4 for c in refined.cycles())
     assert abs(total_area(refined) - 1.0) < 1e-12
-    assert record.parent.tolist() == [0, 0, 0, 0]
-    assert record.hanging_cells.tolist() == []
     # spectral boundary tag survives on both halves of the top edge
     assert len(refined.gamma0_edge_ids()) == 2
 
 
 def test_refine_vem_neighbor_absorbs_hanging_vertices():
     mesh = initial_mesh("square")
-    refined, record = refine_vem(mesh, [0])
-    assert np.count_nonzero(record.parent == 0) == 3  # triangle splits into three quads
-    assert len(record.hanging_cells) > 0
-    for cid in record.hanging_cells:
-        (child,) = np.flatnonzero(record.parent == cid)
-        # the absorbed midpoints make the cell cycle longer
-        assert len(refined.cell(child)) > 3
+    refined = refine_vem(mesh, [0])
+    # the marked triangle splits into three quads, which come first; every
+    # other cell keeps its place behind them
+    assert refined.n_cells == mesh.n_cells + 2
+    assert all(len(refined.cell(k)) == 4 for k in range(3))
+    quad_area = np.sum(quality_report(refined).areas[:3])
+    assert abs(quad_area - quality_report(mesh).areas[0]) < 1e-12
+    edges = mesh.cell_edges[: mesh.cell_ptr[1]]
+    neighbors = set(mesh.edge_left[edges].tolist() + mesh.edge_right[edges].tolist()) - {0, -1}
+    assert neighbors
+    for cid in range(1, mesh.n_cells):
+        # a neighbour absorbs the midpoint of the edge it shares as a hanging
+        # vertex; the other cells are unchanged
+        child = refined.cell(cid + 2)
+        assert len(child) == (4 if cid in neighbors else 3)
+        assert set(mesh.cell(cid).tolist()) <= set(child.tolist())
     assert abs(total_area(refined) - total_area(mesh)) < 1e-12
 
 
 def test_refine_vem_shares_midpoints_between_marked_neighbors():
     mesh = initial_mesh("square")
-    refined, record = refine_vem(mesh, [0, 1, 2, 3])
+    refined = refine_vem(mesh, [0, 1, 2, 3])
     # no duplicated vertices: every coordinate appears once
     coords = {tuple(np.round(p, 12)) for p in refined.vertices}
     assert len(coords) == refined.n_vertices
@@ -132,10 +139,7 @@ def test_refine_vem_shares_midpoints_between_marked_neighbors():
 
 def test_refine_vem_empty_marks_returns_same_mesh():
     mesh = initial_mesh("square")
-    same, record = refine_vem(mesh, [])
-    assert same is mesh
-    assert record.parent.tolist() == list(range(mesh.n_cells))
-    assert record.hanging_cells.tolist() == []
+    assert refine_vem(mesh, []) is mesh
 
 
 def test_refine_vem_rejects_non_star_cell():
@@ -166,8 +170,8 @@ def test_refine_vem_rejects_out_of_range_marks():
 
 def test_refine_vem_deterministic():
     mesh = initial_mesh("square")
-    a, _ = refine_vem(mesh, [3, 5, 11])
-    b, _ = refine_vem(mesh, [3, 5, 11])
+    a = refine_vem(mesh, [3, 5, 11])
+    b = refine_vem(mesh, [3, 5, 11])
     assert structurally_equal(a, b)
 
 
@@ -176,9 +180,9 @@ def test_refiners_accept_mark_output():
     eta2 = np.zeros(mesh.n_cells)
     eta2[[2, 4]] = 1.0
     marks = mark(eta2)
-    assert structurally_equal(refine_vem(mesh, marks)[0], refine_vem(mesh, [4, 2])[0])
+    assert structurally_equal(refine_vem(mesh, marks), refine_vem(mesh, [4, 2]))
     # integral floats name cells, as they name vertices in build_topology
-    assert structurally_equal(refine_vem(mesh, marks)[0], refine_vem(mesh, np.array([4.0, 2.0]))[0])
+    assert structurally_equal(refine_vem(mesh, marks), refine_vem(mesh, np.array([4.0, 2.0])))
     assert structurally_equal(refine_fem(mesh, marks), refine_fem(mesh, range(2, 5, 2)))
 
 
@@ -322,7 +326,7 @@ def test_prolong_interpolates_midpoints_and_centroids():
     # edge, the centroid of a square averages its edge midpoints
     verts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
     mesh = build_topology(verts, [[0, 1, 2, 3]], top_edge_rule)
-    refined, _ = refine_vem(mesh, [0])
+    refined = refine_vem(mesh, [0])
 
     def affine(points):
         return 1.0 + 2.0 * points[:, 0] - 3.0 * points[:, 1]

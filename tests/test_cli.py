@@ -77,6 +77,11 @@ def test_run_reference_override(tmp_path, capsys):
         assert main(["run", "--steps", "3", "--out", str(out), "--quiet", "--reference", bad]) == 1
         assert capsys.readouterr().err.startswith("error: reference eigenvalue must be finite and positive")
         assert not out.exists()
+    # a negative seed is refused before step 0 is assembled
+    out = tmp_path / "seed"
+    assert main(["run", "--steps", "3", "--out", str(out), "--quiet", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: solver seed must be non-negative, got -1")
+    assert not out.exists()
 
 
 def test_rate_subcommand(tmp_path, capsys):
@@ -92,6 +97,15 @@ def test_rate_subcommand(tmp_path, capsys):
     for last in ("0", "-2"):
         assert main(["rate", "--csv", str(out / "results.csv"), "--last", last]) == 1
         assert "window" in capsys.readouterr().err
+    # an infinite error is skipped, where it used to print "slope nan"
+    header, *rows = (out / "results.csv").read_text().splitlines()
+    fields = rows[-1].split(",")
+    fields[3] = "inf"
+    broken = tmp_path / "inf.csv"
+    broken.write_text("\n".join([header, *rows[:-1], ",".join(fields)]) + "\n")
+    assert main(["rate", "--csv", str(broken), "--last", "5"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("slope -") and "over 4 points" in text
 
 
 def test_rate_rejects_foreign_csv(tmp_path, capsys):
@@ -130,6 +144,12 @@ def test_mesh_validate_rejects_bad_file(tmp_path, capsys):
         # coordinates given as a string or a boolean are not read as 1.0
         (square[:1] + [["1", 0.0]] + square[2:], [[0, 1, 2, 3]], boundary, "error: vertex 1 "),
         (square[:3] + [[True, 1.0]], [[0, 1, 2, 3]], boundary, "error: vertex 3 "),
+        # the diagonal of the square is not a boundary edge
+        (square, [[0, 1, 2, 3]], boundary + [{"edge": [0, 2], "tag": "gamma0"}],
+         "error: tagged edge (0, 2) is not a boundary edge"),
+        # an edge tagged twice used to keep the last tag
+        (square, [[0, 1, 2, 3]], boundary[:1] + [{"edge": [0, 1], "tag": "gamma1"}] + boundary[1:],
+         "error: boundary items 0 and 1 "),
     ]
     for verts, cells, items, message in cases:
         path.write_text(json.dumps({"vertices": verts, "cells": cells, "boundary": items}))

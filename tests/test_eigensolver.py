@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from steklov import eigensolver
 from steklov.adaptivity import prolong, refine_uniform, refine_vem
 from steklov.eigensolver import (
     ConvergenceError,
     EigensolverError,
-    SolverOptions,
     SpectralPair,
     normalize_pair,
     residual_norm,
@@ -27,7 +27,7 @@ def small_meshes():
     """A handful of meshes under 200 dofs mixing triangles and polygons."""
     square = initial_mesh("square")
     notched = initial_mesh("notched")
-    vem_once, _ = refine_vem(square, range(8))
+    vem_once = refine_vem(square, range(8))
     yield square
     yield notched
     yield vem_once
@@ -39,7 +39,7 @@ def test_sparse_matches_dense_reference():
         system = assemble(mesh)
         dense = dense_reference_solve(system)
         count = min(3, len(system.gamma0_dofs) - 1)
-        pairs = solve_smallest_positive(system, SolverOptions(count=count))
+        pairs = solve_smallest_positive(system, count=count)
         # dense spectrum starts with the zero mode of the constant vector
         assert abs(dense[0]) < 1e-8
         for j, pair in enumerate(pairs):
@@ -55,7 +55,7 @@ def test_matches_fem_oracle_eigensolve():
     gamma0 = list(zip(mesh.edge_a[g].tolist(), mesh.edge_b[g].tolist()))
     M = oracle_boundary_mass(mesh.vertices, gamma0)
     values, vectors = dense_steklov_solve(K, M, count=2)
-    pairs = solve_smallest_positive(system, SolverOptions(count=2))
+    pairs = solve_smallest_positive(system, count=2)
     for pair, ref in zip(pairs, values):
         assert abs(pair.value - ref) < 1e-9 * ref
     # eigenvectors agree up to sign in the M norm
@@ -79,17 +79,19 @@ def test_count_exceeding_spectrum_raises():
     system = assemble(initial_mesh("square"))
     n_pos = len(system.gamma0_dofs) - 1
     with pytest.raises(EigensolverError, match="finite positive"):
-        solve_smallest_positive(system, SolverOptions(count=n_pos + 1))
+        solve_smallest_positive(system, count=n_pos + 1)
     with pytest.raises(EigensolverError, match="at least 1"):
-        solve_smallest_positive(system, SolverOptions(count=0))
+        solve_smallest_positive(system, count=0)
     for tol in (0.0, -1.0):
         with pytest.raises(EigensolverError, match="tol must be positive"):
-            solve_smallest_positive(system, SolverOptions(tol=tol))
+            solve_smallest_positive(system, tol=tol)
+    with pytest.raises(EigensolverError, match="seed must be non-negative, got -1"):
+        solve_smallest_positive(system, seed=-1)
 
 
 def test_solution_invariants():
     system = assemble(initial_mesh("square"))
-    (pair,) = solve_smallest_positive(system, SolverOptions(count=1))
+    (pair,) = solve_smallest_positive(system, count=1)
     M = system.boundary_mass
     w = pair.vector
 
@@ -112,7 +114,7 @@ def test_solution_invariants():
 
 def test_normalize_pair_idempotent_and_guards():
     system = assemble(initial_mesh("square"))
-    (pair,) = solve_smallest_positive(system, SolverOptions(count=1))
+    (pair,) = solve_smallest_positive(system, count=1)
     again = normalize_pair(system, pair)
     assert np.array_equal(again.vector, pair.vector)
 
@@ -130,7 +132,7 @@ def test_normalize_pair_idempotent_and_guards():
 def test_multiple_eigenvalues_ascending_and_accurate():
     system = assemble(refine_uniform(initial_mesh("square")))
     dense = dense_reference_solve(system)
-    pairs = solve_smallest_positive(system, SolverOptions(count=4))
+    pairs = solve_smallest_positive(system, count=4)
     values = [p.value for p in pairs]
     assert values == sorted(values)
     assert np.allclose(values, dense[1:5], rtol=1e-8)
@@ -138,21 +140,30 @@ def test_multiple_eigenvalues_ascending_and_accurate():
 
 def test_seeded_runs_are_bitwise_reproducible():
     system = assemble(initial_mesh("square"))
-    a = solve_smallest_positive(system, SolverOptions(count=2, seed=7))
-    b = solve_smallest_positive(system, SolverOptions(count=2, seed=7))
+    a = solve_smallest_positive(system, count=2, seed=7)
+    b = solve_smallest_positive(system, count=2, seed=7)
     for pa, pb in zip(a, b):
         assert pa.value == pb.value
         assert np.array_equal(pa.vector, pb.vector)
 
 
-def test_convergence_error_reports_best_residual():
+@pytest.fixture
+def one_restart(monkeypatch):
+    """Cap ARPACK at a single restart; the solver's own bound is fixed."""
+    eigsh = eigensolver.spla.eigsh
+
+    def capped(*args, **kwargs):
+        return eigsh(*args, **{**kwargs, "maxiter": 1})
+
+    monkeypatch.setattr(eigensolver.spla, "eigsh", capped)
+
+
+def test_convergence_error_reports_best_residual(one_restart):
     # a single sweep at an unreachable tolerance must fail honestly
     mesh = initial_mesh("square")
     system = assemble(mesh)
     with pytest.raises(ConvergenceError) as info:
-        solve_smallest_positive(
-            system, SolverOptions(count=1, tol=1e-16, max_iterations=1)
-        )
+        solve_smallest_positive(system, count=1, tol=1e-16)
     assert info.value.best_residual > 0.0
     assert "best residual" in str(info.value)
 
@@ -203,16 +214,16 @@ def quad_split_notched():
     """The notched mesh with every cell quad-split four times: 3,753 dofs."""
     mesh = initial_mesh("notched")
     for _ in range(4):
-        mesh, _ = refine_vem(mesh, range(mesh.n_cells))
+        mesh = refine_vem(mesh, range(mesh.n_cells))
     return mesh
 
 
-def test_arpack_stall_is_a_convergence_error():
+def test_arpack_stall_is_a_convergence_error(one_restart):
     # one restart is too few for six pairs: ARPACK gives up with a partial
     # set, whose residuals the error reports
     system = assemble(quad_split_notched())
     with pytest.raises(ConvergenceError, match="of 6 positive pairs found") as info:
-        solve_smallest_positive(system, SolverOptions(count=6, max_iterations=1))
+        solve_smallest_positive(system, count=6)
     assert info.value.best_residual > 0.0
 
 
@@ -250,9 +261,9 @@ def test_column_solves_per_call_stay_within_budget(factors):
 def test_warm_start_from_the_prolonged_coarse_solution(factors):
     coarse = initial_mesh("notched")
     for _ in range(3):
-        coarse, _ = refine_vem(coarse, range(coarse.n_cells))
+        coarse = refine_vem(coarse, range(coarse.n_cells))
     (coarse_pair,) = solve_smallest_positive(assemble(coarse))
-    fine, _ = refine_vem(coarse, range(coarse.n_cells))
+    fine = refine_vem(coarse, range(coarse.n_cells))
     system = assemble(fine)
     (cold,) = solve_smallest_positive(system)
     (warm,) = solve_smallest_positive(system, start=prolong(coarse, fine, coarse_pair.vector))
@@ -273,5 +284,15 @@ def test_factor_fill_stays_within_budget(factors):
 
 def test_start_vector_of_the_wrong_length_is_refused():
     system = assemble(initial_mesh("square"))
+    n = system.n_dofs
     with pytest.raises(EigensolverError, match="start vector must have shape"):
-        solve_smallest_positive(system, start=np.ones(system.n_dofs + 1))
+        solve_smallest_positive(system, start=np.ones(n + 1))
+    nan = np.ones(n)
+    nan[3] = np.nan
+    for bad in (nan, np.full(n, np.inf)):
+        with pytest.raises(EigensolverError, match="start vector must be finite"):
+            solve_smallest_positive(system, start=bad)
+    # constants are the deflated zero mode: nothing is left to iterate on
+    for constant in (np.zeros(n), np.ones(n), 3 * np.ones(n), np.full(n, -1e6)):
+        with pytest.raises(EigensolverError, match="start vector is zero once the constant mode is deflated"):
+            solve_smallest_positive(system, start=constant)

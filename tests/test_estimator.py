@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from steklov.eigensolver import SolverOptions, SpectralPair, solve_smallest_positive
+from steklov.eigensolver import SpectralPair, solve_smallest_positive
 from steklov.estimator import edge_residuals, element_indicators
 from steklov.experiments import initial_mesh
 from steklov.mesh import TAGS, BoundaryTag, build_topology
@@ -84,7 +84,7 @@ def test_edge_norm_matches_gauss_legendre_integral():
     # degree 9) on the edges of a refined mesh with random gradients
     from steklov.adaptivity import refine_vem
 
-    mesh, _ = refine_vem(initial_mesh("notched"), [0, 4, 9])
+    mesh = refine_vem(initial_mesh("notched"), [0, 4, 9])
     rng = np.random.default_rng(17)
     gradients = rng.standard_normal((mesh.n_cells, 2))
     value_a, value_b, norm2 = edge_residuals(mesh, gradients, 1.7, rng.standard_normal(mesh.n_vertices))
@@ -118,7 +118,7 @@ def test_reflecting_edge_carries_spurious_flux():
 def test_uniform_gradient_field_has_no_interior_jumps():
     from steklov.adaptivity import refine_vem
 
-    mesh, _ = refine_vem(initial_mesh("square"), [2, 6])
+    mesh = refine_vem(initial_mesh("square"), [2, 6])
     gradients = np.tile([1.3, -0.4], (mesh.n_cells, 1))
     value_a, value_b, _ = edge_residuals(mesh, gradients, 0.0, np.zeros(mesh.n_vertices))
     interior = mesh.edge_tag == TAGS.index(BoundaryTag.INTERIOR)
@@ -130,7 +130,7 @@ def test_uniform_gradient_field_has_no_interior_jumps():
 def test_indicators_match_classical_fem_oracle():
     mesh = initial_mesh("square")
     system = assemble(mesh)
-    (pair,) = solve_smallest_positive(system, SolverOptions(count=1))
+    (pair,) = solve_smallest_positive(system, count=1)
     theta2, jump2 = element_indicators(system, pair)
 
     triangles = mesh.cell_vertices.reshape(-1, 3)
@@ -157,9 +157,9 @@ def test_element_indicators_require_normalized_pair():
 def test_polygonal_mesh_has_positive_stabilization_term():
     from steklov.adaptivity import refine_vem
 
-    mesh, _ = refine_vem(initial_mesh("square"), range(32))
+    mesh = refine_vem(initial_mesh("square"), range(32))
     system = assemble(mesh)
-    (pair,) = solve_smallest_positive(system, SolverOptions(count=1))
+    (pair,) = solve_smallest_positive(system, count=1)
     theta2, jump2 = element_indicators(system, pair)
     assert np.sum(theta2) > 0.0
     assert np.sum(jump2) > 0.0
@@ -172,7 +172,7 @@ def test_estimate_decreases_under_refinement():
     values = []
     for _ in range(3):
         system = assemble(mesh)
-        (pair,) = solve_smallest_positive(system, SolverOptions(count=1))
+        (pair,) = solve_smallest_positive(system, count=1)
         theta2, jump2 = element_indicators(system, pair)
         values.append(float(np.sum(theta2)) + float(np.sum(jump2)))
         mesh = refine_uniform(mesh)

@@ -100,6 +100,13 @@ def test_fit_rate_skips_missing_points_and_windows():
     assert fit.points == 3
     assert abs(fit.slope + math.log(100.0) / math.log(4.0)) < 1e-12
 
+    # infinite errors are skipped like NaN ones, not fitted to a NaN slope
+    fit = fit_rate(ns, [1.0, 1e-2, math.inf, 1e-3, math.nan, 1e-4], last=3)
+    assert fit.points == 3
+    assert abs(fit.slope + math.log(100.0) / math.log(16.0)) < 1e-12
+    with pytest.raises(ValueError, match="at least 3"):
+        fit_rate(ns, [math.inf, 1.0, math.nan, -math.inf, 0.5, math.inf])
+
     with pytest.raises(ValueError, match="at least 3"):
         fit_rate([10, 20], [1.0, 0.5])
     with pytest.raises(ValueError, match="at least 3"):
@@ -237,6 +244,7 @@ def test_run_experiment_validates_config(monkeypatch):
         (dict(reference=float("inf")), "reference eigenvalue"),
         (dict(reference=0.0), "reference eigenvalue"),
         (dict(reference=-1.0), "reference eigenvalue"),
+        (dict(seed=-1), "solver seed must be non-negative, got -1"),
     ]
     for fields, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -247,12 +255,12 @@ def failing_second_solve(monkeypatch):
     """Make the second eigensolve of a run raise ConvergenceError."""
     calls = 0
 
-    def solve(system, options, start=None):
+    def solve(system, **options):
         nonlocal calls
         calls += 1
         if calls == 2:
             raise ConvergenceError("no convergence", best_residual=1.0)
-        return solve_smallest_positive(system, options, start=start)
+        return solve_smallest_positive(system, **options)
 
     monkeypatch.setattr(experiments, "solve_smallest_positive", solve)
 

@@ -94,6 +94,9 @@ def test_hanging_vertex_cycle_is_accepted():
     assert len(mesh.gamma0_edge_ids()) == 2
 
 
+SQUARE_TAGS = {(0, 1): "gamma1", (1, 2): "gamma1", (2, 3): "gamma0", (3, 0): "gamma1"}
+
+
 def test_validation_errors():
     cases = [
         # repeated vertex in a cycle
@@ -139,6 +142,14 @@ def test_validation_errors():
         # vertex data numpy cannot convert: ragged or non-numeric
         ([[0.0, 0.0], [1.0]], [[0, 1, 2]], all_gamma0, r"vertex array must have shape \(n, 2\)"),
         ([[0.0, "a"], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]], all_gamma0, r"vertex array must have shape \(n, 2\)"),
+        # a tag map key that is not a boundary edge: the diagonal of one
+        # square cell, the interior edge of two triangles, a pair no cell has
+        (SQUARE_VERTS, [[0, 1, 2, 3]], {**SQUARE_TAGS, (2, 0): "gamma0"},
+         r"tagged edge \(0, 2\) is not a boundary edge"),
+        (SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], {**SQUARE_TAGS, (0, 2): "gamma1"},
+         r"tagged edge \(0, 2\) is not a boundary edge"),
+        (SQUARE_VERTS, [[0, 1, 2, 3]], {**SQUARE_TAGS, (7, 5): "gamma1", (1, 3): "gamma1"},
+         r"tagged edge \(1, 3\) is not a boundary edge"),
     ]
     for verts, cells, tags, fragment in cases:
         with pytest.raises(MeshError, match=fragment):
@@ -357,6 +368,14 @@ def test_load_rejects_malformed_files(tmp_path):
         # fields that are not lists at all
         (5, good_boundary, "field 'cells' .* must be a list"),
         ([[0, 1, 2, 3]], 7, "field 'boundary' .* must be a list"),
+        # an edge listed twice, in either direction, must not let the last tag win
+        ([[0, 1, 2, 3]], [{"edge": [1, 0], "tag": "gamma0"}] + good_boundary,
+         r"boundary items 0 and 1 .* both tag edge \[0, 1\]"),
+        ([[0, 1, 2, 3]], good_boundary + [{"edge": [2, 3], "tag": "gamma0"}],
+         r"boundary items 2 and 4 .* both tag edge \[2, 3\]"),
+        # a listed edge that no cell has on the boundary
+        ([[0, 1, 2, 3]], good_boundary + [{"edge": [0, 2], "tag": "gamma1"}],
+         r"tagged edge \(0, 2\) is not a boundary edge"),
     ]
     for k, (cells, boundary, fragment) in enumerate(cases):
         path = tmp_path / f"case_{k}.json"

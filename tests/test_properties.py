@@ -14,8 +14,8 @@ initial meshes with it, and checks after every step, from the flat arrays:
 A second set of properties runs the same kind of sequences through the
 array refiners and through the loop-based reference refiners of
 ``refine_oracle`` and requires identical meshes, numbering included, and
-a ``RefinementRecord.parent`` that maps every new cell into the coarse cell
-whose area it covers.  The refiners build their output without the checks
+that the oracle's parent-to-children map puts every new cell inside the
+coarse cell whose area it covers.  The refiners build their output without the checks
 of ``build_topology``, so every output must come back unchanged through
 them, its boundary tagged by the initial meshes' own rule; and
 newest-vertex bisection must create at most four triangle shapes per
@@ -57,7 +57,7 @@ import refine_oracle as oracle
 import vem_oracle
 from steklov.adaptivity import normalize_refinement_edges, prolong, refine_fem, refine_uniform, refine_vem
 from fem_oracle import dense_reference_solve
-from steklov.eigensolver import SolverOptions, SpectralPair, normalize_pair, solve_smallest_positive
+from steklov.eigensolver import SpectralPair, normalize_pair, solve_smallest_positive
 from steklov.experiments import exact_eigenvalue_square, initial_mesh
 from steklov.mesh import TAGS, build_topology, load_mesh, polygon_geometry, save_mesh
 from steklov.vem import _cell_group, _project_group, _stiffness, assemble
@@ -148,7 +148,7 @@ def test_refine_vem_invariants(name, steps, data):
     mesh = INITIAL[name]
     reference = (unpaired_length(mesh), total_area(mesh), gamma0_length(mesh))
     for _ in range(steps):
-        refined, _ = refine_vem(mesh, marks_for(data, mesh))
+        refined = refine_vem(mesh, marks_for(data, mesh))
         check_invariants(mesh, refined, reference)
         mesh = refined
 
@@ -228,15 +228,13 @@ def test_refine_vem_matches_oracle(name, steps, data):
     mesh = INITIAL[name]
     for _ in range(steps):
         marks = mark_subset(data, mesh)
-        refined, record = refine_vem(mesh, marks)
+        refined = refine_vem(mesh, marks)
         expected, expected_record = oracle.refine_vem(mesh, marks)
         assert identical(refined, expected)
-        expected_parent = np.empty(expected.n_cells, dtype=np.int64)
+        parent = np.empty(expected.n_cells, dtype=np.int64)
         for cid, children in expected_record.children.items():
-            expected_parent[list(children)] = cid
-        assert np.array_equal(record.parent, expected_parent)
-        assert record.hanging_cells.tolist() == list(expected_record.hanging_cells)
-        assert parents_covered(mesh, refined, record.parent)
+            parent[list(children)] = cid
+        assert parents_covered(mesh, refined, parent)
         mesh = refined
 
 
@@ -278,7 +276,7 @@ def test_refiner_output_passes_build_topology_unchanged(name, steps, data):
     fem = normalize_refinement_edges(vem)
     assert identical(rebuilt(fem), fem)
     for _ in range(steps):
-        vem, _ = refine_vem(vem, mark_subset(data, vem))
+        vem = refine_vem(vem, mark_subset(data, vem))
         if fem.n_cells < 300 and data.draw(st.booleans(), label="uniform"):
             fem = refine_uniform(fem)
         else:
@@ -346,7 +344,7 @@ def relabelled(mesh, rng):
 
 def smallest(mesh, count):
     """The ``count`` smallest positive eigenvalues of the mesh's pencil."""
-    pairs = solve_smallest_positive(assemble(mesh), SolverOptions(count=count))
+    pairs = solve_smallest_positive(assemble(mesh), count=count)
     return np.array([p.value for p in pairs])
 
 
@@ -363,7 +361,7 @@ def test_solver_matches_dense_and_keeps_symmetries(name, fem, steps, count, scal
     mesh = INITIAL[name]
     for _ in range(steps):
         marks = marks_for(data, mesh)
-        mesh = refine_fem(mesh, marks) if fem else refine_vem(mesh, marks)[0]
+        mesh = refine_fem(mesh, marks) if fem else refine_vem(mesh, marks)
     count = min(count, len(mesh.gamma0_vertices()) - 1)
     values = smallest(mesh, count)
     dense = dense_reference_solve(assemble(mesh))[1:count + 1]
@@ -385,7 +383,7 @@ def test_eigenvalue_is_invariant_under_relabelling(name, fem, steps, seed, data)
     mesh = INITIAL[name]
     for _ in range(steps):
         marks = marks_for(data, mesh)
-        mesh = refine_fem(mesh, marks) if fem else refine_vem(mesh, marks)[0]
+        mesh = refine_fem(mesh, marks) if fem else refine_vem(mesh, marks)
     shuffled = relabelled(mesh, np.random.default_rng(seed))
     assert not np.array_equal(shuffled.cell_vertices, mesh.cell_vertices)
     value = smallest(mesh, 1)[0]
@@ -413,7 +411,7 @@ def refined_pair(name, fem, steps, data):
     mesh = INITIAL[name]
     for _ in range(steps):
         coarse, marks = mesh, marks_for(data, mesh)
-        mesh = refine_fem(mesh, marks) if fem else refine_vem(mesh, marks)[0]
+        mesh = refine_fem(mesh, marks) if fem else refine_vem(mesh, marks)
     return coarse, mesh
 
 
@@ -442,7 +440,7 @@ def test_prolong_keeps_coarse_values_and_fills_every_vertex(name, refiner, steps
     for _ in range(steps):
         coarse = fine
         if refiner == "vem":
-            fine = refine_vem(coarse, mark_subset(data, coarse))[0]
+            fine = refine_vem(coarse, mark_subset(data, coarse))
         elif refiner == "fem":
             fine = refine_fem(coarse, mark_subset(data, coarse))
         else:
@@ -456,7 +454,7 @@ def test_prolong_keeps_coarse_values_and_fills_every_vertex(name, refiner, steps
     assert w.min() <= values.min() and values.max() <= w.max()
 
 
-NORMALIZE_MESHES = [INITIAL["square"], INITIAL["notched"], refine_vem(INITIAL["square"], range(8))[0]]
+NORMALIZE_MESHES = [INITIAL["square"], INITIAL["notched"], refine_vem(INITIAL["square"], range(8))]
 
 
 @SETTINGS
@@ -602,7 +600,7 @@ def test_save_load_round_trips_refined_meshes(name, fem, steps, data):
     mesh = INITIAL[name]
     for _ in range(steps):
         marks = mark_subset(data, mesh)
-        mesh = refine_fem(mesh, marks) if fem else refine_vem(mesh, marks)[0]
+        mesh = refine_fem(mesh, marks) if fem else refine_vem(mesh, marks)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mesh.json"
         save_mesh(mesh, path)

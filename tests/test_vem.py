@@ -155,7 +155,7 @@ def test_batched_groups_match_single_cell_path_bitwise():
     from steklov.adaptivity import refine_vem
 
     # refine a few cells so the mesh mixes triangles, quads and pentagons
-    mesh, _ = refine_vem(initial_mesh("square"), [0, 3, 7])
+    mesh = refine_vem(initial_mesh("square"), [0, 3, 7])
     system = assemble(mesh)
     assert len(system.groups) > 1
     seen = []
@@ -176,7 +176,7 @@ def test_batched_groups_match_single_cell_path_bitwise():
 def test_projection_pipeline_exact_for_affine_fields():
     from steklov.adaptivity import refine_vem
 
-    mesh, _ = refine_vem(initial_mesh("square"), [1, 5, 9])
+    mesh = refine_vem(initial_mesh("square"), [1, 5, 9])
     system = assemble(mesh)
     a, b, c = 0.7, -1.3, 2.1
     w = a + b * mesh.vertices[:, 0] + c * mesh.vertices[:, 1]
