@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import (
-    MeshError, PolygonalMesh, _edge_table, _first_boolean, _first_true, cell_groups, polygon_geometry,
+    MeshError, PolygonalMesh, _edge_table, _first_true, _marked_cells, cell_groups, polygon_geometry,
 )
 
 __all__ = [
@@ -62,31 +62,6 @@ def mark(eta2: Sequence[float] | np.ndarray, fraction: float = 0.5) -> np.ndarra
         warnings.warn("all error indicators are zero; nothing to mark", stacklevel=2)
         return np.empty(0, dtype=np.int64)
     return np.flatnonzero(etas >= fraction * peak)
-
-
-def _marked_cells(marks: Iterable[int], n_cells: int) -> np.ndarray:
-    """Ascending, distinct marked cell ids.
-
-    A boolean entry (a mask is not a list of ids) or one that is not an
-    integer raises :class:`MeshError` naming the first such entry.
-    """
-    entries = marks if isinstance(marks, np.ndarray) else list(marks)
-    # the entries of an array share one dtype, so its first one speaks for all
-    boolean = _first_boolean(entries if isinstance(entries, list) else entries[:1].tolist())
-    if boolean is not None:
-        raise MeshError(f"mark entry {boolean} is a boolean, not a cell id")
-    cells = np.asarray(entries)
-    if cells.dtype.kind == "f":
-        fractional = ~np.isfinite(cells) | (cells != np.trunc(cells))
-        if fractional.any():
-            k = _first_true(fractional)
-            raise MeshError(f"mark entry {k} is not an integer cell id: {float(cells[k])!r}")
-    elif cells.dtype.kind not in "iu":
-        raise MeshError("marks must be integer cell ids")
-    out = np.unique(cells.astype(np.int64))
-    if len(out) and (out[0] < 0 or out[-1] >= n_cells):
-        raise MeshError("marked cell index out of range")
-    return out
 
 
 def _first_encounter_ids(keys: np.ndarray, n_keys: int, base: int) -> np.ndarray:

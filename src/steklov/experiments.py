@@ -22,8 +22,8 @@ import numpy as np
 from .adaptivity import mark, normalize_refinement_edges, prolong, refine_fem, refine_uniform, refine_vem
 from .eigensolver import solve_smallest_positive
 from .estimator import element_indicators
-from .mesh import PolygonalMesh, build_topology, save_mesh
-from .render import mesh_to_svg
+from .mesh import PolygonalMesh, _json_texts, build_topology
+from .render import _svg_texts
 from .vem import assemble, dump_matrix
 
 __all__ = [
@@ -396,11 +396,15 @@ def emit_outputs(result: ExperimentResult) -> list[Path]:
             writer.writerow([r.n_dofs, repr(r.error), repr(r.eta2)])
     written.append(curves_path)
 
-    for k, (mesh, marks) in enumerate(zip(result.meshes, result.marks)):
-        json_path = out_dir / f"mesh_step_{k}.json"
-        save_mesh(mesh, json_path)
-        written.append(json_path)
-        svg_path = out_dir / f"mesh_step_{k}.svg"
-        mesh_to_svg(mesh, svg_path, marked=() if marks is None else marks)
-        written.append(svg_path)
+    # each vertex is formatted once per run: every mesh file reuses the text of
+    # the vertices its mesh shares with the one before
+    frames = list(zip(result.meshes, result.marks))
+    texts = zip(
+        _json_texts(mesh for mesh, _ in frames),
+        _svg_texts((mesh, () if marks is None else marks) for mesh, marks in frames),
+    )
+    for k, (json_text, svg_text) in enumerate(texts):
+        for path, text in ((out_dir / f"mesh_step_{k}.json", json_text), (out_dir / f"mesh_step_{k}.svg", svg_text)):
+            path.write_text(text)
+            written.append(path)
     return written

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -418,7 +418,8 @@ def build_topology(
     degenerate or repeated-vertex cells, self-intersecting cycles, vertices
     that no cell uses, non-manifold edges, irreparably inconsistent
     orientation, untagged boundary edges, a tag map key that is not a
-    boundary edge, or an empty spectral boundary.
+    boundary edge, two tag map keys naming one edge, or an empty spectral
+    boundary.
     """
     try:
         verts = np.asarray(vertices)
@@ -446,13 +447,18 @@ def build_topology(
     _validate_cycles(verts, cell_ptr, tails)  # may reverse cycles in place
 
     if isinstance(boundary_tags, Mapping):
-        lookup = {tuple(sorted(k)): v for k, v in boundary_tags.items()}
+        lookup = {}  # sorted edge key -> the tag map key naming it
+        for k in boundary_tags:
+            key = tuple(sorted(k))
+            if key in lookup:
+                raise MeshError(f"tag map keys {lookup[key]} and {k} both name edge {key}")
+            lookup[key] = k
 
         def classify(a, b):
             key = (a, b) if a < b else (b, a)
             if key not in lookup:
                 raise MeshError(f"untagged boundary edge {key}")
-            return _normalize_tag(lookup[key], key)
+            return _normalize_tag(boundary_tags[lookup[key]], key)
 
     else:
 
@@ -536,28 +542,112 @@ def quality_report(mesh: PolygonalMesh) -> MeshQualityReport:
 
 
 # ---------------------------------------------------------------------------
-# JSON I/O
+# cell marks
+
+
+def _marked_cells(marks: Iterable[int], n_cells: int) -> np.ndarray:
+    """Ascending, distinct marked cell ids.
+
+    A boolean entry (a mask is not a list of ids) or one that is not an
+    integer raises :class:`MeshError` naming the first such entry.
+    """
+    entries = marks if isinstance(marks, np.ndarray) else list(marks)
+    # the entries of an array share one dtype, so its first one speaks for all
+    boolean = _first_boolean(entries if isinstance(entries, list) else entries[:1].tolist())
+    if boolean is not None:
+        raise MeshError(f"mark entry {boolean} is a boolean, not a cell id")
+    cells = np.asarray(entries)
+    if cells.dtype.kind == "f":
+        fractional = ~np.isfinite(cells) | (cells != np.trunc(cells))
+        if fractional.any():
+            k = _first_true(fractional)
+            raise MeshError(f"mark entry {k} is not an integer cell id: {float(cells[k])!r}")
+    elif cells.dtype.kind not in "iu":
+        raise MeshError("marks must be integer cell ids")
+    out = np.unique(cells.astype(np.int64))
+    if len(out) and (out[0] < 0 or out[-1] >= n_cells):
+        raise MeshError("marked cell index out of range")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# file text, built from object arrays of per-vertex strings in one join per
+# table, so that no Python loop runs over cells
+
+
+def _shared_rows(old: np.ndarray, new: np.ndarray) -> int:
+    """``len(old)`` when ``new`` starts with the rows of ``old``, else 0.
+
+    Rows are compared bit for bit: -0.0 == 0.0, but the two print differently.
+    """
+    n = len(old)
+    return n if new[:n].tobytes() == old.tobytes() else 0
+
+
+def _join(*columns) -> str:
+    """Concatenate equal-length object-array columns row by row; a str column
+    repeats on every row."""
+    rows = next(len(column) for column in columns if not isinstance(column, str))
+    table = np.empty((rows, len(columns)), dtype=object)
+    for k, column in enumerate(columns):
+        table[:, k] = column
+    return "".join(table.ravel().tolist())
+
+
+def _cycle_text(mesh: PolygonalMesh, labels: np.ndarray, sep: str, ends: np.ndarray) -> str:
+    """Every cycle entry v as ``labels[v]``, with ``sep`` between the entries
+    of a cell and ``ends[c]`` after the last entry of cell c."""
+    seps = np.full(len(mesh.cell_vertices), sep, dtype=object)
+    seps[mesh.cell_ptr[1:] - 1] = ends
+    return _join(labels[mesh.cell_vertices], seps)
+
+
+# JSON text of each tag, indexed like TAGS
+_TAG_JSON = np.array([json.dumps(tag.value) for tag in TAGS], dtype=object)
+
+
+def _json_texts(meshes: Iterable[PolygonalMesh]) -> Iterator[str]:
+    """The JSON file text of each mesh in turn: vertices, cell cycles and
+    tagged boundary edges, as ``json.dumps`` writes them.
+
+    A mesh whose vertex array starts with the previous mesh's, as every
+    refined mesh does, reuses the text of those rows and formats only the
+    rows after them.
+    """
+    vertices = np.empty((0, 2))
+    rows = ""  # the JSON text of the rows of ``vertices``, without the outer brackets
+    labels = np.empty(0, dtype=object)  # str(v) of every vertex id v met so far
+    for mesh in meshes:
+        shared = _shared_rows(vertices, mesh.vertices)
+        fresh = json.dumps(mesh.vertices[shared:].tolist())[1:-1]
+        rows = ", ".join(filter(None, (rows if shared else "", fresh)))
+        vertices = mesh.vertices
+        if mesh.n_vertices > len(labels):
+            more = np.arange(len(labels), mesh.n_vertices).astype(str).astype(object)
+            labels = np.concatenate([labels, more])
+
+        ends = np.full(mesh.n_cells, "], [", dtype=object)
+        ends[-1] = ""
+        boundary = np.flatnonzero(mesh.edge_right < 0)
+        commas = np.full(len(boundary), ", ", dtype=object)
+        commas[-1:] = ""
+        items = _join(
+            '{"edge": [', labels[mesh.edge_a[boundary]], ", ", labels[mesh.edge_b[boundary]],
+            '], "tag": ', _TAG_JSON[mesh.edge_tag[boundary]], "}", commas,
+        )
+        yield "".join([
+            '{"vertices": [', rows, '], "cells": [[', _cycle_text(mesh, labels, ", ", ends),
+            ']], "boundary": [', items, "]}\n",
+        ])
 
 
 def save_mesh(mesh: PolygonalMesh, path: str | Path) -> None:
     """Write the mesh as JSON: vertices, cell cycles and tagged boundary edges."""
-    boundary = np.flatnonzero(mesh.edge_right < 0)
-    payload = {
-        "vertices": mesh.vertices.tolist(),
-        "cells": mesh.cycles(),
-        "boundary": [
-            {"edge": [a, b], "tag": TAGS[t].value}
-            for a, b, t in zip(
-                mesh.edge_a[boundary].tolist(),
-                mesh.edge_b[boundary].tolist(),
-                mesh.edge_tag[boundary].tolist(),
-            )
-        ],
-    }
-    # one json.dumps call runs the C encoder; json.dump streams through the
-    # pure-Python one, several times slower for the same bytes
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload) + "\n")
+    Path(path).write_text(next(_json_texts([mesh])))
+
+
+# ---------------------------------------------------------------------------
+# JSON input
 
 
 def _is_index(value) -> bool:

@@ -395,13 +395,16 @@ def test_criterion_7_refinement_invariants():
 
 
 def test_criterion_8_determinism(tmp_path):
-    digests = []
+    runs = []
     for name in ("a", "b"):
         out = tmp_path / name
         config = ExperimentConfig(
             test="square", method="adaptive-vem", steps=8, out_dir=str(out)
         )
-        emit_outputs(run_experiment(config))
-        digests.append((out / "results.csv").read_bytes())
-    ok = digests[0] == digests[1]
-    report(8, ok, f"two 8-step runs: results.csv byte-identical = {ok}")
+        written = emit_outputs(run_experiment(config))
+        runs.append({path.name: path.read_bytes() for path in written})
+    # results.csv, curves.csv and the JSON and SVG file of each of the 8 meshes
+    expected = {"results.csv", "curves.csv"} | {f"mesh_step_{k}.{ext}" for k in range(8) for ext in ("json", "svg")}
+    differing = sorted(name for name in runs[0] if runs[0][name] != runs[1].get(name))
+    ok = set(runs[0]) == set(runs[1]) == expected and not differing
+    report(8, ok, f"two 8-step runs: all {len(expected)} files byte-identical = {ok}; differing: {differing}")

@@ -150,6 +150,12 @@ def test_validation_errors():
          r"tagged edge \(0, 2\) is not a boundary edge"),
         (SQUARE_VERTS, [[0, 1, 2, 3]], {**SQUARE_TAGS, (7, 5): "gamma1", (1, 3): "gamma1"},
          r"tagged edge \(1, 3\) is not a boundary edge"),
+        # two keys naming one edge in opposite directions: refused, not the
+        # last one kept
+        (SQUARE_VERTS, [[0, 1, 2, 3]], {**SQUARE_TAGS, (1, 0): "gamma0"},
+         r"tag map keys \(0, 1\) and \(1, 0\) both name edge \(0, 1\)"),
+        (SQUARE_VERTS, [[0, 1, 2, 3]], {(3, 2): "gamma0", **SQUARE_TAGS},
+         r"tag map keys \(3, 2\) and \(2, 3\) both name edge \(2, 3\)"),
     ]
     for verts, cells, tags, fragment in cases:
         with pytest.raises(MeshError, match=fragment):

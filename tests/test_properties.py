@@ -42,8 +42,11 @@ such cells match the batched-solve routine kept in ``vem_oracle`` to
 round-off; ``theta2 = |C w|^2`` of ``w = affine + eps v`` on tiny cells far
 from the origin is ``eps^2 |C v|^2`` down to ``eps = 1e-10``; and the geometry
 kernel ``polygon_geometry`` agrees with the oracle's per-cell centroid, a
-fan-triangle area and a brute-force pairwise diameter.  A last property
-round-trips refined meshes through ``save_mesh``/``load_mesh``.
+fan-triangle area and a brute-force pairwise diameter.  The last properties
+round-trip refined meshes through ``save_mesh``/``load_mesh``, and require
+every mesh file ``emit_outputs`` writes for a random refinement sequence to
+equal, byte for byte, what the reference writers of ``emit_oracle`` write
+for each mesh on its own.
 """
 
 import tempfile
@@ -53,12 +56,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emit_oracle
 import refine_oracle as oracle
 import vem_oracle
 from steklov.adaptivity import normalize_refinement_edges, prolong, refine_fem, refine_uniform, refine_vem
 from fem_oracle import dense_reference_solve
 from steklov.eigensolver import SpectralPair, normalize_pair, solve_smallest_positive
-from steklov.experiments import exact_eigenvalue_square, initial_mesh
+from steklov.experiments import ExperimentConfig, ExperimentResult, emit_outputs, exact_eigenvalue_square, initial_mesh
 from steklov.mesh import TAGS, build_topology, load_mesh, polygon_geometry, save_mesh
 from steklov.vem import _cell_group, _project_group, _stiffness, assemble
 
@@ -605,3 +609,66 @@ def test_save_load_round_trips_refined_meshes(name, fem, steps, data):
         path = Path(tmp) / "mesh.json"
         save_mesh(mesh, path)
         assert identical(load_mesh(path), mesh)
+
+
+def assert_emitted_as_oracle(meshes, marks):
+    """Every mesh file emit_outputs writes equals the reference writers' bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, ref = Path(tmp) / "out", Path(tmp) / "ref"
+        ref.mkdir()
+        result = ExperimentResult(ExperimentConfig(out_dir=str(out)), 1.0, [], meshes, marks)
+        written = [p for p in emit_outputs(result) if p.name.startswith("mesh_step_")]
+        for k, (mesh, marked) in enumerate(zip(meshes, marks)):
+            emit_oracle.save_mesh(mesh, ref / f"mesh_step_{k}.json")
+            emit_oracle.mesh_to_svg(mesh, ref / f"mesh_step_{k}.svg", marked=() if marked is None else marked)
+        assert sorted(p.name for p in written) == sorted(p.name for p in ref.iterdir())
+        for path in written:
+            assert path.read_bytes() == (ref / path.name).read_bytes(), path.name
+
+
+@SETTINGS
+@given(
+    name=st.sampled_from(sorted(INITIAL)),
+    method=st.sampled_from(["adaptive-vem", "adaptive-fem", "uniform-fem"]),
+    steps=st.integers(0, 3),
+    data=st.data(),
+)
+def test_emitted_mesh_files_match_the_reference_writers(name, method, steps, data):
+    mesh = INITIAL[name]
+    meshes, marks = [], []
+    for step in range(steps + 1):
+        marked = None if method == "uniform-fem" else mark_subset(data, mesh)
+        meshes.append(mesh)
+        marks.append(marked)
+        if step < steps:
+            if marked is None:
+                mesh = refine_uniform(mesh)
+            elif method == "adaptive-fem":
+                mesh = refine_fem(mesh, marked)
+            else:
+                mesh = refine_vem(mesh, marked)
+    assert_emitted_as_oracle(meshes, marks)
+
+
+def test_emitted_mesh_files_of_meshes_that_are_not_nested():
+    def unit_square(x0=0.0):
+        return build_topology([[x0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [[0, 1, 2, 3]], top_side_rule)
+
+    # the rectangle keeps the square's vertices first but doubles the bounding
+    # box, so its pixel text must be formatted afresh
+    rectangle = build_topology(
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0], [2.0, 1.0]],
+        [[0, 1, 2, 3], [1, 4, 5, 2]],
+        top_side_rule,
+    )
+    fine = refine_vem(INITIAL["square"], [0, 3])
+    sequences = [
+        # unrelated meshes, a coarser mesh after a finer one, a repeat
+        ([fine, INITIAL["notched"], INITIAL["square"], INITIAL["square"]], [[1], None, [0, 2], []]),
+        # a shared prefix under a changed bounding box, then a shorter mesh
+        ([unit_square(), rectangle, unit_square()], [[0], [1], None]),
+        # -0.0 equals 0.0 but prints differently, so it shares no text with it
+        ([unit_square(), unit_square(-0.0), unit_square()], [[0], [0], [0]]),
+    ]
+    for meshes, marks in sequences:
+        assert_emitted_as_oracle(meshes, marks)

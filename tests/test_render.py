@@ -2,6 +2,8 @@
 
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from steklov.experiments import initial_mesh
 from steklov.render import mesh_to_svg
 
@@ -31,3 +33,20 @@ def test_svg_viewbox_scales_with_aspect_ratio(tmp_path):
     root = ET.parse(path).getroot()
     assert int(root.get("width")) == 400
     assert int(root.get("height")) < 400  # wide domain gives a short image
+
+
+def test_marks_that_are_not_cell_ids_are_refused(tmp_path):
+    from steklov.mesh import MeshError
+
+    mesh = initial_mesh("square")
+    cases = [
+        ([True], "mark entry 0 is a boolean, not a cell id"),
+        ([0.7], r"mark entry 0 is not an integer cell id: 0\.7"),
+        ([-1], "marked cell index out of range"),
+        ([10**6], "marked cell index out of range"),
+    ]
+    for marked, fragment in cases:
+        path = tmp_path / "refused.svg"
+        with pytest.raises(MeshError, match=fragment):
+            mesh_to_svg(mesh, path, marked=marked)
+        assert not path.exists()
