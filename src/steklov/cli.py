@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``steklov run`` -- execute one convergence experiment and write results.csv,
-  curves.csv and per-step mesh JSON/SVG files into the output directory.
+* ``steklov run`` -- execute one convergence experiment; results.csv and
+  curves.csv get each step's row as it ends (Ctrl-C keeps them), then the
+  per-step mesh JSON/SVG files are written into the output directory.
 * ``steklov rate`` -- fit a convergence slope to an existing results.csv.
 * ``steklov mesh validate`` -- load a JSON mesh file, run the full topology
   validation and print a short quality summary.

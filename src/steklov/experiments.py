@@ -6,16 +6,19 @@ lambda_n = n*pi*tanh(n*pi).  On the square with an equilateral notch cut into
 the bottom edge (one reentrant corner of interior angle 5*pi/3) there is no
 closed form; the reference value was extrapolated once from a fine adaptive
 ladder by fitting lambda_h = lambda + c * N**(-p) and is kept as a constant.
+A run writes its tables row by row as the steps end, so Ctrl-C or an error
+keeps every finished row; ``emit_outputs`` adds the mesh snapshots.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -247,9 +250,9 @@ def run_experiment(
     each step (initial mesh first) and the ids of the cells marked on it;
     nothing is refined after the last solve.  Every solve after the first
     starts from the previous eigenvector prolonged to the refined mesh.  A
-    zero estimate raises ``ValueError``.  If a step fails midway the records
-    collected so far are flushed to ``results.csv`` before the exception
-    propagates.
+    zero estimate raises ``ValueError``.  Given ``out_dir``, each step
+    appends its row to ``results.csv`` and ``curves.csv`` before ``progress``
+    sees its record, so a run stopped midway keeps every finished row.
     """
     if config.test not in TESTS:
         raise ValueError(f"unknown test {config.test!r}; expected one of {TESTS}")
@@ -271,137 +274,115 @@ def run_experiment(
     out_dir = Path(config.out_dir) if config.out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+        _write_rows(out_dir / "results.csv", [RESULTS_HEADER], "w")
+        _write_rows(out_dir / "curves.csv", [["N", "error", "eta2"]], "w")
 
     result = ExperimentResult(
         config=config, reference=reference, records=[], meshes=[mesh], marks=[]
     )
     start = None  # the previous eigenvector, prolonged to the current mesh
-    try:
-        for step in range(config.steps):
-            system = assemble(mesh)
-            pair = solve_smallest_positive(system, tol=config.tol, seed=config.seed, start=start)[0]
-            theta2, jump2 = element_indicators(system, pair)
-            eta2 = theta2 + jump2
-            theta2_total = float(np.sum(theta2))
-            jump2_total = float(np.sum(jump2))
-            eta2_total = theta2_total + jump2_total
-            # mark returns no cells only for a zero estimate, which stops here
-            if eta2_total <= 0.0:
-                raise ValueError("effectivity is undefined for a zero estimate")
-            error = abs(pair.value - reference)
-            record = ConvergenceRecord(
-                step=step,
-                n_dofs=system.n_dofs,
-                lambda_h=pair.value,
-                error=error,
-                theta2=theta2_total,
-                jump2=jump2_total,
-                eta2=eta2_total,
-                effectivity=error / eta2_total,
-            )
-            result.records.append(record)
-            if progress is not None:
-                progress(record)
-
-            if out_dir is not None and config.dump_indicators:
-                with open(out_dir / f"indicators_step_{step}.csv", "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["cell", "theta2", "jump2", "eta2"])
-                    writer.writerows(
-                        zip(
-                            range(len(eta2)),
-                            map(repr, theta2.tolist()),
-                            map(repr, jump2.tolist()),
-                            map(repr, eta2.tolist()),
-                        )
-                    )
-            if out_dir is not None and config.dump_matrices:
-                dump_matrix(system.stiffness, out_dir / f"stiffness_step_{step}.txt")
-                dump_matrix(system.boundary_mass, out_dir / f"boundary_mass_step_{step}.txt")
-
-            marks = None if config.method == "uniform-fem" else mark(eta2, config.mark_fraction)
-            result.marks.append(marks)
-            # meshes[k] is the mesh solved at step k: nothing is refined after
-            # the last solve
-            if step == config.steps - 1:
-                break
-            if marks is None:
-                fine = refine_uniform(mesh)
-            elif config.method == "adaptive-fem":
-                fine = refine_fem(mesh, marks)
-            else:
-                fine = refine_vem(mesh, marks)
-            start = prolong(mesh, fine, pair.vector)
-            mesh = fine
-            result.meshes.append(mesh)
-    except Exception:
+    for step in range(config.steps):
+        system = assemble(mesh)
+        pair = solve_smallest_positive(system, tol=config.tol, seed=config.seed, start=start)[0]
+        theta2, jump2 = element_indicators(system, pair)
+        eta2 = theta2 + jump2
+        theta2_total = float(np.sum(theta2))
+        jump2_total = float(np.sum(jump2))
+        eta2_total = theta2_total + jump2_total
+        # mark returns no cells only for a zero estimate, which stops here
+        if eta2_total <= 0.0:
+            raise ValueError("effectivity is undefined for a zero estimate")
+        error = abs(pair.value - reference)
+        record = ConvergenceRecord(
+            step=step,
+            n_dofs=system.n_dofs,
+            lambda_h=pair.value,
+            error=error,
+            theta2=theta2_total,
+            jump2=jump2_total,
+            eta2=eta2_total,
+            effectivity=error / eta2_total,
+        )
+        result.records.append(record)
         if out_dir is not None:
-            _write_results_csv(result.records, out_dir / "results.csv")
-        raise
+            values = (pair.value, error, theta2_total, jump2_total, eta2_total, record.effectivity)
+            _write_rows(out_dir / "results.csv", [[step, system.n_dofs, *map(repr, values)]])
+            _write_rows(out_dir / "curves.csv", [[system.n_dofs, repr(error), repr(eta2_total)]])
+        if progress is not None:
+            progress(record)
+
+        if out_dir is not None and config.dump_indicators:
+            columns = (map(repr, column.tolist()) for column in (theta2, jump2, eta2))
+            rows = itertools.chain([["cell", "theta2", "jump2", "eta2"]], zip(range(len(eta2)), *columns))
+            _write_rows(out_dir / f"indicators_step_{step}.csv", rows, "w")
+        if out_dir is not None and config.dump_matrices:
+            dump_matrix(system.stiffness, out_dir / f"stiffness_step_{step}.txt")
+            dump_matrix(system.boundary_mass, out_dir / f"boundary_mass_step_{step}.txt")
+
+        marks = None if config.method == "uniform-fem" else mark(eta2, config.mark_fraction)
+        result.marks.append(marks)
+        # meshes[k] is the mesh solved at step k: nothing is refined after
+        # the last solve
+        if step == config.steps - 1:
+            break
+        if marks is None:
+            fine = refine_uniform(mesh)
+        elif config.method == "adaptive-fem":
+            fine = refine_fem(mesh, marks)
+        else:
+            fine = refine_vem(mesh, marks)
+        start = prolong(mesh, fine, pair.vector)
+        mesh = fine
+        result.meshes.append(mesh)
     return result
 
 
-def _write_results_csv(records: Sequence[ConvergenceRecord], path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.step,
-                    r.n_dofs,
-                    repr(r.lambda_h),
-                    repr(r.error),
-                    repr(r.theta2),
-                    repr(r.jump2),
-                    repr(r.eta2),
-                    repr(r.effectivity),
-                ]
-            )
+def _write_rows(path: Path, rows: Iterable[Sequence[object]], mode: str = "a") -> None:
+    """Write (mode "w") or append CSV rows; each call closes the file."""
+    with open(path, mode, newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def read_results_csv(path: str | Path) -> tuple[list[int], list[float], list[float | None]]:
-    """Read back (N, lambda_h, error) columns of a results.csv file."""
+    """Read back (N, lambda_h, error) columns of a results.csv file; a
+    malformed row, or a last row cut short, raises ValueError naming its line."""
     ns: list[int] = []
     lams: list[float] = []
     errs: list[float | None] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or reader.fieldnames != RESULTS_HEADER:
-            raise ValueError(f"{path} does not look like a results.csv file")
-        for row in reader:
+        lines = fh.readlines()
+    reader = csv.DictReader(lines)
+    if reader.fieldnames != RESULTS_HEADER:
+        raise ValueError(f"{path} does not look like a results.csv file")
+    for row in reader:
+        try:
+            if None in row or None in row.values() or not lines[reader.line_num - 1].endswith("\n"):
+                raise ValueError("malformed or incomplete row; a run stopped mid-write can leave one")
             ns.append(int(row["N"]))
             lams.append(float(row["lambda_h"]))
             errs.append(float(row["error"]) if row["error"] else None)
+        except ValueError as err:
+            raise ValueError(f"{path}, line {reader.line_num}: {err}") from None
     return ns, lams, errs
 
 
 def emit_outputs(result: ExperimentResult) -> list[Path]:
-    """Write results.csv, curves.csv and per-step mesh JSON/SVG files."""
+    """Write the per-step mesh JSON/SVG files of a run, whose tables the run
+    wrote, and return the paths of both tables and of every snapshot."""
     if result.config.out_dir is None:
         raise ValueError("config.out_dir is not set")
+    lengths = (len(result.meshes), len(result.marks), len(result.records))
+    if len(set(lengths)) != 1:
+        raise ValueError(f"a run needs one mesh, marks entry and record per step; got {lengths}")
     out_dir = Path(result.config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    csv_path = out_dir / "results.csv"
-    _write_results_csv(result.records, csv_path)
-    written.append(csv_path)
-
-    curves_path = out_dir / "curves.csv"
-    with open(curves_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "error", "eta2"])
-        for r in result.records:
-            writer.writerow([r.n_dofs, repr(r.error), repr(r.eta2)])
-    written.append(curves_path)
+    written = [out_dir / "results.csv", out_dir / "curves.csv"]
 
     # each vertex is formatted once per run: every mesh file reuses the text of
     # the vertices its mesh shares with the one before
-    frames = list(zip(result.meshes, result.marks))
     texts = zip(
-        _json_texts(mesh for mesh, _ in frames),
-        _svg_texts((mesh, () if marks is None else marks) for mesh, marks in frames),
+        _json_texts(result.meshes),
+        _svg_texts((mesh, () if marks is None else marks) for mesh, marks in zip(result.meshes, result.marks)),
     )
     for k, (json_text, svg_text) in enumerate(texts):
         for path, text in ((out_dir / f"mesh_step_{k}.json", json_text), (out_dir / f"mesh_step_{k}.svg", svg_text)):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +12,12 @@ import pytest
 import steklov
 from steklov import experiments
 from steklov.cli import main
+from steklov.eigensolver import ConvergenceError
 from steklov.experiments import initial_mesh, read_results_csv
 from steklov.mesh import load_mesh, save_mesh
 
 from test_eigensolver import two_disconnected_squares
-from test_experiments import failing_second_solve
+from test_experiments import failing_solve, table_ns
 
 
 def test_run_writes_outputs_and_progress(tmp_path, capsys):
@@ -106,6 +108,12 @@ def test_rate_subcommand(tmp_path, capsys):
     assert main(["rate", "--csv", str(broken), "--last", "5"]) == 0
     text = capsys.readouterr().out
     assert text.startswith("slope -") and "over 4 points" in text
+    # a run killed in the middle of an append leaves a last row with no line
+    # end; rate names its line instead of fitting it or printing a traceback
+    cut = tmp_path / "cut.csv"
+    cut.write_bytes((out / "results.csv").read_bytes()[:-5])
+    assert main(["rate", "--csv", str(cut)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cut}, line 6: ")
 
 
 def test_rate_rejects_foreign_csv(tmp_path, capsys):
@@ -165,7 +173,7 @@ def test_missing_file_is_reported_not_raised(tmp_path, capsys):
 
 
 def test_solver_failure_maps_to_exit_code(tmp_path, capsys, monkeypatch):
-    failing_second_solve(monkeypatch)
+    failing_solve(monkeypatch, 2, ConvergenceError("no convergence", best_residual=1.0))
     code = main(["run", "--steps", "2", "--out", str(tmp_path / "fail"), "--quiet"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: no convergence")
@@ -189,17 +197,48 @@ def test_bad_arguments_exit_with_usage_error(capsys):
         main([])
 
 
-def test_installed_entry_point_help():
-    # the child imports the package from where this process found it, so the
-    # check also runs from a source checkout that was never installed
+def child_env():
+    """Environment of a child process that imports the package from where
+    this process found it, so it also runs from a source checkout that was
+    never installed."""
     src = str(Path(steklov.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_installed_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "steklov.cli", "--help"],
         capture_output=True,
         text=True,
         timeout=60,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "rate" in proc.stdout
+
+
+def test_ctrl_c_keeps_the_finished_rows(tmp_path):
+    # SIGINT once step 3's progress line is out: rows 0..3 at least are on
+    # disk in both tables, with the same N column
+    out = tmp_path / "stopped"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "steklov.cli", "run", "--test", "notched", "--steps", "30", "--out", str(out)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env=child_env(),
+    )
+    line = ""
+    try:
+        for line in proc.stdout:
+            if line.startswith("step 3 "):
+                proc.send_signal(signal.SIGINT)
+                break
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert line.startswith("step 3 ") and proc.returncode != 0
+    ns, curve_ns = table_ns(out)
+    assert len(ns) >= 4 and curve_ns == ns

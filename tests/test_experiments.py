@@ -12,6 +12,7 @@ from steklov.experiments import (
     RESULTS_HEADER,
     ConvergenceRecord,
     ExperimentConfig,
+    ExperimentResult,
     emit_outputs,
     exact_eigenvalue_square,
     fit_rate,
@@ -251,23 +252,31 @@ def test_run_experiment_validates_config(monkeypatch):
             run_experiment(ExperimentConfig(**fields))
 
 
-def failing_second_solve(monkeypatch):
-    """Make the second eigensolve of a run raise ConvergenceError."""
+def failing_solve(monkeypatch, call, error):
+    """Make eigensolve number ``call`` of a run raise ``error``."""
     calls = 0
 
     def solve(system, **options):
         nonlocal calls
         calls += 1
-        if calls == 2:
-            raise ConvergenceError("no convergence", best_residual=1.0)
+        if calls == call:
+            raise error
         return solve_smallest_positive(system, **options)
 
     monkeypatch.setattr(experiments, "solve_smallest_positive", solve)
 
 
+def table_ns(out):
+    """The N column of results.csv and of curves.csv in ``out``."""
+    ns, _, _ = read_results_csv(out / "results.csv")
+    header, *rows = (out / "curves.csv").read_text().splitlines()
+    assert header == "N,error,eta2"
+    return ns, [int(row.split(",")[0]) for row in rows]
+
+
 def test_run_experiment_flushes_partial_results_on_failure(tmp_path, monkeypatch):
-    # the second solve fails; the results file must still hold step 0's row
-    failing_second_solve(monkeypatch)
+    # the second solve fails; both tables must still hold step 0's row
+    failing_solve(monkeypatch, 2, ConvergenceError("no convergence", best_residual=1.0))
     out = tmp_path / "broken"
     config = ExperimentConfig(test="square", method="adaptive-vem", steps=3, out_dir=str(out))
     with pytest.raises(ConvergenceError):
@@ -275,6 +284,25 @@ def test_run_experiment_flushes_partial_results_on_failure(tmp_path, monkeypatch
     lines = (out / "results.csv").read_text().splitlines()
     assert lines[0] == ",".join(RESULTS_HEADER)
     assert len(lines) == 2 and lines[1].startswith("0,41,")
+    assert table_ns(out) == ([41], [41])
+
+
+def test_interrupted_run_keeps_every_finished_row(tmp_path, monkeypatch):
+    # Ctrl-C during the third solve leaves steps 0 and 1 in both tables, and
+    # the progress callback of step k already finds rows 0..k on disk
+    failing_solve(monkeypatch, 3, KeyboardInterrupt())
+    out = tmp_path / "stopped"
+    seen = []
+
+    def progress(record):
+        ns, curve_ns = table_ns(out)
+        assert len(ns) == record.step + 1 and ns[-1] == record.n_dofs and curve_ns == ns
+        seen.append(record.n_dofs)
+
+    config = ExperimentConfig(test="square", method="adaptive-vem", steps=4, out_dir=str(out))
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(config, progress=progress)
+    assert table_ns(out) == (seen, seen) and len(seen) == 2
 
 
 def test_progress_callback_sees_every_record():
@@ -316,6 +344,17 @@ def test_emit_outputs_and_read_back(tmp_path):
         assert svg.count('fill="#f4b8b8"') == len(result.marks[k]) > 0
 
 
+def test_emit_outputs_refuses_lists_of_different_lengths(tmp_path):
+    # three meshes with one marks entry used to write mesh_step_0.* alone
+    mesh = initial_mesh("square")
+    records = [ConvergenceRecord(k, mesh.n_vertices, 3.0, 0.1, 0.5, 0.5, 1.0, 0.1) for k in range(3)]
+    out = tmp_path / "hand"
+    result = ExperimentResult(ExperimentConfig(out_dir=str(out)), 3.0, records, [mesh] * 3, [None])
+    with pytest.raises(ValueError, match=r"per step; got \(3, 1, 3\)"):
+        emit_outputs(result)
+    assert not out.exists()
+
+
 def test_emit_outputs_requires_out_dir():
     config = ExperimentConfig(test="square", method="adaptive-vem", steps=1)
     result = run_experiment(config)
@@ -328,6 +367,24 @@ def test_read_results_csv_rejects_other_files(tmp_path):
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError, match="results.csv"):
         read_results_csv(bad)
+
+
+def test_read_results_csv_names_a_cut_row(tmp_path):
+    header = ",".join(RESULTS_HEADER)
+    row = "0,41,3.3820056635,0.2521246,0.1,1.8,1.9,0.13"
+    cases = [
+        "1,81\r\n",  # a row cut between two fields
+        "1,81,3.19,0.064,0.01,0.45,0.46,0.1",  # a row with no line end
+        "1,81,3.19,0.064,0.01,0.45,0.46,0.1,7\r\n",  # one field too many
+        "1,81,3.19,0.0x,0.01,0.45,0.46,0.1\r\n",  # not a number
+    ]
+    for last in cases:
+        path = tmp_path / "results.csv"
+        path.write_bytes(f"{header}\r\n{row}\r\n{last}".encode())
+        with pytest.raises(ValueError, match="results.csv, line 3: "):
+            read_results_csv(path)
+    path.write_bytes(f"{header}\r\n{row}\r\n".encode())
+    assert read_results_csv(path) == ([41], [3.3820056635], [0.2521246])
 
 
 def test_runs_are_byte_identical(tmp_path):

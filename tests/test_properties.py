@@ -32,7 +32,10 @@ rises and stays above the square's exact value (min-max principle on nested
 conforming spaces).  A solve started from the coarse eigenvector, carried
 to the refined mesh by ``prolong``, must return the cold solve's eigenvalue,
 and ``prolong`` must keep every coarse value and fill every new vertex with
-a mean of them.
+a mean of them.  On the square, under random refinement (a random 2-60%
+of the cells marked at each step, VEM or bisection), the effectivity
+``|lambda - lambda_h| / eta2`` of every solve stays inside acceptance
+criterion 5's band [0.03, 0.6].
 
 The cell-level properties draw random star-shaped polygons at random scale
 and far from the origin: the package's kernels reproduce the gradient of
@@ -62,7 +65,8 @@ import vem_oracle
 from steklov.adaptivity import normalize_refinement_edges, prolong, refine_fem, refine_uniform, refine_vem
 from fem_oracle import dense_reference_solve
 from steklov.eigensolver import SpectralPair, normalize_pair, solve_smallest_positive
-from steklov.experiments import ExperimentConfig, ExperimentResult, emit_outputs, exact_eigenvalue_square, initial_mesh
+from steklov.estimator import element_indicators
+from steklov.experiments import ConvergenceRecord, ExperimentConfig, ExperimentResult, emit_outputs, exact_eigenvalue_square, initial_mesh
 from steklov.mesh import TAGS, build_topology, load_mesh, polygon_geometry, save_mesh
 from steklov.vem import _cell_group, _project_group, _stiffness, assemble
 
@@ -410,6 +414,27 @@ def test_fem_eigenvalue_never_rises_under_bisection(name, steps, data):
         assert values[-1] >= exact_eigenvalue_square()
 
 
+@SETTINGS
+@given(fem=st.booleans(), steps=st.integers(1, 4), data=st.data())
+def test_effectivity_stays_in_the_criterion_5_band(fem, steps, data):
+    # the estimator is reliable and efficient, so |lambda - lambda_h| / eta2
+    # stays inside criterion 5's band after any refinement, not only along
+    # the adaptive run; no monotonicity is asked of the VEM eigenvalue
+    exact = exact_eigenvalue_square()
+    mesh = INITIAL["square"]
+    for step in range(steps + 1):
+        system = assemble(mesh)
+        pair = solve_smallest_positive(system)[0]
+        theta2, jump2 = element_indicators(system, pair)
+        effectivity = abs(exact - pair.value) / (float(np.sum(theta2)) + float(np.sum(jump2)))
+        assert 0.03 <= effectivity <= 0.6, (step, mesh.n_cells, effectivity)
+        if step < steps:
+            share = data.draw(st.floats(0.02, 0.6), label="share")
+            seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+            marks = np.flatnonzero(np.random.default_rng(seed).random(mesh.n_cells) < share).tolist() or [0]
+            mesh = refine_fem(mesh, marks) if fem else refine_vem(mesh, marks)
+
+
 def refined_pair(name, fem, steps, data):
     """A random refinement sequence: the last coarse mesh and its refinement."""
     mesh = INITIAL[name]
@@ -616,7 +641,8 @@ def assert_emitted_as_oracle(meshes, marks):
     with tempfile.TemporaryDirectory() as tmp:
         out, ref = Path(tmp) / "out", Path(tmp) / "ref"
         ref.mkdir()
-        result = ExperimentResult(ExperimentConfig(out_dir=str(out)), 1.0, [], meshes, marks)
+        records = [ConvergenceRecord(k, mesh.n_vertices, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0) for k, mesh in enumerate(meshes)]
+        result = ExperimentResult(ExperimentConfig(out_dir=str(out)), 1.0, records, meshes, marks)
         written = [p for p in emit_outputs(result) if p.name.startswith("mesh_step_")]
         for k, (mesh, marked) in enumerate(zip(meshes, marks)):
             emit_oracle.save_mesh(mesh, ref / f"mesh_step_{k}.json")
