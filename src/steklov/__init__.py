@@ -19,7 +19,6 @@ from .eigensolver import (
     ConvergenceError,
     EigensolverError,
     SpectralPair,
-    normalize_pair,
     residual_norm,
     solve_smallest_positive,
 )

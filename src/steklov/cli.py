@@ -3,8 +3,9 @@
 Subcommands:
 
 * ``steklov run`` -- execute one convergence experiment; results.csv and
-  curves.csv get each step's row as it ends (Ctrl-C keeps them), then the
-  per-step mesh JSON/SVG files are written into the output directory.
+  curves.csv get each step's row as it ends (Ctrl-C keeps them and exits
+  with status 130), then the per-step mesh JSON/SVG files are written into
+  the output directory.
 * ``steklov rate`` -- fit a convergence slope to an existing results.csv.
 * ``steklov mesh validate`` -- load a JSON mesh file, run the full topology
   validation and print a short quality summary.
@@ -124,6 +125,10 @@ def main(argv: list[str] | None = None) -> int:
     except (MeshError, EigensolverError, ConvergenceError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        kept = f"; the tables in {args.out} keep every finished step" if args.command == "run" else ""
+        print(f"interrupted{kept}", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

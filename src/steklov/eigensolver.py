@@ -24,7 +24,7 @@ step's solution prolonged to a refined mesh, cuts the number of steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +38,6 @@ __all__ = [
     "ConvergenceError",
     "SpectralPair",
     "residual_norm",
-    "normalize_pair",
     "solve_smallest_positive",
 ]
 
@@ -65,7 +64,6 @@ class SpectralPair:
     value: float
     vector: np.ndarray
     residual: float
-    normalized: bool
 
 
 def residual_norm(system: GlobalSystem, value: float, vector: np.ndarray) -> float:
@@ -78,29 +76,20 @@ def residual_norm(system: GlobalSystem, value: float, vector: np.ndarray) -> flo
     return float(np.linalg.norm(kw - value * mw)) / denom
 
 
-def normalize_pair(system: GlobalSystem, pair: SpectralPair) -> SpectralPair:
-    """Scale to unit boundary mass and fix the sign convention.
-
-    The sign is chosen so that the first spectral-boundary dof (ascending
-    index) whose magnitude exceeds 1e-8 is positive.  Idempotent: a pair
-    that is already normalized is returned as it is, since dividing by a
-    boundary mass norm that is 1 only to round-off would change its bits.
-    """
-    if pair.normalized:
-        return pair
-    w = np.asarray(pair.vector, dtype=float)
+def _normalize(system: GlobalSystem, w: np.ndarray) -> np.ndarray:
+    """Scale to unit boundary mass and fix the sign convention: the first
+    spectral-boundary dof (ascending index) whose magnitude exceeds 1e-8 is
+    positive."""
     m_norm2 = float(w @ (system.boundary_mass @ w))
     if m_norm2 <= 0.0:
-        raise EigensolverError(
-            "eigenvector has zero boundary mass norm: deflation failure"
-        )
+        raise EigensolverError("eigenvector has zero boundary mass norm: deflation failure")
     w = w / np.sqrt(m_norm2)
     for dof in system.gamma0_dofs:
         if abs(w[dof]) > _SIGN_THRESHOLD:
             if w[dof] < 0.0:
                 w = -w
             break
-    return replace(pair, vector=w, normalized=True)
+    return w
 
 
 def _deflate(x: np.ndarray, m_ones: np.ndarray, scale: float) -> np.ndarray:
@@ -211,11 +200,7 @@ def solve_smallest_positive(
             f"positive pairs found, best residual {worst:.3e})",
             best_residual=worst,
         )
-    pairs = []
-    for j in np.argsort(values):
-        w = _deflate(X[:, j], m_ones, scale)
-        pair = SpectralPair(
-            value=float(values[j]), vector=w, residual=float(residuals[j]), normalized=False
-        )
-        pairs.append(normalize_pair(system, pair))
-    return pairs
+    return [
+        SpectralPair(float(values[j]), _normalize(system, _deflate(X[:, j], m_ones, scale)), float(residuals[j]))
+        for j in np.argsort(values)
+    ]

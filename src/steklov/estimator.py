@@ -12,7 +12,9 @@ on triangles) plus weighted edge terms:
 
 Each squared edge residual is integrated exactly (the closed form of the
 square of an affine function) and every edge contributes to all incident
-cells, scaled by that cell's diameter.
+cells, scaled by that cell's diameter.  The estimate is stated for the
+eigenfunction of unit L2(Gamma0) norm, ``w^T M w = 1``, which is checked on
+the vector, since every term is quadratic in it.
 """
 
 from __future__ import annotations
@@ -86,13 +88,15 @@ def edge_residuals(
 
 def element_indicators(system: GlobalSystem, pair: SpectralPair) -> tuple[np.ndarray, np.ndarray]:
     """Squared error indicators ``(theta2, jump2)`` of every cell for one
-    normalized eigenpair: the stabilization energy of the projection
-    complement and the diameter-weighted residuals of the cell's edges.
-    The cell's squared indicator is ``theta2 + jump2``."""
-    if not pair.normalized:
-        raise ValueError("indicator evaluation expects a boundary-mass-normalized pair")
+    eigenpair: the stabilization energy of the projection complement and the
+    diameter-weighted residuals of the cell's edges.  The cell's squared
+    indicator is ``theta2 + jump2``.  A ``w^T M w`` off 1 by more than 1e-10
+    raises ValueError; the sign of ``w`` is free, since no term depends on it."""
     mesh = system.mesh
     w = pair.vector
+    m_norm2 = float(w @ (system.boundary_mass @ w))
+    if not abs(m_norm2 - 1.0) <= 1e-10:
+        raise ValueError(f"indicator evaluation expects unit boundary mass, got w^T M w = {m_norm2!r}")
 
     gradients, theta2 = project(system, w)
     _, _, norm2 = edge_residuals(mesh, gradients, pair.value, w)

@@ -175,10 +175,10 @@ class RateFit:
     points: int
 
 
-def fit_rate(n_dofs: Sequence[float], errors: Sequence[float | None], last: int = 5) -> RateFit:
+def fit_rate(n_dofs: Sequence[float], errors: Sequence[float], last: int = 5) -> RateFit:
     """Fit the convergence order over the trailing ``last`` usable data points.
 
-    Points with missing, non-finite or non-positive error are skipped; a
+    Points with non-finite or non-positive error are skipped; a
     window ``last`` below three, or fewer than three usable points, raise
     ValueError.
     """
@@ -187,7 +187,7 @@ def fit_rate(n_dofs: Sequence[float], errors: Sequence[float | None], last: int 
     usable = [
         (float(n), float(e))
         for n, e in zip(n_dofs, errors)
-        if e is not None and 0.0 < e < math.inf and n > 0
+        if 0.0 < e < math.inf and n > 0
     ]
     usable = usable[-last:]
     if len(usable) < 3:
@@ -343,12 +343,12 @@ def _write_rows(path: Path, rows: Iterable[Sequence[object]], mode: str = "a") -
         csv.writer(fh).writerows(rows)
 
 
-def read_results_csv(path: str | Path) -> tuple[list[int], list[float], list[float | None]]:
+def read_results_csv(path: str | Path) -> tuple[list[int], list[float], list[float]]:
     """Read back (N, lambda_h, error) columns of a results.csv file; a
     malformed row, or a last row cut short, raises ValueError naming its line."""
     ns: list[int] = []
     lams: list[float] = []
-    errs: list[float | None] = []
+    errs: list[float] = []
     with open(path, newline="") as fh:
         lines = fh.readlines()
     reader = csv.DictReader(lines)
@@ -360,7 +360,7 @@ def read_results_csv(path: str | Path) -> tuple[list[int], list[float], list[flo
                 raise ValueError("malformed or incomplete row; a run stopped mid-write can leave one")
             ns.append(int(row["N"]))
             lams.append(float(row["lambda_h"]))
-            errs.append(float(row["error"]) if row["error"] else None)
+            errs.append(float(row["error"]))
         except ValueError as err:
             raise ValueError(f"{path}, line {reader.line_num}: {err}") from None
     return ns, lams, errs
@@ -368,7 +368,8 @@ def read_results_csv(path: str | Path) -> tuple[list[int], list[float], list[flo
 
 def emit_outputs(result: ExperimentResult) -> list[Path]:
     """Write the per-step mesh JSON/SVG files of a run, whose tables the run
-    wrote, and return the paths of both tables and of every snapshot."""
+    wrote, and return the paths of the tables that exist, then of every
+    snapshot."""
     if result.config.out_dir is None:
         raise ValueError("config.out_dir is not set")
     lengths = (len(result.meshes), len(result.marks), len(result.records))
@@ -376,7 +377,7 @@ def emit_outputs(result: ExperimentResult) -> list[Path]:
         raise ValueError(f"a run needs one mesh, marks entry and record per step; got {lengths}")
     out_dir = Path(result.config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = [out_dir / "results.csv", out_dir / "curves.csv"]
+    written = [path for path in (out_dir / "results.csv", out_dir / "curves.csv") if path.is_file()]
 
     # each vertex is formatted once per run: every mesh file reuses the text of
     # the vertices its mesh shares with the one before

@@ -236,10 +236,14 @@ def test_refine_fem_children_follow_bisection_convention():
 
 
 def test_refine_fem_closure_keeps_mesh_conforming():
-    mesh = normalize_refinement_edges(initial_mesh("square"))
+    # the bisection edge of cell 0 of the once-bisected square is not its
+    # neighbour's bisection edge, so marking it needs one closure round, which
+    # splits the neighbour's bisection edge too: two new vertices, not one
+    mesh = refine_fem(normalize_refinement_edges(initial_mesh("square")), [0])
     refined = refine_fem(mesh, [0])
-    # closure may split neighbours; the refined mesh passes every check of
-    # build_topology unchanged, and every cell stays a triangle
+    assert refined.n_vertices - mesh.n_vertices >= 2
+    # the refined mesh passes every check of build_topology unchanged, and
+    # every cell stays a triangle
     assert all(len(c) == 3 for c in refined.cycles())
     rebuilt = build_topology(refined.vertices, refined.cycles(), top_edge_rule)
     assert structurally_equal(rebuilt, refined)

@@ -114,6 +114,12 @@ def test_rate_subcommand(tmp_path, capsys):
     cut.write_bytes((out / "results.csv").read_bytes()[:-5])
     assert main(["rate", "--csv", str(cut)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {cut}, line 6: ")
+    # every row a run writes has an error, so an empty one is malformed
+    fields[3] = ""
+    empty = tmp_path / "empty.csv"
+    empty.write_text("\n".join([header, *rows[:-1], ",".join(fields)]) + "\n")
+    assert main(["rate", "--csv", str(empty)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {empty}, line 6: ")
 
 
 def test_rate_rejects_foreign_csv(tmp_path, capsys):
@@ -219,12 +225,13 @@ def test_installed_entry_point_help():
 
 def test_ctrl_c_keeps_the_finished_rows(tmp_path):
     # SIGINT once step 3's progress line is out: rows 0..3 at least are on
-    # disk in both tables, with the same N column
+    # disk in both tables, with the same N column, and the run ends with one
+    # line naming them and the shell's status for SIGINT, not a traceback
     out = tmp_path / "stopped"
     proc = subprocess.Popen(
         [sys.executable, "-m", "steklov.cli", "run", "--test", "notched", "--steps", "30", "--out", str(out)],
         stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
         text=True,
         env=child_env(),
     )
@@ -234,11 +241,13 @@ def test_ctrl_c_keeps_the_finished_rows(tmp_path):
             if line.startswith("step 3 "):
                 proc.send_signal(signal.SIGINT)
                 break
-        proc.wait(timeout=60)
+        _, err = proc.communicate(timeout=60)
     finally:
         proc.kill()
         proc.wait()
         proc.stdout.close()
-    assert line.startswith("step 3 ") and proc.returncode != 0
+        proc.stderr.close()
+    assert line.startswith("step 3 ") and proc.returncode == 130
+    assert err == f"interrupted; the tables in {out} keep every finished step\n"
     ns, curve_ns = table_ns(out)
     assert len(ns) >= 4 and curve_ns == ns

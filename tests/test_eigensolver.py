@@ -9,8 +9,6 @@ from steklov.adaptivity import prolong, refine_uniform, refine_vem
 from steklov.eigensolver import (
     ConvergenceError,
     EigensolverError,
-    SpectralPair,
-    normalize_pair,
     residual_norm,
     solve_smallest_positive,
 )
@@ -109,24 +107,18 @@ def test_solution_invariants():
     gamma0 = system.gamma0_dofs
     lead = next(d for d in gamma0 if abs(w[d]) > 1e-8)
     assert w[lead] > 0.0
-    assert pair.normalized
 
 
-def test_normalize_pair_idempotent_and_guards():
+def test_normalize_refuses_zero_boundary_mass():
     system = assemble(initial_mesh("square"))
-    (pair,) = solve_smallest_positive(system, count=1)
-    again = normalize_pair(system, pair)
-    assert np.array_equal(again.vector, pair.vector)
-
     interior = np.zeros(system.n_dofs)
     # a vector supported away from the spectral boundary has no mass norm
     interior_dof = next(
         d for d in range(system.n_dofs) if d not in set(system.gamma0_dofs)
     )
     interior[interior_dof] = 1.0
-    broken = SpectralPair(value=1.0, vector=interior, residual=0.0, normalized=False)
     with pytest.raises(EigensolverError, match="zero boundary mass"):
-        normalize_pair(system, broken)
+        eigensolver._normalize(system, interior)
 
 
 def test_multiple_eigenvalues_ascending_and_accurate():

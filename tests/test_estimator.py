@@ -1,9 +1,11 @@
 """Error estimator: frozen edge-residual values, oracle agreement, decay."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from steklov.eigensolver import SpectralPair, solve_smallest_positive
+from steklov.eigensolver import solve_smallest_positive
 from steklov.estimator import edge_residuals, element_indicators
 from steklov.experiments import initial_mesh
 from steklov.mesh import TAGS, BoundaryTag, build_topology
@@ -145,13 +147,16 @@ def test_indicators_match_classical_fem_oracle():
     assert np.allclose(theta2 + jump2, oracle, rtol=1e-12, atol=1e-15)
 
 
-def test_element_indicators_require_normalized_pair():
-    system = assemble(initial_mesh("square"))
-    fake = SpectralPair(
-        value=1.0, vector=np.ones(system.n_dofs), residual=0.0, normalized=False
-    )
-    with pytest.raises(ValueError, match="normalized"):
-        element_indicators(system, fake)
+@pytest.mark.parametrize("test", ["square", "notched"])
+def test_element_indicators_refuse_a_vector_off_unit_boundary_mass(test):
+    # doubling the vector would quadruple every indicator
+    system = assemble(initial_mesh(test))
+    (pair,) = solve_smallest_positive(system)
+    element_indicators(system, pair)
+    doubled = replace(pair, vector=2.0 * pair.vector)
+    with pytest.raises(ValueError, match="unit boundary mass, got w\\^T M w = ") as info:
+        element_indicators(system, doubled)
+    assert abs(float(str(info.value).rsplit(" ", 1)[1]) - 4.0) < 1e-12
 
 
 def test_polygonal_mesh_has_positive_stabilization_term():

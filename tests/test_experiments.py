@@ -92,9 +92,9 @@ def test_fit_rate_recovers_synthetic_slope():
     assert abs(fit.slope + 0.85) < 1e-12
 
 
-def test_fit_rate_skips_missing_points_and_windows():
+def test_fit_rate_skips_unusable_points_and_windows():
     ns = [10, 20, 40, 80, 160, 320]
-    errs = [1.0, None, 0.0, 1e-2, 1e-3, 1e-4]
+    errs = [1.0, -1.0, 0.0, 1e-2, 1e-3, 1e-4]
     fit = fit_rate(ns, errs, last=3)
     # only the last three positive entries enter: slope of 1e-2 -> 1e-4
     # over 80 -> 320 is log(100)/log(4)
@@ -111,7 +111,7 @@ def test_fit_rate_skips_missing_points_and_windows():
     with pytest.raises(ValueError, match="at least 3"):
         fit_rate([10, 20], [1.0, 0.5])
     with pytest.raises(ValueError, match="at least 3"):
-        fit_rate(ns, [None, None, None, None, 1.0, 1.0])
+        fit_rate(ns, [0.0, -1.0, 0.0, -1e-3, 1.0, 1.0])
     # a window of 0 used to fit every point and a negative one dropped the
     # leading points instead of keeping the trailing ones
     for last in (0, -2, 2):
@@ -377,6 +377,7 @@ def test_read_results_csv_names_a_cut_row(tmp_path):
         "1,81,3.19,0.064,0.01,0.45,0.46,0.1",  # a row with no line end
         "1,81,3.19,0.064,0.01,0.45,0.46,0.1,7\r\n",  # one field too many
         "1,81,3.19,0.0x,0.01,0.45,0.46,0.1\r\n",  # not a number
+        "1,81,3.19,,0.01,0.45,0.46,0.1\r\n",  # an empty error, which no run writes
     ]
     for last in cases:
         path = tmp_path / "results.csv"

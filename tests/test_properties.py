@@ -26,11 +26,12 @@ dense solve of the same pencil, check the exact symmetries of the discrete
 eigenvalue (``lambda -> lambda / s`` when the domain is scaled by ``s``,
 invariance under a translation far from the origin, and under a random
 renumbering of the vertices, reordering of the cells and choice of each
-cycle's first vertex), and check that ``normalize_pair`` is idempotent on
-random vectors.  Under newest-vertex bisection the P1 eigenvalue never
-rises and stays above the square's exact value (min-max principle on nested
-conforming spaces).  A solve started from the coarse eigenvector, carried
-to the refined mesh by ``prolong``, must return the cold solve's eigenvalue,
+cycle's first vertex), and check that the solver's normalization gives
+random vectors unit boundary mass and the sign convention.  Under
+newest-vertex bisection the P1 eigenvalue never rises and stays above the
+square's exact value (min-max principle on nested conforming spaces).  A
+solve started from the coarse eigenvector, carried to the refined mesh by
+``prolong``, must return the cold solve's eigenvalue,
 and ``prolong`` must keep every coarse value and fill every new vertex with
 a mean of them.  On the square, under random refinement (a random 2-60%
 of the cells marked at each step, VEM or bisection), the effectivity
@@ -64,7 +65,7 @@ import refine_oracle as oracle
 import vem_oracle
 from steklov.adaptivity import normalize_refinement_edges, prolong, refine_fem, refine_uniform, refine_vem
 from fem_oracle import dense_reference_solve
-from steklov.eigensolver import SpectralPair, normalize_pair, solve_smallest_positive
+from steklov.eigensolver import _normalize, solve_smallest_positive
 from steklov.estimator import element_indicators
 from steklov.experiments import ConvergenceRecord, ExperimentConfig, ExperimentResult, emit_outputs, exact_eigenvalue_square, initial_mesh
 from steklov.mesh import TAGS, build_topology, load_mesh, polygon_geometry, save_mesh
@@ -489,13 +490,10 @@ NORMALIZE_MESHES = [INITIAL["square"], INITIAL["notched"], refine_vem(INITIAL["s
 @SETTINGS
 @given(which=st.integers(0, len(NORMALIZE_MESHES) - 1), seed=st.integers(0, 2**32 - 1),
        magnitude=st.floats(-6.0, 6.0))
-def test_normalize_pair_is_idempotent_on_random_vectors(which, seed, magnitude):
+def test_normalize_gives_unit_boundary_mass_and_the_sign_convention(which, seed, magnitude):
     system = assemble(NORMALIZE_MESHES[which])
     vector = 10.0**magnitude * np.random.default_rng(seed).standard_normal(system.n_dofs)
-    once = normalize_pair(system, SpectralPair(value=1.0, vector=vector, residual=0.0, normalized=False))
-    twice = normalize_pair(system, once)
-    assert np.array_equal(twice.vector, once.vector) and twice.normalized
-    w = once.vector
+    w = _normalize(system, vector)
     assert abs(w @ (system.boundary_mass @ w) - 1.0) <= 1e-12
     lead = next(d for d in system.gamma0_dofs if abs(w[d]) > 1e-8)
     assert w[lead] > 0.0
@@ -643,7 +641,8 @@ def assert_emitted_as_oracle(meshes, marks):
         ref.mkdir()
         records = [ConvergenceRecord(k, mesh.n_vertices, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0) for k, mesh in enumerate(meshes)]
         result = ExperimentResult(ExperimentConfig(out_dir=str(out)), 1.0, records, meshes, marks)
-        written = [p for p in emit_outputs(result) if p.name.startswith("mesh_step_")]
+        written = emit_outputs(result)
+        assert all(path.is_file() for path in written)
         for k, (mesh, marked) in enumerate(zip(meshes, marks)):
             emit_oracle.save_mesh(mesh, ref / f"mesh_step_{k}.json")
             emit_oracle.mesh_to_svg(mesh, ref / f"mesh_step_{k}.svg", marked=() if marked is None else marked)
