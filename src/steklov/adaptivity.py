@@ -26,7 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import (
-    MeshError, PolygonalMesh, _edge_table, _first_true, _marked_cells, cell_groups, polygon_geometry,
+    MeshError, PolygonalMesh, _edge_table, _first_true, _kernel_radius, _marked_cells, cell_groups,
+    polygon_geometry,
 )
 
 __all__ = [
@@ -114,21 +115,6 @@ def _refined_mesh(
     return _edge_table(points, cell_ptr, cells, tags)
 
 
-def _star_centroids(mesh: PolygonalMesh, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Area centroids of the equal-length cycles at the (m, n) half-edge
-    positions ``index``, and whether each cycle is star-shaped with respect
-    to its centroid."""
-    pts = mesh.vertices[mesh.cell_vertices[index]]
-    origin, _, _, centroid, _, _ = polygon_geometry(pts)
-    centroid += origin
-
-    d = pts - centroid[:, None, :]
-    diam2 = np.max(np.sum(d**2, axis=2), axis=1)
-    dx, dy = d[..., 0], d[..., 1]
-    fan = dx * np.roll(dy, -1, axis=1) - dy * np.roll(dx, -1, axis=1)
-    return centroid, np.all(fan > 1e-12 * diam2[:, None], axis=1)
-
-
 def refine_vem(mesh: PolygonalMesh, marks: Iterable[int]) -> PolygonalMesh:
     """Split each marked polygon into one quadrilateral per vertex.
 
@@ -157,7 +143,9 @@ def refine_vem(mesh: PolygonalMesh, marks: Iterable[int]) -> PolygonalMesh:
     centroid = np.empty((len(marked), 2))
     star = np.empty(len(marked), dtype=bool)
     for ids, index in cell_groups(marked_ptr):
-        centroid[ids], star[ids] = _star_centroids(mesh, halves[index])
+        origin, local, _, c, diam, _ = polygon_geometry(mesh.vertices[tails[halves[index]]])
+        centroid[ids] = origin + c
+        star[ids] = _kernel_radius(local, c) > 1e-12 * diam
     if not np.all(star):
         raise MeshError(
             f"cell {int(marked[_first_true(~star)])} is not star-shaped with respect to its centroid; "

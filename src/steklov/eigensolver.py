@@ -5,16 +5,16 @@ dofs), so K w = lambda M w is solved through the shifted pencil
 
     M x = mu (K + M) x,        mu = 1 / (lambda + 1) in (0, 1].
 
-K + M is symmetric positive definite on connected meshes (disconnected ones
-are rejected) and is factorized once; the smallest positive lambda are the
-largest mu below 1.  The factorization works on K + M renumbered by reverse
-Cuthill-McKee, with a minimum-degree column ordering of A^T + A and
-diagonal pivots (George & Liu, Computer Solution of Large Sparse Positive
-Definite Systems, 1981; Liu, ACM TOMS 1985): the refiners' vertex numbering
-is far from banded, and minimum degree alone is slow on it.  The constant
-vector (mu = 1, lambda = 0) is deflated by using M - m m^T / (1^T m),
-m = M 1, in place of M: it maps the constants to zero, so round-off cannot
-bring the zero mode back.  ARPACK's implicitly restarted Lanczos in
+K + M is symmetric positive definite on connected meshes, which
+``build_topology`` guarantees, and is factorized once; the smallest positive
+lambda are the largest mu below 1.  The factorization works on K + M
+renumbered by reverse Cuthill-McKee, with a minimum-degree column ordering
+of A^T + A and diagonal pivots (George & Liu, Computer Solution of Large
+Sparse Positive Definite Systems, 1981; Liu, ACM TOMS 1985): the refiners'
+vertex numbering is far from banded, and minimum degree alone is slow on
+it.  The constant vector (mu = 1, lambda = 0) is deflated by using
+M - m m^T / (1^T m), m = M 1, in place of M: it maps the constants to zero,
+so round-off cannot bring the zero mode back.  ARPACK's implicitly restarted Lanczos in
 generalized mode (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998)
 finds the largest mu of this deflated pencil with one LU column solve per
 step, to machine precision; the residual contract is checked on its result.
@@ -24,12 +24,12 @@ step's solution prolonged to a refined mesh, cuts the number of steps.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .vem import GlobalSystem
 
@@ -108,14 +108,17 @@ def solve_smallest_positive(
     vector seeded by ``seed``.  Returned pairs are normalized (unit boundary
     mass, sign convention) and each satisfies the residual tolerance ``tol``
     within 500 restarts; otherwise :class:`ConvergenceError` reports the
-    best residual reached.  A negative seed, or a start vector that has the
-    wrong shape, is not finite or is constant (zero once the constant mode
-    is deflated), raises :class:`EigensolverError` before any work.
+    best residual reached.  A seed that is not a non-negative integer, or a
+    start vector that has the wrong shape, is not finite or is constant
+    (zero once the constant mode is deflated), raises
+    :class:`EigensolverError` before any work.
     """
     if count < 1:
         raise EigensolverError("count must be at least 1")
     if not tol > 0.0:
         raise EigensolverError(f"tol must be positive, got {tol:g}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise EigensolverError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise EigensolverError(f"seed must be non-negative, got {seed}")
     n = system.n_dofs
@@ -142,17 +145,7 @@ def solve_smallest_positive(
     if not np.linalg.norm(v0) > 1e-12 * np.linalg.norm(start):
         raise EigensolverError("start vector is zero once the constant mode is deflated")
 
-    K = system.stiffness.tocsc()
-    # the sparsity structure, not the values: right-angled P1 triangles
-    # couple their hypotenuse ends by an exact zero
-    structure = sp.csc_matrix((np.ones(K.nnz), K.indices, K.indptr), shape=K.shape)
-    n_components = connected_components(structure, directed=False, return_labels=False)
-    if n_components > 1:
-        raise EigensolverError(
-            f"the mesh is disconnected: its stiffness graph has {n_components} "
-            "connected components"
-        )
-    shifted = (K + M).tocsc()
+    shifted = (system.stiffness.tocsc() + M).tocsc()
     # the iteration runs in the RCM numbering: dof perm[i] is unknown i
     perm = reverse_cuthill_mckee(shifted, symmetric_mode=True)
     shifted = shifted[perm][:, perm]

@@ -16,6 +16,7 @@ import csv
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -252,12 +253,16 @@ def run_experiment(
     starts from the previous eigenvector prolonged to the refined mesh.  A
     zero estimate raises ``ValueError``.  Given ``out_dir``, each step
     appends its row to ``results.csv`` and ``curves.csv`` before ``progress``
-    sees its record, so a run stopped midway keeps every finished row.
+    sees its record, so a run stopped midway keeps every finished row; the
+    step files an earlier run left in ``out_dir`` are deleted first.
     """
     if config.test not in TESTS:
         raise ValueError(f"unknown test {config.test!r}; expected one of {TESTS}")
     if config.method not in METHODS:
         raise ValueError(f"unknown method {config.method!r}; expected one of {METHODS}")
+    for name, value in (("steps", config.steps), ("seed", config.seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if config.steps < 1:
         raise ValueError("need at least one step")
     if not 0.0 < config.mark_fraction <= 1.0:
@@ -274,6 +279,11 @@ def run_experiment(
     out_dir = Path(config.out_dir) if config.out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+        # a shorter rerun must not leave a longer run's step files behind
+        for pattern in ("mesh_step_*.json", "mesh_step_*.svg", "indicators_step_*.csv",
+                        "stiffness_step_*.txt", "boundary_mass_step_*.txt"):
+            for path in out_dir.glob(pattern):
+                path.unlink()
         _write_rows(out_dir / "results.csv", [RESULTS_HEADER], "w")
         _write_rows(out_dir / "curves.csv", [["N", "error", "eta2"]], "w")
 

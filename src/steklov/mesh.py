@@ -21,6 +21,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "MeshError",
@@ -87,9 +89,9 @@ class PolygonalMesh:
     boundary, and ``edge_tag`` indexes :data:`TAGS`.
 
     Data from outside becomes a mesh through :func:`build_topology` (or
-    :func:`load_mesh`), which validates orientation, simplicity, manifoldness
-    and boundary tags; the refiners build their output from the edge table
-    directly.
+    :func:`load_mesh`), which validates orientation, simplicity, manifoldness,
+    connectivity and boundary tags; the refiners build their output from the
+    edge table directly.
     """
 
     vertices: np.ndarray       # (n_vertices, 2)
@@ -418,8 +420,9 @@ def build_topology(
     degenerate or repeated-vertex cells, self-intersecting cycles, vertices
     that no cell uses, non-manifold edges, irreparably inconsistent
     orientation, untagged boundary edges, a tag map key that is not a
-    boundary edge, two tag map keys naming one edge, or an empty spectral
-    boundary.
+    boundary edge, two tag map keys naming one edge, an empty spectral
+    boundary, or a vertex graph of more than one component (cells that
+    share only a vertex are connected).
     """
     try:
         verts = np.asarray(vertices)
@@ -483,6 +486,11 @@ def build_topology(
     mesh = _edge_table(verts, cell_ptr, tails, codes)
     if not np.any(mesh.edge_tag == TAGS.index(BoundaryTag.GAMMA0)):
         raise MeshError("spectral boundary is empty: no edge tagged gamma0")
+    graph = sp.coo_matrix((np.ones(mesh.n_edges), (mesh.edge_a, mesh.edge_b)), shape=(n_verts, n_verts))
+    labels = connected_components(graph, directed=False)[1]
+    if np.any(labels != labels[0]):
+        k = _first_true(labels != labels[0])
+        raise MeshError(f"mesh is disconnected: vertex {k} is not connected to vertex 0")
     return mesh
 
 
@@ -493,9 +501,18 @@ def build_topology(
 # thresholds of the mesh-regularity assumptions of the a posteriori analysis:
 # every cell is star-shaped with respect to a ball of radius >= GAMMA * h, and
 # its vertices are at least GAMMA_HAT * h apart; quality_report flags the cells
-# whose centroid-to-edge distance or smallest vertex gap falls below them
+# whose kernel radius about the centroid or smallest vertex gap falls below them
 GAMMA = 0.1
 GAMMA_HAT = 0.1
+
+
+def _kernel_radius(local: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+    """Smallest signed distance (positive inside) from each centroid to the
+    edge lines of its ccw cycle, as :func:`polygon_geometry` returns both."""
+    x, y = local[..., 0], local[..., 1]
+    ex, ey = np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y
+    cross = ex * (centroid[:, 1:] - y) - ey * (centroid[:, :1] - x)
+    return np.min(cross / np.hypot(ex, ey), axis=1)
 
 
 @dataclass(frozen=True)
@@ -504,7 +521,7 @@ class MeshQualityReport:
 
     diameters: np.ndarray
     areas: np.ndarray
-    inscribed_radii: np.ndarray      # distance from centroid to nearest boundary edge
+    inscribed_radii: np.ndarray      # kernel radius about the centroid, clamped at 0
     min_vertex_gaps: np.ndarray      # smallest pairwise vertex distance per cell
     star_flags: np.ndarray           # ids of cells with inscribed_radius < GAMMA * h
     gap_flags: np.ndarray            # ids of cells with min_vertex_gap < GAMMA_HAT * h
@@ -520,17 +537,10 @@ class MeshQualityReport:
 
 def quality_report(mesh: PolygonalMesh) -> MeshQualityReport:
     """Per-cell diameter/area/inscribed-radius/vertex-gap statistics with flags."""
-    nc = mesh.n_cells
-    diam = np.empty(nc)
-    area = np.empty(nc)
-    rho = np.empty(nc)
-    gap = np.empty(nc)
+    diam, area, rho, gap = np.empty((4, mesh.n_cells))
     for ids, index in cell_groups(mesh.cell_ptr):
         _, local, area[ids], c, diam[ids], gap[ids] = polygon_geometry(mesh.vertices[mesh.cell_vertices[index]])
-        # distance from the centroid to every edge, in local coordinates
-        x, y = local[..., 0], local[..., 1]
-        x1, y1 = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
-        rho[ids] = np.sqrt(np.min(_segment_distance2(c[:, :1], c[:, 1:], x, y, x1, y1), axis=1))
+        rho[ids] = np.maximum(_kernel_radius(local, c), 0.0)
     return MeshQualityReport(
         diameters=diam,
         areas=area,

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import MeshError, PolygonalMesh, cell_groups, polygon_geometry
+from .mesh import PolygonalMesh, cell_groups, polygon_geometry
 
 __all__ = [
     "CellGroup",
@@ -59,12 +59,9 @@ class CellGroup:
 
 
 def _cell_group(pts: np.ndarray, dofs: np.ndarray, ids: np.ndarray) -> CellGroup:
-    """Geometry and projected gradients of a stack of same-size cells, pts of
-    shape (m, n, 2)."""
+    """Geometry and projected gradients of a stack of same-size ccw cells of
+    positive area, as build_topology and the refiners keep them; pts (m, n, 2)."""
     _, local, area, _, h, _ = polygon_geometry(pts)
-    if not np.all(area > 0.0):
-        bad = int(ids[np.nonzero(~(area > 0.0))[0][0]])
-        raise MeshError(f"cell {bad} has non-positive area (degenerate or clockwise cycle)")
     x = local[..., 0]
     y = local[..., 1]
     two_area = 2.0 * area[:, None]

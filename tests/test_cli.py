@@ -10,14 +10,13 @@ from pathlib import Path
 import pytest
 
 import steklov
-from steklov import experiments
 from steklov.cli import main
 from steklov.eigensolver import ConvergenceError
 from steklov.experiments import initial_mesh, read_results_csv
 from steklov.mesh import load_mesh, save_mesh
 
-from test_eigensolver import two_disconnected_squares
 from test_experiments import failing_solve, table_ns
+from test_mesh import TWO_SQUARES
 
 
 def test_run_writes_outputs_and_progress(tmp_path, capsys):
@@ -185,11 +184,33 @@ def test_solver_failure_maps_to_exit_code(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: no convergence")
 
 
-def test_disconnected_mesh_exits_with_message(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(experiments, "initial_mesh", lambda test: two_disconnected_squares())
-    code = main(["run", "--steps", "1", "--out", str(tmp_path / "split"), "--quiet"])
-    assert code == 1
-    assert "disconnected: its stiffness graph has 2 connected components" in capsys.readouterr().err
+def test_mesh_validate_rejects_disconnected_mesh(tmp_path, capsys):
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(TWO_SQUARES))
+    assert main(["mesh", "validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "OK" not in captured.out
+    assert "disconnected" in captured.err
+
+
+def test_rerun_leaves_only_its_own_step_files(tmp_path):
+    out, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    assert main(["run", "--steps", "4", "--dump-indicators", "--out", str(out), "--quiet"]) == 0
+    assert main(["run", "--steps", "2", "--out", str(out), "--quiet"]) == 0
+    assert main(["run", "--steps", "2", "--out", str(fresh), "--quiet"]) == 0
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert files == {path.name: path.read_bytes() for path in fresh.iterdir()}
+    assert sorted(files) == ["curves.csv", "mesh_step_0.json", "mesh_step_0.svg",
+                             "mesh_step_1.json", "mesh_step_1.svg", "results.csv"]
+
+    # a file of another name stays, and a refused rerun deletes nothing
+    (out / "notes.txt").write_text("kept")
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert main(["run", "--steps", "1", "--out", str(out), "--quiet", "--reference", "nan"]) == 1
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert main(["run", "--steps", "1", "--out", str(out), "--quiet"]) == 0
+    assert (out / "notes.txt").read_text() == "kept"
+    assert not (out / "mesh_step_1.json").exists()
 
 
 def test_bad_arguments_exit_with_usage_error(capsys):

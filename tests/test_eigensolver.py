@@ -13,7 +13,7 @@ from steklov.eigensolver import (
     solve_smallest_positive,
 )
 from steklov.experiments import initial_mesh
-from steklov.mesh import BoundaryTag, build_topology
+from steklov.mesh import TAGS, BoundaryTag, _edge_table, build_topology
 from steklov.vem import assemble
 
 from fem_oracle import boundary_mass as oracle_boundary_mass
@@ -85,6 +85,9 @@ def test_count_exceeding_spectrum_raises():
             solve_smallest_positive(system, tol=tol)
     with pytest.raises(EigensolverError, match="seed must be non-negative, got -1"):
         solve_smallest_positive(system, seed=-1)
+    for seed in (1.5, True, np.float64(2.0)):
+        with pytest.raises(EigensolverError, match="seed must be an integer"):
+            solve_smallest_positive(system, seed=seed)
 
 
 def test_solution_invariants():
@@ -182,24 +185,22 @@ def test_exactness_on_two_dof_boundary():
     assert abs(pair.value - dense[1]) < 1e-10 * dense[1]
 
 
-def two_disconnected_squares():
-    """Unit squares at x in [0, 1] and [2, 3]; only the left one has Gamma0
-    (its top edge)."""
-    verts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
-             [2.0, 0.0], [3.0, 0.0], [3.0, 1.0], [2.0, 1.0]]
+def test_disconnected_system_ends_in_a_named_error():
+    # build_topology refuses a disconnected mesh; one built around it, two
+    # unit squares that share no vertex, still fails by name: with gamma0
+    # only on the left square's top K + M is singular, with gamma0 on both
+    # tops the right square's constant is a second mode at mu = 1
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                      [2.0, 0.0], [3.0, 0.0], [3.0, 1.0], [2.0, 1.0]])
+    for both, message in ((False, "factorization of the shifted matrix failed"),
+                          (True, "mu = 1: the constant mode escaped deflation")):
+        def tags(a, b):
+            top = (verts[a, 1] == 1.0) & (verts[b, 1] == 1.0) & (both | (verts[a, 0] <= 1.0))
+            return np.where(top, TAGS.index(BoundaryTag.GAMMA0), TAGS.index(BoundaryTag.GAMMA1))
 
-    def tags(pa, pb):
-        if pa[0] <= 1.0 and pb[0] <= 1.0 and pa[1] == 1.0 and pb[1] == 1.0:
-            return BoundaryTag.GAMMA0
-        return BoundaryTag.GAMMA1
-
-    return build_topology(verts, [[0, 1, 2, 3], [4, 5, 6, 7]], tags)
-
-
-def test_disconnected_mesh_is_rejected():
-    system = assemble(two_disconnected_squares())
-    with pytest.raises(EigensolverError, match="disconnected.* 2 connected components"):
-        solve_smallest_positive(system)
+        system = assemble(_edge_table(verts, np.array([0, 4, 8]), np.arange(8), tags))
+        with pytest.raises(EigensolverError, match=message):
+            solve_smallest_positive(system)
 
 
 def quad_split_notched():

@@ -226,7 +226,7 @@ def test_notched_run_uses_frozen_reference(monkeypatch):
     assert result.records[0].error == abs(result.records[0].lambda_h - NOTCHED_REFERENCE)
 
 
-def test_run_experiment_validates_config(monkeypatch):
+def test_run_experiment_validates_config(monkeypatch, tmp_path):
     def no_work(mesh):
         raise AssertionError("a bad config must be refused before any assembly")
 
@@ -246,10 +246,24 @@ def test_run_experiment_validates_config(monkeypatch):
         (dict(reference=0.0), "reference eigenvalue"),
         (dict(reference=-1.0), "reference eigenvalue"),
         (dict(seed=-1), "solver seed must be non-negative, got -1"),
+        # a bool or a non-integral number is refused by name, before the
+        # tables are written
+        (dict(steps=2.5), "steps must be an integer, got 2.5"),
+        (dict(steps=2.0), "steps must be an integer, got 2.0"),
+        (dict(steps=True), "steps must be an integer, got True"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(seed=False), "seed must be an integer, got False"),
     ]
+    out = tmp_path / "refused"
     for fields, message in cases:
         with pytest.raises(ValueError, match=message):
-            run_experiment(ExperimentConfig(**fields))
+            run_experiment(ExperimentConfig(out_dir=str(out), **fields))
+        assert not out.exists()
+
+
+def test_numpy_integer_steps_and_seed_are_accepted():
+    config = ExperimentConfig(test="square", steps=np.int64(2), seed=np.uint8(3))
+    assert [r.step for r in run_experiment(config).records] == [0, 1]
 
 
 def failing_solve(monkeypatch, call, error):

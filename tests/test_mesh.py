@@ -5,10 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from steklov.adaptivity import refine_vem
+from steklov.experiments import initial_mesh
 from steklov.mesh import (
     TAGS,
     BoundaryTag,
     MeshError,
+    _segment_distance2,
     build_topology,
     load_mesh,
     polygon_geometry,
@@ -243,6 +246,33 @@ def test_empty_spectral_boundary_rejected():
         build_topology(SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], gamma1_only)
 
 
+# unit squares at x in [0, 1] and [2, 3] that share no vertex; only the left
+# one has gamma0, its top edge
+TWO_SQUARES = {
+    "vertices": SQUARE_VERTS + [[2.0, 0.0], [3.0, 0.0], [3.0, 1.0], [2.0, 1.0]],
+    "cells": [[0, 1, 2, 3], [4, 5, 6, 7]],
+    "boundary": [
+        {"edge": [a, b], "tag": "gamma0" if (a, b) == (2, 3) else "gamma1"}
+        for a, b in [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]
+    ],
+}
+
+
+def test_disconnected_mesh_rejected():
+    tags = {tuple(item["edge"]): item["tag"] for item in TWO_SQUARES["boundary"]}
+    with pytest.raises(MeshError, match="^mesh is disconnected: vertex 4 is not connected to vertex 0$"):
+        build_topology(TWO_SQUARES["vertices"], TWO_SQUARES["cells"], tags)
+
+    # the lowest vertex outside vertex 0's part is named
+    interleaved = [v for pair in zip(TWO_SQUARES["vertices"][:4], TWO_SQUARES["vertices"][4:]) for v in pair]
+    with pytest.raises(MeshError, match="vertex 1 is not connected to vertex 0"):
+        build_topology(interleaved, [[0, 2, 4, 6], [1, 3, 5, 7]], all_gamma0)
+
+    # squares that share only a corner are connected, as in the stiffness graph
+    corner = SQUARE_VERTS + [[2.0, 1.0], [2.0, 2.0], [1.0, 2.0]]
+    assert build_topology(corner, [[0, 1, 2, 3], [2, 4, 5, 6]], all_gamma0).n_cells == 2
+
+
 def test_known_geometry_values():
     mesh = build_topology(SQUARE_VERTS, [[0, 1, 2, 3]], top_edge_rule)
     rep = quality_report(mesh)
@@ -308,6 +338,34 @@ def test_quality_report_flags_stretched_cells():
     rep = quality_report(thin)
     assert rep.star_flags.tolist() == [0]
     assert rep.gap_flags.tolist() == [0]
+
+
+def test_centroid_outside_the_cell_has_radius_zero():
+    # the centroid (2, 13/12) of this chevron lies above its reflex vertex
+    # (2, 1), outside the cell: no ball about it fits, although its distance
+    # to the nearest edge segment is 0.0589
+    chevron = build_topology([[0, 0], [4, 0], [4, 3], [2, 1], [0, 3]], [[0, 1, 2, 3, 4]], all_gamma0)
+    rep = quality_report(chevron)
+    assert rep.inscribed_radii.tolist() == [0.0]
+    assert rep.gamma_estimate == 0.0
+    assert rep.star_flags.tolist() == [0]
+    with pytest.raises(MeshError, match="cell 0 is not star-shaped"):
+        refine_vem(chevron, [0])
+
+
+def test_radius_is_the_distance_to_the_nearest_edge_on_convex_cells():
+    # refine_vem children and their hanging-node neighbours are convex, so
+    # the distance to the nearest edge line is that to the nearest segment
+    mesh = initial_mesh("notched")
+    for _ in range(3):
+        mesh = refine_vem(mesh, np.flatnonzero(np.arange(mesh.n_cells) % 3 == 0))
+    rep = quality_report(mesh)
+    for c in range(mesh.n_cells):
+        pts = mesh.vertices[mesh.cell(c)]
+        origin, local, _, centroid, _, _ = polygon_geometry(pts[None])
+        x, y = local[0, :, 0], local[0, :, 1]
+        dist2 = _segment_distance2(centroid[0, 0], centroid[0, 1], x, y, np.roll(x, -1), np.roll(y, -1))
+        assert abs(rep.inscribed_radii[c] - np.sqrt(dist2.min())) <= 1e-12 * rep.inscribed_radii[c]
 
 
 def test_edge_arrays_mirror_edge_list():

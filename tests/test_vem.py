@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from steklov.experiments import initial_mesh
-from steklov.mesh import MeshError
 from steklov.vem import _stiffness, assemble, dump_matrix, project
 
 from fem_oracle import boundary_mass as oracle_boundary_mass
@@ -109,13 +108,6 @@ def test_constants_in_stiffness_kernel():
         # symmetry and positive semidefiniteness
         assert np.allclose(ops.stiffness, ops.stiffness.T, atol=1e-14)
         assert np.linalg.eigvalsh(ops.stiffness).min() > -1e-12
-
-
-def test_degenerate_cell_raises():
-    with pytest.raises(MeshError, match="non-positive area"):
-        local_operators(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
-    with pytest.raises(MeshError, match="non-positive area"):
-        local_operators(UNIT_SQUARE[::-1])  # clockwise
 
 
 def test_assembly_matches_fem_oracle_on_triangle_mesh():
