@@ -11,10 +11,11 @@ edge between its first two cycle entries.
 All three refiners work on edge ids (after Funken, Praetorius & Wissgott,
 "Efficient implementation of adaptive P1-FEM in Matlab", CMAM 2011): the
 split edges form a boolean array, the midpoint of split edge e gets a new
-vertex id from the rank of e in the order the cells first reach it, and the
-children are written straight into compressed-row arrays from which the
-edge table of the refined mesh is built.  A refiner cannot turn a valid mesh
-into an invalid one, so its output skips the checks of ``build_topology``.
+vertex id from the rank of e in the order the cells first reach it (the rule
+that numbers the edges, ``mesh._first_appearance``), and the children are
+written straight into compressed-row arrays from which the edge table of the
+refined mesh is built.  A refiner cannot turn a valid mesh into an invalid
+one, so its output skips the checks of ``build_topology``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import (
-    MeshError, PolygonalMesh, _edge_table, _first_true, _kernel_radius, _marked_cells, cell_groups,
-    polygon_geometry,
+    MeshError, PolygonalMesh, _edge_table, _first_appearance, _first_true, _kernel_radius, _marked_cells,
+    cell_groups, polygon_geometry,
 )
 
 __all__ = [
@@ -63,15 +64,6 @@ def mark(eta2: Sequence[float] | np.ndarray, fraction: float = 0.5) -> np.ndarra
         warnings.warn("all error indicators are zero; nothing to mark", stacklevel=2)
         return np.empty(0, dtype=np.int64)
     return np.flatnonzero(etas >= fraction * peak)
-
-
-def _first_encounter_ids(keys: np.ndarray, n_keys: int, base: int) -> np.ndarray:
-    """``base`` plus the rank of each key in ``range(n_keys)`` by its first
-    appearance in ``keys``; -1 for keys that do not appear."""
-    unique, first = np.unique(keys, return_index=True)
-    ids = np.full(n_keys, -1, dtype=np.int64)
-    ids[unique[np.argsort(first)]] = base + np.arange(len(unique))
-    return ids
 
 
 def _refined_vertices(mesh: PolygonalMesh, midpoint: np.ndarray, n_extra: int = 0) -> np.ndarray:
@@ -158,7 +150,8 @@ def refine_vem(mesh: PolygonalMesh, marks: Iterable[int]) -> PolygonalMesh:
     keys = np.empty(len(halves) + len(marked), dtype=np.int64)
     keys[marked_ptr[1:] + np.arange(len(marked))] = mesh.n_edges + np.arange(len(marked))
     keys[np.arange(len(halves)) + np.repeat(np.arange(len(marked)), sizes[marked])] = edges[halves]
-    ids = _first_encounter_ids(keys, mesh.n_edges + len(marked), mesh.n_vertices)
+    ids = np.full(mesh.n_edges + len(marked), -1, dtype=np.int64)
+    ids[keys] = mesh.n_vertices + _first_appearance(keys)[0]
     midpoint, centroid_id = ids[: mesh.n_edges], ids[mesh.n_edges:]
     points = _refined_vertices(mesh, midpoint, n_extra=len(marked))
     points[centroid_id] = centroid
@@ -253,7 +246,9 @@ def refine_fem(mesh: PolygonalMesh, marks: Iterable[int]) -> PolygonalMesh:
         split[edges[grow, 0]] = True
 
     reached = edges[:, [0, 2, 1]].ravel()
-    midpoint = _first_encounter_ids(reached[split[reached]], mesh.n_edges, mesh.n_vertices)
+    reached = reached[split[reached]]
+    midpoint = np.full(mesh.n_edges, -1, dtype=np.int64)
+    midpoint[reached] = mesh.n_vertices + _first_appearance(reached)[0]
     corners = np.concatenate([tris, midpoint[edges]], axis=1)
     pattern = split[edges] @ np.array([1, 2, 4])
     n_children = np.zeros(8, dtype=np.int64)

@@ -330,6 +330,25 @@ def _cell_arrays(cells: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray
     return cell_ptr, flat.astype(np.int64)
 
 
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct values of ``keys`` in the order they first appear.
+
+    Returns ``(number, first)``: the number of each entry's value, and the
+    position of the first appearance of each number.  One stable sort puts
+    each run of equal keys in position order, so the head of every run is a
+    first appearance.
+    """
+    order = np.argsort(keys, kind="stable")
+    heads = np.ones(len(keys), dtype=bool)  # the head of each run of equal keys in `order`
+    heads[1:] = keys[order[1:]] != keys[order[:-1]]
+    leads = np.zeros(len(keys), dtype=bool)  # the same entries, marked at their positions
+    leads[order[heads]] = True
+    # a run's number counts the first appearances before its head's position
+    number = np.empty(len(keys), dtype=np.int64)
+    number[order] = (np.cumsum(leads) - 1)[order[heads]][np.cumsum(heads) - 1]
+    return number, np.flatnonzero(leads)
+
+
 def _edge_table(
     verts: np.ndarray,
     cell_ptr: np.ndarray,
@@ -341,8 +360,9 @@ def _edge_table(
 
     ``boundary_tags(edge_a, edge_b)`` receives the endpoints of the boundary
     edges and returns their positions in :data:`TAGS`.  Only the errors that
-    pairing the half-edges turns up are raised here: an edge shared by more
-    than two cells or traversed twice in one direction.
+    pairing the half-edges turns up are raised here, each naming the bad edge
+    of lowest vertex pair: an edge shared by more than two cells or traversed
+    twice in one direction.
     """
     n_verts, n_cells = len(verts), len(cell_ptr) - 1
     heads = np.empty_like(tails)
@@ -351,55 +371,34 @@ def _edge_table(
     owner = np.repeat(np.arange(n_cells), np.diff(cell_ptr))
 
     keys = np.minimum(tails, heads) * np.int64(n_verts) + np.maximum(tails, heads)
-    unique_keys, first_idx, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    if np.any(counts > 2):
-        k = int(unique_keys[_first_true(counts > 2)])
+    cell_edges, first = _first_appearance(keys)
+    crowded = np.bincount(cell_edges) > 2
+    if np.any(crowded):
+        k = int(keys[first[crowded]].min())
+        raise MeshError(f"edge ({k // n_verts}, {k % n_verts}) is shared by more than two cells")
+
+    # every half-edge after an edge's first is its second, traversed by the right cell
+    later = np.ones(len(keys), dtype=bool)
+    later[first] = False
+    second = np.flatnonzero(later)
+    same_dir = tails[second] == tails[first[cell_edges[second]]]
+    if np.any(same_dir):
+        h2 = second[same_dir][np.argmin(keys[second[same_dir]])]
+        h1 = first[cell_edges[h2]]
+        k = int(keys[h2])
         raise MeshError(
-            f"edge ({k // n_verts}, {k % n_verts}) is shared by more than two cells"
+            f"edge ({k // n_verts}, {k % n_verts}) traversed in the same direction "
+            f"by cells {int(owner[h1])} and {int(owner[h2])}: orientation cannot be repaired"
         )
-
-    # renumber edges in first-encounter order so edge ids are independent of
-    # the key sort
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-
-    perm = np.argsort(inverse, kind="stable")
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    n_edges = len(unique_keys)
-    edge_a = np.empty(n_edges, dtype=np.int64)
-    edge_b = np.empty(n_edges, dtype=np.int64)
-    edge_left = np.empty(n_edges, dtype=np.int64)
-    edge_right = np.full(n_edges, -1, dtype=np.int64)
-
-    first_half = perm[starts[:-1]]
-    edge_a[rank] = tails[first_half]
-    edge_b[rank] = heads[first_half]
-    edge_left[rank] = owner[first_half]
-
-    paired = counts == 2
-    if np.any(paired):
-        second_half = perm[starts[:-1][paired] + 1]
-        same_dir = tails[second_half] == tails[first_half[paired]]
-        if np.any(same_dir):
-            k = _first_true(same_dir)
-            h1 = int(first_half[paired][k])
-            h2 = int(second_half[k])
-            a, b = int(tails[h2]), int(heads[h2])
-            raise MeshError(
-                f"edge ({min(a, b)}, {max(a, b)}) traversed in the same direction "
-                f"by cells {int(owner[h1])} and {int(owner[h2])}: "
-                "orientation cannot be repaired"
-            )
-        edge_right[rank[paired]] = owner[second_half]
+    edge_a, edge_b, edge_left = tails[first], heads[first], owner[first]
+    edge_right = np.full(len(first), -1, dtype=np.int64)
+    edge_right[cell_edges[second]] = owner[second]
 
     # interior edges keep code 0: TAGS[0] is BoundaryTag.INTERIOR
-    edge_tag = np.zeros(n_edges, dtype=np.int8)
+    edge_tag = np.zeros(len(first), dtype=np.int8)
     boundary = np.flatnonzero(edge_right < 0)
     edge_tag[boundary] = boundary_tags(edge_a[boundary], edge_b[boundary])
-    mesh = PolygonalMesh(verts, cell_ptr, tails, rank[inverse], edge_a, edge_b, edge_left, edge_right, edge_tag)
+    mesh = PolygonalMesh(verts, cell_ptr, tails, cell_edges, edge_a, edge_b, edge_left, edge_right, edge_tag)
     for arr in vars(mesh).values():
         arr.flags.writeable = False
     return mesh
@@ -675,11 +674,15 @@ def load_mesh(path: str | Path) -> PolygonalMesh:
             payload = json.load(fh)
     except json.JSONDecodeError as err:
         raise MeshError(f"malformed mesh file {path}: {err}") from None
+    if not isinstance(payload, dict):
+        raise MeshError(
+            f"mesh file {path} must hold a JSON object with fields 'vertices', 'cells' and 'boundary'"
+        )
     try:
         vertices = payload["vertices"]
         cells = payload["cells"]
         boundary = payload["boundary"]
-    except (KeyError, TypeError) as err:
+    except KeyError as err:
         raise MeshError(f"mesh file {path} is missing field {err}") from None
     for field, value in (("vertices", vertices), ("cells", cells), ("boundary", boundary)):
         if not isinstance(value, list):

@@ -10,6 +10,12 @@ check over random mark sequences.  The oracle keeps its own per-cell
 ``polygon_centroid`` (the package's former helper), so the centroids it
 checks against do not come from the vectorized geometry kernel.
 ``structurally_equal`` is the mesh comparison the tests share.
+
+``edge_numbering`` defines the edge arrays of any mesh from its cycles
+alone: it walks the cells' cycles in order and numbers each vertex pair when
+it first appears.  The oracle refiners build their meshes through
+``build_topology``, whose edge arrays come from the package's edge table, so
+the tests check the numbering against ``edge_numbering`` instead.
 """
 
 from __future__ import annotations
@@ -28,6 +34,39 @@ def structurally_equal(mesh: PolygonalMesh, other: PolygonalMesh) -> bool:
         np.array_equal(getattr(mesh, name), getattr(other, name))
         for name in ("vertices", "cell_ptr", "cell_vertices", "edge_a", "edge_b", "edge_tag")
     )
+
+
+def edge_numbering(mesh: PolygonalMesh) -> dict[str, np.ndarray]:
+    """The edge arrays of ``mesh`` from its cycles alone, cell by cell in
+    cycle order: each sorted vertex pair gets the next edge id when it first
+    appears, that first traversal gives ``edge_a``/``edge_b`` and the left
+    cell, and a second traversal gives the right cell (-1 if there is none)."""
+    number: dict[tuple[int, int], int] = {}
+    edge_a: list[int] = []
+    edge_b: list[int] = []
+    edge_left: list[int] = []
+    edge_right: list[int] = []
+    cell_edges: list[int] = []
+    for cid, cyc in enumerate(mesh.cycles()):
+        for tail, head in zip(cyc, cyc[1:] + cyc[:1]):
+            key = (tail, head) if tail < head else (head, tail)
+            if key in number:
+                edge_right[number[key]] = cid
+            else:
+                number[key] = len(edge_a)
+                edge_a.append(tail)
+                edge_b.append(head)
+                edge_left.append(cid)
+                edge_right.append(-1)
+            cell_edges.append(number[key])
+    arrays = {"edge_a": edge_a, "edge_b": edge_b, "edge_left": edge_left, "edge_right": edge_right,
+              "cell_edges": cell_edges}
+    return {name: np.array(values, dtype=np.int64) for name, values in arrays.items()}
+
+
+def numbered_by_first_appearance(mesh: PolygonalMesh) -> bool:
+    """The mesh's edge arrays are those of :func:`edge_numbering`."""
+    return all(np.array_equal(getattr(mesh, name), values) for name, values in edge_numbering(mesh).items())
 
 
 def polygon_centroid(points: np.ndarray) -> np.ndarray:

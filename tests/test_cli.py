@@ -143,6 +143,11 @@ def test_mesh_validate_rejects_bad_file(tmp_path, capsys):
     path.write_text("{]")
     assert main(["mesh", "validate", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+    # valid JSON whose top level is not an object used to report a missing
+    # field "list indices must be integers or slices, not str"
+    path.write_text("[1, 2]")
+    assert main(["mesh", "validate", str(path)]) == 1
+    assert "must hold a JSON object with fields 'vertices', 'cells' and 'boundary'" in capsys.readouterr().err
 
     # malformed items are named errors, not tracebacks or a silent "OK"
     square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]

@@ -19,7 +19,7 @@ from steklov.mesh import (
     save_mesh,
 )
 
-from refine_oracle import structurally_equal
+from refine_oracle import numbered_by_first_appearance, structurally_equal
 
 SQUARE_VERTS = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
@@ -211,6 +211,12 @@ def test_non_manifold_edge_rejected():
     cells = [[0, 1, 4], [0, 4, 3], [0, 5, 4]]
     with pytest.raises(MeshError, match="more than two cells"):
         build_topology(verts, cells, all_gamma0)
+    # two such edges: the one of lowest vertex pair is named, not the first reached
+    verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 5.0], [1.0, 5.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0],
+             [0.5, 6.0], [0.5, 4.0], [0.5, 7.0]]
+    cells = [[2, 3, 7], [2, 3, 8], [2, 3, 9], [0, 1, 4], [0, 1, 5], [0, 1, 6]]
+    with pytest.raises(MeshError, match=r"^edge \(0, 1\) is shared by more than two cells$"):
+        build_topology(verts, cells, all_gamma0)
 
 
 def test_same_direction_traversal_rejected():
@@ -219,6 +225,10 @@ def test_same_direction_traversal_rejected():
     verts = [[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, 2.0]]
     with pytest.raises(MeshError, match="same direction"):
         build_topology(verts, [[0, 1, 2], [0, 1, 3]], all_gamma0)
+    # the same pair again at x + 10, reached first: the lower edge (0, 1) is named
+    verts += [[x + 10.0, y] for x, y in verts]
+    with pytest.raises(MeshError, match=r"^edge \(0, 1\) traversed in the same direction by cells 2 and 3:"):
+        build_topology(verts, [[4, 5, 6], [4, 5, 7], [0, 1, 2], [0, 1, 3]], all_gamma0)
 
 
 def test_untagged_boundary_edge_rejected():
@@ -369,20 +379,10 @@ def test_radius_is_the_distance_to_the_nearest_edge_on_convex_cells():
 
 
 def test_edge_arrays_mirror_edge_list():
-    # an edge list rebuilt from the cycles alone, in first-traversal order
+    # the edge arrays rebuilt from the cycles alone, in first-traversal order
     mesh = build_topology(SQUARE_VERTS + [[0.5, 0.5]], [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]],
                           top_edge_rule)
-    expected = {}
-    for cid, cyc in enumerate(mesh.cycles()):
-        for k, a in enumerate(cyc):
-            b = cyc[(k + 1) % len(cyc)]
-            key = (min(a, b), max(a, b))
-            if key in expected:
-                expected[key][3] = cid
-            else:
-                expected[key] = [a, b, cid, -1]
-    got = np.column_stack([mesh.edge_a, mesh.edge_b, mesh.edge_left, mesh.edge_right])
-    assert got.tolist() == list(expected.values())
+    assert numbered_by_first_appearance(mesh)
     boundary_tags = [TAGS[t] for t in mesh.edge_tag[mesh.edge_right < 0]]
     assert boundary_tags.count(BoundaryTag.GAMMA0) == 1
     assert all(TAGS[t] is BoundaryTag.INTERIOR for t in mesh.edge_tag[mesh.edge_right >= 0])
@@ -410,6 +410,12 @@ def test_load_rejects_malformed_files(tmp_path):
     missing.write_text(json.dumps({"vertices": [[0, 0]]}))
     with pytest.raises(MeshError, match="missing field"):
         load_mesh(missing)
+
+    # valid JSON, but not an object: a list, a number, null
+    for text in ("[1, 2]", "3", "null"):
+        missing.write_text(text)
+        with pytest.raises(MeshError, match="must hold a JSON object with fields 'vertices', 'cells' and"):
+            load_mesh(missing)
 
     good_boundary = [
         {"edge": [0, 1], "tag": "gamma1"},

@@ -13,9 +13,12 @@ initial meshes with it, and checks after every step, from the flat arrays:
 
 A second set of properties runs the same kind of sequences through the
 array refiners and through the loop-based reference refiners of
-``refine_oracle`` and requires identical meshes, numbering included, and
+``refine_oracle`` and requires identical meshes, with the edges numbered as
+the oracle's ``edge_numbering`` numbers them from the cycles alone, and
 that the oracle's parent-to-children map puts every new cell inside the
-coarse cell whose area it covers.  The refiners build their output without the checks
+coarse cell whose area it covers.  ``build_topology`` must number edges the
+same way on refined meshes renumbered, reordered and partly given
+clockwise.  The refiners build their output without the checks
 of ``build_topology``, so every output must come back unchanged through
 them, its boundary tagged by the initial meshes' own rule; and
 newest-vertex bisection must create at most four triangle shapes per
@@ -182,11 +185,9 @@ def test_refine_fem_invariants(name, steps, data):
 
 
 def identical(mesh, expected):
-    """Same vertices, cycles, numbering, orientation and tags."""
-    return oracle.structurally_equal(mesh, expected) and all(
-        np.array_equal(getattr(mesh, name), getattr(expected, name))
-        for name in ("edge_left", "edge_right", "cell_edges")
-    )
+    """Same vertices, cycles, orientation and tags, and edges numbered as the
+    oracle's first-appearance rule numbers them."""
+    return oracle.structurally_equal(mesh, expected) and oracle.numbered_by_first_appearance(mesh)
 
 
 def cell_areas(mesh):
@@ -292,6 +293,32 @@ def test_refiner_output_passes_build_topology_unchanged(name, steps, data):
             fem = refine_fem(fem, mark_subset(data, fem))
         assert identical(rebuilt(vem), vem)
         assert identical(rebuilt(fem), fem)
+
+
+@SETTINGS
+@given(
+    name=st.sampled_from(sorted(INITIAL)),
+    fem=st.booleans(),
+    steps=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_build_topology_numbers_edges_by_first_appearance(name, fem, steps, seed, data):
+    # a refined mesh with its vertices renumbered, its cells reordered, each
+    # cycle started at a random vertex, and then about half of its cycles
+    # given clockwise, which build_topology reverses before numbering
+    mesh = INITIAL[name]
+    for _ in range(steps):
+        marks = marks_for(data, mesh)
+        mesh = refine_fem(mesh, marks) if fem else refine_vem(mesh, marks)
+    rng = np.random.default_rng(seed)
+    shuffled = relabelled(mesh, rng)
+    assert oracle.numbered_by_first_appearance(shuffled)
+    flip = rng.random(mesh.n_cells) < 0.5
+    cells = [cyc[::-1] if f else cyc for cyc, f in zip(shuffled.cycles(), flip.tolist())]
+    again = build_topology(shuffled.vertices, cells, boundary_tags(shuffled, range(mesh.n_vertices)))
+    assert oracle.numbered_by_first_appearance(again)
+    assert again.cycles() != cells or not flip.any()
 
 
 def triangle_shapes(mesh):
