@@ -10,11 +10,7 @@ from .mesh import (
     quality_report,
     save_mesh,
 )
-from .vem import (
-    GlobalSystem,
-    assemble,
-    project,
-)
+from .vem import GlobalSystem, assemble, project
 from .eigensolver import (
     ConvergenceError,
     EigensolverError,
@@ -22,10 +18,7 @@ from .eigensolver import (
     residual_norm,
     solve_smallest_positive,
 )
-from .estimator import (
-    edge_residuals,
-    element_indicators,
-)
+from .estimator import edge_residuals, element_indicators
 from .adaptivity import (
     mark,
     normalize_refinement_edges,

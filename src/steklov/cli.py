@@ -4,8 +4,8 @@ Subcommands:
 
 * ``steklov run`` -- execute one convergence experiment; results.csv and
   curves.csv get each step's row as it ends (Ctrl-C keeps them and exits
-  with status 130), then the per-step mesh JSON/SVG files are written into
-  the output directory.
+  with status 130), and so do the dumps asked for; then the per-step mesh
+  JSON/SVG files are written, and the closing line counts every file.
 * ``steklov rate`` -- fit a convergence slope to an existing results.csv.
 * ``steklov mesh validate`` -- load a JSON mesh file, run the full topology
   validation and print a short quality summary.
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dump-indicators", action="store_true",
                      help="write per-cell indicator CSVs for every step")
     run.add_argument("--dump-matrices", action="store_true",
-                     help="write assembled matrices in row/col/value text form")
+                     help="write each step's assembled matrices in Matrix Market format (.mtx)")
     run.add_argument("--quiet", action="store_true", help="suppress per-step progress lines")
 
     rate = sub.add_parser("rate", help="fit a convergence rate to a results.csv")

@@ -28,7 +28,7 @@ from .eigensolver import solve_smallest_positive
 from .estimator import element_indicators
 from .mesh import PolygonalMesh, _json_texts, build_topology
 from .render import _svg_texts
-from .vem import assemble, dump_matrix
+from .vem import assemble
 
 __all__ = [
     "TESTS",
@@ -59,6 +59,11 @@ RESULTS_HEADER = ["step", "N", "lambda_h", "error", "theta2", "jump2", "eta2", "
 # 1e-11, seed 0, up to 150,000 dofs); the warm-started ladder returns
 # 3.100622662087519, 3.8e-13 below it.  Call that function to recompute it.
 NOTCHED_REFERENCE = 3.1006226620879023
+
+# The files step k may leave in out_dir, snapshots first: a run deletes them
+# all before it starts, and emit_outputs lists those that exist in this order
+_STEP_FILES = ("mesh_step_{}.json", "mesh_step_{}.svg", "indicators_step_{}.csv",
+               "stiffness_step_{}.mtx", "boundary_mass_step_{}.mtx")
 
 
 def exact_eigenvalue_square(n: int = 1) -> float:
@@ -254,7 +259,8 @@ def run_experiment(
     zero estimate raises ``ValueError``.  Given ``out_dir``, each step
     appends its row to ``results.csv`` and ``curves.csv`` before ``progress``
     sees its record, so a run stopped midway keeps every finished row; the
-    step files an earlier run left in ``out_dir`` are deleted first.
+    step files an earlier run left in ``out_dir`` are deleted first.  The
+    dump flags add each step's indicator CSV and Matrix Market matrices.
     """
     if config.test not in TESTS:
         raise ValueError(f"unknown test {config.test!r}; expected one of {TESTS}")
@@ -280,9 +286,8 @@ def run_experiment(
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         # a shorter rerun must not leave a longer run's step files behind
-        for pattern in ("mesh_step_*.json", "mesh_step_*.svg", "indicators_step_*.csv",
-                        "stiffness_step_*.txt", "boundary_mass_step_*.txt"):
-            for path in out_dir.glob(pattern):
+        for name in _STEP_FILES:
+            for path in out_dir.glob(name.format("*")):
                 path.unlink()
         _write_rows(out_dir / "results.csv", [RESULTS_HEADER], "w")
         _write_rows(out_dir / "curves.csv", [["N", "error", "eta2"]], "w")
@@ -326,8 +331,11 @@ def run_experiment(
             rows = itertools.chain([["cell", "theta2", "jump2", "eta2"]], zip(range(len(eta2)), *columns))
             _write_rows(out_dir / f"indicators_step_{step}.csv", rows, "w")
         if out_dir is not None and config.dump_matrices:
-            dump_matrix(system.stiffness, out_dir / f"stiffness_step_{step}.txt")
-            dump_matrix(system.boundary_mass, out_dir / f"boundary_mass_step_{step}.txt")
+            import scipy.io  # not at the top: it adds about 22 ms to every process
+
+            # "general" keeps every stored entry, explicit zeros included
+            scipy.io.mmwrite(out_dir / f"stiffness_step_{step}.mtx", system.stiffness, symmetry="general")
+            scipy.io.mmwrite(out_dir / f"boundary_mass_step_{step}.mtx", system.boundary_mass, symmetry="general")
 
         marks = None if config.method == "uniform-fem" else mark(eta2, config.mark_fraction)
         result.marks.append(marks)
@@ -377,9 +385,9 @@ def read_results_csv(path: str | Path) -> tuple[list[int], list[float], list[flo
 
 
 def emit_outputs(result: ExperimentResult) -> list[Path]:
-    """Write the per-step mesh JSON/SVG files of a run, whose tables the run
-    wrote, and return the paths of the tables that exist, then of every
-    snapshot."""
+    """Write the per-step mesh JSON/SVG files of a run, whose tables and dumps
+    the run wrote, and return the paths of the tables that exist, then, step
+    by step, of that step's snapshots and of the dumps that exist."""
     if result.config.out_dir is None:
         raise ValueError("config.out_dir is not set")
     lengths = (len(result.meshes), len(result.marks), len(result.records))
@@ -395,8 +403,9 @@ def emit_outputs(result: ExperimentResult) -> list[Path]:
         _json_texts(result.meshes),
         _svg_texts((mesh, () if marks is None else marks) for mesh, marks in zip(result.meshes, result.marks)),
     )
-    for k, (json_text, svg_text) in enumerate(texts):
-        for path, text in ((out_dir / f"mesh_step_{k}.json", json_text), (out_dir / f"mesh_step_{k}.svg", svg_text)):
+    for k, snapshots in enumerate(texts):
+        paths = [out_dir / name.format(k) for name in _STEP_FILES]
+        for path, text in zip(paths, snapshots):  # the JSON and SVG names lead
             path.write_text(text)
-            written.append(path)
+        written.extend(path for path in paths if path.is_file())
     return written

@@ -259,7 +259,12 @@ def _validate_cycles(verts: np.ndarray, cell_ptr: np.ndarray, cell_vertices: np.
             raise MeshError(f"cell {int(ids[_first_true(dup)])} repeats a vertex in its cycle")
 
         pts = verts[stack]
-        _, _, area, _, diam, _ = polygon_geometry(pts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, area, _, diam, _ = polygon_geometry(pts)
+        # finite coordinates can still overflow the shoelace sum or a distance
+        huge = ~(np.isfinite(area) & np.isfinite(diam))
+        if np.any(huge):
+            raise MeshError(f"cell {int(ids[_first_true(huge)])} is too large: its area or diameter is not finite")
 
         degenerate = np.abs(area) <= COLLINEAR_REL * diam * diam
         if np.any(degenerate):

@@ -28,7 +28,6 @@ geometry and gradients, and the stiffness is built from them during assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +39,6 @@ __all__ = [
     "GlobalSystem",
     "assemble",
     "project",
-    "dump_matrix",
 ]
 
 
@@ -177,11 +175,3 @@ def project(system: GlobalSystem, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
         gradients[group.ids], theta2[group.ids] = _project_group(group, w[group.dofs])
     return gradients, theta2
 
-
-def dump_matrix(matrix: sp.spmatrix, path: str | Path) -> None:
-    """Write a sparse matrix as 'row col value' text lines (sorted by position)."""
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for k in order:
-            fh.write(f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}\n")

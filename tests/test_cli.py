@@ -7,16 +7,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.io
 
 import steklov
 from steklov.cli import main
 from steklov.eigensolver import ConvergenceError
-from steklov.experiments import initial_mesh, read_results_csv
+from steklov.experiments import ExperimentConfig, emit_outputs, initial_mesh, read_results_csv, run_experiment
 from steklov.mesh import load_mesh, save_mesh
+from steklov.vem import assemble
 
 from test_experiments import failing_solve, table_ns
 from test_mesh import TWO_SQUARES
+
+# the files step k leaves with both dump flags, in the order emit_outputs lists them
+STEP_FILES = ("mesh_step_{}.json", "mesh_step_{}.svg", "indicators_step_{}.csv",
+              "stiffness_step_{}.mtx", "boundary_mass_step_{}.mtx")
 
 
 def test_run_writes_outputs_and_progress(tmp_path, capsys):
@@ -50,16 +57,24 @@ def test_run_quiet_silences_stdout(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_run_dump_flags_produce_files(tmp_path):
+def test_run_dump_flags_produce_files(tmp_path, capsys):
     out = tmp_path / "dumps"
-    code = main(
-        ["run", "--steps", "1", "--out", str(out), "--quiet",
-         "--dump-indicators", "--dump-matrices"]
-    )
+    code = main(["run", "--steps", "3", "--out", str(out), "--dump-indicators", "--dump-matrices"])
     assert code == 0
-    assert (out / "indicators_step_0.csv").exists()
-    assert (out / "stiffness_step_0.txt").exists()
-    assert (out / "boundary_mass_step_0.txt").exists()
+    files = sorted(path.name for path in out.iterdir())
+    assert files == sorted(["results.csv", "curves.csv", *(name.format(k) for k in range(3) for name in STEP_FILES)])
+    # the count covers the dumps too: it used to read 8 of these 17 files
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {len(files)} files to {out}"
+
+    # every stored entry comes back exactly, explicit zeros included
+    meshes = [initial_mesh("square")] + [load_mesh(out / f"mesh_step_{k}.json") for k in (1, 2)]
+    for k, mesh in enumerate(meshes):
+        system = assemble(mesh)
+        for name, matrix in (("stiffness", system.stiffness), ("boundary_mass", system.boundary_mass)):
+            read = scipy.io.mmread(out / f"{name}_step_{k}.mtx").tocsr()
+            assert read.shape == matrix.shape
+            for field in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(read, field), getattr(matrix, field))
 
 
 def test_run_reference_override(tmp_path, capsys):
@@ -168,6 +183,12 @@ def test_mesh_validate_rejects_bad_file(tmp_path, capsys):
         # an edge tagged twice used to keep the last tag
         (square, [[0, 1, 2, 3]], boundary[:1] + [{"edge": [0, 1], "tag": "gamma1"}] + boundary[1:],
          "error: boundary items 0 and 1 "),
+        # an area that overflows used to print "OK" and "gamma estimate nan",
+        # and a squared diameter that overflows a false "degenerate (zero area)"
+        ([[0, 0], [1, 0], [1e308, 1e308]], [[0, 1, 2]], boundary[:2] + [{"edge": [2, 0], "tag": "gamma0"}],
+         "error: cell 0 is too large"),
+        ([[0, 0], [1, 0], [1e200, 1e200]], [[0, 1, 2]], boundary[:2] + [{"edge": [2, 0], "tag": "gamma0"}],
+         "error: cell 0 is too large"),
     ]
     for verts, cells, items, message in cases:
         path.write_text(json.dumps({"vertices": verts, "cells": cells, "boundary": items}))
@@ -200,7 +221,13 @@ def test_mesh_validate_rejects_disconnected_mesh(tmp_path, capsys):
 
 def test_rerun_leaves_only_its_own_step_files(tmp_path):
     out, fresh = tmp_path / "rerun", tmp_path / "fresh"
-    assert main(["run", "--steps", "4", "--dump-indicators", "--out", str(out), "--quiet"]) == 0
+    # emit_outputs lists every file the run leaves: the tables, then each
+    # step's snapshots and dumps
+    config = ExperimentConfig(steps=4, out_dir=str(out), dump_indicators=True, dump_matrices=True)
+    written = emit_outputs(run_experiment(config))
+    assert [path.name for path in written] == ["results.csv", "curves.csv", *(
+        name.format(k) for k in range(4) for name in STEP_FILES)]
+    assert set(written) == set(out.iterdir())
     assert main(["run", "--steps", "2", "--out", str(out), "--quiet"]) == 0
     assert main(["run", "--steps", "2", "--out", str(fresh), "--quiet"]) == 0
     files = {path.name: path.read_bytes() for path in out.iterdir()}
@@ -247,6 +274,20 @@ def test_installed_entry_point_help():
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "rate" in proc.stdout
+
+
+def test_importing_the_cli_leaves_scipy_io_unloaded():
+    # scipy.io is imported only when matrices are dumped: loading it costs
+    # every process about 22 ms of start-up
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, steklov.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.io')))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_ctrl_c_keeps_the_finished_rows(tmp_path):

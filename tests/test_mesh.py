@@ -120,6 +120,12 @@ def test_validation_errors():
         # non-finite coordinates
         ([[0.0, 0.0], [1.0, np.inf], [0.0, 1.0]], [[0, 1, 2]], all_gamma0, "finite"),
         ([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]], [[0, 1, 2]], all_gamma0, "finite"),
+        # finite coordinates whose area overflows: named, where they used to
+        # pass with a nan area or be called degenerate when diam * diam overflowed
+        ([[0.0, 0.0], [1.0, 0.0], [1e308, 1e308]], [[0, 1, 2]], all_gamma0,
+         "cell 0 is too large: its area or diameter is not finite"),
+        ([[0.0, 0.0], [1.0, 0.0], [1e200, 1e200]], [[0, 1, 2]], all_gamma0,
+         "cell 0 is too large: its area or diameter is not finite"),
         # coordinates that are strings or booleans, not numbers
         ([[0, 0], ["1", 0], [1, 1], [0, 1]], [[0, 1, 2, 3]], all_gamma0, "hold numbers"),
         ([[False, False], [True, False], [True, True], [False, True]], [[0, 1, 2, 3]], all_gamma0,

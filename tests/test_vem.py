@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from steklov.experiments import initial_mesh
-from steklov.vem import _stiffness, assemble, dump_matrix, project
+from steklov.vem import _stiffness, assemble, project
 
 from fem_oracle import boundary_mass as oracle_boundary_mass
 from fem_oracle import p1_stiffness as oracle_stiffness
@@ -185,18 +185,3 @@ def test_project_validates_length():
     system = assemble(initial_mesh("square"))
     with pytest.raises(ValueError, match="dof vector"):
         project(system, np.zeros(3))
-
-
-def test_dump_matrix_round_trip(tmp_path):
-    system = assemble(initial_mesh("square"))
-    path = tmp_path / "K.txt"
-    dump_matrix(system.stiffness, path)
-    K = system.stiffness.tocoo()
-    entries = {}
-    for line in path.read_text().splitlines():
-        r, c, v = line.split()
-        entries[(int(r), int(c))] = float(v)
-    dense = system.stiffness.toarray()
-    for (r, c), v in entries.items():
-        assert dense[r, c] == v  # repr round-trips doubles exactly
-    assert len(entries) == K.nnz
