@@ -88,6 +88,7 @@ def _refined_mesh(
     edge that of the coarse boundary edge with the same endpoints.
     """
     n = mesh.n_vertices
+    cell_edges, edge_a, edge_b, edge_left, edge_right = _edge_table(points, cell_ptr, cells)
     split = np.flatnonzero(midpoint >= 0)
     coarse_of = np.empty(len(points), dtype=np.int64)
     coarse_of[midpoint[split]] = split
@@ -95,16 +96,15 @@ def _refined_mesh(
     a, b = mesh.edge_a[boundary], mesh.edge_b[boundary]
     keys = np.minimum(a, b) * n + np.maximum(a, b)
     order = np.argsort(keys)
-
-    def tags(edge_a, edge_b):
-        lo, hi = np.minimum(edge_a, edge_b), np.maximum(edge_a, edge_b)
-        half = hi >= n
-        coarse = np.empty(len(hi), dtype=np.int64)
-        coarse[half] = coarse_of[hi[half]]
-        coarse[~half] = boundary[order[np.searchsorted(keys, lo[~half] * n + hi[~half], sorter=order)]]
-        return mesh.edge_tag[coarse]
-
-    return _edge_table(points, cell_ptr, cells, tags)
+    fine = np.flatnonzero(edge_right < 0)
+    lo, hi = np.sort([edge_a[fine], edge_b[fine]], axis=0)
+    half = hi >= n
+    coarse = np.empty(len(fine), dtype=np.int64)
+    coarse[half] = coarse_of[hi[half]]
+    coarse[~half] = boundary[order[np.searchsorted(keys, lo[~half] * n + hi[~half], sorter=order)]]
+    edge_tag = np.zeros(len(edge_a), dtype=np.int8)  # TAGS[0] is BoundaryTag.INTERIOR
+    edge_tag[fine] = mesh.edge_tag[coarse]
+    return PolygonalMesh(points, cell_ptr, cells, cell_edges, edge_a, edge_b, edge_left, edge_right, edge_tag)
 
 
 def refine_vem(mesh: PolygonalMesh, marks: Iterable[int]) -> PolygonalMesh:
@@ -147,9 +147,7 @@ def refine_vem(mesh: PolygonalMesh, marks: Iterable[int]) -> PolygonalMesh:
     # number the new vertices in the order the marked cells reach them: each
     # cell's edges (key: edge id), then its centroid (key: n_edges + its
     # position in `marked`)
-    keys = np.empty(len(halves) + len(marked), dtype=np.int64)
-    keys[marked_ptr[1:] + np.arange(len(marked))] = mesh.n_edges + np.arange(len(marked))
-    keys[np.arange(len(halves)) + np.repeat(np.arange(len(marked)), sizes[marked])] = edges[halves]
+    keys = np.insert(edges[halves], marked_ptr[1:], mesh.n_edges + np.arange(len(marked)))
     ids = np.full(mesh.n_edges + len(marked), -1, dtype=np.int64)
     ids[keys] = mesh.n_vertices + _first_appearance(keys)[0]
     midpoint, centroid_id = ids[: mesh.n_edges], ids[mesh.n_edges:]

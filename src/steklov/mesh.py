@@ -91,7 +91,7 @@ class PolygonalMesh:
     Data from outside becomes a mesh through :func:`build_topology` (or
     :func:`load_mesh`), which validates orientation, simplicity, manifoldness,
     connectivity and boundary tags; the refiners build their output from the
-    edge table directly.
+    edge table directly.  The arrays are taken over and made read-only.
     """
 
     vertices: np.ndarray       # (n_vertices, 2)
@@ -104,6 +104,10 @@ class PolygonalMesh:
     edge_right: np.ndarray
     edge_tag: np.ndarray
 
+    def __post_init__(self):
+        for arr in vars(self).values():
+            arr.flags.writeable = False
+
     @property
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
@@ -115,10 +119,6 @@ class PolygonalMesh:
     @property
     def n_edges(self) -> int:
         return len(self.edge_a)
-
-    def cell(self, c: int) -> np.ndarray:
-        """Vertex cycle of one cell."""
-        return self.cell_vertices[self.cell_ptr[c]:self.cell_ptr[c + 1]]
 
     def cycles(self) -> list[list[int]]:
         """All vertex cycles as lists of Python ints, converted in one pass."""
@@ -339,35 +339,24 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct values of ``keys`` in the order they first appear.
 
     Returns ``(number, first)``: the number of each entry's value, and the
-    position of the first appearance of each number.  One stable sort puts
-    each run of equal keys in position order, so the head of every run is a
-    first appearance.
+    position of the first appearance of each number.  ``np.unique`` numbers
+    the values in sorted order; ranking their first positions renumbers them.
     """
-    order = np.argsort(keys, kind="stable")
-    heads = np.ones(len(keys), dtype=bool)  # the head of each run of equal keys in `order`
-    heads[1:] = keys[order[1:]] != keys[order[:-1]]
-    leads = np.zeros(len(keys), dtype=bool)  # the same entries, marked at their positions
-    leads[order[heads]] = True
-    # a run's number counts the first appearances before its head's position
-    number = np.empty(len(keys), dtype=np.int64)
-    number[order] = (np.cumsum(leads) - 1)[order[heads]][np.cumsum(heads) - 1]
-    return number, np.flatnonzero(leads)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first))
+    return rank[inverse], first[order]
 
 
-def _edge_table(
-    verts: np.ndarray,
-    cell_ptr: np.ndarray,
-    tails: np.ndarray,
-    boundary_tags: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> PolygonalMesh:
-    """The mesh of compressed-row ccw cycles, with its edges numbered in the
-    order the cells first reach them; its arrays are taken over and frozen.
+def _edge_table(verts: np.ndarray, cell_ptr: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The edges of compressed-row ccw cycles on ``verts``, numbered in the
+    order the cells first reach them: ``(cell_edges, edge_a, edge_b,
+    edge_left, edge_right)`` as :class:`PolygonalMesh` holds them.
 
-    ``boundary_tags(edge_a, edge_b)`` receives the endpoints of the boundary
-    edges and returns their positions in :data:`TAGS`.  Only the errors that
-    pairing the half-edges turns up are raised here, each naming the bad edge
-    of lowest vertex pair: an edge shared by more than two cells or traversed
-    twice in one direction.
+    Only the errors that pairing the half-edges turns up are raised here,
+    each naming the bad edge of lowest vertex pair: an edge shared by more
+    than two cells or traversed twice in one direction.
     """
     n_verts, n_cells = len(verts), len(cell_ptr) - 1
     heads = np.empty_like(tails)
@@ -395,18 +384,9 @@ def _edge_table(
             f"edge ({k // n_verts}, {k % n_verts}) traversed in the same direction "
             f"by cells {int(owner[h1])} and {int(owner[h2])}: orientation cannot be repaired"
         )
-    edge_a, edge_b, edge_left = tails[first], heads[first], owner[first]
     edge_right = np.full(len(first), -1, dtype=np.int64)
     edge_right[cell_edges[second]] = owner[second]
-
-    # interior edges keep code 0: TAGS[0] is BoundaryTag.INTERIOR
-    edge_tag = np.zeros(len(first), dtype=np.int8)
-    boundary = np.flatnonzero(edge_right < 0)
-    edge_tag[boundary] = boundary_tags(edge_a[boundary], edge_b[boundary])
-    mesh = PolygonalMesh(verts, cell_ptr, tails, cell_edges, edge_a, edge_b, edge_left, edge_right, edge_tag)
-    for arr in vars(mesh).values():
-        arr.flags.writeable = False
-    return mesh
+    return cell_edges, tails[first], heads[first], owner[first], edge_right
 
 
 def build_topology(
@@ -416,6 +396,11 @@ def build_topology(
 ) -> PolygonalMesh:
     """Validate raw vertex/cell data from outside and construct the edge table.
 
+    ``boundary_tags`` maps each boundary edge's sorted vertex pair to its tag,
+    or is a rule called with the edge's two endpoint coordinates.  The checks
+    run in a fixed order (cycles, tag map keys, pairing, unused vertices,
+    boundary tags, stray keys, spectral boundary, connectivity); where two
+    edges fail the same check, the lower vertex pair is named.
     ``cells`` is a sequence of vertex cycles; it is copied, never changed.
     Clockwise cells are silently reversed.  Raises :class:`MeshError` (naming
     the offending cell, vertex or edge) on vertex data that is not an
@@ -453,49 +438,50 @@ def build_topology(
 
     _validate_cycles(verts, cell_ptr, tails)  # may reverse cycles in place
 
-    if isinstance(boundary_tags, Mapping):
-        lookup = {}  # sorted edge key -> the tag map key naming it
+    tag_map = isinstance(boundary_tags, Mapping)
+    lookup = {}  # sorted edge key -> the tag map key naming it
+    if tag_map:
         for k in boundary_tags:
             key = tuple(sorted(k))
             if key in lookup:
                 raise MeshError(f"tag map keys {lookup[key]} and {k} both name edge {key}")
             lookup[key] = k
 
-        def classify(a, b):
-            key = (a, b) if a < b else (b, a)
-            if key not in lookup:
-                raise MeshError(f"untagged boundary edge {key}")
-            return _normalize_tag(boundary_tags[lookup[key]], key)
+    cell_edges, edge_a, edge_b, edge_left, edge_right = _edge_table(verts, cell_ptr, tails)
+    used = np.zeros(n_verts, dtype=bool)
+    used[tails] = True
+    if not np.all(used):
+        raise MeshError(f"vertex {_first_true(~used)} is not used by any cell")
 
-    else:
+    # boundary edges in ascending vertex pair order, so the first bad one is the lowest
+    boundary = np.flatnonzero(edge_right < 0)
+    lo, hi = np.sort([edge_a[boundary], edge_b[boundary]], axis=0)
+    boundary = boundary[np.lexsort((hi, lo))]
+    tags = []
+    for a, b in zip(edge_a[boundary].tolist(), edge_b[boundary].tolist()):
+        key = (a, b) if a < b else (b, a)
+        if not tag_map:
+            raw = boundary_tags(verts[a], verts[b])
+        elif key in lookup:
+            raw = boundary_tags[lookup[key]]
+        else:
+            raise MeshError(f"untagged boundary edge {key}")
+        tags.append(TAGS.index(_normalize_tag(raw, key)))
+    edge_tag = np.zeros(len(edge_a), dtype=np.int8)  # TAGS[0] is BoundaryTag.INTERIOR
+    edge_tag[boundary] = tags
+    # every boundary edge has a key by now, so any key left over is stray
+    if len(lookup) > len(boundary):
+        a, b = min(lookup.keys() - set(zip(lo.tolist(), hi.tolist())))
+        raise MeshError(f"tagged edge ({a}, {b}) is not a boundary edge of the mesh")
 
-        def classify(a, b):
-            return _normalize_tag(boundary_tags(verts[a], verts[b]), (min(a, b), max(a, b)))
-
-    def codes(edge_a, edge_b):
-        # called once the half-edges are paired: a bad edge is named before
-        # an unused vertex
-        used = np.zeros(n_verts, dtype=bool)
-        used[tails] = True
-        if not np.all(used):
-            raise MeshError(f"vertex {_first_true(~used)} is not used by any cell")
-        tags = [TAGS.index(classify(a, b)) for a, b in zip(edge_a.tolist(), edge_b.tolist())]
-        # every boundary edge has a key by now, so any key left over is stray
-        if isinstance(boundary_tags, Mapping) and len(lookup) > len(tags):
-            on_boundary = zip(np.minimum(edge_a, edge_b).tolist(), np.maximum(edge_a, edge_b).tolist())
-            a, b = min(lookup.keys() - set(on_boundary))
-            raise MeshError(f"tagged edge ({a}, {b}) is not a boundary edge of the mesh")
-        return tags
-
-    mesh = _edge_table(verts, cell_ptr, tails, codes)
-    if not np.any(mesh.edge_tag == TAGS.index(BoundaryTag.GAMMA0)):
+    if not np.any(edge_tag == TAGS.index(BoundaryTag.GAMMA0)):
         raise MeshError("spectral boundary is empty: no edge tagged gamma0")
-    graph = sp.coo_matrix((np.ones(mesh.n_edges), (mesh.edge_a, mesh.edge_b)), shape=(n_verts, n_verts))
+    graph = sp.coo_matrix((np.ones(len(edge_a)), (edge_a, edge_b)), shape=(n_verts, n_verts))
     labels = connected_components(graph, directed=False)[1]
     if np.any(labels != labels[0]):
         k = _first_true(labels != labels[0])
         raise MeshError(f"mesh is disconnected: vertex {k} is not connected to vertex 0")
-    return mesh
+    return PolygonalMesh(verts, cell_ptr, tails, cell_edges, edge_a, edge_b, edge_left, edge_right, edge_tag)
 
 
 # ---------------------------------------------------------------------------

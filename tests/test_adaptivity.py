@@ -113,7 +113,8 @@ def test_refine_vem_neighbor_absorbs_hanging_vertices():
     # the marked triangle splits into three quads, which come first; every
     # other cell keeps its place behind them
     assert refined.n_cells == mesh.n_cells + 2
-    assert all(len(refined.cell(k)) == 4 for k in range(3))
+    cycles, fine = mesh.cycles(), refined.cycles()
+    assert all(len(fine[k]) == 4 for k in range(3))
     quad_area = np.sum(quality_report(refined).areas[:3])
     assert abs(quad_area - quality_report(mesh).areas[0]) < 1e-12
     edges = mesh.cell_edges[: mesh.cell_ptr[1]]
@@ -122,9 +123,9 @@ def test_refine_vem_neighbor_absorbs_hanging_vertices():
     for cid in range(1, mesh.n_cells):
         # a neighbour absorbs the midpoint of the edge it shares as a hanging
         # vertex; the other cells are unchanged
-        child = refined.cell(cid + 2)
+        child = fine[cid + 2]
         assert len(child) == (4 if cid in neighbors else 3)
-        assert set(mesh.cell(cid).tolist()) <= set(child.tolist())
+        assert set(cycles[cid]) <= set(child)
     assert abs(total_area(refined) - total_area(mesh)) < 1e-12
 
 

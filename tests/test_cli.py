@@ -293,7 +293,10 @@ def test_importing_the_cli_leaves_scipy_io_unloaded():
 def test_ctrl_c_keeps_the_finished_rows(tmp_path):
     # SIGINT once step 3's progress line is out: rows 0..3 at least are on
     # disk in both tables, with the same N column, and the run ends with one
-    # line naming them and the shell's status for SIGINT, not a traceback
+    # line naming them and the shell's status for SIGINT, not a traceback.
+    # The child gets the default SIGINT disposition: one inherited as ignored
+    # (a background job of a non-interactive shell) would keep Python from
+    # raising KeyboardInterrupt
     out = tmp_path / "stopped"
     proc = subprocess.Popen(
         [sys.executable, "-m", "steklov.cli", "run", "--test", "notched", "--steps", "30", "--out", str(out)],
@@ -301,6 +304,7 @@ def test_ctrl_c_keeps_the_finished_rows(tmp_path):
         stderr=subprocess.PIPE,
         text=True,
         env=child_env(),
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     line = ""
     try:

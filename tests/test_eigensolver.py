@@ -13,7 +13,7 @@ from steklov.eigensolver import (
     solve_smallest_positive,
 )
 from steklov.experiments import initial_mesh
-from steklov.mesh import TAGS, BoundaryTag, _edge_table, build_topology
+from steklov.mesh import TAGS, BoundaryTag, PolygonalMesh, _edge_table, build_topology
 from steklov.vem import assemble
 
 from fem_oracle import boundary_mass as oracle_boundary_mass
@@ -192,13 +192,14 @@ def test_disconnected_system_ends_in_a_named_error():
     # tops the right square's constant is a second mode at mu = 1
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
                       [2.0, 0.0], [3.0, 0.0], [3.0, 1.0], [2.0, 1.0]])
+    cell_ptr, tails = np.array([0, 4, 8]), np.arange(8)
+    edges = _edge_table(verts, cell_ptr, tails)  # every edge is a boundary edge
+    a, b = edges[1:3]
     for both, message in ((False, "factorization of the shifted matrix failed"),
                           (True, "mu = 1: the constant mode escaped deflation")):
-        def tags(a, b):
-            top = (verts[a, 1] == 1.0) & (verts[b, 1] == 1.0) & (both | (verts[a, 0] <= 1.0))
-            return np.where(top, TAGS.index(BoundaryTag.GAMMA0), TAGS.index(BoundaryTag.GAMMA1))
-
-        system = assemble(_edge_table(verts, np.array([0, 4, 8]), np.arange(8), tags))
+        top = (verts[a, 1] == 1.0) & (verts[b, 1] == 1.0) & (both | (verts[a, 0] <= 1.0))
+        tags = np.where(top, TAGS.index(BoundaryTag.GAMMA0), TAGS.index(BoundaryTag.GAMMA1)).astype(np.int8)
+        system = assemble(PolygonalMesh(verts, cell_ptr, tails, *edges, tags))
         with pytest.raises(EigensolverError, match=message):
             solve_smallest_positive(system)
 

@@ -57,7 +57,7 @@ def test_two_triangle_square_topology():
     assert TAGS[mesh.edge_tag[diag]] is BoundaryTag.INTERIOR
     assert {int(mesh.edge_left[diag]), int(mesh.edge_right[diag])} == {0, 1}
     # the left cell traverses the stored direction
-    left_cycle = list(mesh.cell(mesh.edge_left[diag]))
+    left_cycle = mesh.cycles()[mesh.edge_left[diag]]
     k = left_cycle.index(mesh.edge_a[diag])
     assert left_cycle[(k + 1) % 3] == mesh.edge_b[diag]
 
@@ -79,7 +79,7 @@ def test_cell_edges_follow_cycle_order():
 def test_clockwise_cell_is_reversed():
     mesh = build_topology(SQUARE_VERTS, [[0, 2, 1], [0, 2, 3]], top_edge_rule)
     assert np.all(quality_report(mesh).areas > 0.0)
-    assert sorted(mesh.cell(0)) == [0, 1, 2]
+    assert sorted(mesh.cycles()[0]) == [0, 1, 2]
 
 
 def test_explicit_tag_map_and_string_tags():
@@ -238,8 +238,9 @@ def test_same_direction_traversal_rejected():
 
 
 def test_untagged_boundary_edge_rejected():
-    with pytest.raises(MeshError, match="untagged boundary edge"):
-        build_topology(SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], {(0, 1): "gamma0"})
+    # (1, 2) comes first in edge order, but the lowest untagged pair is named
+    with pytest.raises(MeshError, match=r"untagged boundary edge \(0, 3\)"):
+        build_topology(SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], {(0, 1): "gamma0", (2, 3): "gamma1"})
 
 
 def test_interior_tag_on_boundary_rejected():
@@ -249,8 +250,9 @@ def test_interior_tag_on_boundary_rejected():
 
 
 def test_unknown_tag_rejected():
-    tags = {(0, 1): "dirichlet", (1, 2): "gamma0", (2, 3): "gamma0", (3, 0): "gamma0"}
-    with pytest.raises(MeshError, match="unknown boundary tag"):
+    # (1, 2) comes first in edge order, but the lowest pair is named
+    tags = {(0, 1): "gamma0", (1, 2): "neumann", (2, 3): "gamma0", (3, 0): "dirichlet"}
+    with pytest.raises(MeshError, match=r"unknown boundary tag 'dirichlet' on edge \(0, 3\)"):
         build_topology(SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], tags)
 
 
@@ -376,8 +378,8 @@ def test_radius_is_the_distance_to_the_nearest_edge_on_convex_cells():
     for _ in range(3):
         mesh = refine_vem(mesh, np.flatnonzero(np.arange(mesh.n_cells) % 3 == 0))
     rep = quality_report(mesh)
-    for c in range(mesh.n_cells):
-        pts = mesh.vertices[mesh.cell(c)]
+    for c, cyc in enumerate(mesh.cycles()):
+        pts = mesh.vertices[cyc]
         origin, local, _, centroid, _, _ = polygon_geometry(pts[None])
         x, y = local[0, :, 0], local[0, :, 1]
         dist2 = _segment_distance2(centroid[0, 0], centroid[0, 1], x, y, np.roll(x, -1), np.roll(y, -1))

@@ -18,7 +18,8 @@ the oracle's ``edge_numbering`` numbers them from the cycles alone, and
 that the oracle's parent-to-children map puts every new cell inside the
 coarse cell whose area it covers.  ``build_topology`` must number edges the
 same way on refined meshes renumbered, reordered and partly given
-clockwise.  The refiners build their output without the checks
+clockwise, and ``mesh._first_appearance``, which numbers them, must agree
+with a dict loop on random keys of any multiplicity.  The refiners build their output without the checks
 of ``build_topology``, so every output must come back unchanged through
 them, its boundary tagged by the initial meshes' own rule; and
 newest-vertex bisection must create at most four triangle shapes per
@@ -71,7 +72,7 @@ from fem_oracle import dense_reference_solve
 from steklov.eigensolver import _normalize, solve_smallest_positive
 from steklov.estimator import element_indicators
 from steklov.experiments import ConvergenceRecord, ExperimentConfig, ExperimentResult, emit_outputs, exact_eigenvalue_square, initial_mesh
-from steklov.mesh import TAGS, build_topology, load_mesh, polygon_geometry, save_mesh
+from steklov.mesh import TAGS, _first_appearance, build_topology, load_mesh, polygon_geometry, save_mesh
 from steklov.vem import _cell_group, _project_group, _stiffness, assemble
 
 SETTINGS = settings(max_examples=20, deadline=5000, derandomize=True, database=None)
@@ -217,9 +218,10 @@ def parents_covered(coarse, fine, parent):
     summed = np.bincount(parent, weights=cell_areas(fine), minlength=coarse.n_cells)
     if not np.all(np.abs(summed - area) <= 1e-12 * area):
         return False
+    cycles = coarse.cycles()
     return all(
-        inside(fine.vertices[fine.cell(k)].mean(axis=0), coarse.vertices[coarse.cell(p)])
-        for k, p in enumerate(parent.tolist())
+        inside(fine.vertices[cyc].mean(axis=0), coarse.vertices[cycles[p]])
+        for cyc, p in zip(fine.cycles(), parent.tolist())
     )
 
 
@@ -319,6 +321,26 @@ def test_build_topology_numbers_edges_by_first_appearance(name, fem, steps, seed
     again = build_topology(shuffled.vertices, cells, boundary_tags(shuffled, range(mesh.n_vertices)))
     assert oracle.numbered_by_first_appearance(again)
     assert again.cycles() != cells or not flip.any()
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(pool=st.lists(INT64, min_size=1, max_size=8, unique=True), data=st.data())
+def test_first_appearance_numbers_keys_in_the_order_they_appear(pool, data):
+    # any multiplicity, the empty array included: each distinct key gets the
+    # next number where it first appears
+    keys = data.draw(st.lists(st.sampled_from(pool), max_size=40), label="keys")
+    number: dict[int, int] = {}
+    first = []
+    for position, key in enumerate(keys):
+        if key not in number:
+            number[key] = len(first)
+            first.append(position)
+    got_number, got_first = _first_appearance(np.array(keys, dtype=np.int64))
+    assert got_number.tolist() == [number[key] for key in keys]
+    assert got_first.tolist() == first
 
 
 def triangle_shapes(mesh):
