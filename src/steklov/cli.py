@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .eigensolver import ConvergenceError, EigensolverError
+from .eigensolver import EigensolverError
 from .experiments import (
     METHODS,
     TESTS,
@@ -122,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "rate":
             return _cmd_rate(args)
         return _cmd_mesh_validate(args)
-    except (MeshError, EigensolverError, ConvergenceError, ValueError, OSError) as err:
+    except (MeshError, EigensolverError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -401,7 +401,7 @@ def build_topology(
     run in a fixed order (cycles, tag map keys, pairing, unused vertices,
     boundary tags, stray keys, spectral boundary, connectivity); where two
     edges fail the same check, the lower vertex pair is named.
-    ``cells`` is a sequence of vertex cycles; it is copied, never changed.
+    ``vertices`` and ``cells`` (vertex cycles) are copied, never changed.
     Clockwise cells are silently reversed.  Raises :class:`MeshError` (naming
     the offending cell, vertex or edge) on vertex data that is not an
     (n, 2) array of finite numbers, booleans among the coordinates or
@@ -423,7 +423,7 @@ def build_topology(
         boolean = _first_boolean(list(chain.from_iterable(vertices)))
         if boolean is not None:
             raise MeshError(f"vertex {boolean // 2} has a boolean coordinate")
-    verts = np.ascontiguousarray(verts, dtype=float)
+    verts = np.array(verts, dtype=float, order="C")  # a copy: the mesh freezes it
     if not np.all(np.isfinite(verts)):
         raise MeshError("vertex coordinates must be finite")
     n_verts = verts.shape[0]

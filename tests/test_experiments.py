@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from steklov import experiments
+from steklov.adaptivity import normalize_refinement_edges
 from steklov.eigensolver import ConvergenceError, solve_smallest_positive
 from steklov.experiments import (
     NOTCHED_REFERENCE,
     RESULTS_HEADER,
+    TESTS,
     ConvergenceRecord,
     ExperimentConfig,
     ExperimentResult,
@@ -27,6 +29,7 @@ from steklov.mesh import quality_report
 from fem_oracle import boundary_mass as oracle_boundary_mass
 from fem_oracle import dense_steklov_solve
 from fem_oracle import p1_stiffness as oracle_stiffness
+from initial_mesh_oracle import LOOP_BUILDERS
 
 
 def test_exact_square_eigenvalues():
@@ -82,6 +85,16 @@ def test_initial_notched_mesh():
 def test_initial_mesh_rejects_unknown_test():
     with pytest.raises(ValueError, match="unknown test"):
         initial_mesh("circle")
+
+
+@pytest.mark.parametrize("test", TESTS)
+def test_initial_mesh_matches_the_loop_builders(test):
+    # every array equal to the last bit, in dtype and in numbering
+    expected = normalize_refinement_edges(LOOP_BUILDERS[test]())
+    mesh = initial_mesh(test)
+    for name, arr in vars(expected).items():
+        got = getattr(mesh, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (arr.dtype, arr.shape, arr.tobytes()), name
 
 
 def test_fit_rate_recovers_synthetic_slope():
@@ -253,6 +266,9 @@ def test_run_experiment_validates_config(monkeypatch, tmp_path):
         (dict(steps=True), "steps must be an integer, got True"),
         (dict(seed=1.5), "seed must be an integer, got 1.5"),
         (dict(seed=False), "seed must be an integer, got False"),
+        (dict(mark_fraction=True), "mark_fraction must be a number, not True"),
+        (dict(tol=True), "tol must be a number, not True"),
+        (dict(reference=True), "reference must be a number, not True"),
     ]
     out = tmp_path / "refused"
     for fields, message in cases:

@@ -211,6 +211,15 @@ def test_compressed_row_input_matches_cycle_list():
     assert np.array_equal(again.cell_edges, from_list.cell_edges)
 
 
+def test_caller_vertex_array_is_copied():
+    # an array that needs no conversion is still copied: the mesh freezes its
+    # own vertices, never the caller's
+    verts = np.array(SQUARE_VERTS)
+    mesh = build_topology(verts, [[0, 1, 2], [0, 2, 3]], top_edge_rule)
+    assert verts.flags.writeable and verts.tolist() == SQUARE_VERTS
+    assert not np.shares_memory(verts, mesh.vertices)
+
+
 def test_non_manifold_edge_rejected():
     verts = SQUARE_VERTS + [[0.5, 0.5], [2.0, 0.5]]
     cells = [[0, 1, 4], [1, 2, 4], [0, 4, 5]]  # edge (0, 4) or (1, 4) shared 3 times
