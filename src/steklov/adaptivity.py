@@ -20,6 +20,7 @@ one, so its output skips the checks of ``build_topology``.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from typing import Iterable, Sequence
 
@@ -49,10 +50,13 @@ def mark(eta2: Sequence[float] | np.ndarray, fraction: float = 0.5) -> np.ndarra
     The comparison is inclusive, so the peak cell is always marked.  When all
     indicators vanish no cell is marked and a warning is issued (the run is
     either converged or degenerate).  Raises ``ValueError`` naming the lowest
-    cell whose indicator is NaN, infinite or negative.
+    cell whose indicator is NaN, infinite or negative, and one naming a
+    ``fraction`` that is a bool, not a number or outside (0, 1].
     """
+    if isinstance(fraction, bool) or not isinstance(fraction, numbers.Real):
+        raise ValueError(f"marking fraction must be a number, not {fraction!r}")
     if not 0.0 < fraction <= 1.0:
-        raise ValueError("marking fraction must lie in (0, 1]")
+        raise ValueError(f"marking fraction must lie in (0, 1], got {fraction!r}")
     eta2 = np.asarray(eta2, dtype=float)
     bad = ~(np.isfinite(eta2) & (eta2 >= 0.0))
     if bad.any():

@@ -36,22 +36,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a convergence experiment")
-    run.add_argument("--test", choices=TESTS, default="square")
-    run.add_argument("--method", choices=METHODS, default="adaptive-vem")
-    run.add_argument("--steps", type=int, default=8)
-    run.add_argument("--mark-frac", type=float, default=0.5,
+    # every flag but --quiet is the ExperimentConfig field of its dest, and
+    # one left out is absent, so the config's own default applies
+    run = sub.add_parser("run", help="run a convergence experiment",
+                         argument_default=argparse.SUPPRESS)
+    run.add_argument("--test", choices=TESTS)
+    run.add_argument("--method", choices=METHODS)
+    run.add_argument("--steps", type=int)
+    run.add_argument("--mark-frac", dest="mark_fraction", metavar="MARK_FRAC", type=float,
                      help="marking threshold as a fraction of the peak indicator")
-    run.add_argument("--tol", type=float, default=1e-10)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--reference", type=float, default=None,
+    run.add_argument("--tol", type=float)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--out", dest="out_dir", metavar="OUT", required=True, help="output directory")
+    run.add_argument("--reference", type=float,
                      help="override the reference eigenvalue used for error columns")
     run.add_argument("--dump-indicators", action="store_true",
                      help="write per-cell indicator CSVs for every step")
     run.add_argument("--dump-matrices", action="store_true",
                      help="write each step's assembled matrices in Matrix Market format (.mtx)")
-    run.add_argument("--quiet", action="store_true", help="suppress per-step progress lines")
+    run.add_argument("--quiet", action="store_true", default=False,
+                     help="suppress per-step progress lines")
 
     rate = sub.add_parser("rate", help="fit a convergence rate to a results.csv")
     rate.add_argument("--csv", required=True)
@@ -66,18 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        test=args.test,
-        method=args.method,
-        steps=args.steps,
-        mark_fraction=args.mark_frac,
-        tol=args.tol,
-        seed=args.seed,
-        reference=args.reference,
-        out_dir=args.out,
-        dump_indicators=args.dump_indicators,
-        dump_matrices=args.dump_matrices,
-    )
+    config = ExperimentConfig(**{k: v for k, v in vars(args).items() if k not in ("command", "quiet")})
 
     def progress(record) -> None:
         print(
@@ -89,7 +82,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run_experiment(config, progress=None if args.quiet else progress)
     paths = emit_outputs(result)
     if not args.quiet:
-        print(f"wrote {len(paths)} files to {args.out}")
+        print(f"wrote {len(paths)} files to {args.out_dir}")
     return 0
 
 
@@ -126,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
-        kept = f"; the tables in {args.out} keep every finished step" if args.command == "run" else ""
+        kept = f"; the tables in {args.out_dir} keep every finished step" if args.command == "run" else ""
         print(f"interrupted{kept}", file=sys.stderr)
         return 130
 

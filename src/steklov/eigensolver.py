@@ -108,17 +108,21 @@ def solve_smallest_positive(
     vector seeded by ``seed``.  Returned pairs are normalized (unit boundary
     mass, sign convention) and each satisfies the residual tolerance ``tol``
     within 500 restarts; otherwise :class:`ConvergenceError` reports the
-    best residual reached.  A seed that is not a non-negative integer, or a
-    start vector that has the wrong shape, is not finite or is constant
-    (zero once the constant mode is deflated), raises
-    :class:`EigensolverError` before any work.
+    best residual reached.  A ``count`` or ``seed`` that is a bool or not an
+    integer, a ``count`` below 1, a negative seed, a ``tol`` that is a bool
+    or not a positive number, or a start vector that has the wrong shape, is
+    not finite or is constant (zero once the constant mode is deflated),
+    raises :class:`EigensolverError` before any work.
     """
+    for name, value in (("count", count), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise EigensolverError(f"{name} must be an integer, got {value!r}")
     if count < 1:
-        raise EigensolverError("count must be at least 1")
+        raise EigensolverError(f"count must be at least 1, got {count}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise EigensolverError(f"tol must be a number, got {tol!r}")
     if not tol > 0.0:
         raise EigensolverError(f"tol must be positive, got {tol:g}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise EigensolverError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise EigensolverError(f"seed must be non-negative, got {seed}")
     n = system.n_dofs

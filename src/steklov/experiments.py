@@ -68,8 +68,8 @@ _STEP_FILES = ("mesh_step_{}.json", "mesh_step_{}.svg", "indicators_step_{}.csv"
 
 def exact_eigenvalue_square(n: int = 1) -> float:
     """Closed-form sloshing eigenvalues of the unit square, spectral side on top."""
-    if n < 1:
-        raise ValueError("mode index must be a positive integer")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"mode index must be a positive integer, got {n!r}")
     return n * math.pi * math.tanh(n * math.pi)
 
 

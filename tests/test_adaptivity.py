@@ -62,9 +62,14 @@ def test_mark_inclusive_threshold():
 
 def test_mark_validates_fraction():
     inds = np.array([1.0])
-    for bad in (0.0, -0.2, 1.5):
-        with pytest.raises(ValueError):
+    for bad in (0.0, -0.2, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="marking fraction must lie in"):
             mark(inds, fraction=bad)
+    # True would otherwise run as fraction 1.0
+    for bad in (True, False, "0.5", None):
+        with pytest.raises(ValueError, match="marking fraction must be a number"):
+            mark(inds, fraction=bad)
+    assert mark(np.array([1.0, 0.5]), fraction=np.float64(0.5)).tolist() == [0, 1]
 
 
 def test_mark_all_zero_warns_and_returns_empty():

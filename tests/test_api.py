@@ -1,13 +1,17 @@
-"""Public API surface: every exported name resolves, and the README's
-Python example runs."""
+"""Public API surface: every exported name resolves, importing one module
+loads no other of the package, and the README's Python example runs."""
 
 import ast
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import steklov
+
+from test_cli import child_env
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(steklov.__path__))
 
@@ -20,15 +24,21 @@ def test_every_module_all_name_resolves():
         assert not missing, f"steklov.{name}.__all__ lists missing names {missing}"
 
 
-def test_package_imports_only_exported_names():
+def test_importing_one_module_loads_no_other_of_the_package():
+    # the package namespace is empty: every name is imported from its module
     tree = ast.parse(Path(steklov.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"steklov.{node.module}")
-        for alias in node.names:
-            assert hasattr(steklov, alias.name), alias.name
-            assert alias.name in module.__all__, f"{alias.name} is not in steklov.{node.module}.__all__"
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert ast.get_docstring(tree)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, steklov.mesh; print(sorted(m for m in sys.modules if m.split('.')[0] == 'steklov'))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['steklov', 'steklov.mesh']\n"
 
 
 def test_readme_python_example_runs(capsys):

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, output files."""
 
+import dataclasses
 import json
 import os
 import signal
@@ -12,6 +13,7 @@ import pytest
 import scipy.io
 
 import steklov
+from steklov import cli
 from steklov.cli import main
 from steklov.eigensolver import ConvergenceError
 from steklov.experiments import ExperimentConfig, emit_outputs, initial_mesh, read_results_csv, run_experiment
@@ -245,10 +247,62 @@ def test_rerun_leaves_only_its_own_step_files(tmp_path):
     assert not (out / "mesh_step_1.json").exists()
 
 
+@pytest.fixture
+def passed_configs(monkeypatch):
+    """The configs ``steklov run`` hands to run_experiment; nothing is solved."""
+    configs = []
+
+    def fake_run(config, progress=None):
+        configs.append(config)
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    monkeypatch.setattr(cli, "emit_outputs", lambda result: [])
+    return configs
+
+
+def test_run_defaults_are_the_config_defaults(tmp_path, passed_configs):
+    out = str(tmp_path / "d")
+    assert main(["run", "--out", out]) == 0
+    assert main(["run", "--out", out, "--quiet"]) == 0
+    assert passed_configs == [ExperimentConfig(out_dir=out)] * 2
+
+
+# one non-default value per ExperimentConfig field but out_dir, as parsed
+FLAG_CASES = [
+    (["--test", "notched"], "test", "notched"),
+    (["--method", "uniform-fem"], "method", "uniform-fem"),
+    (["--steps", "3"], "steps", 3),
+    (["--mark-frac", "0.25"], "mark_fraction", 0.25),
+    (["--tol", "1e-8"], "tol", 1e-8),
+    (["--seed", "7"], "seed", 7),
+    (["--reference", "3.5"], "reference", 3.5),
+    (["--dump-indicators"], "dump_indicators", True),
+    (["--dump-matrices"], "dump_matrices", True),
+]
+
+
+def test_flag_cases_cover_every_config_field():
+    fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+    assert sorted(name for _, name, _ in FLAG_CASES) == sorted(fields - {"out_dir"})
+
+
+@pytest.mark.parametrize("flags, name, value", FLAG_CASES, ids=[case[1] for case in FLAG_CASES])
+def test_each_run_flag_sets_its_own_field(tmp_path, passed_configs, flags, name, value):
+    out = str(tmp_path / "d")
+    assert value != getattr(ExperimentConfig(), name)
+    assert main(["run", "--out", out, "--quiet", *flags]) == 0
+    (config,) = passed_configs
+    assert config == dataclasses.replace(ExperimentConfig(out_dir=out), **{name: value})
+    assert type(getattr(config, name)) is type(value)
+
+
 def test_bad_arguments_exit_with_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["run", "--test", "cube", "--out", "/tmp/x"])
     assert info.value.code == 2
+    # the usage line names each flag's value as the flag, not as its field
+    usage = capsys.readouterr().err
+    assert "[--mark-frac MARK_FRAC]" in usage and "--out OUT " in usage
     with pytest.raises(SystemExit) as info:
         main(["run", "--eigs", "2", "--out", "/tmp/x"])
     assert info.value.code == 2

@@ -88,6 +88,14 @@ def test_count_exceeding_spectrum_raises():
     for seed in (1.5, True, np.float64(2.0)):
         with pytest.raises(EigensolverError, match="seed must be an integer"):
             solve_smallest_positive(system, seed=seed)
+    # a bool or a non-integral count, and a bool or non-number tol, are
+    # refused by name rather than by numpy, ARPACK or a loose residual test
+    for count in (True, 1.5, np.float64(1.0)):
+        with pytest.raises(EigensolverError, match="count must be an integer"):
+            solve_smallest_positive(system, count=count)
+    for tol in (True, "1e-10", None):
+        with pytest.raises(EigensolverError, match="tol must be a number"):
+            solve_smallest_positive(system, tol=tol)
 
 
 def test_solution_invariants():

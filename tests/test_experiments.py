@@ -38,8 +38,11 @@ def test_exact_square_eigenvalues():
     # the first sloshing eigenvalue of the unit square, to published accuracy
     assert abs(exact_eigenvalue_square(1) - 3.12988) < 1e-4
     assert exact_eigenvalue_square(2) == 2.0 * math.pi * math.tanh(2.0 * math.pi)
-    with pytest.raises(ValueError):
-        exact_eigenvalue_square(0)
+    assert exact_eigenvalue_square(np.int64(2)) == exact_eigenvalue_square(2)
+    # 1.5 would give no eigenvalue, and True mode 1
+    for n in (0, -1, 1.5, 2.0, True, "1"):
+        with pytest.raises(ValueError, match="mode index must be a positive integer, got "):
+            exact_eigenvalue_square(n)
 
 
 def test_initial_square_mesh():
