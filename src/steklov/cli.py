@@ -59,7 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rate = sub.add_parser("rate", help="fit a convergence rate to a results.csv")
     rate.add_argument("--csv", required=True)
-    rate.add_argument("--last", type=int, default=5, help="number of trailing points to fit")
+    # left out, --last is absent and fit_rate's own window applies
+    rate.add_argument("--last", type=int, default=argparse.SUPPRESS,
+                      help="number of trailing points to fit")
 
     mesh = sub.add_parser("mesh", help="mesh file utilities")
     mesh_sub = mesh.add_subparsers(dest="mesh_command", required=True)
@@ -88,7 +90,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_rate(args: argparse.Namespace) -> int:
     ns, _, errs = read_results_csv(args.csv)
-    fit = fit_rate(ns, errs, last=args.last)
+    fit = fit_rate(ns, errs, **({"last": args.last} if "last" in args else {}))
     print(f"slope {fit.slope:.6f} over {fit.points} points")
     return 0
 

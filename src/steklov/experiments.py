@@ -56,8 +56,9 @@ RESULTS_HEADER = ["step", "N", "lambda_h", "error", "theta2", "jump2", "eta2", "
 
 # Reference eigenvalue of the notched benchmark: notched_reference_eigenvalue()
 # at commit 4ff9280, bit for bit, when every ladder solve started cold (tol
-# 1e-11, seed 0, up to 150,000 dofs); the warm-started ladder returns
-# 3.100622662087519, 3.8e-13 below it.  Call that function to recompute it.
+# 1e-11, seed 0, up to 150,000 dofs); the ladder whose warm solves run
+# shifted inverse iteration returns 3.1006226620875292, 3.7e-13 below it.
+# Call that function to recompute it.
 NOTCHED_REFERENCE = 3.1006226620879023
 
 # The files step k may leave in out_dir, snapshots first: a run deletes them

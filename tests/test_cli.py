@@ -1,6 +1,7 @@
 """Command line interface: subcommands, exit codes, output files."""
 
 import dataclasses
+import inspect
 import json
 import os
 import signal
@@ -16,7 +17,9 @@ import steklov
 from steklov import cli
 from steklov.cli import main
 from steklov.eigensolver import ConvergenceError
-from steklov.experiments import ExperimentConfig, emit_outputs, initial_mesh, read_results_csv, run_experiment
+from steklov.experiments import (
+    ExperimentConfig, emit_outputs, fit_rate, initial_mesh, read_results_csv, run_experiment,
+)
 from steklov.mesh import load_mesh, save_mesh
 from steklov.vem import assemble
 
@@ -111,6 +114,9 @@ def test_rate_subcommand(tmp_path, capsys):
     text = capsys.readouterr().out
     assert text.startswith("slope -")
     assert "over 4 points" in text
+    # without --last the window is fit_rate's own default
+    assert main(["rate", "--csv", str(out / "results.csv")]) == 0
+    assert f"over {inspect.signature(fit_rate).parameters['last'].default} points" in capsys.readouterr().out
     # windows below three points are refused, not silently widened or shifted
     for last in ("0", "-2"):
         assert main(["rate", "--csv", str(out / "results.csv"), "--last", last]) == 1

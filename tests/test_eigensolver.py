@@ -1,5 +1,7 @@
 """Eigensolver: agreement with dense references, invariants, failure modes."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -244,6 +246,9 @@ def factors(monkeypatch):
             calls[-1]["columns"] += 1 if rhs.ndim == 1 else rhs.shape[1]
             return self.lu.solve(rhs)
 
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
     def counting_splu(matrix, *args, **kwargs):
         lu = splu(matrix, *args, **kwargs)
         calls.append({"columns": 0, "fill": lu.L.nnz + lu.U.nnz})
@@ -260,21 +265,93 @@ def test_column_solves_per_call_stay_within_budget(factors):
     assert len(factors) == 1 and 0 < factors[0]["columns"] <= 30
 
 
-def test_warm_start_from_the_prolonged_coarse_solution(factors):
+@functools.cache
+def split_notched_pair():
+    """The notched mesh quad-split three times (969 dofs), and once more."""
     coarse = initial_mesh("notched")
     for _ in range(3):
         coarse = refine_vem(coarse, range(coarse.n_cells))
+    return coarse, refine_vem(coarse, range(coarse.n_cells))
+
+
+def test_warm_start_from_the_prolonged_coarse_solution(factors):
+    coarse, fine = split_notched_pair()
     (coarse_pair,) = solve_smallest_positive(assemble(coarse))
-    fine = refine_vem(coarse, range(coarse.n_cells))
     system = assemble(fine)
     (cold,) = solve_smallest_positive(system)
     (warm,) = solve_smallest_positive(system, start=prolong(coarse, fine, coarse_pair.vector))
     assert system.n_dofs == 3753 and warm.residual <= 1e-10
     assert abs(warm.value - cold.value) <= 1e-12 * cold.value
-    # the prolonged vector is 2e-3 off the fine eigenvector, so the ten-vector
-    # Lanczos basis restarts once; only a start within round-off of the
-    # eigenvector converges in its first pass (11 solves)
-    assert len(factors) == 3 and 0 < factors[2]["columns"] <= 16 < factors[1]["columns"]
+    # inverse iteration shifted at the start's Rayleigh quotient: one factor
+    # of K - sigma M and 3 column solves, where ARPACK's warm Lanczos took 16
+    assert len(factors) == 3 and 0 < factors[2]["columns"] <= 4
+
+
+def test_warm_start_above_the_second_eigenvalue_falls_back(factors):
+    coarse, fine = split_notched_pair()
+    coarse_second = solve_smallest_positive(assemble(coarse), count=2)[1]
+    system = assemble(fine)
+    first, second = solve_smallest_positive(system, count=2)
+    start = prolong(coarse, fine, coarse_second.vector)
+    # the start's Rayleigh quotient, which deflating the constants only
+    # raises, lies above lambda_2
+    K, M = system.stiffness, system.boundary_mass
+    assert start @ (K @ start) / (start @ (M @ start)) > second.value
+    (warm,) = solve_smallest_positive(system, start=start)
+    assert abs(warm.value - first.value) <= 1e-12 * first.value
+    # K - sigma M has 3 negative pivots, so it is refused before any solve
+    # and ARPACK factorizes K + M
+    assert len(factors) == 4 and factors[2]["columns"] == 0 < factors[3]["columns"]
+
+
+def test_warm_start_nearer_the_second_eigenvalue_falls_back(factors):
+    # sigma lies between lambda_1 and lambda_2, nearer lambda_2: the pivots
+    # pass, the iteration converges to lambda_2 > sigma and is refused
+    system = assemble(split_notched_pair()[1])
+    first, second = solve_smallest_positive(system, count=2)
+    start = np.sqrt(0.1) * first.vector + np.sqrt(0.9) * second.vector
+    (warm,) = solve_smallest_positive(system, start=start)
+    assert abs(warm.value - first.value) <= 1e-12 * first.value
+    assert len(factors) == 3 and factors[1]["columns"] > 0 < factors[2]["columns"]
+
+
+def test_warm_start_with_unequal_pivot_orders_falls_back(monkeypatch):
+    # diag(U) carries the inertia only when rows and columns are permuted alike
+    coarse, fine = split_notched_pair()
+    (coarse_pair,) = solve_smallest_positive(assemble(coarse))
+    system = assemble(fine)
+    (cold,) = solve_smallest_positive(system)
+    splu = spla.splu
+    made = []
+
+    class RowPivotedLU:
+        def __init__(self, lu):
+            self.lu = lu
+            self.perm_r = lu.perm_r[::-1]
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+    def row_pivoted_splu(*args, **kwargs):
+        made.append(RowPivotedLU(splu(*args, **kwargs)))
+        return made[-1]
+
+    monkeypatch.setattr(spla, "splu", row_pivoted_splu)
+    (warm,) = solve_smallest_positive(system, start=prolong(coarse, fine, coarse_pair.vector))
+    # K - sigma M is refused, and ARPACK factorizes K + M
+    assert len(made) == 2 and abs(warm.value - cold.value) <= 1e-12 * cold.value
+
+
+def test_warm_start_at_an_unreachable_tolerance_ends_in_convergence_error(factors):
+    # the warm iteration stops at its cap and ARPACK runs, whose residual
+    # the error reports
+    coarse, fine = split_notched_pair()
+    (coarse_pair,) = solve_smallest_positive(assemble(coarse))
+    with pytest.raises(ConvergenceError, match="best residual") as info:
+        solve_smallest_positive(assemble(fine), tol=1e-16, start=prolong(coarse, fine, coarse_pair.vector))
+    assert info.value.best_residual > 0.0
+    assert len(factors) == 3 and factors[1]["columns"] == eigensolver._WARM_SOLVES
+    assert factors[2]["columns"] > 0
 
 
 def test_factor_fill_stays_within_budget(factors):
@@ -298,3 +375,9 @@ def test_start_vector_of_the_wrong_length_is_refused():
     for constant in (np.zeros(n), np.ones(n), 3 * np.ones(n), np.full(n, -1e6)):
         with pytest.raises(EigensolverError, match="start vector is zero once the constant mode is deflated"):
             solve_smallest_positive(system, start=constant)
+    # a start that vanishes on gamma0 has no component along any eigenvector,
+    # and ARPACK used to end on it in an unnamed "Starting vector is zero"
+    interior = np.ones(n)
+    interior[system.gamma0_dofs] = 0.0
+    with pytest.raises(EigensolverError, match="start vector vanishes on the spectral boundary"):
+        solve_smallest_positive(system, start=interior)

@@ -501,9 +501,14 @@ def test_warm_start_returns_the_cold_eigenvalue(name, fem, steps, data):
     (coarse_pair,) = solve_smallest_positive(assemble(coarse))
     system = assemble(fine)
     (cold,) = solve_smallest_positive(system)
-    (warm,) = solve_smallest_positive(system, start=prolong(coarse, fine, coarse_pair.vector))
+    start = prolong(coarse, fine, coarse_pair.vector)
+    (warm,) = solve_smallest_positive(system, start=start)
     assert warm.residual <= 1e-10
     assert abs(warm.value - cold.value) <= 1e-12 * cold.value
+    assert np.max(np.abs(warm.vector - cold.vector)) <= 1e-8 * np.max(np.abs(cold.vector))
+    # a rerun from the same start repeats the solve bit for bit
+    (again,) = solve_smallest_positive(system, start=start)
+    assert again.value == warm.value and np.array_equal(again.vector, warm.vector)
 
 
 @SETTINGS
