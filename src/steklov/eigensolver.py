@@ -12,40 +12,44 @@ renumbered by reverse Cuthill-McKee, with a minimum-degree column ordering
 of A^T + A and diagonal pivots (George & Liu, Computer Solution of Large
 Sparse Positive Definite Systems, 1981; Liu, ACM TOMS 1985): the refiners'
 vertex numbering is far from banded, and minimum degree alone is slow on
-it.  The constant vector (mu = 1, lambda = 0) is deflated by using
+it.  ``_factorize`` is the one place that knows this numbering and
+SuperLU's factor: it returns a solve in dof order, so ARPACK runs in dof
+order.  The constant vector (mu = 1, lambda = 0) is deflated by using
 M - m m^T / (1^T m), m = M 1, in place of M: it maps the constants to zero,
-so round-off cannot bring the zero mode back.  ARPACK's implicitly restarted Lanczos in
-generalized mode (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998)
-finds the largest mu of this deflated pencil with one LU column solve per
-step, to machine precision; the residual contract is checked on its result.
+so round-off cannot bring the zero mode back.  ARPACK's implicitly restarted
+Lanczos in generalized mode (Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
+SIAM 1998) finds the largest mu of this deflated pencil with one LU column
+solve per step, to machine precision; the residual contract is checked on
+its result.
 
 A warm solve of one pair, from a start vector close to the wanted
 eigenvector (the previous step's solution prolonged to a refined mesh),
 runs inverse iteration instead, shifted at the start's Rayleigh quotient
 sigma (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998): K - sigma M
-is factorized with the same ordering, and x <- deflate((K - sigma M)^-1 M x)
+is factorized by the same ``_factorize``, and x <- deflate((K - sigma M)^-1 M x)
 is repeated until the Rayleigh quotient lambda of x meets the residual
 contract, at most ``_WARM_SOLVES`` times.  The start is M-orthogonal to the
 constants, so sigma >= lambda_1.  When the factor's row and column orders
 are equal, diag(U) has the inertia of K - sigma M, and by Sylvester's law
 its negative entries count the eigenvalues below sigma (Ericsson & Ruhe,
-Math. Comp. 35, 1980).  The result is accepted only with exactly two of
-them (the zero mode and lambda_1) and 0 < lambda < sigma; otherwise, when
-the cap is reached or the factorization fails, ARPACK solves from the same
-start.  On the adaptive runs a warm solve takes 2-6 column solves from the
-second warm step on (12 at the first on the notched test), where ARPACK
-took 11-16.
+Math. Comp. 35, 1980); this certificate alone reads the factor itself.
+The result is accepted only with exactly two of them (the zero mode and
+lambda_1) and 0 < lambda < sigma; otherwise, when the cap is reached or the
+factorization fails, ARPACK solves from the same start.  On the adaptive
+runs a warm solve takes 2-6 column solves from the second warm step on (12
+at the first on the notched test), where ARPACK took 11-16.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse import csgraph
 
 from .vem import GlobalSystem
 
@@ -153,7 +157,7 @@ def solve_smallest_positive(
             f"requested {count} eigenvalues but the pencil has only "
             f"{n_positive} finite positive ones"
         )
-    M = system.boundary_mass.tocsc()
+    M = system.boundary_mass
     ones_vec = np.ones(n)
     m_ones = M @ ones_vec
     scale = float(ones_vec @ m_ones)
@@ -178,24 +182,21 @@ def solve_smallest_positive(
         if pair is not None:
             return [pair]
 
-    perm, shifted, lu = _factorize(system.stiffness + M)
-    Mp = M[perm][:, perm]
-    mp_ones = m_ones[perm]
+    shifted = system.stiffness + M
+    solve, _ = _factorize(shifted)
     deflated_mass = spla.LinearOperator(
-        (n, n), matvec=lambda x: Mp @ x - mp_ones * ((mp_ones @ x) / scale), dtype=float
+        (n, n), matvec=lambda x: M @ x - m_ones * ((m_ones @ x) / scale), dtype=float
     )
     converged = True
     try:
-        mus, Xp = spla.eigsh(
+        mus, X = spla.eigsh(
             deflated_mass, k=count, M=shifted,
-            Minv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
-            which="LA", v0=v0[perm], ncv=min(n, max(2 * count + 1, 10)),
+            Minv=spla.LinearOperator((n, n), matvec=solve, dtype=float),
+            which="LA", v0=v0, ncv=min(n, max(2 * count + 1, 10)),
             tol=0.0, maxiter=_MAX_ITERATIONS,
         )
     except spla.ArpackNoConvergence as err:
-        mus, Xp, converged = err.eigenvalues, err.eigenvectors, False
-    X = np.empty_like(Xp)
-    X[perm] = Xp
+        mus, X, converged = err.eigenvalues, err.eigenvectors, False
     if np.any(mus >= 1.0 - 1e-12):
         raise EigensolverError(
             "found an eigenvalue at mu = 1: the constant mode escaped deflation"
@@ -218,14 +219,15 @@ def solve_smallest_positive(
     ]
 
 
-def _factorize(matrix: sp.spmatrix) -> tuple[np.ndarray, sp.csc_matrix, spla.SuperLU]:
-    """Renumber ``matrix`` by reverse Cuthill-McKee and factorize it.
+def _factorize(matrix: sp.spmatrix) -> tuple[Callable[[np.ndarray], np.ndarray], spla.SuperLU]:
+    """Factorize ``matrix`` and return a solve in dof order with the factor.
 
-    Returns the numbering (dof ``perm[i]`` is unknown i), the renumbered
-    matrix and its LU factor.
+    The factor is of ``matrix`` renumbered by reverse Cuthill-McKee (its
+    unknown i is dof ``perm[i]``); ``solve(b)`` gathers b into that
+    numbering and scatters the result back, so no caller sees it.
     """
     matrix = matrix.tocsc()
-    perm = reverse_cuthill_mckee(matrix, symmetric_mode=True)
+    perm = csgraph.reverse_cuthill_mckee(matrix, symmetric_mode=True)
     matrix = matrix[perm][:, perm]
     try:
         lu = spla.splu(
@@ -237,11 +239,12 @@ def _factorize(matrix: sp.spmatrix) -> tuple[np.ndarray, sp.csc_matrix, spla.Sup
             f"factorization of the shifted matrix failed ({err}); "
             "the assembly may be broken"
         ) from None
-    return perm, matrix, lu
+    inverse = np.argsort(perm)
+    return lambda b: lu.solve(b[perm])[inverse], lu
 
 
 def _inverse_iteration(
-    system: GlobalSystem, M: sp.csc_matrix, v0: np.ndarray, m_ones: np.ndarray,
+    system: GlobalSystem, M: sp.csr_matrix, v0: np.ndarray, m_ones: np.ndarray,
     scale: float, tol: float,
 ) -> SpectralPair | None:
     """The smallest positive pair by inverse iteration shifted at the Rayleigh
@@ -250,21 +253,16 @@ def _inverse_iteration(
     K = system.stiffness
     sigma = float(v0 @ (K @ v0)) / float(v0 @ (M @ v0))
     try:
-        perm, shifted, lu = _factorize(K - sigma * M)
+        solve, lu = _factorize(K - sigma * M)
     except EigensolverError:
         return None
-    # only the factor is used from here: lu.U makes CSC copies of L and U,
-    # which the factor keeps until it is dropped
-    del shifted
     # with equal row and column orders, P (K - sigma M) P^T = L D L^T and
     # diag(U) = D: its negative entries count the eigenvalues below sigma
     if not np.array_equal(lu.perm_r, lu.perm_c) or np.count_nonzero(lu.U.diagonal() < 0.0) != 2:
         return None
     x = v0
     for _ in range(_WARM_SOLVES):
-        y = np.empty_like(x)
-        y[perm] = lu.solve((M @ x)[perm])
-        x = _deflate(y, m_ones, scale)
+        x = _deflate(solve(M @ x), m_ones, scale)
         x = x / np.sqrt(float(x @ (M @ x)))
         value = float(x @ (K @ x))
         residual = residual_norm(system, value, x)

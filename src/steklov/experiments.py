@@ -173,9 +173,11 @@ def fit_rate(n_dofs: Sequence[float], errors: Sequence[float], last: int = 5) ->
     """Fit the convergence order over the trailing ``last`` usable data points.
 
     Points with non-finite or non-positive error are skipped; a
-    window ``last`` below three, or fewer than three usable points, raise
-    ValueError.
+    window ``last`` that is a bool, not an integer or below three, or fewer
+    than three usable points, raise ValueError.
     """
+    if isinstance(last, bool) or not isinstance(last, numbers.Integral):
+        raise ValueError(f"rate fit window must be an integer, got last={last!r}")
     if last < 3:
         raise ValueError(f"rate fit window must cover at least 3 points, got last={last}")
     usable = [

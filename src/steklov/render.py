@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -35,12 +36,14 @@ def _svg_texts(
         for fill in ("none", "#f4b8b8")
     ]
     line_tail = f'" stroke="#c62828" stroke-width="{2.5 * stroke:.2f}"/>\n'
+    # what follows each cell's points, unshaded or shaded, up to the next cell's
+    cell_ends = np.array([tail + '<polygon points="' for tail in tails], dtype=object)
     transform = None
     vertices = np.empty((0, 2))
     xs = ys = points = np.empty(0, dtype=object)  # pixel text of each vertex of ``vertices``
     for mesh, marked in frames:
-        shaded = np.zeros(mesh.n_cells, dtype=bool)
-        shaded[_marked_cells(marked, mesh.n_cells)] = True
+        shaded = np.zeros(mesh.n_cells, dtype=np.intp)
+        shaded[_marked_cells(marked, mesh.n_cells)] = 1
 
         verts = mesh.vertices
         xmin, ymin = verts.min(axis=0)
@@ -61,8 +64,8 @@ def _svg_texts(
         ys = np.concatenate([ys[:shared], py])
         points = np.concatenate([points[:shared], px + "," + py])
 
-        ends = np.where(shaded, tails[1], tails[0]).astype(object)
-        ends[:-1] += '<polygon points="'
+        ends = cell_ends[shaded]
+        ends[-1] = tails[shaded[-1]]
         gamma0 = mesh.gamma0_edge_ids()
         a, b = mesh.edge_a[gamma0], mesh.edge_b[gamma0]
         yield "".join([
@@ -86,6 +89,10 @@ def mesh_to_svg(
     Spectral-boundary edges are drawn with a heavier red stroke so the
     eigenvalue boundary is visible at a glance.  ``marked`` holds cell ids;
     a boolean or fractional entry, or an id out of range, raises
-    :class:`~steklov.mesh.MeshError`.
+    :class:`~steklov.mesh.MeshError`.  A ``width`` (in pixels) that is a
+    bool, not an integer or below 1 raises ValueError.  Nothing is written
+    on either error.
     """
+    if isinstance(width, bool) or not isinstance(width, numbers.Integral) or width < 1:
+        raise ValueError(f"SVG width must be a positive integer, got {width!r}")
     Path(path).write_text(next(_svg_texts([(mesh, marked)], width)))

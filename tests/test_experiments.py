@@ -129,9 +129,16 @@ def test_fit_rate_skips_unusable_points_and_windows():
     with pytest.raises(ValueError, match="at least 3"):
         fit_rate(ns, [0.0, -1.0, 0.0, -1e-3, 1.0, 1.0])
     # a window of 0 used to fit every point and a negative one dropped the
-    # leading points instead of keeping the trailing ones
-    for last in (0, -2, 2):
-        with pytest.raises(ValueError, match="window"):
+    # leading points instead of keeping the trailing ones; a fractional one
+    # failed in slicing and True was reported as a window too small
+    for last, message in (
+        (0, "window must cover at least 3 points, got last=0"),
+        (-2, "window must cover at least 3 points, got last=-2"),
+        (2, "window must cover at least 3 points, got last=2"),
+        (3.7, r"window must be an integer, got last=3\.7"),
+        (True, "window must be an integer, got last=True"),
+    ):
+        with pytest.raises(ValueError, match=message):
             fit_rate(ns, [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125], last=last)
 
 

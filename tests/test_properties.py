@@ -37,8 +37,12 @@ square's exact value (min-max principle on nested conforming spaces).  A
 solve started from the coarse eigenvector, carried to the refined mesh by
 ``prolong``, must return the cold solve's eigenvalue,
 and ``prolong`` must keep every coarse value and fill every new vertex with
-a mean of them.  On the square, under random refinement (a random 2-60%
-of the cells marked at each step, VEM or bisection), the effectivity
+a mean of them.  The factor the warm solve trusts is checked on such meshes
+at a random shift sigma: its solve inverts K - sigma M in dof order, and
+when its row and column orders are equal, the negative entries of diag(U)
+count the eigenvalues of K - sigma M below zero, as a dense solve does.
+On the square, under random refinement (a random 2-60% of the cells
+marked at each step, VEM or bisection), the effectivity
 ``|lambda - lambda_h| / eta2`` of every solve stays inside acceptance
 criterion 5's band [0.03, 0.6].
 
@@ -61,7 +65,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import emit_oracle
@@ -69,7 +73,7 @@ import refine_oracle as oracle
 import vem_oracle
 from steklov.adaptivity import normalize_refinement_edges, prolong, refine_fem, refine_uniform, refine_vem
 from fem_oracle import dense_reference_solve
-from steklov.eigensolver import _normalize, solve_smallest_positive
+from steklov.eigensolver import _factorize, _normalize, solve_smallest_positive
 from steklov.estimator import element_indicators
 from steklov.experiments import ConvergenceRecord, ExperimentConfig, ExperimentResult, emit_outputs, exact_eigenvalue_square, initial_mesh
 from steklov.mesh import TAGS, _first_appearance, build_topology, load_mesh, polygon_geometry, save_mesh
@@ -509,6 +513,34 @@ def test_warm_start_returns_the_cold_eigenvalue(name, fem, steps, data):
     # a rerun from the same start repeats the solve bit for bit
     (again,) = solve_smallest_positive(system, start=start)
     assert again.value == warm.value and np.array_equal(again.vector, warm.vector)
+
+
+@SETTINGS
+@given(name=st.sampled_from(sorted(INITIAL)), fem=st.booleans(), data=st.data())
+def test_factor_solves_in_dof_order_and_its_pivots_count_the_eigenvalues_below_the_shift(name, fem, data):
+    # one refinement of every cell, then random ones: up to 801 dofs
+    refine = refine_fem if fem else refine_vem
+    mesh = refine(INITIAL[name], range(INITIAL[name].n_cells))
+    for _ in range(data.draw(st.integers(1, 3 if fem else 1), label="steps")):
+        mesh = refine(mesh, mark_subset(data, mesh))
+    system = assemble(mesh)
+    pencil = dense_reference_solve(system)
+    sigma = data.draw(st.floats(0.0, 1.2 * pencil[min(5, len(pencil) - 1)]), label="sigma")
+    # the zero mode is exactly 0; a shift next to an eigenvalue leaves
+    # K - sigma M too close to singular for a solve to 1e-8
+    eigenvalues = np.concatenate([[0.0], pencil[1:]])
+    assume(np.min(np.abs(eigenvalues - sigma)) > 1e-6 * max(sigma, pencil[1]))
+    A = system.stiffness - sigma * system.boundary_mass
+    solve, lu = _factorize(A)
+    x = np.random.default_rng(0).standard_normal(system.n_dofs)
+    assert np.linalg.norm(solve(A @ x) - x) <= 1e-8 * np.linalg.norm(x)
+    # Sylvester's law of inertia: A has one negative eigenvalue per pencil
+    # eigenvalue below sigma, and diag(U) = D of P A P^T = L D L^T has as
+    # many negative entries when rows and columns are permuted alike
+    negative = np.count_nonzero(np.linalg.eigvalsh(A.toarray()) < 0.0)
+    assert negative == np.count_nonzero(eigenvalues < sigma)
+    if np.array_equal(lu.perm_r, lu.perm_c):
+        assert np.count_nonzero(lu.U.diagonal() < 0.0) == negative
 
 
 @SETTINGS

@@ -50,3 +50,19 @@ def test_marks_that_are_not_cell_ids_are_refused(tmp_path):
         with pytest.raises(MeshError, match=fragment):
             mesh_to_svg(mesh, path, marked=marked)
         assert not path.exists()
+
+
+def test_widths_that_are_not_positive_integers_are_refused(tmp_path):
+    # each used to write an SVG, e.g. width="True" height="1"
+    mesh = initial_mesh("square")
+    cases = [
+        (0, "got 0"),
+        (-10, "got -10"),
+        (True, "got True"),
+        (2.5, r"got 2\.5"),
+    ]
+    for width, fragment in cases:
+        path = tmp_path / "refused.svg"
+        with pytest.raises(ValueError, match=f"SVG width must be a positive integer, {fragment}"):
+            mesh_to_svg(mesh, path, width=width)
+        assert not path.exists()
