@@ -120,12 +120,6 @@ class PolygonalMesh:
     def n_edges(self) -> int:
         return len(self.edge_a)
 
-    def cycles(self) -> list[list[int]]:
-        """All vertex cycles as lists of Python ints, converted in one pass."""
-        flat = self.cell_vertices.tolist()
-        ptr = self.cell_ptr.tolist()
-        return [flat[i:j] for i, j in zip(ptr[:-1], ptr[1:])]
-
     def gamma0_edge_ids(self) -> np.ndarray:
         return np.flatnonzero(self.edge_tag == TAGS.index(BoundaryTag.GAMMA0))
 

@@ -18,13 +18,15 @@ import numpy as np
 
 from steklov.mesh import TAGS, PolygonalMesh
 
+from refine_oracle import cycles
+
 
 def save_mesh(mesh: PolygonalMesh, path: str | Path) -> None:
     """Write the mesh as JSON: vertices, cell cycles and tagged boundary edges."""
     boundary = np.flatnonzero(mesh.edge_right < 0)
     payload = {
         "vertices": mesh.vertices.tolist(),
-        "cells": mesh.cycles(),
+        "cells": cycles(mesh),
         "boundary": [
             {"edge": [a, b], "tag": TAGS[t].value}
             for a, b, t in zip(
@@ -44,13 +46,13 @@ def mesh_to_svg(
     mesh: PolygonalMesh,
     path: str | Path,
     marked: Sequence[int] | np.ndarray = (),
-    width: int = 720,
 ) -> None:
-    """Write the mesh as an SVG file; cells in ``marked`` are shaded.
+    """Write the mesh as a 720-pixel-wide SVG file; cells in ``marked`` are shaded.
 
     Spectral-boundary edges are drawn with a heavier red stroke so the
     eigenvalue boundary is visible at a glance.
     """
+    width = 720
     verts = mesh.vertices
     xmin, ymin = verts.min(axis=0)
     xmax, ymax = verts.max(axis=0)
@@ -72,7 +74,7 @@ def mesh_to_svg(
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for cyc, shade in zip(mesh.cycles(), shaded.tolist()):
+    for cyc, shade in zip(cycles(mesh), shaded.tolist()):
         pts = " ".join(points[v] for v in cyc)
         fill = "#f4b8b8" if shade else "none"
         lines.append(

@@ -9,7 +9,8 @@ numbering, cycles and tags), which the properties in ``test_properties.py``
 check over random mark sequences.  The oracle keeps its own per-cell
 ``polygon_centroid`` (the package's former helper), so the centroids it
 checks against do not come from the vectorized geometry kernel.
-``structurally_equal`` is the mesh comparison the tests share.
+``structurally_equal`` is the mesh comparison the tests share, and
+``cycles`` the list-of-lists view of a mesh's cells they share.
 
 ``edge_numbering`` defines the edge arrays of any mesh from its cycles
 alone: it walks the cells' cycles in order and numbers each vertex pair when
@@ -26,6 +27,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from steklov.mesh import TAGS, BoundaryTag, MeshError, PolygonalMesh, build_topology
+
+
+def cycles(mesh: PolygonalMesh) -> list[list[int]]:
+    """All vertex cycles of ``mesh`` as lists of Python ints."""
+    flat = mesh.cell_vertices.tolist()
+    ptr = mesh.cell_ptr.tolist()
+    return [flat[i:j] for i, j in zip(ptr[:-1], ptr[1:])]
 
 
 def structurally_equal(mesh: PolygonalMesh, other: PolygonalMesh) -> bool:
@@ -47,7 +55,7 @@ def edge_numbering(mesh: PolygonalMesh) -> dict[str, np.ndarray]:
     edge_left: list[int] = []
     edge_right: list[int] = []
     cell_edges: list[int] = []
-    for cid, cyc in enumerate(mesh.cycles()):
+    for cid, cyc in enumerate(cycles(mesh)):
         for tail, head in zip(cyc, cyc[1:] + cyc[:1]):
             key = (tail, head) if tail < head else (head, tail)
             if key in number:
@@ -157,11 +165,11 @@ def refine_vem(
     if not marked:
         return mesh, OracleRecord(children={}, new_vertex_ids=(), hanging_cells=())
 
-    cycles = mesh.cycles()
+    cell_cycles = cycles(mesh)
     factory = _MidpointFactory(mesh.vertices)
     centroid_id: dict[int, int] = {}
     for cid in marked:
-        cyc = cycles[cid]
+        cyc = cell_cycles[cid]
         pts = mesh.vertices[cyc]
         c = polygon_centroid(pts)
         n = len(cyc)
@@ -182,7 +190,7 @@ def refine_vem(
     children: dict[int, tuple[int, ...]] = {}
     hanging: list[int] = []
     marked_set = set(marked)
-    for cid, cyc in enumerate(cycles):
+    for cid, cyc in enumerate(cell_cycles):
         n = len(cyc)
         if cid in marked_set:
             ids = []
@@ -226,13 +234,13 @@ def refine_fem(mesh: PolygonalMesh, marks: Iterable[int]) -> PolygonalMesh:
     def edge_key(i: int, j: int) -> tuple[int, int]:
         return (i, j) if i < j else (j, i)
 
-    cycles = tris.tolist()
-    marked_edges = {edge_key(t[0], t[1]) for t in (cycles[c] for c in marked)}
+    triangles = tris.tolist()
+    marked_edges = {edge_key(t[0], t[1]) for t in (triangles[c] for c in marked)}
 
     changed = True
     while changed:
         changed = False
-        for tri in cycles:
+        for tri in triangles:
             keys = [edge_key(tri[0], tri[1]), edge_key(tri[1], tri[2]), edge_key(tri[2], tri[0])]
             if any(k in marked_edges for k in keys) and keys[0] not in marked_edges:
                 marked_edges.add(keys[0])
@@ -251,7 +259,7 @@ def refine_fem(mesh: PolygonalMesh, marks: Iterable[int]) -> PolygonalMesh:
         emit((t1, t2, m), out)
 
     new_cells: list[list[int]] = []
-    for tri in cycles:
+    for tri in triangles:
         emit(tri, new_cells)
 
     tags = _inherit_boundary_tags(mesh, factory)

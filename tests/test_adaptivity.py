@@ -20,7 +20,7 @@ from steklov.mesh import (
     quality_report,
 )
 
-from refine_oracle import structurally_equal
+from refine_oracle import cycles, structurally_equal
 
 
 def top_edge_rule(pa, pb):
@@ -106,7 +106,7 @@ def test_refine_vem_single_square():
     refined = refine_vem(mesh, [0])
     assert refined.n_cells == 4
     assert refined.n_vertices == 9  # 4 corners + 4 midpoints + centroid
-    assert all(len(c) == 4 for c in refined.cycles())
+    assert all(len(c) == 4 for c in cycles(refined))
     assert abs(total_area(refined) - 1.0) < 1e-12
     # spectral boundary tag survives on both halves of the top edge
     assert len(refined.gamma0_edge_ids()) == 2
@@ -118,7 +118,7 @@ def test_refine_vem_neighbor_absorbs_hanging_vertices():
     # the marked triangle splits into three quads, which come first; every
     # other cell keeps its place behind them
     assert refined.n_cells == mesh.n_cells + 2
-    cycles, fine = mesh.cycles(), refined.cycles()
+    coarse, fine = cycles(mesh), cycles(refined)
     assert all(len(fine[k]) == 4 for k in range(3))
     quad_area = np.sum(quality_report(refined).areas[:3])
     assert abs(quad_area - quality_report(mesh).areas[0]) < 1e-12
@@ -130,7 +130,7 @@ def test_refine_vem_neighbor_absorbs_hanging_vertices():
         # vertex; the other cells are unchanged
         child = fine[cid + 2]
         assert len(child) == (4 if cid in neighbors else 3)
-        assert set(cycles[cid]) <= set(child)
+        assert set(coarse[cid]) <= set(child)
     assert abs(total_area(refined) - total_area(mesh)) < 1e-12
 
 
@@ -234,7 +234,7 @@ def test_refine_fem_children_follow_bisection_convention():
     # each child lists its own next bisection edge first (one of the parent's
     # short legs) and ends with the new midpoint
     leading = set()
-    for cyc in refined.cycles():
+    for cyc in cycles(refined):
         assert cyc[2] == 3
         leading.add(frozenset((int(cyc[0]), int(cyc[1]))))
     assert leading == {frozenset((0, 1)), frozenset((0, 2))}
@@ -250,8 +250,8 @@ def test_refine_fem_closure_keeps_mesh_conforming():
     assert refined.n_vertices - mesh.n_vertices >= 2
     # the refined mesh passes every check of build_topology unchanged, and
     # every cell stays a triangle
-    assert all(len(c) == 3 for c in refined.cycles())
-    rebuilt = build_topology(refined.vertices, refined.cycles(), top_edge_rule)
+    assert all(len(c) == 3 for c in cycles(refined))
+    rebuilt = build_topology(refined.vertices, cycles(refined), top_edge_rule)
     assert structurally_equal(rebuilt, refined)
     assert all(np.array_equal(getattr(rebuilt, name), getattr(refined, name))
                for name in ("cell_edges", "edge_left", "edge_right"))

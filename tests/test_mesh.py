@@ -19,7 +19,7 @@ from steklov.mesh import (
     save_mesh,
 )
 
-from refine_oracle import numbered_by_first_appearance, structurally_equal
+from refine_oracle import cycles, numbered_by_first_appearance, structurally_equal
 
 SQUARE_VERTS = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
@@ -57,7 +57,7 @@ def test_two_triangle_square_topology():
     assert TAGS[mesh.edge_tag[diag]] is BoundaryTag.INTERIOR
     assert {int(mesh.edge_left[diag]), int(mesh.edge_right[diag])} == {0, 1}
     # the left cell traverses the stored direction
-    left_cycle = mesh.cycles()[mesh.edge_left[diag]]
+    left_cycle = cycles(mesh)[mesh.edge_left[diag]]
     k = left_cycle.index(mesh.edge_a[diag])
     assert left_cycle[(k + 1) % 3] == mesh.edge_b[diag]
 
@@ -68,7 +68,7 @@ def test_two_triangle_square_topology():
 
 def test_cell_edges_follow_cycle_order():
     mesh = two_triangle_square()
-    for cid, cyc in enumerate(mesh.cycles()):
+    for cid, cyc in enumerate(cycles(mesh)):
         eids = mesh.cell_edges[mesh.cell_ptr[cid]:mesh.cell_ptr[cid + 1]]
         assert len(eids) == len(cyc)
         for k, eid in enumerate(eids):
@@ -79,7 +79,7 @@ def test_cell_edges_follow_cycle_order():
 def test_clockwise_cell_is_reversed():
     mesh = build_topology(SQUARE_VERTS, [[0, 2, 1], [0, 2, 3]], top_edge_rule)
     assert np.all(quality_report(mesh).areas > 0.0)
-    assert sorted(mesh.cycles()[0]) == [0, 1, 2]
+    assert sorted(cycles(mesh)[0]) == [0, 1, 2]
 
 
 def test_explicit_tag_map_and_string_tags():
@@ -194,19 +194,19 @@ def test_self_intersection_names_first_edge_pair_and_lowest_cell():
 
 def test_compressed_row_input_matches_cycle_list():
     # cells come as cycles only: a list of lists or an (m, n) array of them
-    cycles = [[0, 2, 1], [0, 2, 3]]  # the first is clockwise and gets reversed
-    stacked = np.array(cycles)
-    from_list = build_topology(SQUARE_VERTS, cycles, top_edge_rule)
+    cells = [[0, 2, 1], [0, 2, 3]]  # the first is clockwise and gets reversed
+    stacked = np.array(cells)
+    from_list = build_topology(SQUARE_VERTS, cells, top_edge_rule)
     from_array = build_topology(SQUARE_VERTS, stacked, top_edge_rule)
     assert structurally_equal(from_array, from_list)
     assert np.array_equal(from_array.cell_edges, from_list.cell_edges)
     # the caller's cycles are copied, not reversed or frozen in place
-    assert cycles == [[0, 2, 1], [0, 2, 3]]
-    assert stacked.tolist() == cycles and stacked.flags.writeable
+    assert cells == [[0, 2, 1], [0, 2, 3]]
+    assert stacked.tolist() == cells and stacked.flags.writeable
     # integral floats are indices
     assert structurally_equal(build_topology(SQUARE_VERTS, stacked.astype(float), top_edge_rule), from_list)
     # the mesh's own compressed-row cells, read back as cycles, give the same mesh
-    again = build_topology(from_list.vertices, from_list.cycles(), top_edge_rule)
+    again = build_topology(from_list.vertices, cycles(from_list), top_edge_rule)
     assert structurally_equal(again, from_list)
     assert np.array_equal(again.cell_edges, from_list.cell_edges)
 
@@ -387,7 +387,7 @@ def test_radius_is_the_distance_to_the_nearest_edge_on_convex_cells():
     for _ in range(3):
         mesh = refine_vem(mesh, np.flatnonzero(np.arange(mesh.n_cells) % 3 == 0))
     rep = quality_report(mesh)
-    for c, cyc in enumerate(mesh.cycles()):
+    for c, cyc in enumerate(cycles(mesh)):
         pts = mesh.vertices[cyc]
         origin, local, _, centroid, _, _ = polygon_geometry(pts[None])
         x, y = local[0, :, 0], local[0, :, 1]

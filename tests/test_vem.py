@@ -8,6 +8,7 @@ from steklov.vem import _stiffness, assemble, project
 
 from fem_oracle import boundary_mass as oracle_boundary_mass
 from fem_oracle import p1_stiffness as oracle_stiffness
+from refine_oracle import cycles
 from vem_oracle import local_operators
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -151,13 +152,13 @@ def test_batched_groups_match_single_cell_path_bitwise():
     system = assemble(mesh)
     assert len(system.groups) > 1
     seen = []
-    cycles = mesh.cycles()
+    cells = cycles(mesh)
     for group in system.groups:
         stiffness = _stiffness(group)
         for k, cid in enumerate(group.ids):
             seen.append(cid)
-            single = local_operators(mesh.vertices[cycles[cid]])
-            assert np.array_equal(group.dofs[k], cycles[cid])
+            single = local_operators(mesh.vertices[cells[cid]])
+            assert np.array_equal(group.dofs[k], cells[cid])
             for field in ("x", "y", "gx", "gy"):
                 assert np.array_equal(getattr(single.group, field)[0], getattr(group, field)[k]), field
             assert np.array_equal(single.stiffness, stiffness[k])
