@@ -38,6 +38,10 @@ lambda_1) and 0 < lambda < sigma; otherwise, when the cap is reached or the
 factorization fails, ARPACK solves from the same start.  On the adaptive
 runs a warm solve takes 2-6 column solves from the second warm step on (12
 at the first on the notched test), where ARPACK took 11-16.
+
+Dot products and norms are summed by numpy (``_dot``), not by BLAS, whose
+order of summation follows its thread count: the results are the same to
+the last bit however many threads BLAS runs.
 """
 
 from __future__ import annotations
@@ -87,21 +91,31 @@ class SpectralPair:
     residual: float
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot product of two vectors, summed by numpy rather than by BLAS,
+    whose order of summation, and so the last bits, follows its thread count."""
+    return float(np.add.reduce(a * b))
+
+
+def _norm(a: np.ndarray) -> float:
+    return float(np.sqrt(_dot(a, a)))
+
+
 def residual_norm(system: GlobalSystem, value: float, vector: np.ndarray) -> float:
     """Scale-invariant residual |K w - lambda M w| / (|K w| + lambda |M w|)."""
     kw = system.stiffness @ vector
     mw = system.boundary_mass @ vector
-    denom = float(np.linalg.norm(kw)) + value * float(np.linalg.norm(mw))
+    denom = _norm(kw) + value * _norm(mw)
     if denom == 0.0:
         return np.inf
-    return float(np.linalg.norm(kw - value * mw)) / denom
+    return _norm(kw - value * mw) / denom
 
 
 def _normalize(system: GlobalSystem, w: np.ndarray) -> np.ndarray:
     """Scale to unit boundary mass and fix the sign convention: the first
     spectral-boundary dof (ascending index) whose magnitude exceeds 1e-8 is
     positive."""
-    m_norm2 = float(w @ (system.boundary_mass @ w))
+    m_norm2 = _dot(w, system.boundary_mass @ w)
     if m_norm2 <= 0.0:
         raise EigensolverError("eigenvector has zero boundary mass norm: deflation failure")
     w = w / np.sqrt(m_norm2)
@@ -115,7 +129,7 @@ def _normalize(system: GlobalSystem, w: np.ndarray) -> np.ndarray:
 
 def _deflate(x: np.ndarray, m_ones: np.ndarray, scale: float) -> np.ndarray:
     """Project x onto the M-orthogonal complement of the constant vector."""
-    return x - (m_ones @ x) / scale
+    return x - _dot(m_ones, x) / scale
 
 
 def solve_smallest_positive(
@@ -160,7 +174,7 @@ def solve_smallest_positive(
     M = system.boundary_mass
     ones_vec = np.ones(n)
     m_ones = M @ ones_vec
-    scale = float(ones_vec @ m_ones)
+    scale = _dot(ones_vec, m_ones)
     if scale <= 0.0:
         raise EigensolverError("boundary mass matrix has no positive mass")
     warm = start is not None
@@ -172,10 +186,10 @@ def solve_smallest_positive(
     if not np.all(np.isfinite(start)):
         raise EigensolverError("start vector must be finite")
     v0 = _deflate(start, m_ones, scale)
-    if not np.linalg.norm(v0) > 1e-12 * np.linalg.norm(start):
+    if not _norm(v0) > 1e-12 * _norm(start):
         raise EigensolverError("start vector is zero once the constant mode is deflated")
     # the iteration sees a vector through its trace on gamma0 only
-    if not float(v0 @ (M @ v0)) > 0.0:
+    if not _dot(v0, M @ v0) > 0.0:
         raise EigensolverError("start vector vanishes on the spectral boundary")
     if warm and count == 1:
         pair = _inverse_iteration(system, M, v0, m_ones, scale, tol)
@@ -185,7 +199,7 @@ def solve_smallest_positive(
     shifted = system.stiffness + M
     solve, _ = _factorize(shifted)
     deflated_mass = spla.LinearOperator(
-        (n, n), matvec=lambda x: M @ x - m_ones * ((m_ones @ x) / scale), dtype=float
+        (n, n), matvec=lambda x: M @ x - m_ones * (_dot(m_ones, x) / scale), dtype=float
     )
     converged = True
     try:
@@ -219,19 +233,20 @@ def solve_smallest_positive(
     ]
 
 
-def _factorize(matrix: sp.spmatrix) -> tuple[Callable[[np.ndarray], np.ndarray], spla.SuperLU]:
-    """Factorize ``matrix`` and return a solve in dof order with the factor.
+def _factorize(matrix: sp.csr_matrix) -> tuple[Callable[[np.ndarray], np.ndarray], spla.SuperLU]:
+    """Factorize the exactly symmetric CSR ``matrix`` and return a solve in
+    dof order with the factor.
 
     The factor is of ``matrix`` renumbered by reverse Cuthill-McKee (its
     unknown i is dof ``perm[i]``); ``solve(b)`` gathers b into that
-    numbering and scatters the result back, so no caller sees it.
+    numbering and scatters the result back, so no caller sees it.  The
+    renumbered matrix is symmetric too, so its CSR arrays are also its CSC
+    arrays: SuperLU is handed its transpose, a CSC view of them.
     """
-    matrix = matrix.tocsc()
     perm = csgraph.reverse_cuthill_mckee(matrix, symmetric_mode=True)
-    matrix = matrix[perm][:, perm]
     try:
         lu = spla.splu(
-            matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            matrix[perm][:, perm].T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
         )
     except RuntimeError as err:
@@ -239,7 +254,8 @@ def _factorize(matrix: sp.spmatrix) -> tuple[Callable[[np.ndarray], np.ndarray],
             f"factorization of the shifted matrix failed ({err}); "
             "the assembly may be broken"
         ) from None
-    inverse = np.argsort(perm)
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(len(perm), dtype=perm.dtype)
     return lambda b: lu.solve(b[perm])[inverse], lu
 
 
@@ -251,7 +267,7 @@ def _inverse_iteration(
     quotient of ``v0`` (deflated), or None when it is not certified within
     ``_WARM_SOLVES`` solves."""
     K = system.stiffness
-    sigma = float(v0 @ (K @ v0)) / float(v0 @ (M @ v0))
+    sigma = _dot(v0, K @ v0) / _dot(v0, M @ v0)
     try:
         solve, lu = _factorize(K - sigma * M)
     except EigensolverError:
@@ -263,8 +279,8 @@ def _inverse_iteration(
     x = v0
     for _ in range(_WARM_SOLVES):
         x = _deflate(solve(M @ x), m_ones, scale)
-        x = x / np.sqrt(float(x @ (M @ x)))
-        value = float(x @ (K @ x))
+        x = x / np.sqrt(_dot(x, M @ x))
+        value = _dot(x, K @ x)
         residual = residual_norm(system, value, x)
         if residual <= tol:
             if 0.0 < value < sigma:

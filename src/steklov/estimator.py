@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .eigensolver import SpectralPair
+from .eigensolver import SpectralPair, _dot
 from .mesh import TAGS, BoundaryTag, PolygonalMesh
 from .vem import GlobalSystem, project
 
@@ -32,7 +32,6 @@ __all__ = [
 
 _INTERIOR = TAGS.index(BoundaryTag.INTERIOR)
 _GAMMA0 = TAGS.index(BoundaryTag.GAMMA0)
-_GAMMA1 = TAGS.index(BoundaryTag.GAMMA1)
 
 
 def edge_residuals(
@@ -53,34 +52,25 @@ def edge_residuals(
     """
     a = mesh.edge_a
     b = mesh.edge_b
+    vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    tx = vx[b] - vx[a]
+    ty = vy[b] - vy[a]
+    length = np.hypot(tx, ty)
+    nx = ty / length
+    ny = -tx / length
+
+    gx, gy = gradients[:, 0], gradients[:, 1]
+    left = mesh.edge_left
+    flux_left = gx[left] * nx + gy[left] * ny
+    # a boundary edge reads its left cell as a stand-in right one and never uses it
+    right = np.where(mesh.edge_right >= 0, mesh.edge_right, left)
+    half_jump = 0.5 * (flux_left - (gx[right] * nx + gy[right] * ny))
+
     tag = mesh.edge_tag
-    pa = mesh.vertices[a]
-    pb = mesh.vertices[b]
-    tangent = pb - pa
-    length = np.hypot(tangent[:, 0], tangent[:, 1])
-    nx = tangent[:, 1] / length
-    ny = -tangent[:, 0] / length
-
-    grad_left = gradients[mesh.edge_left]
-    flux_left = grad_left[:, 0] * nx + grad_left[:, 1] * ny
-
-    value_a = np.empty(len(a))
-    value_b = np.empty(len(a))
-
     interior = tag == _INTERIOR
-    grad_right = gradients[np.where(mesh.edge_right >= 0, mesh.edge_right, 0)]
-    flux_right = grad_right[:, 0] * nx + grad_right[:, 1] * ny
-    half_jump = 0.5 * (flux_left - flux_right)
-    value_a[interior] = half_jump[interior]
-    value_b[interior] = half_jump[interior]
-
     spectral = tag == _GAMMA0
-    value_a[spectral] = lambda_h * trace[a[spectral]] - flux_left[spectral]
-    value_b[spectral] = lambda_h * trace[b[spectral]] - flux_left[spectral]
-
-    reflecting = tag == _GAMMA1
-    value_a[reflecting] = -flux_left[reflecting]
-    value_b[reflecting] = -flux_left[reflecting]
+    value_a = np.where(interior, half_jump, np.where(spectral, lambda_h * trace[a] - flux_left, -flux_left))
+    value_b = np.where(interior, half_jump, np.where(spectral, lambda_h * trace[b] - flux_left, -flux_left))
 
     norm2 = length * (value_a * value_a + value_a * value_b + value_b * value_b) / 3.0
     return value_a, value_b, norm2
@@ -94,7 +84,7 @@ def element_indicators(system: GlobalSystem, pair: SpectralPair) -> tuple[np.nda
     raises ValueError; the sign of ``w`` is free, since no term depends on it."""
     mesh = system.mesh
     w = pair.vector
-    m_norm2 = float(w @ (system.boundary_mass @ w))
+    m_norm2 = _dot(w, system.boundary_mass @ w)
     if not abs(m_norm2 - 1.0) <= 1e-10:
         raise ValueError(f"indicator evaluation expects unit boundary mass, got w^T M w = {m_norm2!r}")
 

@@ -13,12 +13,13 @@ which keeps them cheap on the fine meshes produced late in an adaptive run.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,7 +72,7 @@ def cell_groups(cell_ptr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """
     sizes = np.diff(cell_ptr)
     groups = []
-    for n in np.unique(sizes):
+    for n in np.flatnonzero(np.bincount(sizes)):
         ids = np.flatnonzero(sizes == n)
         groups.append((ids, cell_ptr[ids][:, None] + np.arange(n)))
     return groups
@@ -133,6 +134,59 @@ class PolygonalMesh:
 # polygon geometry on raw coordinate arrays
 
 
+def _row_extreme(op: np.ufunc, dist2: list[np.ndarray]) -> np.ndarray:
+    """``op.reduce`` (np.maximum or np.minimum) of each cycle's entries in a
+    list of position-major (n, m) arrays."""
+    return functools.reduce(op, (op.reduce(d, axis=0) for d in dist2))
+
+
+class _CycleShape(NamedTuple):
+    """The part of :func:`polygon_geometry` that assembly uses too."""
+
+    origin_x: np.ndarray  # (m,) vertex mean
+    origin_y: np.ndarray
+    x: np.ndarray         # (m, n) coordinates relative to the vertex mean
+    y: np.ndarray
+    next_x: np.ndarray    # (m, n) those of the next vertex along the cycle
+    next_y: np.ndarray
+    cross: np.ndarray     # (m, n) shoelace terms x * next_y - next_x * y
+    area: np.ndarray      # (m,) signed, positive when counterclockwise
+    dist2: list           # (n, m) squared distance of vertex i to i + k, per offset k
+
+    @property
+    def diameter(self) -> np.ndarray:
+        return np.sqrt(_row_extreme(np.maximum, self.dist2))
+
+
+def _cycle_shape(x: np.ndarray, y: np.ndarray) -> _CycleShape:
+    """Shape of stacked vertex cycles given as (m, n) coordinate columns.
+
+    Area is taken in the local coordinates: tiny cells far from the global
+    origin would otherwise lose most significant digits to cancellation in
+    the cross products.  Vertex distances are taken one offset k at a time
+    (vertex i against vertex i + k), which reaches every pair for k <= n / 2
+    without holding all n * n differences at once.  The vertex mean and the
+    distances work on position-major (n, m) copies of the coordinates, so
+    that no reduction runs along a short last axis, which numpy does slowly;
+    the mean adds the positions in cycle order.
+    """
+    n = x.shape[1]
+    xt, yt = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
+    origin_x, origin_y = sum(xt) / n, sum(yt) / n  # row by row, as numpy sums a (m, n, 2) stack
+    local_x = x - origin_x[:, None]
+    local_y = y - origin_y[:, None]
+    next_x, next_y = np.roll(local_x, -1, axis=1), np.roll(local_y, -1, axis=1)
+    cross = local_x * next_y - next_x * local_y
+    dist2 = []
+    for k in range(1, n // 2 + 1):
+        partner = np.roll(np.arange(n), -k)
+        dx, dy = xt - xt[partner], yt - yt[partner]
+        dist2.append(dx * dx + dy * dy)
+    return _CycleShape(
+        origin_x, origin_y, local_x, local_y, next_x, next_y, cross, 0.5 * np.sum(cross, axis=1), dist2
+    )
+
+
 def polygon_geometry(pts: np.ndarray) -> tuple[np.ndarray, ...]:
     """Shape of a (m, n, 2) stack of vertex cycles, vectorized over the stack.
 
@@ -140,32 +194,18 @@ def polygon_geometry(pts: np.ndarray) -> tuple[np.ndarray, ...]:
     vertex mean (m, 2), its coordinates relative to that mean (m, n, 2), its
     signed shoelace area (positive when counterclockwise), its area centroid
     relative to ``origin`` (m, 2), and its largest and smallest vertex
-    distance.  Area and centroid are taken in the local coordinates: tiny
-    cells far from the global origin would otherwise lose most significant
-    digits to cancellation in the cross products.  The centroid of a
-    zero-area cycle is not finite.
-
-    Vertex distances are taken one offset k at a time (vertex i against
-    vertex i + k), which reaches every pair for k <= n / 2 without holding
-    all n * n differences at once.
+    distance.  The centroid of a zero-area cycle is not finite.  All but the
+    centroid and the gap come from :func:`_cycle_shape`, which assembly
+    calls on its own.
     """
-    origin = pts.mean(axis=1)
-    local = pts - origin[:, None, :]
-    x, y = local[..., 0], local[..., 1]
-    x1, y1 = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
-    cross = x * y1 - x1 * y
-    area = 0.5 * np.sum(cross, axis=1)
+    shape = _cycle_shape(pts[..., 0], pts[..., 1])
+    x, y, cross = shape.x, shape.y, shape.cross
     with np.errstate(divide="ignore", invalid="ignore"):
-        centroid = np.stack([np.sum((x + x1) * cross, axis=1), np.sum((y + y1) * cross, axis=1)], axis=1)
-        centroid /= 6.0 * area[:, None]
-    far2 = np.zeros(len(pts))
-    near2 = np.full(len(pts), np.inf)
-    for k in range(1, pts.shape[1] // 2 + 1):
-        diff = pts - np.roll(pts, -k, axis=1)
-        dist2 = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
-        far2 = np.maximum(far2, np.max(dist2, axis=1))
-        near2 = np.minimum(near2, np.min(dist2, axis=1))
-    return origin, local, area, centroid, np.sqrt(far2), np.sqrt(near2)
+        centroid = np.stack([np.sum((x + shape.next_x) * cross, axis=1), np.sum((y + shape.next_y) * cross, axis=1)], axis=1)
+        centroid /= 6.0 * shape.area[:, None]
+    origin = np.stack([shape.origin_x, shape.origin_y], axis=1)
+    gap = np.sqrt(_row_extreme(np.minimum, shape.dist2))
+    return origin, np.stack([x, y], axis=2), shape.area, centroid, shape.diameter, gap
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +369,37 @@ def _cell_arrays(cells: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray
     return cell_ptr, flat.astype(np.int64)
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct values of ``keys`` in the order they first appear.
+    """Number the distinct values of int64 ``keys`` in the order they first appear.
 
     Returns ``(number, first)``: the number of each entry's value, and the
-    position of the first appearance of each number.  ``np.unique`` numbers
-    the values in sorted order; ranking their first positions renumbers them.
+    position of the first appearance of each number.  The entries are put
+    in order of (key, position) by one sort of the composite ``key * len +
+    position``, or, when a key is negative or the composite would overflow
+    int64, by a stable argsort.  In that order each run of equal keys begins
+    with the key's first appearance; ranking those positions numbers them.
     """
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[order] = np.arange(len(first))
-    return rank[inverse], first[order]
+    size = len(keys)
+    if not size:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if keys.min() >= 0 and keys.max() <= (_INT64_MAX - (size - 1)) // size:
+        order = np.sort(keys * size + np.arange(size)) % size
+    else:
+        order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    runs = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    heads = order[runs]  # the first appearance of each key, in key order
+    is_first = np.zeros(size, dtype=bool)
+    is_first[heads] = True
+    first = np.flatnonzero(is_first)
+    rank = np.empty(size, dtype=np.int64)
+    rank[first] = np.arange(len(first))
+    number = np.empty(size, dtype=np.int64)
+    number[order] = np.repeat(rank[heads], np.diff(runs, append=size))
+    return number, first
 
 
 def _edge_table(verts: np.ndarray, cell_ptr: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import PolygonalMesh, cell_groups, polygon_geometry
+from .mesh import PolygonalMesh, _cycle_shape, cell_groups
 
 __all__ = [
     "CellGroup",
@@ -56,16 +56,17 @@ class CellGroup:
     diameter: np.ndarray  # (m,)
 
 
-def _cell_group(pts: np.ndarray, dofs: np.ndarray, ids: np.ndarray) -> CellGroup:
+def _cell_group(x: np.ndarray, y: np.ndarray, dofs: np.ndarray, ids: np.ndarray) -> CellGroup:
     """Geometry and projected gradients of a stack of same-size ccw cells of
-    positive area, as build_topology and the refiners keep them; pts (m, n, 2)."""
-    _, local, area, _, h, _ = polygon_geometry(pts)
-    x = local[..., 0]
-    y = local[..., 1]
-    two_area = 2.0 * area[:, None]
-    gx = (np.roll(y, -1, axis=1) - np.roll(y, 1, axis=1)) / two_area
-    gy = (np.roll(x, 1, axis=1) - np.roll(x, -1, axis=1)) / two_area
-    return CellGroup(ids=ids, dofs=dofs, x=x, y=y, gx=gx, gy=gy, area=area, diameter=h)
+    positive area, as build_topology and the refiners keep them, from the
+    (m, n) coordinate columns of their vertices."""
+    shape = _cycle_shape(x, y)
+    two_area = 2.0 * shape.area[:, None]
+    gx = (shape.next_y - np.roll(shape.y, 1, axis=1)) / two_area
+    gy = (np.roll(shape.x, 1, axis=1) - shape.next_x) / two_area
+    return CellGroup(
+        ids=ids, dofs=dofs, x=shape.x, y=shape.y, gx=gx, gy=gy, area=shape.area, diameter=shape.diameter
+    )
 
 
 def _stiffness(group: CellGroup) -> np.ndarray:
@@ -127,10 +128,11 @@ def assemble(mesh: PolygonalMesh) -> GlobalSystem:
     groups = []
     rows, cols, data = [], [], []
     diameters = np.empty(mesh.n_cells)
+    vx, vy = (np.ascontiguousarray(column) for column in mesh.vertices.T)
     for ids, index in cell_groups(mesh.cell_ptr):
         size = index.shape[1]
         dofs = mesh.cell_vertices[index]
-        group = _cell_group(mesh.vertices[dofs], dofs, ids)
+        group = _cell_group(vx[dofs], vy[dofs], dofs, ids)
         groups.append(group)
         diameters[ids] = group.diameter
         rows.append(np.repeat(dofs, size, axis=1).ravel())

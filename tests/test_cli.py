@@ -350,6 +350,28 @@ def test_importing_the_cli_leaves_scipy_io_unloaded():
     assert proc.stdout == "[]\n"
 
 
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a BLAS dot product sums in an order set by its thread count; with one
+    # on the float path, steps 10-12 of this run wrote other last digits
+    # under two threads than under one
+    files = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "steklov.cli", "run", "--test", "notched", "--method", "adaptive-vem",
+             "--steps", "13", "--dump-indicators", "--quiet", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**child_env(), "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        files[threads] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert "indicators_step_12.csv" in files["1"]
+    assert sorted(files["1"]) == sorted(files["2"])
+    assert [name for name in sorted(files["1"]) if files["1"][name] != files["2"][name]] == []
+
+
 def test_ctrl_c_keeps_the_finished_rows(tmp_path):
     # SIGINT once step 3's progress line is out: rows 0..3 at least are on
     # disk in both tables, with the same N column, and the run ends with one

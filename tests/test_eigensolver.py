@@ -14,7 +14,7 @@ from steklov.eigensolver import (
     residual_norm,
     solve_smallest_positive,
 )
-from steklov.experiments import initial_mesh
+from steklov.experiments import ExperimentConfig, initial_mesh, run_experiment
 from steklov.mesh import TAGS, BoundaryTag, PolygonalMesh, _edge_table, build_topology
 from steklov.vem import assemble
 
@@ -263,6 +263,26 @@ def test_column_solves_per_call_stay_within_budget(factors):
     (pair,) = solve_smallest_positive(system)
     assert system.n_dofs == 3753 and pair.residual <= 1e-10
     assert len(factors) == 1 and 0 < factors[0]["columns"] <= 30
+
+
+# column solves of each step of a 13-step adaptive run, as README records
+# them: the cold ARPACK solve of step 0, then shifted inverse iteration
+WARM_SOLVE_BUDGETS = {
+    ("notched", "adaptive-vem"): [11, 12, 6, 4, 4, 4, 4] + [3] * 6,
+    ("square", "adaptive-fem"): [11] + [5] * 12,
+}
+
+
+@pytest.mark.parametrize("test, method", sorted(WARM_SOLVE_BUDGETS))
+def test_adaptive_runs_factor_once_per_step_within_the_recorded_solves(factors, test, method):
+    # a warm step whose certificate fails falls back to ARPACK and factors
+    # twice, and ARPACK's warm Lanczos takes about 16 solves: every output
+    # would stay right, only slower
+    budget = WARM_SOLVE_BUDGETS[test, method]
+    result = run_experiment(ExperimentConfig(test=test, method=method, steps=len(budget)))
+    assert len(result.records) == len(budget) == len(factors)
+    columns = [call["columns"] for call in factors]
+    assert all(0 < used <= most for used, most in zip(columns, budget)), columns
 
 
 @functools.cache

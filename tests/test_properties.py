@@ -19,7 +19,8 @@ that the oracle's parent-to-children map puts every new cell inside the
 coarse cell whose area it covers.  ``build_topology`` must number edges the
 same way on refined meshes renumbered, reordered and partly given
 clockwise, and ``mesh._first_appearance``, which numbers them, must agree
-with a dict loop on random keys of any multiplicity.  The refiners build their output without the checks
+with a dict loop on random keys of any multiplicity, and on keys at the
+int64 extremes.  The refiners build their output without the checks
 of ``build_topology``, so every output must come back unchanged through
 them, its boundary tagged by the initial meshes' own rule; and
 newest-vertex bisection must create at most four triangle shapes per
@@ -41,8 +42,11 @@ a mean of them.  The factor the warm solve trusts is checked on such meshes
 at a random shift sigma: its solve inverts K - sigma M in dof order, and
 when its row and column orders are equal, the negative entries of diag(U)
 count the eigenvalues of K - sigma M below zero, as a dense solve does.
-On the square, under random refinement (a random 2-60% of the cells
-marked at each step, VEM or bisection), the effectivity
+On randomly refined meshes the assembled K, M and K - sigma M equal their
+transposes bit for bit, which the factor relies on, and the stiffness
+equals the former assembly kept in ``vem_oracle``, bit for bit on
+triangle meshes.  On the square, under random refinement (a random 2-60%
+of the cells marked at each step, VEM or bisection), the effectivity
 ``|lambda - lambda_h| / eta2`` of every solve stays inside acceptance
 criterion 5's band [0.03, 0.6].
 
@@ -65,6 +69,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -347,6 +352,39 @@ def test_first_appearance_numbers_keys_in_the_order_they_appear(pool, data):
     assert got_first.tolist() == first
 
 
+def numbered_by_dict(keys):
+    """``_first_appearance`` of a list of keys, by a dict loop."""
+    number: dict[int, int] = {}
+    first = []
+    for position, key in enumerate(keys):
+        if key not in number:
+            number[key] = len(first)
+            first.append(position)
+    return [number[key] for key in keys], first
+
+
+# the largest key for which key * 4 + 3, the composite key of four entries,
+# still fits in int64
+FITS_4 = (2**63 - 1 - 3) // 4
+
+
+@pytest.mark.parametrize("keys", [
+    [],
+    [2**63 - 1, 0, 2**63 - 1],
+    [-(2**63), 2**63 - 1, -(2**63), 0],
+    [-1, 0, -1, 5],
+    [FITS_4, 0, FITS_4, 1],
+    [FITS_4 + 1, 0, FITS_4 + 1, 1],
+    [2**62, 2**62 + 1, 2**62, 3, 2**62 + 1],
+])
+def test_first_appearance_holds_at_the_int64_extremes(keys):
+    # negative keys, and composite keys key * len + position past int64,
+    # take the stable argsort; the empty array numbers nothing
+    number, first = _first_appearance(np.array(keys, dtype=np.int64))
+    assert (number.tolist(), first.tolist()) == numbered_by_dict(keys)
+    assert number.dtype == first.dtype == np.int64
+
+
 def triangle_shapes(mesh):
     """Distinct triangle shapes: sorted edge lengths over the longest,
     rounded to 1e-9."""
@@ -408,6 +446,43 @@ def smallest(mesh, count):
     """The ``count`` smallest positive eigenvalues of the mesh's pencil."""
     pairs = solve_smallest_positive(assemble(mesh), count=count)
     return np.array([p.value for p in pairs])
+
+
+def refined(data, name, fem, steps):
+    """The initial mesh ``name`` after ``steps`` random bisection or VEM refinements."""
+    mesh = INITIAL[name]
+    for _ in range(steps):
+        mesh = (refine_fem if fem else refine_vem)(mesh, mark_subset(data, mesh))
+    return mesh
+
+
+@SETTINGS
+@given(name=st.sampled_from(sorted(INITIAL)), fem=st.booleans(), steps=st.integers(0, 3),
+       sigma=st.floats(0.0, 100.0), data=st.data())
+def test_assembled_matrices_equal_their_transposes_bit_for_bit(name, fem, steps, sigma, data):
+    # the solver hands SuperLU the CSR arrays of K - sigma M, renumbered, as
+    # CSC arrays, which is the matrix itself only when every entry equals
+    # its mirror exactly
+    system = assemble(refined(data, name, fem, steps))
+    K, M = system.stiffness, system.boundary_mass
+    for A in (K, M, K - sigma * M):
+        assert (A != A.T).nnz == 0
+
+
+@SETTINGS
+@given(name=st.sampled_from(sorted(INITIAL)), fem=st.booleans(), steps=st.integers(0, 3), data=st.data())
+def test_assembly_matches_the_former_assembly(name, fem, steps, data):
+    # bit for bit on triangles, whose sums are too short for their order to
+    # matter; on polygons to round-off of the largest entry, since numpy
+    # chooses the order of a sum of eight or more terms by memory layout
+    mesh = refined(data, name, fem, steps)
+    got = assemble(mesh).stiffness
+    want = vem_oracle.assemble_stiffness(mesh)
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    if np.all(np.diff(mesh.cell_ptr) == 3):
+        assert np.array_equal(got.data, want.data)
+    else:
+        assert np.max(np.abs(got.data - want.data)) <= 1e-15 * np.max(np.abs(want.data))
 
 
 @SETTINGS
@@ -640,7 +715,7 @@ def test_closed_form_operators_match_the_batched_solve(polygons, n, seed):
     # a group of same-size cells: each drawn polygon resampled to n vertices
     pts = np.stack([p[np.linspace(0, len(p), n, endpoint=False).astype(int)] for p, _, _ in polygons])
     m = len(pts)
-    group = _cell_group(pts, np.arange(m * n).reshape(-1, n), np.arange(m))
+    group = _cell_group(pts[..., 0], pts[..., 1], np.arange(m * n).reshape(-1, n), np.arange(m))
     expected = vem_oracle.batched_solve(pts)
     for field in ("diameter", "area"):
         assert np.array_equal(getattr(group, field), getattr(expected, field))

@@ -10,6 +10,11 @@ symmetrizes both.  The closed-form kernels of ``steklov.vem`` must agree with
 it to round-off, which the properties in ``test_properties.py`` check on
 random star-shaped polygons.
 
+``assemble_stiffness`` is the package's former global stiffness assembly,
+which took the cell geometry from an (m, n, 2) stack of vertex coordinates
+shifted with ``np.roll``.  The assembly of ``steklov.vem``, which works on
+coordinate columns, must reproduce it bit for bit on triangle meshes.
+
 ``local_operators`` runs the package's own kernels on a single vertex cycle,
 for tests that look at one cell at a time.
 """
@@ -19,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from steklov import vem
-from steklov.mesh import MeshError, polygon_geometry
+from steklov.mesh import MeshError, PolygonalMesh, cell_groups, polygon_geometry
 
 
 @dataclass(frozen=True)
@@ -91,6 +97,34 @@ def batched_solve(pts: np.ndarray) -> OracleOperators:
     )
 
 
+def assemble_stiffness(mesh: PolygonalMesh) -> sp.csr_matrix:
+    """The global stiffness matrix as the package assembled it before its
+    geometry moved onto coordinate columns."""
+    n = mesh.n_vertices
+    rows, cols, data = [], [], []
+    for _, index in cell_groups(mesh.cell_ptr):
+        size = index.shape[1]
+        dofs = mesh.cell_vertices[index]
+        pts = mesh.vertices[dofs]
+        origin = pts.mean(axis=1)
+        local = pts - origin[:, None, :]
+        x, y = local[..., 0], local[..., 1]
+        area = 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
+        two_area = 2.0 * area[:, None]
+        gx = (np.roll(y, -1, axis=1) - np.roll(y, 1, axis=1)) / two_area
+        gy = (np.roll(x, 1, axis=1) - np.roll(x, -1, axis=1)) / two_area
+        stiffness = area[:, None, None] * (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
+        if size > 3:
+            complement = np.eye(size) - (1.0 / size + x[:, :, None] * gx[:, None, :] + y[:, :, None] * gy[:, None, :])
+            stiffness = stiffness + complement.transpose(0, 2, 1) @ complement
+        rows.append(np.repeat(dofs, size, axis=1).ravel())
+        cols.append(np.tile(dofs, (1, size)).ravel())
+        data.append(stiffness.ravel())
+    return sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
+
+
 @dataclass(frozen=True)
 class LocalOperators:
     """The package's kernels on one ccw vertex cycle (n, 2)."""
@@ -106,5 +140,5 @@ class LocalOperators:
 
 def local_operators(points: np.ndarray) -> LocalOperators:
     pts = np.asarray(points, dtype=float)
-    group = vem._cell_group(pts[None], np.arange(len(pts))[None], np.zeros(1, dtype=int))
+    group = vem._cell_group(pts[None, :, 0], pts[None, :, 1], np.arange(len(pts))[None], np.zeros(1, dtype=int))
     return LocalOperators(group=group, stiffness=vem._stiffness(group)[0])
