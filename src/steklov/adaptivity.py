@@ -28,8 +28,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import (
-    MeshError, PolygonalMesh, _edge_table, _first_appearance, _first_true, _kernel_radius, _marked_cells,
-    cell_groups, polygon_geometry,
+    MeshError, PolygonalMesh, _edge_table, _first_appearance, _first_true, _marked_cells, cell_groups,
+    polygon_geometry,
 )
 
 __all__ = [
@@ -138,10 +138,13 @@ def refine_vem(mesh: PolygonalMesh, marks: Iterable[int]) -> PolygonalMesh:
     np.cumsum(sizes[marked], out=marked_ptr[1:])
     centroid = np.empty((len(marked), 2))
     star = np.empty(len(marked), dtype=bool)
+    vx, vy = mesh.vertices.T
     for ids, index in cell_groups(marked_ptr):
-        origin, local, _, c, diam, _ = polygon_geometry(mesh.vertices[tails[halves[index]]])
-        centroid[ids] = origin + c
-        star[ids] = _kernel_radius(local, c) > 1e-12 * diam
+        cycles = tails[halves[index]]
+        shape = polygon_geometry(vx[cycles], vy[cycles])
+        cx, cy = shape.centroid
+        centroid[ids, 0], centroid[ids, 1] = shape.origin_x + cx, shape.origin_y + cy
+        star[ids] = shape.kernel_radius(cx, cy) > 1e-12 * shape.diameter
     if not np.all(star):
         raise MeshError(
             f"cell {int(marked[_first_true(~star)])} is not star-shaped with respect to its centroid; "
@@ -201,9 +204,9 @@ def normalize_refinement_edges(mesh: PolygonalMesh) -> PolygonalMesh:
     satisfy the convention and must not be re-normalized.
     """
     tris = _require_triangles(mesh, "refinement-edge normalization")
-    pts = mesh.vertices[tris]
-    edge = np.roll(pts, -1, axis=1) - pts  # edge k runs from vertex k to k + 1
-    start = np.argmax(np.hypot(edge[..., 0], edge[..., 1]), axis=1)
+    x, y = (column[tris] for column in mesh.vertices.T)
+    # edge k runs from vertex k to k + 1; absolute coordinates keep near ties as they are
+    start = np.argmax(np.hypot(np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y), axis=1)
     cells = np.take_along_axis(tris, (start[:, None] + np.arange(3)) % 3, axis=1)
     return _refined_mesh(mesh, mesh.vertices, mesh.cell_ptr, cells.ravel(), np.full(mesh.n_edges, -1))
 

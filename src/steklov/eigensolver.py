@@ -239,23 +239,25 @@ def _factorize(matrix: sp.csr_matrix) -> tuple[Callable[[np.ndarray], np.ndarray
 
     The factor is of ``matrix`` renumbered by reverse Cuthill-McKee (its
     unknown i is dof ``perm[i]``); ``solve(b)`` gathers b into that
-    numbering and scatters the result back, so no caller sees it.  The
-    renumbered matrix is symmetric too, so its CSR arrays are also its CSC
-    arrays: SuperLU is handed its transpose, a CSC view of them.
+    numbering and scatters the result back, so no caller sees it.  SuperLU
+    is handed the renumbered matrix in canonical CSC form, which it need not
+    sort: its rows gathered, their column ids relabelled, and converted to
+    CSC by a counting sort.
     """
     perm = csgraph.reverse_cuthill_mckee(matrix, symmetric_mode=True)
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(len(perm), dtype=perm.dtype)
+    rows = matrix[perm]
+    renumbered = sp.csr_matrix((rows.data, inverse[rows.indices], rows.indptr), shape=matrix.shape).tocsc()
     try:
         lu = spla.splu(
-            matrix[perm][:, perm].T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
+            renumbered, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True),
         )
     except RuntimeError as err:
         raise EigensolverError(
             f"factorization of the shifted matrix failed ({err}); "
             "the assembly may be broken"
         ) from None
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(len(perm), dtype=perm.dtype)
     return lambda b: lu.solve(b[perm])[inverse], lu
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +31,7 @@ __all__ = [
     "TAGS",
     "PolygonalMesh",
     "MeshQualityReport",
+    "PolygonGeometry",
     "build_topology",
     "cell_groups",
     "polygon_geometry",
@@ -134,14 +135,13 @@ class PolygonalMesh:
 # polygon geometry on raw coordinate arrays
 
 
-def _row_extreme(op: np.ufunc, dist2: list[np.ndarray]) -> np.ndarray:
-    """``op.reduce`` (np.maximum or np.minimum) of each cycle's entries in a
-    list of position-major (n, m) arrays."""
-    return functools.reduce(op, (op.reduce(d, axis=0) for d in dist2))
+@dataclass(frozen=True, eq=False)
+class PolygonGeometry:
+    """Shape of a group of same-size vertex cycles, from :func:`polygon_geometry`.
 
-
-class _CycleShape(NamedTuple):
-    """The part of :func:`polygon_geometry` that assembly uses too."""
+    The fields are what every caller needs; ``diameter``, ``centroid`` and
+    ``gap`` are derived from them on first use and kept.
+    """
 
     origin_x: np.ndarray  # (m,) vertex mean
     origin_y: np.ndarray
@@ -153,13 +153,33 @@ class _CycleShape(NamedTuple):
     area: np.ndarray      # (m,) signed, positive when counterclockwise
     dist2: list           # (n, m) squared distance of vertex i to i + k, per offset k
 
-    @property
-    def diameter(self) -> np.ndarray:
-        return np.sqrt(_row_extreme(np.maximum, self.dist2))
+    @functools.cached_property
+    def diameter(self) -> np.ndarray:  # (m,) largest vertex distance
+        return np.sqrt(functools.reduce(np.maximum, (np.max(d, axis=0) for d in self.dist2)))
+
+    @functools.cached_property
+    def gap(self) -> np.ndarray:  # (m,) smallest vertex distance
+        return np.sqrt(functools.reduce(np.minimum, (np.min(d, axis=0) for d in self.dist2)))
+
+    @functools.cached_property
+    def centroid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Area centroid (cx, cy) relative to the vertex mean; not finite
+        where the area is zero."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            six_area = 6.0 * self.area
+            return (np.sum((self.x + self.next_x) * self.cross, axis=1) / six_area,
+                    np.sum((self.y + self.next_y) * self.cross, axis=1) / six_area)
+
+    def kernel_radius(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+        """Smallest signed distance (positive inside) from each point (px,
+        py), relative to the vertex mean, to the edge lines of its ccw cycle."""
+        ex, ey = self.next_x - self.x, self.next_y - self.y
+        cross = ex * (py[:, None] - self.y) - ey * (px[:, None] - self.x)
+        return np.min(cross / np.hypot(ex, ey), axis=1)
 
 
-def _cycle_shape(x: np.ndarray, y: np.ndarray) -> _CycleShape:
-    """Shape of stacked vertex cycles given as (m, n) coordinate columns.
+def polygon_geometry(x: np.ndarray, y: np.ndarray) -> PolygonGeometry:
+    """Shape of same-size vertex cycles given as (m, n) coordinate columns.
 
     Area is taken in the local coordinates: tiny cells far from the global
     origin would otherwise lose most significant digits to cancellation in
@@ -172,9 +192,8 @@ def _cycle_shape(x: np.ndarray, y: np.ndarray) -> _CycleShape:
     """
     n = x.shape[1]
     xt, yt = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
-    origin_x, origin_y = sum(xt) / n, sum(yt) / n  # row by row, as numpy sums a (m, n, 2) stack
-    local_x = x - origin_x[:, None]
-    local_y = y - origin_y[:, None]
+    origin_x, origin_y = sum(xt) / n, sum(yt) / n
+    local_x, local_y = x - origin_x[:, None], y - origin_y[:, None]
     next_x, next_y = np.roll(local_x, -1, axis=1), np.roll(local_y, -1, axis=1)
     cross = local_x * next_y - next_x * local_y
     dist2 = []
@@ -182,30 +201,9 @@ def _cycle_shape(x: np.ndarray, y: np.ndarray) -> _CycleShape:
         partner = np.roll(np.arange(n), -k)
         dx, dy = xt - xt[partner], yt - yt[partner]
         dist2.append(dx * dx + dy * dy)
-    return _CycleShape(
+    return PolygonGeometry(
         origin_x, origin_y, local_x, local_y, next_x, next_y, cross, 0.5 * np.sum(cross, axis=1), dist2
     )
-
-
-def polygon_geometry(pts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Shape of a (m, n, 2) stack of vertex cycles, vectorized over the stack.
-
-    Returns ``(origin, local, area, centroid, diameter, gap)``: each cycle's
-    vertex mean (m, 2), its coordinates relative to that mean (m, n, 2), its
-    signed shoelace area (positive when counterclockwise), its area centroid
-    relative to ``origin`` (m, 2), and its largest and smallest vertex
-    distance.  The centroid of a zero-area cycle is not finite.  All but the
-    centroid and the gap come from :func:`_cycle_shape`, which assembly
-    calls on its own.
-    """
-    shape = _cycle_shape(pts[..., 0], pts[..., 1])
-    x, y, cross = shape.x, shape.y, shape.cross
-    with np.errstate(divide="ignore", invalid="ignore"):
-        centroid = np.stack([np.sum((x + shape.next_x) * cross, axis=1), np.sum((y + shape.next_y) * cross, axis=1)], axis=1)
-        centroid /= 6.0 * shape.area[:, None]
-    origin = np.stack([shape.origin_x, shape.origin_y], axis=1)
-    gap = np.sqrt(_row_extreme(np.minimum, shape.dist2))
-    return origin, np.stack([x, y], axis=2), shape.area, centroid, shape.diameter, gap
 
 
 # ---------------------------------------------------------------------------
@@ -231,23 +229,21 @@ def _segment_distance2(px, py, ax, ay, bx, by):
 _PAIR_CHUNK = 1 << 16  # (cell, edge pair) entries tested at once
 
 
-def _check_simple_group(pts: np.ndarray, ids: np.ndarray, diam: np.ndarray) -> None:
-    """Reject self-intersecting cycles, vectorized over a (m, n, 2) group and
-    over its pairs of non-adjacent edges.
+def _check_simple_group(x: np.ndarray, y: np.ndarray, ids: np.ndarray, diam: np.ndarray) -> None:
+    """Reject self-intersecting cycles, vectorized over a group given as (m, n)
+    coordinate columns and over its pairs of non-adjacent edges.
 
     Adjacent edges may touch (shared endpoint, collinear hanging vertices);
     any contact between non-adjacent edges makes the cycle non-simple.  The
     error names the first offending edge pair (i, j) in ascending order and
     the lowest cell in which it meets.
     """
-    m, n, _ = pts.shape
+    m, n = x.shape
     if n == 3:
         return
     i, j = np.triu_indices(n, 2)
     keep = (i > 0) | (j < n - 1)  # edges (0,1) and (n-1,0) are adjacent
     i, j = i[keep], j[keep]
-    x = pts[..., 0]
-    y = pts[..., 1]
     area_tol = (COLLINEAR_REL * diam * diam)[:, None]
     dist_tol2 = ((COLLINEAR_REL * diam) ** 2)[:, None]
     step = max(1, _PAIR_CHUNK // m)
@@ -284,6 +280,7 @@ def _validate_cycles(verts: np.ndarray, cell_ptr: np.ndarray, cell_vertices: np.
 
     Clockwise cycles are reversed in place in ``cell_vertices``.
     """
+    vx, vy = verts.T
     for ids, index in cell_groups(cell_ptr):
         stack = cell_vertices[index]
 
@@ -292,9 +289,10 @@ def _validate_cycles(verts: np.ndarray, cell_ptr: np.ndarray, cell_vertices: np.
         if np.any(dup):
             raise MeshError(f"cell {int(ids[_first_true(dup)])} repeats a vertex in its cycle")
 
-        pts = verts[stack]
+        x, y = vx[stack], vy[stack]
         with np.errstate(over="ignore", invalid="ignore"):
-            _, _, area, _, diam, _ = polygon_geometry(pts)
+            shape = polygon_geometry(x, y)
+            area, diam = shape.area, shape.diameter
         # finite coordinates can still overflow the shoelace sum or a distance
         huge = ~(np.isfinite(area) & np.isfinite(diam))
         if np.any(huge):
@@ -308,9 +306,9 @@ def _validate_cycles(verts: np.ndarray, cell_ptr: np.ndarray, cell_vertices: np.
         if np.any(flip):
             stack[flip] = stack[flip][:, ::-1]
             cell_vertices[index[flip]] = stack[flip]
-            pts = verts[stack]
+            x, y = vx[stack], vy[stack]
 
-        _check_simple_group(pts, ids, diam)
+        _check_simple_group(x, y, ids, diam)
 
 
 def _normalize_tag(raw, edge_key) -> BoundaryTag:
@@ -549,15 +547,6 @@ GAMMA = 0.1
 GAMMA_HAT = 0.1
 
 
-def _kernel_radius(local: np.ndarray, centroid: np.ndarray) -> np.ndarray:
-    """Smallest signed distance (positive inside) from each centroid to the
-    edge lines of its ccw cycle, as :func:`polygon_geometry` returns both."""
-    x, y = local[..., 0], local[..., 1]
-    ex, ey = np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y
-    cross = ex * (centroid[:, 1:] - y) - ey * (centroid[:, :1] - x)
-    return np.min(cross / np.hypot(ex, ey), axis=1)
-
-
 @dataclass(frozen=True)
 class MeshQualityReport:
     """Shape-regularity diagnostics; thresholds flag cells but never reject them."""
@@ -581,9 +570,12 @@ class MeshQualityReport:
 def quality_report(mesh: PolygonalMesh) -> MeshQualityReport:
     """Per-cell diameter/area/inscribed-radius/vertex-gap statistics with flags."""
     diam, area, rho, gap = np.empty((4, mesh.n_cells))
+    vx, vy = mesh.vertices.T
     for ids, index in cell_groups(mesh.cell_ptr):
-        _, local, area[ids], c, diam[ids], gap[ids] = polygon_geometry(mesh.vertices[mesh.cell_vertices[index]])
-        rho[ids] = np.maximum(_kernel_radius(local, c), 0.0)
+        cycles = mesh.cell_vertices[index]
+        shape = polygon_geometry(vx[cycles], vy[cycles])
+        area[ids], diam[ids], gap[ids] = shape.area, shape.diameter, shape.gap
+        rho[ids] = np.maximum(shape.kernel_radius(*shape.centroid), 0.0)
     return MeshQualityReport(
         diameters=diam,
         areas=area,
@@ -617,7 +609,9 @@ def _marked_cells(marks: Iterable[int], n_cells: int) -> np.ndarray:
             raise MeshError(f"mark entry {k} is not an integer cell id: {float(cells[k])!r}")
     elif cells.dtype.kind not in "iu":
         raise MeshError("marks must be integer cell ids")
-    out = np.unique(cells.astype(np.int64))
+    out = cells.astype(np.int64).ravel()
+    if np.any(out[1:] <= out[:-1]):  # adaptivity.mark's ids ascend already and skip the sort
+        out = np.unique(out)
     if len(out) and (out[0] < 0 or out[-1] >= n_cells):
         raise MeshError("marked cell index out of range")
     return out

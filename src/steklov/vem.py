@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import PolygonalMesh, _cycle_shape, cell_groups
+from .mesh import PolygonalMesh, cell_groups, polygon_geometry
 
 __all__ = [
     "CellGroup",
@@ -60,7 +60,7 @@ def _cell_group(x: np.ndarray, y: np.ndarray, dofs: np.ndarray, ids: np.ndarray)
     """Geometry and projected gradients of a stack of same-size ccw cells of
     positive area, as build_topology and the refiners keep them, from the
     (m, n) coordinate columns of their vertices."""
-    shape = _cycle_shape(x, y)
+    shape = polygon_geometry(x, y)
     two_area = 2.0 * shape.area[:, None]
     gx = (shape.next_y - np.roll(shape.y, 1, axis=1)) / two_area
     gy = (np.roll(shape.x, 1, axis=1) - shape.next_x) / two_area

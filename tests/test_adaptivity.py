@@ -16,6 +16,7 @@ from steklov.mesh import (
     TAGS,
     BoundaryTag,
     MeshError,
+    _marked_cells,
     build_topology,
     quality_report,
 )
@@ -190,6 +191,31 @@ def test_refiners_accept_mark_output():
     # integral floats name cells, as they name vertices in build_topology
     assert structurally_equal(refine_vem(mesh, marks), refine_vem(mesh, np.array([4.0, 2.0])))
     assert structurally_equal(refine_fem(mesh, marks), refine_fem(mesh, range(2, 5, 2)))
+
+
+def test_ascending_marks_are_taken_without_a_sort(monkeypatch):
+    # mark's output ascends strictly: no np.unique runs on it
+    eta2 = np.zeros(12)
+    eta2[[2, 5, 9]] = 1.0
+    marks = mark(eta2)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "unique", None)
+        out = _marked_cells(marks, 12)
+        assert _marked_cells([], 12).tolist() == []
+    assert out.dtype == np.int64 and out.tolist() == [2, 5, 9]
+    assert out is not marks
+
+
+@pytest.mark.parametrize("marks", [[9, 2, 5], [2, 5, 5, 9], [9, 5, 2, 9, 2], np.array([[5, 2], [9, 9]])])
+def test_unsorted_or_repeated_marks_are_deduplicated(marks):
+    out = _marked_cells(marks, 12)
+    assert out.dtype == np.int64 and out.tolist() == [2, 5, 9]
+
+
+@pytest.mark.parametrize("marks", [[0, 12], [-1, 3], [12], [3, 12, 3], [3, -1, 3], [12, 0]])
+def test_out_of_range_marks_raise_whether_sorted_or_not(marks):
+    with pytest.raises(MeshError, match="marked cell index out of range"):
+        _marked_cells(marks, 12)
 
 
 def _mask(n_cells):

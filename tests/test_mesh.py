@@ -307,16 +307,31 @@ def test_known_geometry_values():
     assert abs(rep.diameters[0] - np.sqrt(2.0)) < 1e-15
 
     quads = np.array([SQUARE_VERTS, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-0.5, 0.5]]])
-    origin, local, area, centroid, diameter, gap = polygon_geometry(quads)
-    assert np.allclose(origin[:, None, :] + local, quads, atol=1e-15)
-    assert np.allclose(origin + centroid, [[0.5, 0.5], [1.0 / 6.0, 7.0 / 18.0]], atol=1e-15)
-    assert np.allclose(area, [1.0, 0.75], atol=1e-15)
-    assert np.allclose(diameter, [np.sqrt(2.0), np.sqrt(2.5)], atol=1e-15)
-    assert np.allclose(gap, [1.0, np.sqrt(0.5)], atol=1e-15)
+    x, y = quads[..., 0], quads[..., 1]
+    shape = polygon_geometry(x, y)
+    assert np.allclose(shape.origin_x[:, None] + shape.x, x, atol=1e-15)
+    assert np.allclose(shape.origin_y[:, None] + shape.y, y, atol=1e-15)
+    assert np.array_equal(shape.next_x, np.roll(shape.x, -1, axis=1))
+    cx, cy = shape.centroid
+    assert np.allclose(shape.origin_x + cx, [0.5, 1.0 / 6.0], atol=1e-15)
+    assert np.allclose(shape.origin_y + cy, [0.5, 7.0 / 18.0], atol=1e-15)
+    assert np.allclose(shape.area, [1.0, 0.75], atol=1e-15)
+    assert np.allclose(shape.diameter, [np.sqrt(2.0), np.sqrt(2.5)], atol=1e-15)
+    assert np.allclose(shape.gap, [1.0, np.sqrt(0.5)], atol=1e-15)
+    # the ball about the square's centre reaches its edges at distance 0.5
+    assert np.allclose(shape.kernel_radius(cx, cy)[:1], [0.5], atol=1e-15)
     # a clockwise cycle has negative area and the same centroid
-    _, _, area_cw, centroid_cw, _, _ = polygon_geometry(quads[:, ::-1])
-    assert np.allclose(area_cw, -area, atol=1e-15)
-    assert np.allclose(centroid_cw, centroid, atol=1e-15)
+    cw = polygon_geometry(x[:, ::-1], y[:, ::-1])
+    assert np.allclose(cw.area, -shape.area, atol=1e-15)
+    assert np.allclose(cw.centroid, shape.centroid, atol=1e-15)
+
+
+def test_geometry_is_derived_once_and_on_demand():
+    shape = polygon_geometry(np.array([[0.0, 1.0, 1.0, 0.0]]), np.array([[0.0, 0.0, 1.0, 1.0]]))
+    assert not {"diameter", "gap", "centroid"} & set(vars(shape))
+    assert shape.diameter is shape.diameter
+    assert shape.gap is shape.gap
+    assert shape.centroid is shape.centroid
 
 
 def test_centroid_cancellation_regression():
@@ -338,14 +353,14 @@ def test_centroid_cancellation_regression():
     exact_cx = sum((fx[i] + fx[(i + 1) % 4]) * cross[i] for i in range(4)) / (6 * exact_area)
     exact_cy = sum((fy[i] + fy[(i + 1) % 4]) * cross[i] for i in range(4)) / (6 * exact_area)
 
-    origin, _, area, centroid, _, _ = polygon_geometry(pts[None])
-    assert abs(area[0] - float(exact_area)) < 1e-12 * float(exact_area)
+    shape = polygon_geometry(pts[None, :, 0], pts[None, :, 1])
+    assert abs(shape.area[0] - float(exact_area)) < 1e-12 * float(exact_area)
     # the only admissible centroid error is rounding the result itself into a
     # double (a few ulp at coordinate scale 0.5); the old global-coordinate
     # code was off by about 25 cell diameters here
-    c = origin[0] + centroid[0]
-    assert abs(c[0] - float(exact_cx)) < 5e-16
-    assert abs(c[1] - float(exact_cy)) < 5e-16
+    cx, cy = shape.centroid
+    assert abs(shape.origin_x[0] + cx[0] - float(exact_cx)) < 5e-16
+    assert abs(shape.origin_y[0] + cy[0] - float(exact_cy)) < 5e-16
 
 
 def test_quality_report_flags_stretched_cells():
@@ -389,9 +404,10 @@ def test_radius_is_the_distance_to_the_nearest_edge_on_convex_cells():
     rep = quality_report(mesh)
     for c, cyc in enumerate(cycles(mesh)):
         pts = mesh.vertices[cyc]
-        origin, local, _, centroid, _, _ = polygon_geometry(pts[None])
-        x, y = local[0, :, 0], local[0, :, 1]
-        dist2 = _segment_distance2(centroid[0, 0], centroid[0, 1], x, y, np.roll(x, -1), np.roll(y, -1))
+        shape = polygon_geometry(pts[None, :, 0], pts[None, :, 1])
+        (cx,), (cy,) = shape.centroid
+        x, y = shape.x[0], shape.y[0]
+        dist2 = _segment_distance2(cx, cy, x, y, shape.next_x[0], shape.next_y[0])
         assert abs(rep.inscribed_radii[c] - np.sqrt(dist2.min())) <= 1e-12 * rep.inscribed_radii[c]
 
 

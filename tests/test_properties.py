@@ -58,26 +58,35 @@ such cells match the batched-solve routine kept in ``vem_oracle`` to
 round-off; ``theta2 = |C w|^2`` of ``w = affine + eps v`` on tiny cells far
 from the origin is ``eps^2 |C v|^2`` down to ``eps = 1e-10``; and the geometry
 kernel ``polygon_geometry`` agrees with the oracle's per-cell centroid, a
-fan-triangle area and a brute-force pairwise diameter.  The last properties
+fan-triangle area and a brute-force pairwise diameter, and with the former
+stack-based kernel kept in ``geometry_oracle`` bit for bit, hanging vertices
+and clockwise cycles included.  The last properties
 round-trip refined meshes through ``save_mesh``/``load_mesh``, and require
 every mesh file ``emit_outputs`` writes for a random refinement sequence to
 equal, byte for byte, what the reference writers of ``emit_oracle`` write
 for each mesh on its own.
 """
 
+import contextlib
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
+from scipy.sparse.linalg import splu
 
 import emit_oracle
+import geometry_oracle
 import refine_oracle as oracle
 import vem_oracle
 from steklov.adaptivity import normalize_refinement_edges, prolong, refine_fem, refine_uniform, refine_vem
 from fem_oracle import dense_reference_solve
+from steklov import eigensolver
 from steklov.eigensolver import _factorize, _normalize, solve_smallest_positive
 from steklov.estimator import element_indicators
 from steklov.experiments import ConvergenceRecord, ExperimentConfig, ExperimentResult, emit_outputs, exact_eigenvalue_square, initial_mesh
@@ -460,9 +469,9 @@ def refined(data, name, fem, steps):
 @given(name=st.sampled_from(sorted(INITIAL)), fem=st.booleans(), steps=st.integers(0, 3),
        sigma=st.floats(0.0, 100.0), data=st.data())
 def test_assembled_matrices_equal_their_transposes_bit_for_bit(name, fem, steps, sigma, data):
-    # the solver hands SuperLU the CSR arrays of K - sigma M, renumbered, as
-    # CSC arrays, which is the matrix itself only when every entry equals
-    # its mirror exactly
+    # the factor treats K - sigma M as symmetric (SymmetricMode, and diag(U)
+    # as its inertia), which holds only when every entry equals its mirror
+    # exactly
     system = assemble(refined(data, name, fem, steps))
     K, M = system.stiffness, system.boundary_mass
     for A in (K, M, K - sigma * M):
@@ -619,6 +628,34 @@ def test_factor_solves_in_dof_order_and_its_pivots_count_the_eigenvalues_below_t
 
 
 @SETTINGS
+@given(name=st.sampled_from(sorted(INITIAL)), fem=st.booleans(), steps=st.integers(0, 3),
+       sigma=st.floats(0.0, 100.0), data=st.data())
+def test_factor_is_handed_the_renumbered_matrix_in_canonical_form(name, fem, steps, sigma, data):
+    # SuperLU sorts the row ids of a matrix that is not canonical; the
+    # hand-off leaves it nothing to sort
+    system = assemble(refined(data, name, fem, steps))
+    A = system.stiffness - sigma * system.boundary_mass
+    handed = []
+
+    def spy(matrix, **options):
+        # fresh arrays, so that no flag scipy cached speaks for them
+        handed.append(sp.csc_matrix((matrix.data.copy(), matrix.indices.copy(), matrix.indptr.copy()), matrix.shape))
+        return splu(matrix, **options)
+
+    # the hand-off comes first, so a singular shift (sigma = 0, or on an
+    # eigenvalue) shows it too
+    with mock.patch.object(eigensolver.spla, "splu", spy), contextlib.suppress(eigensolver.EigensolverError):
+        _factorize(A)
+    (matrix,) = handed
+    assert matrix.has_canonical_format
+    perm = csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)
+    expected = A[perm][:, perm].tocsc()
+    expected.sort_indices()
+    for field in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(matrix, field), getattr(expected, field))
+
+
+@SETTINGS
 @given(
     name=st.sampled_from(sorted(INITIAL)),
     refiner=st.sampled_from(["vem", "fem", "uniform"]),
@@ -764,9 +801,12 @@ def test_theta2_scales_with_the_square_of_the_non_affine_part(polygon, coeffs, s
 @given(polygon=star_polygons())
 def test_geometry_kernel_matches_per_cell_oracles(polygon):
     pts, center, scale = polygon
-    origin, local, area, centroid, diameter, gap = polygon_geometry(pts[None])
+    shape = polygon_geometry(pts[None, :, 0], pts[None, :, 1])
+    area, diameter, gap = shape.area, shape.diameter, shape.gap
+    (cx,), (cy,) = shape.centroid
     tol = 1e-14 * (scale + np.max(np.abs(center)))
-    assert np.allclose(origin[0] + centroid[0], oracle.polygon_centroid(pts), rtol=0.0, atol=tol)
+    centroid = [shape.origin_x[0] + cx, shape.origin_y[0] + cy]
+    assert np.allclose(centroid, oracle.polygon_centroid(pts), rtol=0.0, atol=tol)
 
     rel = pts - center
     fan = rel[:, 0] * np.roll(rel[:, 1], -1) - rel[:, 1] * np.roll(rel[:, 0], -1)
@@ -776,6 +816,58 @@ def test_geometry_kernel_matches_per_cell_oracles(polygon):
     dist = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
     assert abs(diameter[0] - dist.max()) <= 1e-14 * dist.max()
     assert abs(gap[0] - dist[~np.eye(len(pts), dtype=bool)].min()) <= 1e-14 * dist.max()
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_geometry_matches_former_kernel(pts):
+    """The kernel on the columns of a (m, n, 2) stack against the former
+    kernel on the stack itself, bit for bit."""
+    shape = polygon_geometry(pts[..., 0], pts[..., 1])
+    origin, local, area, centroid, diameter, gap = geometry_oracle.polygon_geometry(pts)
+    assert same_bits(shape.origin_x, origin[:, 0]) and same_bits(shape.origin_y, origin[:, 1])
+    assert same_bits(shape.x, local[..., 0]) and same_bits(shape.y, local[..., 1])
+    assert same_bits(shape.area, area)
+    assert same_bits(shape.diameter, diameter)
+    assert same_bits(shape.gap, gap)
+    cx, cy = shape.centroid
+    assert same_bits(cx, centroid[:, 0]) and same_bits(cy, centroid[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert same_bits(shape.kernel_radius(cx, cy), geometry_oracle._kernel_radius(local, centroid))
+    return shape
+
+
+@SETTINGS
+@given(polygon=star_polygons(), data=st.data())
+def test_geometry_kernel_equals_the_former_kernel_bit_for_bit(polygon, data):
+    # edge midpoints inserted as collinear hanging vertices, as refine_vem
+    # leaves them in unmarked neighbours, in either orientation; the group
+    # holds the cycle and a rotation of it
+    pts, _, _ = polygon
+    n = len(pts)
+    hanging = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="hanging")
+    cycle = []
+    for i in range(n):
+        cycle.append(pts[i])
+        if hanging[i]:
+            cycle.append(0.5 * (pts[i] + pts[(i + 1) % n]))
+    cycle = np.array(cycle)
+    if data.draw(st.booleans(), label="clockwise"):
+        cycle = cycle[::-1]
+    shift = data.draw(st.integers(0, len(cycle) - 1), label="shift")
+    shape = assert_geometry_matches_former_kernel(np.stack([cycle, np.roll(cycle, shift, axis=0)]))
+    assert np.all(np.isfinite(shape.centroid))
+
+    # a cycle on the line y = x has zero area and no centroid, either way round
+    t = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=12), label="line"))
+    line = np.column_stack([t, t])
+    for stack in (line[None], line[None, ::-1]):
+        shape = assert_geometry_matches_former_kernel(stack)
+        assert shape.area.tolist() == [0.0]
+        assert not np.any(np.isfinite(shape.centroid))
 
 
 # ---------------------------------------------------------------------------

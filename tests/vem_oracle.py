@@ -47,11 +47,13 @@ class OracleOperators:
 def batched_solve(pts: np.ndarray) -> OracleOperators:
     """Local operators of a stack of same-size cells, pts of shape (m, n, 2)."""
     m, n, _ = pts.shape
-    origin, local, area, centroid, h, _ = polygon_geometry(pts)
+    shape = polygon_geometry(pts[..., 0], pts[..., 1])
+    origin = np.column_stack([shape.origin_x, shape.origin_y])
+    area, centroid, h = shape.area, np.column_stack(shape.centroid), shape.diameter
     if not np.all(area > 0.0):
         raise MeshError("non-positive area (degenerate or clockwise cycle)")
-    x = local[..., 0]
-    y = local[..., 1]
+    x = shape.x
+    y = shape.y
 
     # dof matrix: scaled monomial values at the vertices
     D = np.empty((m, n, 3))
