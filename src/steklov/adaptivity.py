@@ -6,7 +6,9 @@ the new midpoints as ordinary (hanging) polygon vertices, so the mesh stays
 edge-conforming by construction.  Triangular meshes are refined either
 uniformly (four similar children) or adaptively by newest-vertex bisection
 with conforming closure; the bisection edge of every stored triangle is the
-edge between its first two cycle entries.
+edge between its first two cycle entries.  The initial meshes are stored that
+way (each triangle's longest edge first) and every child lists its own
+bisection edge first, so no pass over a mesh sets the convention up.
 
 All three refiners work on edge ids (after Funken, Praetorius & Wissgott,
 "Efficient implementation of adaptive P1-FEM in Matlab", CMAM 2011): the
@@ -37,7 +39,6 @@ __all__ = [
     "refine_vem",
     "refine_fem",
     "refine_uniform",
-    "normalize_refinement_edges",
     "prolong",
 ]
 
@@ -195,22 +196,6 @@ def _require_triangles(mesh: PolygonalMesh, operation: str) -> np.ndarray:
     return mesh.cell_vertices.reshape(-1, 3)
 
 
-def normalize_refinement_edges(mesh: PolygonalMesh) -> PolygonalMesh:
-    """Rotate every triangle cycle so its longest edge comes first.
-
-    Establishes the newest-vertex bisection convention on a fresh
-    triangulation: the bisection edge of a stored triangle is the edge between
-    its first two vertices.  Meshes produced by :func:`refine_fem` already
-    satisfy the convention and must not be re-normalized.
-    """
-    tris = _require_triangles(mesh, "refinement-edge normalization")
-    x, y = (column[tris] for column in mesh.vertices.T)
-    # edge k runs from vertex k to k + 1; absolute coordinates keep near ties as they are
-    start = np.argmax(np.hypot(np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y), axis=1)
-    cells = np.take_along_axis(tris, (start[:, None] + np.arange(3)) % 3, axis=1)
-    return _refined_mesh(mesh, mesh.vertices, mesh.cell_ptr, cells.ravel(), np.full(mesh.n_edges, -1))
-
-
 # Newest-vertex bisection children of a triangle (t0, t1, t2) whose edges
 # (t0, t1), (t1, t2), (t2, t0) have midpoints m0, m1, m2, keyed by which
 # edges are split (bit k for edge k).  Entries index (t0, t1, t2, m0, m1, m2);
@@ -229,12 +214,13 @@ def refine_fem(mesh: PolygonalMesh, marks: Iterable[int]) -> PolygonalMesh:
     """Newest-vertex bisection of the marked triangles with conforming closure.
 
     The bisection edge of each triangle is the edge between its first two
-    cycle entries; children are emitted with their own bisection edges first,
-    so repeated calls implement the usual newest-vertex hierarchy.  Closure
-    marks the bisection edge of any triangle touching a marked edge until no
-    mark is added, which terminates because marks only grow.  Midpoints are
-    numbered triangle by triangle in the order (t0, t1), (t2, t0), (t1, t2),
-    the order in which bisection reaches them.
+    cycle entries, as the initial meshes of :mod:`steklov.experiments` store
+    them (longest edge first); children are emitted with their own bisection
+    edges first, so repeated calls implement the usual newest-vertex
+    hierarchy.  Closure marks the bisection edge of any triangle touching a
+    marked edge until no mark is added, which terminates because marks only
+    grow.  Midpoints are numbered triangle by triangle in the order (t0, t1),
+    (t2, t0), (t1, t2), the order in which bisection reaches them.
     """
     tris = _require_triangles(mesh, "newest-vertex bisection")
     marked = _marked_cells(marks, mesh.n_cells)

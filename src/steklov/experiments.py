@@ -23,11 +23,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .adaptivity import mark, normalize_refinement_edges, prolong, refine_fem, refine_uniform, refine_vem
+from .adaptivity import mark, prolong, refine_fem, refine_uniform, refine_vem
 from .eigensolver import solve_smallest_positive
 from .estimator import element_indicators
-from .mesh import PolygonalMesh, _json_texts, build_topology
-from .render import _svg_texts
+from .mesh import PolygonalMesh, _snapshot_texts, build_topology
 from .vem import assemble
 
 __all__ = [
@@ -92,7 +91,8 @@ def _grid(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 
 def _square_mesh() -> PolygonalMesh:
     """4 x 4 grid squares, each crossed into four triangles at its center; the
-    centers are numbered after the grid, square by square."""
+    centers are numbered after the grid, square by square.  Each triangle
+    lists its grid side, its longest edge, first."""
     grid, (a, b, c, d) = _grid(4)
     center = len(grid) + np.arange(len(a))
     cells = np.stack([a, b, center, b, c, center, c, d, center, d, a, center], axis=1).reshape(-1, 3)
@@ -104,27 +104,31 @@ def _notched_mesh() -> PolygonalMesh:
     (1/3, 0)-(2/3, 0), apex (1/2, sqrt(3)/6), the single reentrant corner
     (interior angle 5*pi/3).  Of the 3 x 3 grid squares, square 1 holds the
     notch: the rest of it is fanned around the apex, and every other square is
-    split on its a-c diagonal."""
+    split on its a-c diagonal.  Each triangle lists its longest edge first.
+    The first and third fan triangles each have two sides of length 1/3 that
+    differ only by round-off; they start at apex-b1 and at d1-a1, the sides
+    whose computed lengths came out longest."""
     grid, corners = _grid(3)
     a, b, c, d = (np.delete(k, 1) for k in corners)
     apex = len(grid)
     a1, b1, c1, d1 = (int(k[1]) for k in corners)
-    cells = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3).tolist()
-    cells += [[apex, b1, c1], [apex, c1, d1], [apex, d1, a1]]
+    cells = np.stack([c, a, b, a, c, d], axis=1).reshape(-1, 3).tolist()
+    cells += [[apex, b1, c1], [c1, d1, apex], [d1, a1, apex]]
     return build_topology(np.vstack([grid, [0.5, math.sqrt(3.0) / 6.0]]), cells, _top_edge_rule)
 
 
 def initial_mesh(test: str) -> PolygonalMesh:
-    """Starting triangulation of one benchmark, bisection edges normalized:
-    ``"square"`` has 41 vertices and 64 cells, ``"notched"`` 17 and 19; any
-    other name raises ValueError."""
+    """Starting triangulation of one benchmark: ``"square"`` has 41 vertices
+    and 64 cells, ``"notched"`` 17 and 19; any other name raises ValueError.
+
+    Both are stored bisection edge first, as :func:`~steklov.adaptivity.refine_fem`
+    needs: each triangle's cycle starts at its longest edge.
+    """
     if test == "square":
-        mesh = _square_mesh()
-    elif test == "notched":
-        mesh = _notched_mesh()
-    else:
-        raise ValueError(f"unknown test {test!r}; expected one of {TESTS}")
-    return normalize_refinement_edges(mesh)
+        return _square_mesh()
+    if test == "notched":
+        return _notched_mesh()
+    raise ValueError(f"unknown test {test!r}; expected one of {TESTS}")
 
 
 @dataclass(frozen=True)
@@ -173,10 +177,15 @@ class RateFit:
 def fit_rate(n_dofs: Sequence[float], errors: Sequence[float], last: int = 5) -> RateFit:
     """Fit the convergence order over the trailing ``last`` usable data points.
 
-    Points with non-finite or non-positive error are skipped; a
-    window ``last`` that is a bool, not an integer or below three, or fewer
-    than three usable points, raise ValueError.
+    Points with non-finite or non-positive error are skipped; ``n_dofs`` and
+    ``errors`` of different lengths, a window ``last`` that is a bool, not an
+    integer or below three, or fewer than three usable points, raise
+    ValueError.
     """
+    if len(n_dofs) != len(errors):
+        raise ValueError(
+            f"rate fit needs one error per dof count, got {len(n_dofs)} dof counts and {len(errors)} errors"
+        )
     if isinstance(last, bool) or not isinstance(last, numbers.Integral):
         raise ValueError(f"rate fit window must be an integer, got last={last!r}")
     if last < 3:
@@ -357,11 +366,8 @@ def emit_outputs(result: ExperimentResult) -> list[Path]:
 
     # each vertex is formatted once per run: every mesh file reuses the text of
     # the vertices its mesh shares with the one before
-    texts = zip(
-        _json_texts(result.meshes),
-        _svg_texts((mesh, () if marks is None else marks) for mesh, marks in zip(result.meshes, result.marks)),
-    )
-    for k, snapshots in enumerate(texts):
+    frames = ((mesh, () if marks is None else marks) for mesh, marks in zip(result.meshes, result.marks))
+    for k, snapshots in enumerate(_snapshot_texts(frames)):
         paths = [out_dir / name.format(k) for name in _STEP_FILES]
         for path, text in zip(paths, snapshots):  # the JSON and SVG names lead
             path.write_text(text)

@@ -1,4 +1,5 @@
-"""Polygonal mesh container: topology construction, geometry, quality checks, JSON I/O.
+"""Polygonal mesh container: topology construction, geometry, quality checks,
+JSON input and the JSON and SVG snapshot files.
 
 Cells are simple polygons stored as counterclockwise vertex cycles.  Hanging
 vertices created by local refinement are ordinary (possibly collinear) cycle
@@ -9,6 +10,8 @@ The mesh is a set of flat arrays: cells in compressed-row form (``cell_ptr``
 into ``cell_vertices``) and one array per edge attribute.  Validation, the
 edge table and the quality report work on groups of equal-length cycles,
 which keeps them cheap on the fine meshes produced late in an adaptive run.
+One generator formats both snapshot files of each mesh of a run, so that a
+vertex shared with the mesh before is not formatted again.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "polygon_geometry",
     "quality_report",
     "save_mesh",
+    "mesh_to_svg",
     "load_mesh",
 ]
 
@@ -652,27 +656,51 @@ def _cycle_text(mesh: PolygonalMesh, labels: np.ndarray, sep: str, ends: np.ndar
 # JSON text of each tag, indexed like TAGS
 _TAG_JSON = np.array([json.dumps(tag.value) for tag in TAGS], dtype=object)
 
+_WIDTH = 720  # SVG image width in pixels
 
-def _json_texts(meshes: Iterable[PolygonalMesh]) -> Iterator[str]:
-    """The JSON file text of each mesh in turn: vertices, cell cycles and
-    tagged boundary edges, as ``json.dumps`` writes them.
 
-    A mesh whose vertex array starts with the previous mesh's, as every
-    refined mesh does, reuses the text of those rows and formats only the
-    rows after them.
+def _pixel_text(values: np.ndarray) -> np.ndarray:
+    """Object array of the pixel coordinates printed to three decimals."""
+    return np.array([f"{v:.3f}" for v in values.tolist()], dtype=object)
+
+
+def _snapshot_texts(
+    frames: Iterable[tuple[PolygonalMesh, Sequence[int] | np.ndarray]],
+) -> Iterator[tuple[str, str]]:
+    """The JSON and SVG file texts of each (mesh, marked cell ids) frame in turn.
+
+    The JSON holds vertices, cell cycles and tagged boundary edges, as
+    ``json.dumps`` writes them.  The SVG is 720 pixels wide, shades the
+    marked cells and draws the spectral-boundary edges with a heavier red
+    stroke.  A mesh whose vertex array starts with the previous mesh's, as
+    every refined mesh does, reuses the JSON text of those rows, and their
+    pixel text while the pixel transform (the bounding box) stays the same;
+    only the rows after them are formatted.
     """
+    stroke = max(0.5, 0.0012 * _WIDTH)
+    tails = [
+        f'" fill="{fill}" stroke="#333333" stroke-width="{stroke:.2f}" stroke-linejoin="round"/>\n'
+        for fill in ("none", "#f4b8b8")
+    ]
+    line_tail = f'" stroke="#c62828" stroke-width="{2.5 * stroke:.2f}"/>\n'
+    # what follows each cell's points, unshaded or shaded, up to the next cell's
+    cell_ends = np.array([tail + '<polygon points="' for tail in tails], dtype=object)
     vertices = np.empty((0, 2))
+    transform = None
     rows = ""  # the JSON text of the rows of ``vertices``, without the outer brackets
     labels = np.empty(0, dtype=object)  # str(v) of every vertex id v met so far
-    for mesh in meshes:
+    xs = ys = points = np.empty(0, dtype=object)  # pixel text of each vertex of ``vertices``
+    for mesh, marked in frames:
+        shaded = np.zeros(mesh.n_cells, dtype=np.intp)
+        shaded[_marked_cells(marked, mesh.n_cells)] = 1
         shared = _shared_rows(vertices, mesh.vertices)
-        fresh = json.dumps(mesh.vertices[shared:].tolist())[1:-1]
-        rows = ", ".join(filter(None, (rows if shared else "", fresh)))
         vertices = mesh.vertices
+
+        fresh = json.dumps(vertices[shared:].tolist())[1:-1]
+        rows = ", ".join(filter(None, (rows if shared else "", fresh)))
         if mesh.n_vertices > len(labels):
             more = np.arange(len(labels), mesh.n_vertices).astype(str).astype(object)
             labels = np.concatenate([labels, more])
-
         ends = np.full(mesh.n_cells, "], [", dtype=object)
         ends[-1] = ""
         boundary = np.flatnonzero(mesh.edge_right < 0)
@@ -682,15 +710,56 @@ def _json_texts(meshes: Iterable[PolygonalMesh]) -> Iterator[str]:
             '{"edge": [', labels[mesh.edge_a[boundary]], ", ", labels[mesh.edge_b[boundary]],
             '], "tag": ', _TAG_JSON[mesh.edge_tag[boundary]], "}", commas,
         )
-        yield "".join([
+        json_text = "".join([
             '{"vertices": [', rows, '], "cells": [[', _cycle_text(mesh, labels, ", ", ends),
             ']], "boundary": [', items, "]}\n",
         ])
 
+        xmin, ymin = vertices.min(axis=0)
+        xmax, ymax = vertices.max(axis=0)
+        span_x = max(xmax - xmin, 1e-30)
+        span_y = max(ymax - ymin, 1e-30)
+        margin = 0.04 * max(span_x, span_y)
+        scale = _WIDTH / (span_x + 2 * margin)
+        height = int(round(scale * (span_y + 2 * margin)))
+        if (xmin, ymax, margin, scale) != transform:
+            shared = 0
+        transform = (xmin, ymax, margin, scale)
+        # pixel coordinates of the new vertices (SVG's y axis points down)
+        px = _pixel_text(scale * (vertices[shared:, 0] - xmin + margin))
+        py = _pixel_text(scale * (ymax - vertices[shared:, 1] + margin))
+        xs = np.concatenate([xs[:shared], px])
+        ys = np.concatenate([ys[:shared], py])
+        points = np.concatenate([points[:shared], px + "," + py])
+        ends = cell_ends[shaded]
+        ends[-1] = tails[shaded[-1]]
+        gamma0 = mesh.gamma0_edge_ids()
+        a, b = mesh.edge_a[gamma0], mesh.edge_b[gamma0]
+        svg_text = "".join([
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
+            f'viewBox="0 0 {_WIDTH} {height}">\n',
+            f'<rect width="{_WIDTH}" height="{height}" fill="white"/>\n',
+            '<polygon points="', _cycle_text(mesh, points, " ", ends),
+            _join('<line x1="', xs[a], '" y1="', ys[a], '" x2="', xs[b], '" y2="', ys[b], line_tail),
+            "</svg>\n",
+        ])
+        yield json_text, svg_text
+
 
 def save_mesh(mesh: PolygonalMesh, path: str | Path) -> None:
     """Write the mesh as JSON: vertices, cell cycles and tagged boundary edges."""
-    Path(path).write_text(next(_json_texts([mesh])))
+    Path(path).write_text(next(_snapshot_texts([(mesh, ())]))[0])
+
+
+def mesh_to_svg(mesh: PolygonalMesh, path: str | Path, marked: Sequence[int] | np.ndarray = ()) -> None:
+    """Write the mesh as a 720-pixel-wide SVG file; cells in ``marked`` are shaded.
+
+    Spectral-boundary edges are drawn with a heavier red stroke so the
+    eigenvalue boundary is visible at a glance.  ``marked`` holds cell ids;
+    a boolean or fractional entry, or an id out of range, raises
+    :class:`MeshError` and writes nothing.
+    """
+    Path(path).write_text(next(_snapshot_texts([(mesh, marked)]))[1])
 
 
 # ---------------------------------------------------------------------------

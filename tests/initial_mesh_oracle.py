@@ -3,14 +3,18 @@ both were built from one grid of index arrays.
 
 Each numbers the grid vertices through a dict from grid coordinates to ids
 and appends vertices one at a time, so the square's cell centers get their
-ids from the loop's order.  ``initial_mesh`` must give, after
-``normalize_refinement_edges``, the same nine arrays bit for bit, which
-``test_experiments.py`` checks.
+ids from the loop's order.  ``longest_edge_first`` is the pass that once set
+up the bisection convention on a built mesh; ``initial_mesh``, which stores
+each triangle longest edge first, must give the same nine arrays bit for bit
+as a loop builder followed by that pass, which ``test_experiments.py``
+checks.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from steklov.experiments import _top_edge_rule
 from steklov.mesh import PolygonalMesh, build_topology
@@ -63,6 +67,17 @@ def _notched_mesh() -> PolygonalMesh:
     c, d = gid[(2, 1)], gid[(1, 1)]
     cells.extend([[apex, b, c], [apex, c, d], [apex, d, a]])
     return build_topology(pts, cells, _top_edge_rule)
+
+
+def longest_edge_first(mesh: PolygonalMesh) -> PolygonalMesh:
+    """The triangular mesh rebuilt with every cycle rotated to start at its
+    longest edge, the first it finds on a tie."""
+    tris = mesh.cell_vertices.reshape(-1, 3)
+    x, y = (column[tris] for column in mesh.vertices.T)
+    # edge k runs from vertex k to k + 1; absolute coordinates keep near ties as they are
+    start = np.argmax(np.hypot(np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y), axis=1)
+    cells = np.take_along_axis(tris, (start[:, None] + np.arange(3)) % 3, axis=1)
+    return build_topology(mesh.vertices, cells.tolist(), _top_edge_rule)
 
 
 LOOP_BUILDERS = {"square": _square_mesh, "notched": _notched_mesh}

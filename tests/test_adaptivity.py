@@ -5,7 +5,6 @@ import pytest
 
 from steklov.adaptivity import (
     mark,
-    normalize_refinement_edges,
     prolong,
     refine_fem,
     refine_uniform,
@@ -271,7 +270,7 @@ def test_refine_fem_closure_keeps_mesh_conforming():
     # the bisection edge of cell 0 of the once-bisected square is not its
     # neighbour's bisection edge, so marking it needs one closure round, which
     # splits the neighbour's bisection edge too: two new vertices, not one
-    mesh = refine_fem(normalize_refinement_edges(initial_mesh("square")), [0])
+    mesh = refine_fem(initial_mesh("square"), [0])
     refined = refine_fem(mesh, [0])
     assert refined.n_vertices - mesh.n_vertices >= 2
     # the refined mesh passes every check of build_topology unchanged, and
@@ -286,7 +285,7 @@ def test_refine_fem_closure_keeps_mesh_conforming():
 
 
 def test_refine_fem_empty_marks_returns_same_mesh():
-    mesh = normalize_refinement_edges(initial_mesh("square"))
+    mesh = initial_mesh("square")
     assert refine_fem(mesh, []) is mesh
 
 
@@ -296,8 +295,6 @@ def test_refine_fem_rejects_polygons():
     with pytest.raises(MeshError, match="triangular"):
         refine_fem(quad, [0])
     with pytest.raises(MeshError, match="triangular"):
-        normalize_refinement_edges(quad)
-    with pytest.raises(MeshError, match="triangular"):
         refine_uniform(quad)
 
 
@@ -306,7 +303,7 @@ def test_refine_fem_angles_stay_bounded():
     # so ten refinement rounds must not degrade the minimum angle below half
     # of the initial one
     rng = np.random.default_rng(0)
-    mesh = normalize_refinement_edges(initial_mesh("square"))
+    mesh = initial_mesh("square")
     initial_angle = min_triangle_angle(mesh)
     for _ in range(10):
         marked = rng.choice(mesh.n_cells, size=max(1, mesh.n_cells // 6), replace=False)
@@ -316,7 +313,7 @@ def test_refine_fem_angles_stay_bounded():
 
 
 def test_refine_fem_preserves_boundary_tags():
-    mesh = normalize_refinement_edges(initial_mesh("square"))
+    mesh = initial_mesh("square")
     refined = refine_fem(mesh, list(range(mesh.n_cells)))
     for eid in np.flatnonzero(refined.edge_right < 0):
         mid = 0.5 * (refined.vertices[refined.edge_a[eid]] + refined.vertices[refined.edge_b[eid]])

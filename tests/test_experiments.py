@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from steklov import experiments
-from steklov.adaptivity import normalize_refinement_edges
 from steklov.eigensolver import ConvergenceError, solve_smallest_positive
 from steklov.experiments import (
     NOTCHED_REFERENCE,
@@ -27,7 +26,7 @@ from steklov.mesh import quality_report
 from fem_oracle import boundary_mass as oracle_boundary_mass
 from fem_oracle import dense_steklov_solve
 from fem_oracle import p1_stiffness as oracle_stiffness
-from initial_mesh_oracle import LOOP_BUILDERS
+from initial_mesh_oracle import LOOP_BUILDERS, longest_edge_first
 from refine_oracle import cycles
 
 
@@ -92,7 +91,7 @@ def test_initial_mesh_rejects_unknown_test():
 @pytest.mark.parametrize("test", TESTS)
 def test_initial_mesh_matches_the_loop_builders(test):
     # every array equal to the last bit, in dtype and in numbering
-    expected = normalize_refinement_edges(LOOP_BUILDERS[test]())
+    expected = longest_edge_first(LOOP_BUILDERS[test]())
     mesh = initial_mesh(test)
     for name, arr in vars(expected).items():
         got = getattr(mesh, name)
@@ -125,6 +124,11 @@ def test_fit_rate_skips_unusable_points_and_windows():
 
     with pytest.raises(ValueError, match="at least 3"):
         fit_rate([10, 20], [1.0, 0.5])
+    # zip would pair the first three dof counts with the three errors
+    with pytest.raises(ValueError, match="got 5 dof counts and 3 errors"):
+        fit_rate([1, 2, 4, 8, 16], [1.0, 0.5, 0.25])
+    with pytest.raises(ValueError, match="got 3 dof counts and 4 errors"):
+        fit_rate([1, 2, 4], [1.0, 0.5, 0.25, 0.125])
     with pytest.raises(ValueError, match="at least 3"):
         fit_rate(ns, [0.0, -1.0, 0.0, -1e-3, 1.0, 1.0])
     # a window of 0 used to fit every point and a negative one dropped the

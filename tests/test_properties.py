@@ -62,8 +62,9 @@ fan-triangle area and a brute-force pairwise diameter, and with the former
 stack-based kernel kept in ``geometry_oracle`` bit for bit, hanging vertices
 and clockwise cycles included.  The last properties
 round-trip refined meshes through ``save_mesh``/``load_mesh``, and require
-every mesh file ``emit_outputs`` writes for a random refinement sequence to
-equal, byte for byte, what the reference writers of ``emit_oracle`` write
+every mesh file ``emit_outputs`` writes for a random refinement sequence,
+and every file ``save_mesh`` and ``mesh_to_svg`` write for one mesh of it,
+to equal, byte for byte, what the reference writers of ``emit_oracle`` write
 for each mesh on its own.
 """
 
@@ -84,13 +85,13 @@ import emit_oracle
 import geometry_oracle
 import refine_oracle as oracle
 import vem_oracle
-from steklov.adaptivity import normalize_refinement_edges, prolong, refine_fem, refine_uniform, refine_vem
+from steklov.adaptivity import prolong, refine_fem, refine_uniform, refine_vem
 from fem_oracle import dense_reference_solve
 from steklov import eigensolver
 from steklov.eigensolver import _factorize, _normalize, solve_smallest_positive
 from steklov.estimator import element_indicators
 from steklov.experiments import ConvergenceRecord, ExperimentConfig, ExperimentResult, emit_outputs, exact_eigenvalue_square, initial_mesh
-from steklov.mesh import TAGS, _first_appearance, build_topology, load_mesh, polygon_geometry, save_mesh
+from steklov.mesh import TAGS, _first_appearance, build_topology, load_mesh, mesh_to_svg, polygon_geometry, save_mesh
 from steklov.vem import _cell_group, _project_group, _stiffness, assemble
 
 SETTINGS = settings(max_examples=20, deadline=5000, derandomize=True, database=None)
@@ -271,7 +272,7 @@ def test_refine_vem_matches_oracle(name, steps, data):
 @SETTINGS
 @given(name=st.sampled_from(sorted(INITIAL)), steps=st.integers(1, 4), data=st.data())
 def test_refine_fem_and_uniform_match_oracle(name, steps, data):
-    mesh = normalize_refinement_edges(INITIAL[name])
+    mesh = INITIAL[name]
     for _ in range(steps):
         if mesh.n_cells < 300 and data.draw(st.booleans(), label="uniform"):
             refined, expected = refine_uniform(mesh), oracle.refine_uniform(mesh)
@@ -302,8 +303,7 @@ def rebuilt(mesh):
 @SETTINGS
 @given(name=st.sampled_from(sorted(INITIAL)), steps=st.integers(1, 3), data=st.data())
 def test_refiner_output_passes_build_topology_unchanged(name, steps, data):
-    vem = INITIAL[name]
-    fem = normalize_refinement_edges(vem)
+    vem = fem = INITIAL[name]
     assert identical(rebuilt(fem), fem)
     for _ in range(steps):
         vem = refine_vem(vem, mark_subset(data, vem))
@@ -408,7 +408,7 @@ def triangle_shapes(mesh):
 def test_bisection_keeps_at_most_four_shapes_per_initial_shape(name, steps, data):
     # newest-vertex bisection produces at most four similarity classes from
     # each initial triangle (Sewell; Mitchell)
-    mesh = normalize_refinement_edges(INITIAL[name])
+    mesh = INITIAL[name]
     bound = 4 * len(triangle_shapes(mesh))
     shapes = set()
     for _ in range(steps):
@@ -888,20 +888,26 @@ def test_save_load_round_trips_refined_meshes(name, fem, steps, data):
 
 
 def assert_emitted_as_oracle(meshes, marks):
-    """Every mesh file emit_outputs writes equals the reference writers' bytes."""
+    """Every mesh file emit_outputs writes, and each mesh written on its own
+    through save_mesh and mesh_to_svg, equals the reference writers' bytes."""
     with tempfile.TemporaryDirectory() as tmp:
-        out, ref = Path(tmp) / "out", Path(tmp) / "ref"
+        out, ref, single = Path(tmp) / "out", Path(tmp) / "ref", Path(tmp) / "single"
         ref.mkdir()
+        single.mkdir()
         records = [ConvergenceRecord(k, mesh.n_vertices, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0) for k, mesh in enumerate(meshes)]
         result = ExperimentResult(ExperimentConfig(out_dir=str(out)), 1.0, records, meshes, marks)
         written = emit_outputs(result)
         assert all(path.is_file() for path in written)
         for k, (mesh, marked) in enumerate(zip(meshes, marks)):
+            marked = () if marked is None else marked
             emit_oracle.save_mesh(mesh, ref / f"mesh_step_{k}.json")
-            emit_oracle.mesh_to_svg(mesh, ref / f"mesh_step_{k}.svg", marked=() if marked is None else marked)
+            emit_oracle.mesh_to_svg(mesh, ref / f"mesh_step_{k}.svg", marked=marked)
+            save_mesh(mesh, single / f"mesh_step_{k}.json")
+            mesh_to_svg(mesh, single / f"mesh_step_{k}.svg", marked=marked)
         assert sorted(p.name for p in written) == sorted(p.name for p in ref.iterdir())
         for path in written:
             assert path.read_bytes() == (ref / path.name).read_bytes(), path.name
+            assert (single / path.name).read_bytes() == (ref / path.name).read_bytes(), path.name
 
 
 @SETTINGS

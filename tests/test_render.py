@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from steklov.experiments import initial_mesh
-from steklov.render import mesh_to_svg
+from steklov.mesh import mesh_to_svg
 
 
 def test_svg_is_well_formed_and_complete(tmp_path):
