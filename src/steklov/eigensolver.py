@@ -7,7 +7,7 @@ dofs), so K w = lambda M w is solved through the shifted pencil
 
 K + M is symmetric positive definite on connected meshes, which
 ``build_topology`` guarantees, and is factorized once; the smallest positive
-lambda are the largest mu below 1.  The factorization works on K + M
+lambda is the largest mu below 1.  The factorization works on K + M
 renumbered by reverse Cuthill-McKee, with a minimum-degree column ordering
 of A^T + A and diagonal pivots (George & Liu, Computer Solution of Large
 Sparse Positive Definite Systems, 1981; Liu, ACM TOMS 1985): the refiners'
@@ -18,11 +18,11 @@ order.  The constant vector (mu = 1, lambda = 0) is deflated by using
 M - m m^T / (1^T m), m = M 1, in place of M: it maps the constants to zero,
 so round-off cannot bring the zero mode back.  ARPACK's implicitly restarted
 Lanczos in generalized mode (Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
-SIAM 1998) finds the largest mu of this deflated pencil with one LU column
-solve per step, to machine precision; the residual contract is checked on
-its result.
+SIAM 1998) finds the largest mu of this deflated pencil with 10 Lanczos
+vectors and one LU column solve per step, to machine precision; the
+residual contract is checked on its result.
 
-A warm solve of one pair, from a start vector close to the wanted
+A warm solve, from a start vector close to the wanted
 eigenvector (the previous step's solution prolonged to a refined mesh),
 runs inverse iteration instead, shifted at the start's Rayleigh quotient
 sigma (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998): K - sigma M
@@ -133,31 +133,27 @@ def _deflate(x: np.ndarray, m_ones: np.ndarray, scale: float) -> np.ndarray:
 
 
 def solve_smallest_positive(
-    system: GlobalSystem, *, count: int = 1, tol: float = 1e-10, seed: int = 0,
-    start: np.ndarray | None = None,
-) -> list[SpectralPair]:
-    """Compute the ``count`` smallest positive eigenvalues, ascending.
+    system: GlobalSystem, *, tol: float = 1e-10, seed: int = 0, start: np.ndarray | None = None,
+) -> SpectralPair:
+    """Compute the smallest positive eigenpair.
 
     The Lanczos iteration starts from ``start`` (a dof vector, e.g. a coarse
     eigenvector prolonged to this mesh) when given, otherwise from a random
-    vector seeded by ``seed``.  With a ``start`` and ``count == 1``, shifted
-    inverse iteration runs first and its pair is returned when the inertia
-    certificate of the module docstring holds; otherwise Lanczos runs as
-    above.  Returned pairs are normalized (unit boundary mass, sign
-    convention) and each satisfies the residual tolerance ``tol`` within 500
-    Lanczos restarts; otherwise :class:`ConvergenceError` reports the best
-    residual reached.  A ``count`` or ``seed`` that is a bool or not an
-    integer, a ``count`` below 1, a negative seed, a ``tol`` that is a bool
-    or not a positive number, or a start vector that has the wrong shape, is
-    not finite, is constant (zero once the constant mode is deflated) or
+    vector seeded by ``seed``.  With a ``start``, shifted inverse iteration
+    runs first and its pair is returned when the inertia certificate of the
+    module docstring holds; otherwise Lanczos runs as above.  The returned
+    pair is normalized (unit boundary mass, sign convention) and satisfies
+    the residual tolerance ``tol`` within 500 Lanczos restarts; otherwise
+    :class:`ConvergenceError` reports the best residual reached.  A pencil
+    with fewer than two spectral-boundary dofs, a ``seed`` that is a bool or
+    not an integer, a negative seed, a ``tol`` that is a bool or not a
+    positive number, or a start vector that has the wrong shape, is not
+    finite, is constant (zero once the constant mode is deflated) or
     vanishes on the spectral boundary, raises :class:`EigensolverError`
     before any work.
     """
-    for name, value in (("count", count), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise EigensolverError(f"{name} must be an integer, got {value!r}")
-    if count < 1:
-        raise EigensolverError(f"count must be at least 1, got {count}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise EigensolverError(f"seed must be an integer, got {seed!r}")
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
         raise EigensolverError(f"tol must be a number, got {tol!r}")
     if not tol > 0.0:
@@ -165,11 +161,10 @@ def solve_smallest_positive(
     if seed < 0:
         raise EigensolverError(f"seed must be non-negative, got {seed}")
     n = system.n_dofs
-    n_positive = len(system.gamma0_dofs) - 1
-    if count > n_positive:
+    if len(system.gamma0_dofs) < 2:
         raise EigensolverError(
-            f"requested {count} eigenvalues but the pencil has only "
-            f"{n_positive} finite positive ones"
+            f"the pencil has no finite positive eigenvalue: {len(system.gamma0_dofs)} "
+            "spectral-boundary dofs, where at least 2 are needed"
         )
     M = system.boundary_mass
     ones_vec = np.ones(n)
@@ -191,10 +186,10 @@ def solve_smallest_positive(
     # the iteration sees a vector through its trace on gamma0 only
     if not _dot(v0, M @ v0) > 0.0:
         raise EigensolverError("start vector vanishes on the spectral boundary")
-    if warm and count == 1:
-        pair = _inverse_iteration(system, M, v0, m_ones, scale, tol)
+    if warm:
+        pair = _inverse_iteration(system, v0, m_ones, scale, tol)
         if pair is not None:
-            return [pair]
+            return pair
 
     shifted = system.stiffness + M
     solve, _ = _factorize(shifted)
@@ -204,10 +199,9 @@ def solve_smallest_positive(
     converged = True
     try:
         mus, X = spla.eigsh(
-            deflated_mass, k=count, M=shifted,
+            deflated_mass, k=1, M=shifted,
             Minv=spla.LinearOperator((n, n), matvec=solve, dtype=float),
-            which="LA", v0=v0, ncv=min(n, max(2 * count + 1, 10)),
-            tol=0.0, maxiter=_MAX_ITERATIONS,
+            which="LA", v0=v0, ncv=min(n, 10), tol=0.0, maxiter=_MAX_ITERATIONS,
         )
     except spla.ArpackNoConvergence as err:
         mus, X, converged = err.eigenvalues, err.eigenvectors, False
@@ -215,22 +209,18 @@ def solve_smallest_positive(
         raise EigensolverError(
             "found an eigenvalue at mu = 1: the constant mode escaped deflation"
         )
-    positive = mus > 0.0
-    converged = converged and bool(np.all(positive))
-    values = 1.0 / mus[positive] - 1.0
-    residuals = [residual_norm(system, lam, w) for lam, w in zip(values, X[:, positive].T)]
-    worst = max(residuals, default=np.inf)
-    if not converged or worst > tol:
+    # ARPACK stopped short may return no pair at all
+    residual = np.inf
+    if len(mus) and mus[0] > 0.0:
+        value = 1.0 / mus[0] - 1.0
+        residual = residual_norm(system, value, X[:, 0])
+    if not converged or not residual <= tol:
         raise ConvergenceError(
             f"eigensolver did not reach tol={tol:g} within "
-            f"{_MAX_ITERATIONS} restarts ({len(values)} of {count} "
-            f"positive pairs found, best residual {worst:.3e})",
-            best_residual=worst,
+            f"{_MAX_ITERATIONS} restarts (best residual {residual:.3e})",
+            best_residual=residual,
         )
-    return [
-        SpectralPair(float(values[j]), _normalize(system, _deflate(X[:, j], m_ones, scale)), float(residuals[j]))
-        for j in np.argsort(values)
-    ]
+    return SpectralPair(float(value), _normalize(system, _deflate(X[:, 0], m_ones, scale)), float(residual))
 
 
 def _factorize(matrix: sp.csr_matrix) -> tuple[Callable[[np.ndarray], np.ndarray], spla.SuperLU]:
@@ -262,13 +252,12 @@ def _factorize(matrix: sp.csr_matrix) -> tuple[Callable[[np.ndarray], np.ndarray
 
 
 def _inverse_iteration(
-    system: GlobalSystem, M: sp.csr_matrix, v0: np.ndarray, m_ones: np.ndarray,
-    scale: float, tol: float,
+    system: GlobalSystem, v0: np.ndarray, m_ones: np.ndarray, scale: float, tol: float,
 ) -> SpectralPair | None:
     """The smallest positive pair by inverse iteration shifted at the Rayleigh
     quotient of ``v0`` (deflated), or None when it is not certified within
     ``_WARM_SOLVES`` solves."""
-    K = system.stiffness
+    K, M = system.stiffness, system.boundary_mass
     sigma = _dot(v0, K @ v0) / _dot(v0, M @ v0)
     try:
         solve, lu = _factorize(K - sigma * M)

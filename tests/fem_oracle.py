@@ -5,13 +5,17 @@ textbook formulas: stiffness from the (b b^T + c c^T) / (4 A) element matrix,
 its own edge adjacency table, exact closed forms for the segment integrals,
 and a dense LAPACK eigensolve.  No assembly or estimator code from the
 package is reused; ``dense_reference_solve`` takes the package's assembled
-matrices and checks the sparse eigensolver on them.
+matrices and checks the sparse eigensolver on them, and ``lowest_pairs``
+gives the pairs above the first, which the package's solver does not compute.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 
 def _ccw(vertices: np.ndarray, tri: np.ndarray) -> np.ndarray:
@@ -164,3 +168,24 @@ def dense_reference_solve(system, n_limit: int = 2000) -> np.ndarray:
     mu = scipy.linalg.eigh(M, C, eigvals_only=True)
     finite = mu[mu > 1e-10]
     return np.sort(1.0 / finite - 1.0)
+
+
+class Pair(NamedTuple):
+    value: float
+    vector: np.ndarray
+
+
+def lowest_pairs(system, k: int) -> list[Pair]:
+    """The ``k`` smallest positive eigenpairs of an assembled system's pencil,
+    ascending, with unit boundary mass vectors, by ARPACK in shift-invert mode
+    about sigma = -1: K + M is factorized, and the zero mode of the constants
+    is computed and dropped."""
+    K, M = system.stiffness, system.boundary_mass
+    values, vectors = scipy.sparse.linalg.eigsh(K, k=k + 1, M=M, sigma=-1.0)
+    order = np.argsort(values)
+    assert abs(values[order[0]]) < 1e-8, "the lowest pair is not the zero mode of the constants"
+    pairs = []
+    for j in order[1:]:
+        v = vectors[:, j]
+        pairs.append(Pair(float(values[j]), v / np.sqrt(v @ (M @ v))))
+    return pairs

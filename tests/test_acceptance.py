@@ -143,7 +143,7 @@ def test_criterion_2_fem_equivalence():
         K_ref = oracle_stiffness(mesh.vertices, triangles)
         worst_k = max(worst_k, np.max(np.abs(system.stiffness.toarray() - K_ref)))
 
-        (pair,) = solve_smallest_positive(system, count=1)
+        pair = solve_smallest_positive(system)
         theta2, jump2 = element_indicators(system, pair)
         worst_theta = max(worst_theta, float(np.max(theta2)))
 
@@ -198,16 +198,14 @@ def test_criterion_3_eigensolver_oracle():
         system = assemble(mesh)
         assert system.n_dofs <= 200
         dense = dense_reference_solve(system)
-        count = min(2, len(system.gamma0_dofs) - 1)
-        pairs = solve_smallest_positive(system, count=count)
-        for j, pair in enumerate(pairs):
-            worst_val = max(worst_val, abs(pair.value - dense[1 + j]) / dense[1 + j])
-            mw = system.boundary_mass @ pair.vector
-            worst_mean = max(
-                worst_mean,
-                abs(float(np.ones_like(pair.vector) @ mw)) / np.linalg.norm(mw),
-            )
-            worst_norm = max(worst_norm, abs(float(pair.vector @ mw) - 1.0))
+        pair = solve_smallest_positive(system)
+        worst_val = max(worst_val, abs(pair.value - dense[1]) / dense[1])
+        mw = system.boundary_mass @ pair.vector
+        worst_mean = max(
+            worst_mean,
+            abs(float(np.ones_like(pair.vector) @ mw)) / np.linalg.norm(mw),
+        )
+        worst_norm = max(worst_norm, abs(float(pair.vector @ mw) - 1.0))
     ok = worst_val <= 1e-8 and worst_mean <= 1e-8 and worst_norm <= 1e-10
     report(
         3,

@@ -243,13 +243,16 @@ def test_rerun_leaves_only_its_own_step_files(tmp_path):
     assert sorted(files) == ["curves.csv", "mesh_step_0.json", "mesh_step_0.svg",
                              "mesh_step_1.json", "mesh_step_1.svg", "results.csv"]
 
-    # a file of another name stays, and a refused rerun deletes nothing
-    (out / "notes.txt").write_text("kept")
+    # a file of another name stays, also one that a step file's glob
+    # matches, and a refused rerun deletes nothing
+    kept = ("notes.txt", "mesh_step_backup.json", "indicators_step_final.csv")
+    for name in kept:
+        (out / name).write_text("kept")
     before = {path.name: path.read_bytes() for path in out.iterdir()}
     assert main(["run", "--steps", "1", "--out", str(out), "--quiet", "--reference", "nan"]) == 1
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
     assert main(["run", "--steps", "1", "--out", str(out), "--quiet"]) == 0
-    assert (out / "notes.txt").read_text() == "kept"
+    assert all((out / name).read_text() == "kept" for name in kept)
     assert not (out / "mesh_step_1.json").exists()
 
 

@@ -19,7 +19,7 @@ from steklov.mesh import TAGS, BoundaryTag, PolygonalMesh, _edge_table, build_to
 from steklov.vem import assemble
 
 from fem_oracle import boundary_mass as oracle_boundary_mass
-from fem_oracle import dense_reference_solve, dense_steklov_solve
+from fem_oracle import dense_reference_solve, dense_steklov_solve, lowest_pairs
 from fem_oracle import p1_stiffness as oracle_stiffness
 
 
@@ -38,12 +38,10 @@ def test_sparse_matches_dense_reference():
     for mesh in small_meshes():
         system = assemble(mesh)
         dense = dense_reference_solve(system)
-        count = min(3, len(system.gamma0_dofs) - 1)
-        pairs = solve_smallest_positive(system, count=count)
+        pair = solve_smallest_positive(system)
         # dense spectrum starts with the zero mode of the constant vector
         assert abs(dense[0]) < 1e-8
-        for j, pair in enumerate(pairs):
-            assert abs(pair.value - dense[1 + j]) < 1e-8 * max(1.0, dense[1 + j])
+        assert abs(pair.value - dense[1]) < 1e-8 * max(1.0, dense[1])
 
 
 def test_matches_fem_oracle_eigensolve():
@@ -54,12 +52,11 @@ def test_matches_fem_oracle_eigensolve():
     g = mesh.gamma0_edge_ids()
     gamma0 = list(zip(mesh.edge_a[g].tolist(), mesh.edge_b[g].tolist()))
     M = oracle_boundary_mass(mesh.vertices, gamma0)
-    values, vectors = dense_steklov_solve(K, M, count=2)
-    pairs = solve_smallest_positive(system, count=2)
-    for pair, ref in zip(pairs, values):
-        assert abs(pair.value - ref) < 1e-9 * ref
+    values, vectors = dense_steklov_solve(K, M)
+    pair = solve_smallest_positive(system)
+    assert abs(pair.value - values[0]) < 1e-9 * values[0]
     # eigenvectors agree up to sign in the M norm
-    w = pairs[0].vector
+    w = pair.vector
     v = vectors[:, 0]
     align = w @ M @ v
     assert abs(abs(align) - 1.0) < 1e-8
@@ -75,13 +72,8 @@ def test_finite_spectrum_size_is_gamma0_dofs_minus_one():
         assert n_positive == len(system.gamma0_dofs) - 1
 
 
-def test_count_exceeding_spectrum_raises():
+def test_bad_tol_and_seed_are_refused_by_name():
     system = assemble(initial_mesh("square"))
-    n_pos = len(system.gamma0_dofs) - 1
-    with pytest.raises(EigensolverError, match="finite positive"):
-        solve_smallest_positive(system, count=n_pos + 1)
-    with pytest.raises(EigensolverError, match="at least 1"):
-        solve_smallest_positive(system, count=0)
     for tol in (0.0, -1.0):
         with pytest.raises(EigensolverError, match="tol must be positive"):
             solve_smallest_positive(system, tol=tol)
@@ -90,11 +82,8 @@ def test_count_exceeding_spectrum_raises():
     for seed in (1.5, True, np.float64(2.0)):
         with pytest.raises(EigensolverError, match="seed must be an integer"):
             solve_smallest_positive(system, seed=seed)
-    # a bool or a non-integral count, and a bool or non-number tol, are
-    # refused by name rather than by numpy, ARPACK or a loose residual test
-    for count in (True, 1.5, np.float64(1.0)):
-        with pytest.raises(EigensolverError, match="count must be an integer"):
-            solve_smallest_positive(system, count=count)
+    # a bool or non-number tol is refused by name rather than by numpy,
+    # ARPACK or a loose residual test
     for tol in (True, "1e-10", None):
         with pytest.raises(EigensolverError, match="tol must be a number"):
             solve_smallest_positive(system, tol=tol)
@@ -102,7 +91,7 @@ def test_count_exceeding_spectrum_raises():
 
 def test_solution_invariants():
     system = assemble(initial_mesh("square"))
-    (pair,) = solve_smallest_positive(system, count=1)
+    pair = solve_smallest_positive(system)
     M = system.boundary_mass
     w = pair.vector
 
@@ -134,22 +123,12 @@ def test_normalize_refuses_zero_boundary_mass():
         eigensolver._normalize(system, interior)
 
 
-def test_multiple_eigenvalues_ascending_and_accurate():
-    system = assemble(refine_uniform(initial_mesh("square")))
-    dense = dense_reference_solve(system)
-    pairs = solve_smallest_positive(system, count=4)
-    values = [p.value for p in pairs]
-    assert values == sorted(values)
-    assert np.allclose(values, dense[1:5], rtol=1e-8)
-
-
 def test_seeded_runs_are_bitwise_reproducible():
     system = assemble(initial_mesh("square"))
-    a = solve_smallest_positive(system, count=2, seed=7)
-    b = solve_smallest_positive(system, count=2, seed=7)
-    for pa, pb in zip(a, b):
-        assert pa.value == pb.value
-        assert np.array_equal(pa.vector, pb.vector)
+    a = solve_smallest_positive(system, seed=7)
+    b = solve_smallest_positive(system, seed=7)
+    assert a.value == b.value
+    assert np.array_equal(a.vector, b.vector)
 
 
 @pytest.fixture
@@ -168,7 +147,7 @@ def test_convergence_error_reports_best_residual(one_restart):
     mesh = initial_mesh("square")
     system = assemble(mesh)
     with pytest.raises(ConvergenceError) as info:
-        solve_smallest_positive(system, count=1, tol=1e-16)
+        solve_smallest_positive(system, tol=1e-16)
     assert info.value.best_residual > 0.0
     assert "best residual" in str(info.value)
 
@@ -180,7 +159,7 @@ def test_residual_norm_zero_vector_is_infinite():
 
 def test_exactness_on_two_dof_boundary():
     # one square cell, spectral boundary on top: the pencil has exactly one
-    # positive eigenvalue, so the block spans everything and converges fast
+    # positive eigenvalue, so the Lanczos basis spans everything at once
     verts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
     def tags(pa, pb):
@@ -191,7 +170,7 @@ def test_exactness_on_two_dof_boundary():
     mesh = build_topology(verts, [[0, 1, 2, 3]], tags)
     system = assemble(mesh)
     dense = dense_reference_solve(system)
-    (pair,) = solve_smallest_positive(system)
+    pair = solve_smallest_positive(system)
     assert abs(pair.value - dense[1]) < 1e-10 * dense[1]
 
 
@@ -214,6 +193,20 @@ def test_disconnected_system_ends_in_a_named_error():
             solve_smallest_positive(system)
 
 
+def test_pencil_without_a_spectral_edge_is_refused_by_name():
+    # build_topology refuses a mesh with no gamma0 edge; one built around it,
+    # a unit square tagged gamma1 all round, has no spectral dof and so no
+    # finite positive eigenvalue
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    cell_ptr, tails = np.array([0, 4]), np.arange(4)
+    edges = _edge_table(verts, cell_ptr, tails)
+    tags = np.full(len(edges[0]), TAGS.index(BoundaryTag.GAMMA1), dtype=np.int8)
+    system = assemble(PolygonalMesh(verts, cell_ptr, tails, *edges, tags))
+    assert len(system.gamma0_dofs) == 0
+    with pytest.raises(EigensolverError, match="no finite positive eigenvalue: 0 spectral-boundary dofs"):
+        solve_smallest_positive(system)
+
+
 def quad_split_notched():
     """The notched mesh with every cell quad-split four times: 3,753 dofs."""
     mesh = initial_mesh("notched")
@@ -223,18 +216,20 @@ def quad_split_notched():
 
 
 def test_arpack_stall_is_a_convergence_error(one_restart):
-    # one restart is too few for six pairs: ARPACK gives up with a partial
-    # set, whose residuals the error reports
+    # one restart is too few on 3,753 dofs: ARPACK gives up with no pair, and
+    # the error reports an infinite best residual
     system = assemble(quad_split_notched())
-    with pytest.raises(ConvergenceError, match="of 6 positive pairs found") as info:
-        solve_smallest_positive(system, count=6)
-    assert info.value.best_residual > 0.0
+    with pytest.raises(ConvergenceError, match="best residual inf") as info:
+        solve_smallest_positive(system)
+    assert info.value.best_residual == np.inf
 
 
 @pytest.fixture
 def factors(monkeypatch):
     """Per ``splu`` call of the solver: ``{"columns": ..., "fill": ...}``,
-    the number of column solves and ``L.nnz + U.nnz`` of the factor."""
+    the number of column solves and ``L.nnz + U.nnz`` of the factor.  The
+    oracle's ``lowest_pairs`` is not counted: scipy's shift-invert mode
+    calls the ``splu`` it imported, not this module attribute."""
     calls = []
     splu = spla.splu
 
@@ -260,7 +255,7 @@ def factors(monkeypatch):
 
 def test_column_solves_per_call_stay_within_budget(factors):
     system = assemble(quad_split_notched())
-    (pair,) = solve_smallest_positive(system)
+    pair = solve_smallest_positive(system)
     assert system.n_dofs == 3753 and pair.residual <= 1e-10
     assert len(factors) == 1 and 0 < factors[0]["columns"] <= 30
 
@@ -296,10 +291,10 @@ def split_notched_pair():
 
 def test_warm_start_from_the_prolonged_coarse_solution(factors):
     coarse, fine = split_notched_pair()
-    (coarse_pair,) = solve_smallest_positive(assemble(coarse))
+    coarse_pair = solve_smallest_positive(assemble(coarse))
     system = assemble(fine)
-    (cold,) = solve_smallest_positive(system)
-    (warm,) = solve_smallest_positive(system, start=prolong(coarse, fine, coarse_pair.vector))
+    cold = solve_smallest_positive(system)
+    warm = solve_smallest_positive(system, start=prolong(coarse, fine, coarse_pair.vector))
     assert system.n_dofs == 3753 and warm.residual <= 1e-10
     assert abs(warm.value - cold.value) <= 1e-12 * cold.value
     # inverse iteration shifted at the start's Rayleigh quotient: one factor
@@ -309,38 +304,38 @@ def test_warm_start_from_the_prolonged_coarse_solution(factors):
 
 def test_warm_start_above_the_second_eigenvalue_falls_back(factors):
     coarse, fine = split_notched_pair()
-    coarse_second = solve_smallest_positive(assemble(coarse), count=2)[1]
+    coarse_second = lowest_pairs(assemble(coarse), 2)[1]
     system = assemble(fine)
-    first, second = solve_smallest_positive(system, count=2)
+    first, second = lowest_pairs(system, 2)
     start = prolong(coarse, fine, coarse_second.vector)
     # the start's Rayleigh quotient, which deflating the constants only
     # raises, lies above lambda_2
     K, M = system.stiffness, system.boundary_mass
     assert start @ (K @ start) / (start @ (M @ start)) > second.value
-    (warm,) = solve_smallest_positive(system, start=start)
+    warm = solve_smallest_positive(system, start=start)
     assert abs(warm.value - first.value) <= 1e-12 * first.value
     # K - sigma M has 3 negative pivots, so it is refused before any solve
     # and ARPACK factorizes K + M
-    assert len(factors) == 4 and factors[2]["columns"] == 0 < factors[3]["columns"]
+    assert len(factors) == 2 and factors[0]["columns"] == 0 < factors[1]["columns"]
 
 
 def test_warm_start_nearer_the_second_eigenvalue_falls_back(factors):
     # sigma lies between lambda_1 and lambda_2, nearer lambda_2: the pivots
     # pass, the iteration converges to lambda_2 > sigma and is refused
     system = assemble(split_notched_pair()[1])
-    first, second = solve_smallest_positive(system, count=2)
+    first, second = lowest_pairs(system, 2)
     start = np.sqrt(0.1) * first.vector + np.sqrt(0.9) * second.vector
-    (warm,) = solve_smallest_positive(system, start=start)
+    warm = solve_smallest_positive(system, start=start)
     assert abs(warm.value - first.value) <= 1e-12 * first.value
-    assert len(factors) == 3 and factors[1]["columns"] > 0 < factors[2]["columns"]
+    assert len(factors) == 2 and factors[0]["columns"] > 0 < factors[1]["columns"]
 
 
 def test_warm_start_with_unequal_pivot_orders_falls_back(monkeypatch):
     # diag(U) carries the inertia only when rows and columns are permuted alike
     coarse, fine = split_notched_pair()
-    (coarse_pair,) = solve_smallest_positive(assemble(coarse))
+    coarse_pair = solve_smallest_positive(assemble(coarse))
     system = assemble(fine)
-    (cold,) = solve_smallest_positive(system)
+    cold = solve_smallest_positive(system)
     splu = spla.splu
     made = []
 
@@ -357,7 +352,7 @@ def test_warm_start_with_unequal_pivot_orders_falls_back(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(spla, "splu", row_pivoted_splu)
-    (warm,) = solve_smallest_positive(system, start=prolong(coarse, fine, coarse_pair.vector))
+    warm = solve_smallest_positive(system, start=prolong(coarse, fine, coarse_pair.vector))
     # K - sigma M is refused, and ARPACK factorizes K + M
     assert len(made) == 2 and abs(warm.value - cold.value) <= 1e-12 * cold.value
 
@@ -366,7 +361,7 @@ def test_warm_start_at_an_unreachable_tolerance_ends_in_convergence_error(factor
     # the warm iteration stops at its cap and ARPACK runs, whose residual
     # the error reports
     coarse, fine = split_notched_pair()
-    (coarse_pair,) = solve_smallest_positive(assemble(coarse))
+    coarse_pair = solve_smallest_positive(assemble(coarse))
     with pytest.raises(ConvergenceError, match="best residual") as info:
         solve_smallest_positive(assemble(fine), tol=1e-16, start=prolong(coarse, fine, coarse_pair.vector))
     assert info.value.best_residual > 0.0

@@ -292,6 +292,11 @@ def test_run_experiment_validates_config(monkeypatch, tmp_path):
         (dict(mark_fraction=True), "mark_fraction must be a number, not True"),
         (dict(tol=True), "tol must be a number, not True"),
         (dict(reference=True), "reference must be a number, not True"),
+        # so is a value that is not a number, before a comparison with it
+        # can raise TypeError
+        (dict(mark_fraction="0.5"), "mark_fraction must be a number, not '0.5'"),
+        (dict(tol=None), "tol must be a number, not None"),
+        (dict(reference="3.1"), "reference must be a number, not '3.1'"),
     ]
     out = tmp_path / "refused"
     for fields, message in cases:
