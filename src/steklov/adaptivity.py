@@ -107,9 +107,9 @@ def _refined_mesh(
     coarse = np.empty(len(fine), dtype=np.int64)
     coarse[half] = coarse_of[hi[half]]
     coarse[~half] = boundary[order[np.searchsorted(keys, lo[~half] * n + hi[~half], sorter=order)]]
-    edge_tag = np.zeros(len(edge_a), dtype=np.int8)  # TAGS[0] is BoundaryTag.INTERIOR
-    edge_tag[fine] = mesh.edge_tag[coarse]
-    return PolygonalMesh(points, cell_ptr, cells, cell_edges, edge_a, edge_b, edge_left, edge_right, edge_tag)
+    edge_gamma0 = np.zeros(len(edge_a), dtype=bool)
+    edge_gamma0[fine] = mesh.edge_gamma0[coarse]
+    return PolygonalMesh(points, cell_ptr, cells, cell_edges, edge_a, edge_b, edge_left, edge_right, edge_gamma0)
 
 
 def refine_vem(mesh: PolygonalMesh, marks: Iterable[int]) -> PolygonalMesh:

@@ -22,16 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from .eigensolver import SpectralPair, _dot
-from .mesh import TAGS, BoundaryTag, PolygonalMesh
+from .mesh import PolygonalMesh
 from .vem import GlobalSystem, project
 
 __all__ = [
     "edge_residuals",
     "element_indicators",
 ]
-
-_INTERIOR = TAGS.index(BoundaryTag.INTERIOR)
-_GAMMA0 = TAGS.index(BoundaryTag.GAMMA0)
 
 
 def edge_residuals(
@@ -45,7 +42,9 @@ def edge_residuals(
     ``gradients`` holds the constant projected gradient of each cell and
     ``trace`` the dof vector of the eigenfunction.  Returns ``(value_a,
     value_b, norm2)`` indexed by edge id: the residual at both endpoints and
-    the exact integral of its square over the edge.  The normal is the
+    the exact integral of its square over the edge.  An edge with a right
+    cell is interior; a boundary edge is spectral where ``edge_gamma0`` is
+    True and reflecting elsewhere.  The normal is the
     outward normal of each edge's left cell, so interior jumps are
     orientation independent up to sign and their squared norms are well
     defined.
@@ -66,9 +65,8 @@ def edge_residuals(
     right = np.where(mesh.edge_right >= 0, mesh.edge_right, left)
     half_jump = 0.5 * (flux_left - (gx[right] * nx + gy[right] * ny))
 
-    tag = mesh.edge_tag
-    interior = tag == _INTERIOR
-    spectral = tag == _GAMMA0
+    interior = mesh.edge_right >= 0
+    spectral = mesh.edge_gamma0
     value_a = np.where(interior, half_jump, np.where(spectral, lambda_h * trace[a] - flux_left, -flux_left))
     value_b = np.where(interior, half_jump, np.where(spectral, lambda_h * trace[b] - flux_left, -flux_left))
 

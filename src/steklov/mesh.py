@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from enum import Enum
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -30,8 +29,6 @@ from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "MeshError",
-    "BoundaryTag",
-    "TAGS",
     "PolygonalMesh",
     "MeshQualityReport",
     "PolygonGeometry",
@@ -53,19 +50,12 @@ class MeshError(Exception):
     """Raised when mesh construction or validation fails."""
 
 
-class BoundaryTag(Enum):
-    INTERIOR = "interior"
-    GAMMA0 = "gamma0"  # spectral boundary part (eigenvalue in the flux condition)
-    GAMMA1 = "gamma1"  # reflecting boundary part (zero normal flux)
-
-
-# edge_tag stores the position of each edge's tag in this tuple
-TAGS = tuple(BoundaryTag)
-
 # A boundary classifier is either an explicit map from the sorted vertex pair
 # to a tag, or a geometric predicate receiving the two endpoint coordinates.
-TagMap = Mapping[tuple[int, int], "BoundaryTag | str"]
-TagRule = Callable[[np.ndarray, np.ndarray], "BoundaryTag | str"]
+# A tag is "gamma0" (the spectral boundary: the eigenvalue enters the flux
+# condition) or "gamma1" (the reflecting boundary: zero normal flux).
+TagMap = Mapping[tuple[int, int], str]
+TagRule = Callable[[np.ndarray, np.ndarray], str]
 
 
 def cell_groups(cell_ptr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -92,7 +82,8 @@ class PolygonalMesh:
     edge from each cycle entry to the next.  Edge e runs from ``edge_a[e]`` to
     ``edge_b[e]``, the direction its ``edge_left`` cell traverses it;
     ``edge_right`` is the cell traversing (b, a), or -1 on the domain
-    boundary, and ``edge_tag`` indexes :data:`TAGS`.
+    boundary, and ``edge_gamma0`` is True exactly on the spectral-boundary
+    edges; the other boundary edges form the reflecting boundary.
 
     Data from outside becomes a mesh through :func:`build_topology` (or
     :func:`load_mesh`), which validates orientation, simplicity, manifoldness,
@@ -108,7 +99,7 @@ class PolygonalMesh:
     edge_b: np.ndarray
     edge_left: np.ndarray
     edge_right: np.ndarray
-    edge_tag: np.ndarray
+    edge_gamma0: np.ndarray
 
     def __post_init__(self):
         for arr in vars(self).values():
@@ -127,7 +118,7 @@ class PolygonalMesh:
         return len(self.edge_a)
 
     def gamma0_edge_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.edge_tag == TAGS.index(BoundaryTag.GAMMA0))
+        return np.flatnonzero(self.edge_gamma0)
 
     def gamma0_vertices(self) -> np.ndarray:
         """Sorted vertex indices lying on the spectral boundary."""
@@ -315,17 +306,13 @@ def _validate_cycles(verts: np.ndarray, cell_ptr: np.ndarray, cell_vertices: np.
         _check_simple_group(x, y, ids, diam)
 
 
-def _normalize_tag(raw, edge_key) -> BoundaryTag:
-    if isinstance(raw, BoundaryTag):
-        tag = raw
-    else:
-        try:
-            tag = BoundaryTag(str(raw))
-        except ValueError:
-            raise MeshError(f"unknown boundary tag {raw!r} on edge {edge_key}") from None
-    if tag is BoundaryTag.INTERIOR:
+def _is_gamma0(raw, edge_key) -> bool:
+    tag = raw if isinstance(raw, str) else None
+    if tag == "interior":
         raise MeshError(f"boundary edge {edge_key} tagged as interior")
-    return tag
+    if tag not in ("gamma0", "gamma1"):
+        raise MeshError(f"unknown boundary tag {raw!r} on edge {edge_key}")
+    return tag == "gamma0"
 
 
 _BOOLEANS = {bool, np.bool_}
@@ -452,7 +439,9 @@ def build_topology(
     """Validate raw vertex/cell data from outside and construct the edge table.
 
     ``boundary_tags`` maps each boundary edge's sorted vertex pair to its tag,
-    or is a rule called with the edge's two endpoint coordinates.  The checks
+    ``"gamma0"`` or ``"gamma1"``, or is a rule called with the edge's two
+    endpoint coordinates that returns one; the mesh keeps the boundary edges
+    tagged ``"gamma0"`` as ``edge_gamma0``.  The checks
     run in a fixed order (cycles, tag map keys, pairing, unused vertices,
     boundary tags, stray keys, spectral boundary, connectivity); where two
     edges fail the same check, the lower vertex pair is named.
@@ -463,7 +452,8 @@ def build_topology(
     vertex indices, non-integer vertex indices,
     degenerate or repeated-vertex cells, self-intersecting cycles, vertices
     that no cell uses, non-manifold edges, irreparably inconsistent
-    orientation, untagged boundary edges, a tag map key that is not a
+    orientation, untagged boundary edges, a boundary edge tagged
+    ``"interior"`` or with any other unknown tag, a tag map key that is not a
     boundary edge, two tag map keys naming one edge, an empty spectral
     boundary, or a vertex graph of more than one component (cells that
     share only a vertex are connected).
@@ -512,7 +502,7 @@ def build_topology(
     boundary = np.flatnonzero(edge_right < 0)
     lo, hi = np.sort([edge_a[boundary], edge_b[boundary]], axis=0)
     boundary = boundary[np.lexsort((hi, lo))]
-    tags = []
+    gamma0 = []
     for a, b in zip(edge_a[boundary].tolist(), edge_b[boundary].tolist()):
         key = (a, b) if a < b else (b, a)
         if not tag_map:
@@ -521,22 +511,22 @@ def build_topology(
             raw = boundary_tags[lookup[key]]
         else:
             raise MeshError(f"untagged boundary edge {key}")
-        tags.append(TAGS.index(_normalize_tag(raw, key)))
-    edge_tag = np.zeros(len(edge_a), dtype=np.int8)  # TAGS[0] is BoundaryTag.INTERIOR
-    edge_tag[boundary] = tags
+        gamma0.append(_is_gamma0(raw, key))
+    edge_gamma0 = np.zeros(len(edge_a), dtype=bool)
+    edge_gamma0[boundary] = gamma0
     # every boundary edge has a key by now, so any key left over is stray
     if len(lookup) > len(boundary):
         a, b = min(lookup.keys() - set(zip(lo.tolist(), hi.tolist())))
         raise MeshError(f"tagged edge ({a}, {b}) is not a boundary edge of the mesh")
 
-    if not np.any(edge_tag == TAGS.index(BoundaryTag.GAMMA0)):
+    if not np.any(edge_gamma0):
         raise MeshError("spectral boundary is empty: no edge tagged gamma0")
     graph = sp.coo_matrix((np.ones(len(edge_a)), (edge_a, edge_b)), shape=(n_verts, n_verts))
     labels = connected_components(graph, directed=False)[1]
     if np.any(labels != labels[0]):
         k = _first_true(labels != labels[0])
         raise MeshError(f"mesh is disconnected: vertex {k} is not connected to vertex 0")
-    return PolygonalMesh(verts, cell_ptr, tails, cell_edges, edge_a, edge_b, edge_left, edge_right, edge_tag)
+    return PolygonalMesh(verts, cell_ptr, tails, cell_edges, edge_a, edge_b, edge_left, edge_right, edge_gamma0)
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +643,8 @@ def _cycle_text(mesh: PolygonalMesh, labels: np.ndarray, sep: str, ends: np.ndar
     return _join(labels[mesh.cell_vertices], seps)
 
 
-# JSON text of each tag, indexed like TAGS
-_TAG_JSON = np.array([json.dumps(tag.value) for tag in TAGS], dtype=object)
+# JSON text of a boundary edge's tag, indexed by its edge_gamma0 entry
+_TAG_JSON = np.array(['"gamma1"', '"gamma0"'], dtype=object)
 
 _WIDTH = 720  # SVG image width in pixels
 
@@ -708,7 +698,7 @@ def _snapshot_texts(
         commas[-1:] = ""
         items = _join(
             '{"edge": [', labels[mesh.edge_a[boundary]], ", ", labels[mesh.edge_b[boundary]],
-            '], "tag": ', _TAG_JSON[mesh.edge_tag[boundary]], "}", commas,
+            '], "tag": ', _TAG_JSON[mesh.edge_gamma0[boundary].view(np.int8)], "}", commas,
         )
         json_text = "".join([
             '{"vertices": [', rows, '], "cells": [[', _cycle_text(mesh, labels, ", ", ends),

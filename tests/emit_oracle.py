@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from steklov.mesh import TAGS, PolygonalMesh
+from steklov.mesh import PolygonalMesh
 
 from refine_oracle import cycles
 
@@ -28,11 +28,11 @@ def save_mesh(mesh: PolygonalMesh, path: str | Path) -> None:
         "vertices": mesh.vertices.tolist(),
         "cells": cycles(mesh),
         "boundary": [
-            {"edge": [a, b], "tag": TAGS[t].value}
-            for a, b, t in zip(
+            {"edge": [a, b], "tag": "gamma0" if gamma0 else "gamma1"}
+            for a, b, gamma0 in zip(
                 mesh.edge_a[boundary].tolist(),
                 mesh.edge_b[boundary].tolist(),
-                mesh.edge_tag[boundary].tolist(),
+                mesh.edge_gamma0[boundary].tolist(),
             )
         ],
     }

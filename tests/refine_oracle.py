@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from steklov.mesh import TAGS, BoundaryTag, MeshError, PolygonalMesh, build_topology
+from steklov.mesh import MeshError, PolygonalMesh, build_topology
 
 
 def cycles(mesh: PolygonalMesh) -> list[list[int]]:
@@ -40,7 +40,7 @@ def structurally_equal(mesh: PolygonalMesh, other: PolygonalMesh) -> bool:
     """Same vertices, cycles, edge endpoints and tags."""
     return all(
         np.array_equal(getattr(mesh, name), getattr(other, name))
-        for name in ("vertices", "cell_ptr", "cell_vertices", "edge_a", "edge_b", "edge_tag")
+        for name in ("vertices", "cell_ptr", "cell_vertices", "edge_a", "edge_b", "edge_gamma0")
     )
 
 
@@ -133,21 +133,21 @@ class _MidpointFactory:
 
 def _inherit_boundary_tags(
     mesh: PolygonalMesh, factory: _MidpointFactory | None = None
-) -> dict[tuple[int, int], BoundaryTag]:
+) -> dict[tuple[int, int], str]:
     """Boundary tag map for the refined mesh: split edges pass tags to both halves.
 
     Keys are sorted vertex pairs; without a factory this is the tag map of
     ``mesh`` itself.
     """
     boundary = np.flatnonzero(mesh.edge_right < 0)
-    tags: dict[tuple[int, int], BoundaryTag] = {}
-    for a, b, code in zip(
+    tags: dict[tuple[int, int], str] = {}
+    for a, b, gamma0 in zip(
         mesh.edge_a[boundary].tolist(),
         mesh.edge_b[boundary].tolist(),
-        mesh.edge_tag[boundary].tolist(),
+        mesh.edge_gamma0[boundary].tolist(),
     ):
         a, b = (a, b) if a < b else (b, a)
-        tag = TAGS[code]
+        tag = "gamma0" if gamma0 else "gamma1"
         if factory is not None and factory.has_midpoint(a, b):
             m = factory.midpoint(a, b)
             tags[tuple(sorted((a, m)))] = tag

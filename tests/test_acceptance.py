@@ -23,7 +23,7 @@ from steklov.experiments import (
     initial_mesh,
     run_experiment,
 )
-from steklov.mesh import BoundaryTag, build_topology, quality_report
+from steklov.mesh import build_topology, quality_report
 from steklov.vem import assemble
 
 from fem_oracle import boundary_mass as oracle_boundary_mass
@@ -181,7 +181,7 @@ def _ten_small_meshes():
         build_topology(
             [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
             [[0, 1, 2, 3]],
-            lambda a, b: BoundaryTag.GAMMA0,
+            lambda a, b: "gamma0",
         ),
         refine_vem(refine_vem(notched, range(5)), range(5)),
     ]

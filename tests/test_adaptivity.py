@@ -12,8 +12,6 @@ from steklov.adaptivity import (
 )
 from steklov.experiments import initial_mesh
 from steklov.mesh import (
-    TAGS,
-    BoundaryTag,
     MeshError,
     _marked_cells,
     build_topology,
@@ -25,8 +23,8 @@ from refine_oracle import cycles, structurally_equal
 
 def top_edge_rule(pa, pb):
     if abs(pa[1] - 1.0) < 1e-12 and abs(pb[1] - 1.0) < 1e-12:
-        return BoundaryTag.GAMMA0
-    return BoundaryTag.GAMMA1
+        return "gamma0"
+    return "gamma1"
 
 
 def total_area(mesh):
@@ -150,7 +148,7 @@ def test_refine_vem_empty_marks_returns_same_mesh():
 
 def test_refine_vem_rejects_non_star_cell():
     verts = [[0.0, 0.0], [4.0, 0.0], [0.5, 0.5], [0.0, 4.0]]
-    mesh = build_topology(verts, [[0, 1, 2, 3]], lambda a, b: BoundaryTag.GAMMA0)
+    mesh = build_topology(verts, [[0, 1, 2, 3]], lambda a, b: "gamma0")
     with pytest.raises(MeshError, match="star-shaped"):
         refine_vem(mesh, [0])
 
@@ -159,7 +157,7 @@ def test_refine_vem_rejects_non_star_cell():
     verts = [[0.0, 0.0], [4.0, 0.0], [0.5, 0.5], [0.0, 4.0], [-0.5, 2.0],
              [8.0, 0.0], [7.5, 0.5], [8.0, 4.0]]
     cells = [[0, 1, 2, 3, 4], [1, 5, 7, 6]]
-    mesh = build_topology(verts, cells, lambda a, b: BoundaryTag.GAMMA0)
+    mesh = build_topology(verts, cells, lambda a, b: "gamma0")
     with pytest.raises(MeshError, match="cell 0 is not star-shaped"):
         refine_vem(mesh, [0, 1])
     with pytest.raises(MeshError, match="cell 1 is not star-shaped"):
@@ -250,7 +248,7 @@ def test_refiners_refuse_boolean_and_fractional_marks(refine, marks, message):
 
 def test_refine_fem_children_follow_bisection_convention():
     verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-    mesh = build_topology(verts, [[1, 2, 0]], lambda a, b: BoundaryTag.GAMMA0)
+    mesh = build_topology(verts, [[1, 2, 0]], lambda a, b: "gamma0")
     # bisection edge is (1, 2), the hypotenuse; its midpoint is vertex 3
     refined = refine_fem(mesh, [0])
     assert refined.n_cells == 2
@@ -317,11 +315,7 @@ def test_refine_fem_preserves_boundary_tags():
     refined = refine_fem(mesh, list(range(mesh.n_cells)))
     for eid in np.flatnonzero(refined.edge_right < 0):
         mid = 0.5 * (refined.vertices[refined.edge_a[eid]] + refined.vertices[refined.edge_b[eid]])
-        tag = TAGS[refined.edge_tag[eid]]
-        if abs(mid[1] - 1.0) < 1e-12:
-            assert tag is BoundaryTag.GAMMA0
-        else:
-            assert tag is BoundaryTag.GAMMA1
+        assert refined.edge_gamma0[eid] == (abs(mid[1] - 1.0) < 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +324,7 @@ def test_refine_fem_preserves_boundary_tags():
 
 def test_refine_uniform_creates_four_similar_children():
     verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-    mesh = build_topology(verts, [[0, 1, 2]], lambda a, b: BoundaryTag.GAMMA0)
+    mesh = build_topology(verts, [[0, 1, 2]], lambda a, b: "gamma0")
     refined = refine_uniform(mesh)
     assert refined.n_cells == 4
     assert refined.n_vertices == 6

@@ -185,6 +185,11 @@ def test_mesh_validate_rejects_bad_file(tmp_path, capsys):
         # coordinates given as a string or a boolean are not read as 1.0
         (square[:1] + [["1", 0.0]] + square[2:], [[0, 1, 2, 3]], boundary, "error: vertex 1 "),
         (square[:3] + [[True, 1.0]], [[0, 1, 2, 3]], boundary, "error: vertex 3 "),
+        # a file speaks only the tags "gamma0" and "gamma1", in lower case
+        (square, [[0, 1, 2, 3]], [{"edge": [0, 1], "tag": "interior"}] + boundary[1:],
+         "error: boundary edge (0, 1) tagged as interior"),
+        (square, [[0, 1, 2, 3]], boundary[:2] + [{"edge": [2, 3], "tag": "Gamma0"}] + boundary[3:],
+         "error: unknown boundary tag 'Gamma0' on edge (2, 3)"),
         # the diagonal of the square is not a boundary edge
         (square, [[0, 1, 2, 3]], boundary + [{"edge": [0, 2], "tag": "gamma0"}],
          "error: tagged edge (0, 2) is not a boundary edge"),

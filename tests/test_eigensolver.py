@@ -15,7 +15,7 @@ from steklov.eigensolver import (
     solve_smallest_positive,
 )
 from steklov.experiments import ExperimentConfig, initial_mesh, run_experiment
-from steklov.mesh import TAGS, BoundaryTag, PolygonalMesh, _edge_table, build_topology
+from steklov.mesh import PolygonalMesh, _edge_table, build_topology
 from steklov.vem import assemble
 
 from fem_oracle import boundary_mass as oracle_boundary_mass
@@ -164,8 +164,8 @@ def test_exactness_on_two_dof_boundary():
 
     def tags(pa, pb):
         if abs(pa[1] - 1.0) < 1e-12 and abs(pb[1] - 1.0) < 1e-12:
-            return BoundaryTag.GAMMA0
-        return BoundaryTag.GAMMA1
+            return "gamma0"
+        return "gamma1"
 
     mesh = build_topology(verts, [[0, 1, 2, 3]], tags)
     system = assemble(mesh)
@@ -187,8 +187,7 @@ def test_disconnected_system_ends_in_a_named_error():
     for both, message in ((False, "factorization of the shifted matrix failed"),
                           (True, "mu = 1: the constant mode escaped deflation")):
         top = (verts[a, 1] == 1.0) & (verts[b, 1] == 1.0) & (both | (verts[a, 0] <= 1.0))
-        tags = np.where(top, TAGS.index(BoundaryTag.GAMMA0), TAGS.index(BoundaryTag.GAMMA1)).astype(np.int8)
-        system = assemble(PolygonalMesh(verts, cell_ptr, tails, *edges, tags))
+        system = assemble(PolygonalMesh(verts, cell_ptr, tails, *edges, top))
         with pytest.raises(EigensolverError, match=message):
             solve_smallest_positive(system)
 
@@ -200,8 +199,8 @@ def test_pencil_without_a_spectral_edge_is_refused_by_name():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     cell_ptr, tails = np.array([0, 4]), np.arange(4)
     edges = _edge_table(verts, cell_ptr, tails)
-    tags = np.full(len(edges[0]), TAGS.index(BoundaryTag.GAMMA1), dtype=np.int8)
-    system = assemble(PolygonalMesh(verts, cell_ptr, tails, *edges, tags))
+    gamma0 = np.zeros(len(edges[0]), dtype=bool)
+    system = assemble(PolygonalMesh(verts, cell_ptr, tails, *edges, gamma0))
     assert len(system.gamma0_dofs) == 0
     with pytest.raises(EigensolverError, match="no finite positive eigenvalue: 0 spectral-boundary dofs"):
         solve_smallest_positive(system)

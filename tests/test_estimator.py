@@ -8,14 +8,14 @@ import pytest
 from steklov.eigensolver import solve_smallest_positive
 from steklov.estimator import edge_residuals, element_indicators
 from steklov.experiments import initial_mesh
-from steklov.mesh import TAGS, BoundaryTag, build_topology
+from steklov.mesh import build_topology
 from steklov.vem import assemble
 
 from fem_oracle import classical_indicators
 
 
 def all_gamma0(pa, pb):
-    return BoundaryTag.GAMMA0
+    return "gamma0"
 
 
 def stacked_squares():
@@ -33,7 +33,7 @@ def edge_between(mesh, i, j):
 
 def interior_residual(mesh, residuals):
     """(value_a, value_b, norm2) of the single interior edge."""
-    (eid,) = np.flatnonzero(mesh.edge_tag == TAGS.index(BoundaryTag.INTERIOR))
+    (eid,) = np.flatnonzero(mesh.edge_right >= 0)
     return tuple(values[eid] for values in residuals)
 
 
@@ -104,14 +104,14 @@ def test_reflecting_edge_carries_spurious_flux():
 
     def tags(pa, pb):
         if abs(pa[1] - 1.0) < 1e-12 and abs(pb[1] - 1.0) < 1e-12:
-            return BoundaryTag.GAMMA0
-        return BoundaryTag.GAMMA1
+            return "gamma0"
+        return "gamma1"
 
     mesh = build_topology(verts, [[0, 1, 2, 3]], tags)
     g = np.array([[0.5, 1.5]])
     value_a, _, norm2 = edge_residuals(mesh, g, 1.0, np.zeros(4))
     bottom = edge_between(mesh, 0, 1)
-    assert TAGS[mesh.edge_tag[bottom]] is BoundaryTag.GAMMA1
+    assert mesh.edge_right[bottom] < 0 and not mesh.edge_gamma0[bottom]
     # bottom edge outward normal is (0, -1): residual is -flux = 1.5
     assert abs(value_a[bottom] - 1.5) < 1e-15
     assert abs(norm2[bottom] - 2.0 * 1.5**2) < 1e-14
@@ -123,7 +123,7 @@ def test_uniform_gradient_field_has_no_interior_jumps():
     mesh = refine_vem(initial_mesh("square"), [2, 6])
     gradients = np.tile([1.3, -0.4], (mesh.n_cells, 1))
     value_a, value_b, _ = edge_residuals(mesh, gradients, 0.0, np.zeros(mesh.n_vertices))
-    interior = mesh.edge_tag == TAGS.index(BoundaryTag.INTERIOR)
+    interior = mesh.edge_right >= 0
     assert np.any(interior)
     assert np.max(np.abs(value_a[interior])) < 1e-14
     assert np.max(np.abs(value_b[interior])) < 1e-14

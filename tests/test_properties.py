@@ -91,7 +91,7 @@ from steklov import eigensolver
 from steklov.eigensolver import _factorize, _normalize, solve_smallest_positive
 from steklov.estimator import element_indicators
 from steklov.experiments import ConvergenceRecord, ExperimentConfig, ExperimentResult, emit_outputs, exact_eigenvalue_square, initial_mesh
-from steklov.mesh import TAGS, _first_appearance, build_topology, load_mesh, mesh_to_svg, polygon_geometry, save_mesh
+from steklov.mesh import _first_appearance, build_topology, load_mesh, mesh_to_svg, polygon_geometry, save_mesh
 from steklov.vem import _cell_group, _project_group, _stiffness, assemble
 
 SETTINGS = settings(max_examples=20, deadline=5000, derandomize=True, database=None)
@@ -155,7 +155,7 @@ def boundary_tags_inherited(parent, child):
     )
     if not np.all(on.any(axis=1)):
         return False
-    return np.array_equal(parent.edge_tag[pb][np.argmax(on, axis=1)], child.edge_tag[cb])
+    return np.array_equal(parent.edge_gamma0[pb][np.argmax(on, axis=1)], child.edge_gamma0[cb])
 
 
 def check_invariants(parent, child, reference):
@@ -166,6 +166,7 @@ def check_invariants(parent, child, reference):
     assert abs(total_area(child) - area) <= 1e-12 * area
     assert abs(gamma0_length(child) - gamma0) <= 1e-12 * gamma0
     assert boundary_tags_inherited(parent, child)
+    assert not np.any(child.edge_gamma0[child.edge_right >= 0]), "an interior edge is tagged gamma0"
 
 
 def marks_for(data, mesh):
@@ -425,8 +426,8 @@ def boundary_tags(mesh, new_id):
     """Tag of every boundary edge, keyed by the vertex ids ``new_id`` gives."""
     b = np.flatnonzero(mesh.edge_right < 0)
     return {
-        (new_id[a], new_id[c]): TAGS[t]
-        for a, c, t in zip(mesh.edge_a[b].tolist(), mesh.edge_b[b].tolist(), mesh.edge_tag[b].tolist())
+        (new_id[a], new_id[c]): "gamma0" if gamma0 else "gamma1"
+        for a, c, gamma0 in zip(mesh.edge_a[b].tolist(), mesh.edge_b[b].tolist(), mesh.edge_gamma0[b].tolist())
     }
 
 

@@ -24,10 +24,10 @@ def test_svg_is_well_formed_and_complete(tmp_path):
 
 
 def test_svg_viewbox_scales_with_aspect_ratio(tmp_path):
-    from steklov.mesh import BoundaryTag, build_topology
+    from steklov.mesh import build_topology
 
     verts = [[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [0.0, 1.0]]
-    mesh = build_topology(verts, [[0, 1, 2, 3]], lambda a, b: BoundaryTag.GAMMA0)
+    mesh = build_topology(verts, [[0, 1, 2, 3]], lambda a, b: "gamma0")
     path = tmp_path / "wide.svg"
     mesh_to_svg(mesh, path)
     root = ET.parse(path).getroot()
