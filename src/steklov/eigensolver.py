@@ -147,7 +147,7 @@ def solve_smallest_positive(
     :class:`ConvergenceError` reports the best residual reached.  A pencil
     with fewer than two spectral-boundary dofs, a ``seed`` that is a bool or
     not an integer, a negative seed, a ``tol`` that is a bool or not a
-    positive number, or a start vector that has the wrong shape, is not
+    finite positive number, or a start vector that has the wrong shape, is not
     finite, is constant (zero once the constant mode is deflated) or
     vanishes on the spectral boundary, raises :class:`EigensolverError`
     before any work.
@@ -156,8 +156,8 @@ def solve_smallest_positive(
         raise EigensolverError(f"seed must be an integer, got {seed!r}")
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
         raise EigensolverError(f"tol must be a number, got {tol!r}")
-    if not tol > 0.0:
-        raise EigensolverError(f"tol must be positive, got {tol:g}")
+    if not 0.0 < tol < np.inf:
+        raise EigensolverError(f"tol must be positive and finite, got {tol:g}")
     if seed < 0:
         raise EigensolverError(f"seed must be non-negative, got {seed}")
     n = system.n_dofs

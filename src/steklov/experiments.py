@@ -76,29 +76,25 @@ def exact_eigenvalue_square(n: int = 1) -> float:
     return n * math.pi * math.tanh(n * math.pi)
 
 
-def _top_edge_rule(p0: np.ndarray, p1: np.ndarray) -> str:
-    on_top = abs(p0[1] - 1.0) <= 1e-12 and abs(p1[1] - 1.0) <= 1e-12
-    return "gamma0" if on_top else "gamma1"
-
-
-def _grid(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The (n + 1)**2 vertices of the n x n grid on the unit square and the
+def _grid(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """The (n + 1)**2 vertices of the n x n grid on the unit square, the
     corner ids (a, b, c, d) of its n**2 squares, counterclockwise from the
-    lower left; vertices and squares are numbered row by row from the bottom."""
+    lower left, and the n vertex pairs of its top side y = 1, the spectral
+    boundary; vertices and squares are numbered row by row from the bottom."""
     rows, cols = np.divmod(np.arange((n + 1) ** 2), n + 1)
     grid = np.column_stack([cols, rows]) / n
     a = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
-    return grid, (a, a + 1, a + n + 2, a + n + 1)
+    return grid, (a, a + 1, a + n + 2, a + n + 1), np.arange(n * (n + 1), (n + 1) ** 2 - 1)[:, None] + [0, 1]
 
 
 def _square_mesh() -> PolygonalMesh:
     """4 x 4 grid squares, each crossed into four triangles at its center; the
     centers are numbered after the grid, square by square.  Each triangle
     lists its grid side, its longest edge, first."""
-    grid, (a, b, c, d) = _grid(4)
+    grid, (a, b, c, d), top = _grid(4)
     center = len(grid) + np.arange(len(a))
     cells = np.stack([a, b, center, b, c, center, c, d, center, d, a, center], axis=1).reshape(-1, 3)
-    return build_topology(np.vstack([grid, grid[a] + 0.125]), cells.tolist(), _top_edge_rule)
+    return build_topology(np.vstack([grid, grid[a] + 0.125]), cells.tolist(), top)
 
 
 def _notched_mesh() -> PolygonalMesh:
@@ -110,13 +106,13 @@ def _notched_mesh() -> PolygonalMesh:
     The first and third fan triangles each have two sides of length 1/3 that
     differ only by round-off; they start at apex-b1 and at d1-a1, the sides
     whose computed lengths came out longest."""
-    grid, corners = _grid(3)
+    grid, corners, top = _grid(3)
     a, b, c, d = (np.delete(k, 1) for k in corners)
     apex = len(grid)
     a1, b1, c1, d1 = (int(k[1]) for k in corners)
     cells = np.stack([c, a, b, a, c, d], axis=1).reshape(-1, 3).tolist()
     cells += [[apex, b1, c1], [c1, d1, apex], [d1, a1, apex]]
-    return build_topology(np.vstack([grid, [0.5, math.sqrt(3.0) / 6.0]]), cells, _top_edge_rule)
+    return build_topology(np.vstack([grid, [0.5, math.sqrt(3.0) / 6.0]]), cells, top)
 
 
 def initial_mesh(test: str) -> PolygonalMesh:
@@ -245,8 +241,8 @@ def run_experiment(
         raise ValueError("need at least one step")
     if not 0.0 < config.mark_fraction <= 1.0:
         raise ValueError(f"mark fraction must lie in (0, 1], got {config.mark_fraction}")
-    if not config.tol > 0.0:
-        raise ValueError(f"solver tolerance must be positive, got {config.tol}")
+    if not 0.0 < config.tol < math.inf:
+        raise ValueError(f"solver tolerance tol must be positive and finite, got {config.tol}")
     if config.seed < 0:
         raise ValueError(f"solver seed must be non-negative, got {config.seed}")
     if config.reference is not None and not 0.0 < config.reference < math.inf:

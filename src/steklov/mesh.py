@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,14 +48,6 @@ COLLINEAR_REL = 1e-12
 
 class MeshError(Exception):
     """Raised when mesh construction or validation fails."""
-
-
-# A boundary classifier is either an explicit map from the sorted vertex pair
-# to a tag, or a geometric predicate receiving the two endpoint coordinates.
-# A tag is "gamma0" (the spectral boundary: the eigenvalue enters the flux
-# condition) or "gamma1" (the reflecting boundary: zero normal flux).
-TagMap = Mapping[tuple[int, int], str]
-TagRule = Callable[[np.ndarray, np.ndarray], str]
 
 
 def cell_groups(cell_ptr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -87,8 +79,8 @@ class PolygonalMesh:
 
     Data from outside becomes a mesh through :func:`build_topology` (or
     :func:`load_mesh`), which validates orientation, simplicity, manifoldness,
-    connectivity and boundary tags; the refiners build their output from the
-    edge table directly.  The arrays are taken over and made read-only.
+    connectivity and the spectral boundary; the refiners build their output
+    from the edge table directly.  The arrays are taken over and made read-only.
     """
 
     vertices: np.ndarray       # (n_vertices, 2)
@@ -306,15 +298,6 @@ def _validate_cycles(verts: np.ndarray, cell_ptr: np.ndarray, cell_vertices: np.
         _check_simple_group(x, y, ids, diam)
 
 
-def _is_gamma0(raw, edge_key) -> bool:
-    tag = raw if isinstance(raw, str) else None
-    if tag == "interior":
-        raise MeshError(f"boundary edge {edge_key} tagged as interior")
-    if tag not in ("gamma0", "gamma1"):
-        raise MeshError(f"unknown boundary tag {raw!r} on edge {edge_key}")
-    return tag == "gamma0"
-
-
 _BOOLEANS = {bool, np.bool_}
 
 
@@ -431,33 +414,43 @@ def _edge_table(verts: np.ndarray, cell_ptr: np.ndarray, tails: np.ndarray) -> t
     return cell_edges, tails[first], heads[first], owner[first], edge_right
 
 
+def _is_index(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _index_pair(entry) -> tuple | None:
+    """``entry`` as a tuple of two integers (booleans excluded), or None."""
+    try:
+        pair = tuple(entry)
+    except TypeError:  # not iterable
+        return None
+    return pair if len(pair) == 2 and all(map(_is_index, pair)) else None
+
+
+_NOT_BOUNDARY = "tagged edge {} is not a boundary edge of the mesh"
+
+
 def build_topology(
     vertices: Sequence | np.ndarray,
     cells: Iterable[Sequence[int]],
-    boundary_tags: TagMap | TagRule,
+    gamma0: Iterable[Sequence[int]],
 ) -> PolygonalMesh:
     """Validate raw vertex/cell data from outside and construct the edge table.
 
-    ``boundary_tags`` maps each boundary edge's sorted vertex pair to its tag,
-    ``"gamma0"`` or ``"gamma1"``, or is a rule called with the edge's two
-    endpoint coordinates that returns one; the mesh keeps the boundary edges
-    tagged ``"gamma0"`` as ``edge_gamma0``.  The checks
-    run in a fixed order (cycles, tag map keys, pairing, unused vertices,
-    boundary tags, stray keys, spectral boundary, connectivity); where two
-    edges fail the same check, the lower vertex pair is named.
-    ``vertices`` and ``cells`` (vertex cycles) are copied, never changed.
-    Clockwise cells are silently reversed.  Raises :class:`MeshError` (naming
-    the offending cell, vertex or edge) on vertex data that is not an
-    (n, 2) array of finite numbers, booleans among the coordinates or
-    vertex indices, non-integer vertex indices,
-    degenerate or repeated-vertex cells, self-intersecting cycles, vertices
-    that no cell uses, non-manifold edges, irreparably inconsistent
-    orientation, untagged boundary edges, a boundary edge tagged
-    ``"interior"`` or with any other unknown tag, a tag map key that is not a
-    boundary edge, two tag map keys naming one edge, an empty spectral
-    boundary, or a vertex graph of more than one component (cells that
-    share only a vertex are connected).
-    """
+    ``gamma0`` lists the spectral-boundary edges as vertex pairs, each in
+    either order; every other boundary edge is reflecting.  ``vertices`` and
+    ``cells`` (vertex cycles) are copied, never changed; clockwise cells are
+    reversed.  Raises :class:`MeshError`, naming the offending cell, vertex,
+    edge or gamma0 entry, on vertex data that is not an (n, 2) array of
+    finite numbers, booleans among the coordinates or vertex indices,
+    non-integer vertex indices, degenerate or repeated-vertex cells,
+    self-intersecting cycles, a gamma0 entry that is not two integer vertex
+    indices, a gamma0 pair off the vertex range, two naming one edge,
+    non-manifold edges, irreparably inconsistent orientation, vertices that
+    no cell uses, a gamma0 pair that is not a boundary edge, an empty
+    spectral boundary, or a vertex graph of more than one component (cells
+    sharing only a vertex are connected), in this order; of two edges
+    failing one check the lower vertex pair is named."""
     try:
         verts = np.asarray(vertices)
     except (TypeError, ValueError):  # ragged
@@ -482,15 +475,21 @@ def build_topology(
         raise MeshError(f"cell {cid} references a vertex out of range")
 
     _validate_cycles(verts, cell_ptr, tails)  # may reverse cycles in place
-
-    tag_map = isinstance(boundary_tags, Mapping)
-    lookup = {}  # sorted edge key -> the tag map key naming it
-    if tag_map:
-        for k in boundary_tags:
-            key = tuple(sorted(k))
-            if key in lookup:
-                raise MeshError(f"tag map keys {lookup[key]} and {k} both name edge {key}")
-            lookup[key] = k
+    entries = list(gamma0)
+    pairs = [_index_pair(entry) for entry in entries]
+    if None in pairs:
+        k = pairs.index(None)
+        raise MeshError(f"gamma0 entry {k} is not a pair of integer vertex indices: {entries[k]!r}")
+    # checked before keys are formed: a key lo * n_verts + hi with hi >= n_verts names another edge
+    outside = [tuple(sorted(map(int, p))) for p in pairs if not 0 <= min(p) <= max(p) < n_verts]
+    if outside:
+        raise MeshError(_NOT_BOUNDARY.format(min(outside)))
+    ends = np.sort(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+    keys = ends[:, 0] * n_verts + ends[:, 1]
+    values, counts = np.unique(keys, return_counts=True)
+    if np.any(counts > 1):
+        i, j = np.flatnonzero(keys == values[counts > 1][0])[:2].tolist()
+        raise MeshError(f"gamma0 entries {i} and {j} both name edge {tuple(ends[i].tolist())}")
 
     cell_edges, edge_a, edge_b, edge_left, edge_right = _edge_table(verts, cell_ptr, tails)
     used = np.zeros(n_verts, dtype=bool)
@@ -498,27 +497,14 @@ def build_topology(
     if not np.all(used):
         raise MeshError(f"vertex {_first_true(~used)} is not used by any cell")
 
-    # boundary edges in ascending vertex pair order, so the first bad one is the lowest
     boundary = np.flatnonzero(edge_right < 0)
-    lo, hi = np.sort([edge_a[boundary], edge_b[boundary]], axis=0)
-    boundary = boundary[np.lexsort((hi, lo))]
-    gamma0 = []
-    for a, b in zip(edge_a[boundary].tolist(), edge_b[boundary].tolist()):
-        key = (a, b) if a < b else (b, a)
-        if not tag_map:
-            raw = boundary_tags(verts[a], verts[b])
-        elif key in lookup:
-            raw = boundary_tags[lookup[key]]
-        else:
-            raise MeshError(f"untagged boundary edge {key}")
-        gamma0.append(_is_gamma0(raw, key))
+    a, b = edge_a[boundary], edge_b[boundary]
+    boundary_keys = np.minimum(a, b) * n_verts + np.maximum(a, b)
+    stray = keys[~np.isin(keys, boundary_keys)]
+    if len(stray):
+        raise MeshError(_NOT_BOUNDARY.format(divmod(int(stray.min()), n_verts)))
     edge_gamma0 = np.zeros(len(edge_a), dtype=bool)
-    edge_gamma0[boundary] = gamma0
-    # every boundary edge has a key by now, so any key left over is stray
-    if len(lookup) > len(boundary):
-        a, b = min(lookup.keys() - set(zip(lo.tolist(), hi.tolist())))
-        raise MeshError(f"tagged edge ({a}, {b}) is not a boundary edge of the mesh")
-
+    edge_gamma0[boundary] = np.isin(boundary_keys, keys)
     if not np.any(edge_gamma0):
         raise MeshError("spectral boundary is empty: no edge tagged gamma0")
     graph = sp.coo_matrix((np.ones(len(edge_a)), (edge_a, edge_b)), shape=(n_verts, n_verts))
@@ -756,16 +742,21 @@ def mesh_to_svg(mesh: PolygonalMesh, path: str | Path, marked: Sequence[int] | n
 # JSON input
 
 
-def _is_index(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_gamma0(raw, edge_key) -> bool:
+    if raw == "interior":
+        raise MeshError(f"boundary edge {edge_key} tagged as interior")
+    if raw not in ("gamma0", "gamma1"):
+        raise MeshError(f"unknown boundary tag {raw!r} on edge {edge_key}")
+    return raw == "gamma0"
+
+
 def load_mesh(path: str | Path) -> PolygonalMesh:
-    """Read a JSON mesh and run full topology validation on it."""
+    """Read a JSON mesh and validate it: the boundary items and their tags
+    first, then the mesh built on the gamma0 pairs, then one item per boundary edge."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -792,13 +783,8 @@ def load_mesh(path: str | Path) -> PolygonalMesh:
             raise MeshError(f"cell {cid} in {path} is not a list of integer vertex indices")
     item_of: dict[tuple[int, int], int] = {}  # edge key -> its boundary item
     for k, item in enumerate(boundary):
-        edge = item.get("edge") if isinstance(item, dict) else None
-        if (
-            not isinstance(edge, list)
-            or len(edge) != 2
-            or not all(map(_is_index, edge))
-            or "tag" not in item
-        ):
+        edge = _index_pair(item.get("edge")) if isinstance(item, dict) else None
+        if edge is None or "tag" not in item:
             raise MeshError(
                 f"boundary item {k} in {path} must be an object with an integer "
                 f"vertex pair \"edge\" and a \"tag\": {item!r}"
@@ -807,4 +793,11 @@ def load_mesh(path: str | Path) -> PolygonalMesh:
         if key in item_of:
             raise MeshError(f"boundary items {item_of[key]} and {k} in {path} both tag edge {list(key)}")
         item_of[key] = k
-    return build_topology(vertices, cells, {key: boundary[k]["tag"] for key, k in item_of.items()})
+    gamma0 = [key for key in sorted(item_of) if _is_gamma0(boundary[item_of[key]]["tag"], key)]
+    mesh = build_topology(vertices, cells, gamma0)
+    edges = set(zip(*np.sort([mesh.edge_a, mesh.edge_b], axis=0)[:, mesh.edge_right < 0].tolist()))
+    for message, keys in (("untagged boundary edge {}", edges - item_of.keys()),
+                          (_NOT_BOUNDARY, item_of.keys() - edges)):
+        if keys:
+            raise MeshError(message.format(min(keys)))
+    return mesh

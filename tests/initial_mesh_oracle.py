@@ -7,7 +7,8 @@ ids from the loop's order.  ``longest_edge_first`` is the pass that once set
 up the bisection convention on a built mesh; ``initial_mesh``, which stores
 each triangle longest edge first, must give the same nine arrays bit for bit
 as a loop builder followed by that pass, which ``test_experiments.py``
-checks.
+checks.  The builders name the spectral boundary, the grid edges of the top
+side y = 1, from their own grid ids.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 
 import numpy as np
 
-from steklov.experiments import _top_edge_rule
 from steklov.mesh import PolygonalMesh, build_topology
 
 
@@ -36,7 +36,8 @@ def _square_mesh(blocks: int = 4) -> PolygonalMesh:
             a, b = gid[(i, j)], gid[(i + 1, j)]
             c, d = gid[(i + 1, j + 1)], gid[(i, j + 1)]
             cells.extend([[a, b, center], [b, c, center], [c, d, center], [d, a, center]])
-    return build_topology(pts, cells, _top_edge_rule)
+    top = [(gid[(i, blocks)], gid[(i + 1, blocks)]) for i in range(blocks)]
+    return build_topology(pts, cells, top)
 
 
 def _notched_mesh() -> PolygonalMesh:
@@ -66,18 +67,20 @@ def _notched_mesh() -> PolygonalMesh:
     a, b = gid[(1, 0)], gid[(2, 0)]
     c, d = gid[(2, 1)], gid[(1, 1)]
     cells.extend([[apex, b, c], [apex, c, d], [apex, d, a]])
-    return build_topology(pts, cells, _top_edge_rule)
+    top = [(gid[(i, 3)], gid[(i + 1, 3)]) for i in range(3)]
+    return build_topology(pts, cells, top)
 
 
 def longest_edge_first(mesh: PolygonalMesh) -> PolygonalMesh:
     """The triangular mesh rebuilt with every cycle rotated to start at its
-    longest edge, the first it finds on a tie."""
+    longest edge, the first it finds on a tie, on its own spectral boundary."""
     tris = mesh.cell_vertices.reshape(-1, 3)
     x, y = (column[tris] for column in mesh.vertices.T)
     # edge k runs from vertex k to k + 1; absolute coordinates keep near ties as they are
     start = np.argmax(np.hypot(np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y), axis=1)
     cells = np.take_along_axis(tris, (start[:, None] + np.arange(3)) % 3, axis=1)
-    return build_topology(mesh.vertices, cells.tolist(), _top_edge_rule)
+    g = mesh.gamma0_edge_ids()
+    return build_topology(mesh.vertices, cells.tolist(), zip(mesh.edge_a[g].tolist(), mesh.edge_b[g].tolist()))
 
 
 LOOP_BUILDERS = {"square": _square_mesh, "notched": _notched_mesh}

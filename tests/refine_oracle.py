@@ -5,12 +5,13 @@ was vectorized on edge ids: midpoints come from a dict keyed by the sorted
 vertex pair, created in the order the loops first ask for them, and the
 newest-vertex bisection emits children by recursion.  The array refiners in
 ``steklov.adaptivity`` must reproduce their meshes exactly (vertices,
-numbering, cycles and tags), which the properties in ``test_properties.py``
+numbering, cycles and spectral boundary), which the properties in ``test_properties.py``
 check over random mark sequences.  The oracle keeps its own per-cell
 ``polygon_centroid`` (the package's former helper), so the centroids it
 checks against do not come from the vectorized geometry kernel.
 ``structurally_equal`` is the mesh comparison the tests share, and
-``cycles`` the list-of-lists view of a mesh's cells they share.
+``cycles`` and ``gamma0_pairs`` the list views of a mesh's cells and
+spectral boundary they share.
 
 ``edge_numbering`` defines the edge arrays of any mesh from its cycles
 alone: it walks the cells' cycles in order and numbers each vertex pair when
@@ -36,8 +37,15 @@ def cycles(mesh: PolygonalMesh) -> list[list[int]]:
     return [flat[i:j] for i, j in zip(ptr[:-1], ptr[1:])]
 
 
+def gamma0_pairs(mesh: PolygonalMesh) -> list[tuple[int, int]]:
+    """The spectral-boundary edges of ``mesh`` as (edge_a, edge_b) pairs of
+    Python ints, in edge order: the ``gamma0`` argument that rebuilds it."""
+    g = mesh.gamma0_edge_ids()
+    return list(zip(mesh.edge_a[g].tolist(), mesh.edge_b[g].tolist()))
+
+
 def structurally_equal(mesh: PolygonalMesh, other: PolygonalMesh) -> bool:
-    """Same vertices, cycles, edge endpoints and tags."""
+    """Same vertices, cycles, edge endpoints and spectral boundary."""
     return all(
         np.array_equal(getattr(mesh, name), getattr(other, name))
         for name in ("vertices", "cell_ptr", "cell_vertices", "edge_a", "edge_b", "edge_gamma0")
@@ -131,30 +139,17 @@ class _MidpointFactory:
         return key in self.cache
 
 
-def _inherit_boundary_tags(
-    mesh: PolygonalMesh, factory: _MidpointFactory | None = None
-) -> dict[tuple[int, int], str]:
-    """Boundary tag map for the refined mesh: split edges pass tags to both halves.
-
-    Keys are sorted vertex pairs; without a factory this is the tag map of
-    ``mesh`` itself.
-    """
-    boundary = np.flatnonzero(mesh.edge_right < 0)
-    tags: dict[tuple[int, int], str] = {}
-    for a, b, gamma0 in zip(
-        mesh.edge_a[boundary].tolist(),
-        mesh.edge_b[boundary].tolist(),
-        mesh.edge_gamma0[boundary].tolist(),
-    ):
-        a, b = (a, b) if a < b else (b, a)
-        tag = "gamma0" if gamma0 else "gamma1"
-        if factory is not None and factory.has_midpoint(a, b):
+def _inherited_gamma0(mesh: PolygonalMesh, factory: _MidpointFactory) -> list[tuple[int, int]]:
+    """Spectral-boundary pairs of the refined mesh: a split gamma0 edge
+    passes to both halves."""
+    pairs = []
+    for a, b in gamma0_pairs(mesh):
+        if factory.has_midpoint(a, b):
             m = factory.midpoint(a, b)
-            tags[tuple(sorted((a, m)))] = tag
-            tags[tuple(sorted((m, b)))] = tag
+            pairs += [(a, m), (m, b)]
         else:
-            tags[(a, b)] = tag
-    return tags
+            pairs.append((a, b))
+    return pairs
 
 
 def refine_vem(
@@ -214,8 +209,7 @@ def refine_vem(
                 hanging.append(cid)
             new_cells.append(cycle)
 
-    tags = _inherit_boundary_tags(mesh, factory)
-    refined = build_topology(np.array(factory.points), new_cells, tags)
+    refined = build_topology(np.array(factory.points), new_cells, _inherited_gamma0(mesh, factory))
     record = OracleRecord(
         children=children,
         new_vertex_ids=tuple(range(mesh.n_vertices, refined.n_vertices)),
@@ -262,8 +256,7 @@ def refine_fem(mesh: PolygonalMesh, marks: Iterable[int]) -> PolygonalMesh:
     for tri in triangles:
         emit(tri, new_cells)
 
-    tags = _inherit_boundary_tags(mesh, factory)
-    return build_topology(np.array(factory.points), new_cells, tags)
+    return build_topology(np.array(factory.points), new_cells, _inherited_gamma0(mesh, factory))
 
 
 def refine_uniform(mesh: PolygonalMesh) -> PolygonalMesh:
@@ -278,5 +271,4 @@ def refine_uniform(mesh: PolygonalMesh) -> PolygonalMesh:
         new_cells.extend(
             [[a, mab, mca], [mab, b, mbc], [mca, mbc, c], [mab, mbc, mca]]
         )
-    tags = _inherit_boundary_tags(mesh, factory)
-    return build_topology(np.array(factory.points), new_cells, tags)
+    return build_topology(np.array(factory.points), new_cells, _inherited_gamma0(mesh, factory))

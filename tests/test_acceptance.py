@@ -181,7 +181,7 @@ def _ten_small_meshes():
         build_topology(
             [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
             [[0, 1, 2, 3]],
-            lambda a, b: "gamma0",
+            [(0, 1), (1, 2), (2, 3), (3, 0)],
         ),
         refine_vem(refine_vem(notched, range(5)), range(5)),
     ]

@@ -18,13 +18,10 @@ from steklov.mesh import (
     quality_report,
 )
 
-from refine_oracle import cycles, structurally_equal
+from refine_oracle import cycles, gamma0_pairs, structurally_equal
 
-
-def top_edge_rule(pa, pb):
-    if abs(pa[1] - 1.0) < 1e-12 and abs(pb[1] - 1.0) < 1e-12:
-        return "gamma0"
-    return "gamma1"
+# the top side of the unit square [[0, 0], [1, 0], [1, 1], [0, 1]]
+TOP = [(2, 3)]
 
 
 def total_area(mesh):
@@ -100,7 +97,7 @@ def test_mark_rejects_invalid_indicators(inds, cell):
 
 def test_refine_vem_single_square():
     verts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-    mesh = build_topology(verts, [[0, 1, 2, 3]], top_edge_rule)
+    mesh = build_topology(verts, [[0, 1, 2, 3]], TOP)
     refined = refine_vem(mesh, [0])
     assert refined.n_cells == 4
     assert refined.n_vertices == 9  # 4 corners + 4 midpoints + centroid
@@ -148,7 +145,7 @@ def test_refine_vem_empty_marks_returns_same_mesh():
 
 def test_refine_vem_rejects_non_star_cell():
     verts = [[0.0, 0.0], [4.0, 0.0], [0.5, 0.5], [0.0, 4.0]]
-    mesh = build_topology(verts, [[0, 1, 2, 3]], lambda a, b: "gamma0")
+    mesh = build_topology(verts, [[0, 1, 2, 3]], [(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.raises(MeshError, match="star-shaped"):
         refine_vem(mesh, [0])
 
@@ -157,7 +154,7 @@ def test_refine_vem_rejects_non_star_cell():
     verts = [[0.0, 0.0], [4.0, 0.0], [0.5, 0.5], [0.0, 4.0], [-0.5, 2.0],
              [8.0, 0.0], [7.5, 0.5], [8.0, 4.0]]
     cells = [[0, 1, 2, 3, 4], [1, 5, 7, 6]]
-    mesh = build_topology(verts, cells, lambda a, b: "gamma0")
+    mesh = build_topology(verts, cells, [pair for c in cells for pair in zip(c, c[1:] + c[:1])])
     with pytest.raises(MeshError, match="cell 0 is not star-shaped"):
         refine_vem(mesh, [0, 1])
     with pytest.raises(MeshError, match="cell 1 is not star-shaped"):
@@ -248,7 +245,7 @@ def test_refiners_refuse_boolean_and_fractional_marks(refine, marks, message):
 
 def test_refine_fem_children_follow_bisection_convention():
     verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-    mesh = build_topology(verts, [[1, 2, 0]], lambda a, b: "gamma0")
+    mesh = build_topology(verts, [[1, 2, 0]], [(1, 2), (2, 0), (0, 1)])
     # bisection edge is (1, 2), the hypotenuse; its midpoint is vertex 3
     refined = refine_fem(mesh, [0])
     assert refined.n_cells == 2
@@ -274,7 +271,7 @@ def test_refine_fem_closure_keeps_mesh_conforming():
     # the refined mesh passes every check of build_topology unchanged, and
     # every cell stays a triangle
     assert all(len(c) == 3 for c in cycles(refined))
-    rebuilt = build_topology(refined.vertices, cycles(refined), top_edge_rule)
+    rebuilt = build_topology(refined.vertices, cycles(refined), gamma0_pairs(refined))
     assert structurally_equal(rebuilt, refined)
     assert all(np.array_equal(getattr(rebuilt, name), getattr(refined, name))
                for name in ("cell_edges", "edge_left", "edge_right"))
@@ -289,7 +286,7 @@ def test_refine_fem_empty_marks_returns_same_mesh():
 
 def test_refine_fem_rejects_polygons():
     verts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-    quad = build_topology(verts, [[0, 1, 2, 3]], top_edge_rule)
+    quad = build_topology(verts, [[0, 1, 2, 3]], TOP)
     with pytest.raises(MeshError, match="triangular"):
         refine_fem(quad, [0])
     with pytest.raises(MeshError, match="triangular"):
@@ -324,7 +321,7 @@ def test_refine_fem_preserves_boundary_tags():
 
 def test_refine_uniform_creates_four_similar_children():
     verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-    mesh = build_topology(verts, [[0, 1, 2]], lambda a, b: "gamma0")
+    mesh = build_topology(verts, [[0, 1, 2]], [(0, 1), (1, 2), (2, 0)])
     refined = refine_uniform(mesh)
     assert refined.n_cells == 4
     assert refined.n_vertices == 6
@@ -352,7 +349,7 @@ def test_prolong_interpolates_midpoints_and_centroids():
     # an affine function is carried over exactly: midpoints average their
     # edge, the centroid of a square averages its edge midpoints
     verts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-    mesh = build_topology(verts, [[0, 1, 2, 3]], top_edge_rule)
+    mesh = build_topology(verts, [[0, 1, 2, 3]], TOP)
     refined = refine_vem(mesh, [0])
 
     def affine(points):

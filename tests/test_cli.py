@@ -190,6 +190,9 @@ def test_mesh_validate_rejects_bad_file(tmp_path, capsys):
          "error: boundary edge (0, 1) tagged as interior"),
         (square, [[0, 1, 2, 3]], boundary[:2] + [{"edge": [2, 3], "tag": "Gamma0"}] + boundary[3:],
          "error: unknown boundary tag 'Gamma0' on edge (2, 3)"),
+        # every boundary edge needs its item: the completeness check runs
+        # in the reader, after the mesh is built on the gamma0 items
+        (square, [[0, 1, 2, 3]], boundary[:1] + boundary[2:], "error: untagged boundary edge (1, 2)"),
         # the diagonal of the square is not a boundary edge
         (square, [[0, 1, 2, 3]], boundary + [{"edge": [0, 2], "tag": "gamma0"}],
          "error: tagged edge (0, 2) is not a boundary edge"),

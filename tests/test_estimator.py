@@ -14,14 +14,10 @@ from steklov.vem import assemble
 from fem_oracle import classical_indicators
 
 
-def all_gamma0(pa, pb):
-    return "gamma0"
-
-
 def stacked_squares():
     """Two unit squares sharing the horizontal edge between vertices 2 and 3."""
     verts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 2.0], [0.0, 2.0]]
-    return build_topology(verts, [[0, 1, 2, 3], [3, 2, 4, 5]], all_gamma0)
+    return build_topology(verts, [[0, 1, 2, 3], [3, 2, 4, 5]], [(0, 1), (1, 2), (2, 4), (4, 5), (5, 3), (3, 0)])
 
 
 def edge_between(mesh, i, j):
@@ -65,7 +61,7 @@ def test_spectral_edge_closed_form():
     # top edge: lambda * w - flux with endpoint values j2, j3; exact integral
     # of its square is (j2^2 + j2*j3 + j3^2) / 3 on a unit edge
     verts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-    mesh = build_topology(verts, [[0, 1, 2, 3]], all_gamma0)
+    mesh = build_topology(verts, [[0, 1, 2, 3]], [(0, 1), (1, 2), (2, 3), (3, 0)])
     lam = 2.0
     w = np.array([0.3, -0.8, 0.5, 1.1])
     g = np.array([[3.0, -1.0]])
@@ -101,13 +97,7 @@ def test_edge_norm_matches_gauss_legendre_integral():
 
 def test_reflecting_edge_carries_spurious_flux():
     verts = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]
-
-    def tags(pa, pb):
-        if abs(pa[1] - 1.0) < 1e-12 and abs(pb[1] - 1.0) < 1e-12:
-            return "gamma0"
-        return "gamma1"
-
-    mesh = build_topology(verts, [[0, 1, 2, 3]], tags)
+    mesh = build_topology(verts, [[0, 1, 2, 3]], [(2, 3)])  # spectral boundary on top
     g = np.array([[0.5, 1.5]])
     value_a, _, norm2 = edge_residuals(mesh, g, 1.0, np.zeros(4))
     bottom = edge_between(mesh, 0, 1)

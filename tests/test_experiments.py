@@ -277,6 +277,7 @@ def test_run_experiment_validates_config(monkeypatch, tmp_path):
         (dict(mark_fraction=float("nan")), "mark fraction"),
         (dict(tol=0.0), "tolerance"),
         (dict(tol=-1.0), "tolerance"),
+        (dict(tol=math.inf), "solver tolerance tol must be positive and finite, got inf"),
         (dict(reference=float("nan")), "reference eigenvalue must be finite and positive"),
         (dict(reference=float("inf")), "reference eigenvalue"),
         (dict(reference=0.0), "reference eigenvalue"),

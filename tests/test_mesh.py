@@ -24,18 +24,18 @@ from refine_oracle import cycles, numbered_by_first_appearance, structurally_equ
 SQUARE_VERTS = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
 
-def top_edge_rule(pa, pb):
-    if abs(pa[1] - 1.0) < 1e-12 and abs(pb[1] - 1.0) < 1e-12:
-        return "gamma0"
-    return "gamma1"
+# the top side of the unit square SQUARE_VERTS, its spectral boundary
+TOP = [(2, 3)]
 
 
-def all_gamma0(pa, pb):
-    return "gamma0"
+def sides(cycle):
+    """Every edge of one cycle as a vertex pair: the whole boundary of a
+    one-cell mesh."""
+    return list(zip(cycle, cycle[1:] + cycle[:1]))
 
 
 def two_triangle_square():
-    return build_topology(SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], top_edge_rule)
+    return build_topology(SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], TOP)
 
 
 def edge_between(mesh, i, j):
@@ -77,98 +77,114 @@ def test_cell_edges_follow_cycle_order():
 
 
 def test_clockwise_cell_is_reversed():
-    mesh = build_topology(SQUARE_VERTS, [[0, 2, 1], [0, 2, 3]], top_edge_rule)
+    mesh = build_topology(SQUARE_VERTS, [[0, 2, 1], [0, 2, 3]], TOP)
     assert np.all(quality_report(mesh).areas > 0.0)
     assert sorted(cycles(mesh)[0]) == [0, 1, 2]
 
 
-def test_explicit_tag_map_and_string_tags():
-    tags = {(0, 1): "gamma1", (1, 2): "gamma1", (2, 3): "gamma0", (3, 0): "gamma1"}
-    mesh = build_topology(SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], tags)
-    assert list(np.flatnonzero(mesh.edge_gamma0)) == [edge_between(mesh, 2, 3)]
+def test_gamma0_pairs_in_either_order_and_form():
+    # a pair names its edge in either direction, as a tuple, list or array
+    # of Python or numpy integers, and a generator may give the pairs
+    square = two_triangle_square()
+    expected = sorted([edge_between(square, 2, 3), edge_between(square, 3, 0)])
+    for gamma0 in ([(3, 2), (0, 3)], [[2, 3], [3, 0]], np.array([[3, 2], [3, 0]]),
+                   ((np.int32(0), 3), (2, np.int64(3))), (pair for pair in [(2, 3), (0, 3)])):
+        mesh = build_topology(SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], gamma0)
+        assert np.flatnonzero(mesh.edge_gamma0).tolist() == expected
 
 
 def test_hanging_vertex_cycle_is_accepted():
     # pentagon with a collinear vertex in the middle of its top side
     verts = SQUARE_VERTS + [[0.5, 1.0]]
-    mesh = build_topology(verts, [[0, 1, 2, 4, 3]], top_edge_rule)
+    mesh = build_topology(verts, [[0, 1, 2, 4, 3]], [(2, 4), (4, 3)])
     assert mesh.n_cells == 1
     assert abs(quality_report(mesh).areas[0] - 1.0) < 1e-15
     assert len(mesh.gamma0_edge_ids()) == 2
 
 
-SQUARE_TAGS = {(0, 1): "gamma1", (1, 2): "gamma1", (2, 3): "gamma0", (3, 0): "gamma1"}
-
-
 def test_validation_errors():
     cases = [
         # repeated vertex in a cycle
-        (SQUARE_VERTS, [[0, 1, 1, 2]], top_edge_rule, "repeats a vertex"),
+        (SQUARE_VERTS, [[0, 1, 1, 2]], TOP, "repeats a vertex"),
         # vertex index out of range
-        (SQUARE_VERTS, [[0, 1, 7]], top_edge_rule, "out of range"),
+        (SQUARE_VERTS, [[0, 1, 7]], TOP, "out of range"),
         # degenerate (collinear) cell
-        ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0, 1, 2]], all_gamma0, "degenerate"),
+        ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0, 1, 2]], [(0, 1)], "degenerate"),
         # bowtie self-intersection (asymmetric so its signed area is nonzero)
-        ([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[0, 1, 2, 3]], all_gamma0,
+        ([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[0, 1, 2, 3]], [(0, 1)],
          "not a simple polygon"),
         # fewer than three vertices
-        (SQUARE_VERTS, [[0, 1]], all_gamma0, "at least 3"),
+        (SQUARE_VERTS, [[0, 1]], [(0, 1)], "at least 3"),
         # no cells at all
-        (SQUARE_VERTS, [], all_gamma0, "no cells"),
+        (SQUARE_VERTS, [], [(0, 1)], "no cells"),
         # bad vertex array shape
-        ([[0.0, 0.0, 0.0]], [[0, 0, 0]], all_gamma0, "shape"),
+        ([[0.0, 0.0, 0.0]], [[0, 0, 0]], [(0, 1)], "shape"),
         # non-finite coordinates
-        ([[0.0, 0.0], [1.0, np.inf], [0.0, 1.0]], [[0, 1, 2]], all_gamma0, "finite"),
-        ([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]], [[0, 1, 2]], all_gamma0, "finite"),
+        ([[0.0, 0.0], [1.0, np.inf], [0.0, 1.0]], [[0, 1, 2]], [(0, 1)], "finite"),
+        ([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]], [[0, 1, 2]], [(0, 1)], "finite"),
         # finite coordinates whose area overflows: named, where they used to
         # pass with a nan area or be called degenerate when diam * diam overflowed
-        ([[0.0, 0.0], [1.0, 0.0], [1e308, 1e308]], [[0, 1, 2]], all_gamma0,
+        ([[0.0, 0.0], [1.0, 0.0], [1e308, 1e308]], [[0, 1, 2]], [(0, 1)],
          "cell 0 is too large: its area or diameter is not finite"),
-        ([[0.0, 0.0], [1.0, 0.0], [1e200, 1e200]], [[0, 1, 2]], all_gamma0,
+        ([[0.0, 0.0], [1.0, 0.0], [1e200, 1e200]], [[0, 1, 2]], [(0, 1)],
          "cell 0 is too large: its area or diameter is not finite"),
         # coordinates that are strings or booleans, not numbers
-        ([[0, 0], ["1", 0], [1, 1], [0, 1]], [[0, 1, 2, 3]], all_gamma0, "hold numbers"),
-        ([[False, False], [True, False], [True, True], [False, True]], [[0, 1, 2, 3]], all_gamma0,
+        ([[0, 0], ["1", 0], [1, 1], [0, 1]], [[0, 1, 2, 3]], [(0, 1)], "hold numbers"),
+        ([[False, False], [True, False], [True, True], [False, True]], [[0, 1, 2, 3]], [(0, 1)],
          "hold numbers"),
         # booleans among numbers: named, not read as 0 or 1
-        ([[0, 0], [True, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]], all_gamma0,
+        ([[0, 0], [True, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]], [(0, 1)],
          "vertex 1 has a boolean coordinate"),
-        ([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, np.True_]], [[0, 1, 2, 3]], all_gamma0,
+        ([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, np.True_]], [[0, 1, 2, 3]], [(0, 1)],
          "vertex 3 has a boolean coordinate"),
-        (SQUARE_VERTS, [[0, True, 2, 3]], top_edge_rule, "cell 0 has a boolean vertex index"),
-        (SQUARE_VERTS, [[0, 1, 2], [0, 2, 3, np.True_], [True, 2, 3]], top_edge_rule,
+        (SQUARE_VERTS, [[0, True, 2, 3]], TOP, "cell 0 has a boolean vertex index"),
+        (SQUARE_VERTS, [[0, 1, 2], [0, 2, 3, np.True_], [True, 2, 3]], TOP,
          "cell 1 has a boolean vertex index"),
         # fractional or non-finite vertex index: named, not truncated
-        (SQUARE_VERTS, [[0, 1, 2], [0, 2.5, 3]], top_edge_rule, "cell 1 has a vertex index that is not an integer"),
-        (SQUARE_VERTS, [[0, 1.7, 2], [0, 2, 3]], top_edge_rule, "cell 0 has a vertex index that is not an integer"),
-        (SQUARE_VERTS, [[0, 1, 2], [0, 2, np.nan]], top_edge_rule, "cell 1 has a vertex index that is not an integer"),
+        (SQUARE_VERTS, [[0, 1, 2], [0, 2.5, 3]], TOP, "cell 1 has a vertex index that is not an integer"),
+        (SQUARE_VERTS, [[0, 1.7, 2], [0, 2, 3]], TOP, "cell 0 has a vertex index that is not an integer"),
+        (SQUARE_VERTS, [[0, 1, 2], [0, 2, np.nan]], TOP, "cell 1 has a vertex index that is not an integer"),
         # entries that are not numbers at all
-        (SQUARE_VERTS, [[0, 1, 2], [0, 2, "3"]], top_edge_rule, "sequences of vertex indices"),
-        (SQUARE_VERTS, [[0, 1, 2], 5], top_edge_rule, "sequences of vertex indices"),
+        (SQUARE_VERTS, [[0, 1, 2], [0, 2, "3"]], TOP, "sequences of vertex indices"),
+        (SQUARE_VERTS, [[0, 1, 2], 5], TOP, "sequences of vertex indices"),
         # a vertex no cell uses: named, lowest first
-        (SQUARE_VERTS + [[5.0, 5.0]], [[0, 1, 2, 3]], top_edge_rule, "vertex 4 is not used by any cell"),
-        (SQUARE_VERTS + [[2.0, 0.0], [2.0, 1.0]], [[0, 1, 2]], top_edge_rule, "vertex 3 is not used by any cell"),
+        (SQUARE_VERTS + [[5.0, 5.0]], [[0, 1, 2, 3]], TOP, "vertex 4 is not used by any cell"),
+        (SQUARE_VERTS + [[2.0, 0.0], [2.0, 1.0]], [[0, 1, 2]], TOP, "vertex 3 is not used by any cell"),
         # vertex data numpy cannot convert: ragged or non-numeric
-        ([[0.0, 0.0], [1.0]], [[0, 1, 2]], all_gamma0, r"vertex array must have shape \(n, 2\)"),
-        ([[0.0, "a"], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]], all_gamma0, r"vertex array must have shape \(n, 2\)"),
-        # a tag map key that is not a boundary edge: the diagonal of one
-        # square cell, the interior edge of two triangles, a pair no cell has
-        (SQUARE_VERTS, [[0, 1, 2, 3]], {**SQUARE_TAGS, (2, 0): "gamma0"},
-         r"tagged edge \(0, 2\) is not a boundary edge"),
-        (SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], {**SQUARE_TAGS, (0, 2): "gamma1"},
-         r"tagged edge \(0, 2\) is not a boundary edge"),
-        (SQUARE_VERTS, [[0, 1, 2, 3]], {**SQUARE_TAGS, (7, 5): "gamma1", (1, 3): "gamma1"},
-         r"tagged edge \(1, 3\) is not a boundary edge"),
-        # two keys naming one edge in opposite directions: refused, not the
-        # last one kept
-        (SQUARE_VERTS, [[0, 1, 2, 3]], {**SQUARE_TAGS, (1, 0): "gamma0"},
-         r"tag map keys \(0, 1\) and \(1, 0\) both name edge \(0, 1\)"),
-        (SQUARE_VERTS, [[0, 1, 2, 3]], {(3, 2): "gamma0", **SQUARE_TAGS},
-         r"tag map keys \(3, 2\) and \(2, 3\) both name edge \(2, 3\)"),
+        ([[0.0, 0.0], [1.0]], [[0, 1, 2]], [(0, 1)], r"vertex array must have shape \(n, 2\)"),
+        ([[0.0, "a"], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]], [(0, 1)], r"vertex array must have shape \(n, 2\)"),
+        # a gamma0 pair that is not a boundary edge: the diagonal of one
+        # square cell, the interior edge of two triangles, pairs no cell has
+        # (the lowest is named, whatever the order given)
+        (SQUARE_VERTS, [[0, 1, 2, 3]], TOP + [(2, 0)], r"tagged edge \(0, 2\) is not a boundary edge"),
+        (SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], TOP + [(0, 2)], r"tagged edge \(0, 2\) is not a boundary edge"),
+        (SQUARE_VERTS, [[0, 1, 2, 3]], TOP + [(3, 1), (0, 2)], r"tagged edge \(0, 2\) is not a boundary edge"),
+        # a vertex out of range is refused before any key is formed: (0, 6)
+        # would give the key 0 * 4 + 6 of the boundary edge (1, 2)
+        (SQUARE_VERTS, [[0, 1, 2, 3]], [(0, 6)], r"tagged edge \(0, 6\) is not a boundary edge"),
+        (SQUARE_VERTS, [[0, 1, 2, 3]], TOP + [(1, 3), (7, 5)], r"tagged edge \(5, 7\) is not a boundary edge"),
+        (SQUARE_VERTS, [[0, 1, 2, 3]], [(3, -1)], r"tagged edge \(-1, 3\) is not a boundary edge"),
+        (SQUARE_VERTS, [[0, 1, 2, 3]], [(2, 2**70)], r"tagged edge \(2, 1180591620717411303424\)"),
+        # two pairs naming one edge, in either direction: refused, the
+        # lowest such edge named
+        (SQUARE_VERTS, [[0, 1, 2, 3]], [(0, 1), (2, 3), (1, 0)],
+         r"gamma0 entries 0 and 2 both name edge \(0, 1\)"),
+        (SQUARE_VERTS, [[0, 1, 2, 3]], [(3, 2), (0, 1), (2, 3), (1, 0)],
+         r"gamma0 entries 1 and 3 both name edge \(0, 1\)"),
+        # an entry that is not two integer vertex indices, the first named
+        (SQUARE_VERTS, [[0, 1, 2, 3]], [(0, 1, 2)], "gamma0 entry 0 is not a pair of integer vertex indices"),
+        (SQUARE_VERTS, [[0, 1, 2, 3]], TOP + [(1,)], "gamma0 entry 1 is not a pair"),
+        (SQUARE_VERTS, [[0, 1, 2, 3]], TOP + [(True, 2), (0, 5)], "gamma0 entry 1 is not a pair"),
+        (SQUARE_VERTS, [[0, 1, 2, 3]], TOP + [(np.True_, 2)], "gamma0 entry 1 is not a pair"),
+        (SQUARE_VERTS, [[0, 1, 2, 3]], TOP + [(1.0, 2)], "gamma0 entry 1 is not a pair"),
+        (SQUARE_VERTS, [[0, 1, 2, 3]], TOP + [5], "gamma0 entry 1 is not a pair"),
+        (SQUARE_VERTS, [[0, 1, 2, 3]], TOP + ["12"], "gamma0 entry 1 is not a pair"),
+        (SQUARE_VERTS, [[0, 1, 2, 3]], TOP + [np.array(5)], "gamma0 entry 1 is not a pair"),
+        (SQUARE_VERTS, [[0, 1, 2, 3]], np.array([[False, True]]), "gamma0 entry 0 is not a pair"),
     ]
-    for verts, cells, tags, fragment in cases:
+    for verts, cells, gamma0, fragment in cases:
         with pytest.raises(MeshError, match=fragment):
-            build_topology(verts, cells, tags)
+            build_topology(verts, cells, gamma0)
 
 
 def test_self_intersection_names_first_edge_pair_and_lowest_cell():
@@ -185,28 +201,28 @@ def test_self_intersection_names_first_edge_pair_and_lowest_cell():
         MeshError,
         match=r"cell 2 is not a simple polygon: edges \(2,3\) and \(4,5\) of its cycle intersect",
     ):
-        build_topology(verts, cells, all_gamma0)
+        build_topology(verts, cells, [(0, 1)])
     # with cell 2 repaired, the next offending cell and pair are named
     cells[2][3], cells[2][4] = cells[2][4], cells[2][3]
     with pytest.raises(MeshError, match=r"cell 1 .* edges \(5,6\) and \(7,8\)"):
-        build_topology(verts, cells, all_gamma0)
+        build_topology(verts, cells, [(0, 1)])
 
 
 def test_compressed_row_input_matches_cycle_list():
     # cells come as cycles only: a list of lists or an (m, n) array of them
     cells = [[0, 2, 1], [0, 2, 3]]  # the first is clockwise and gets reversed
     stacked = np.array(cells)
-    from_list = build_topology(SQUARE_VERTS, cells, top_edge_rule)
-    from_array = build_topology(SQUARE_VERTS, stacked, top_edge_rule)
+    from_list = build_topology(SQUARE_VERTS, cells, TOP)
+    from_array = build_topology(SQUARE_VERTS, stacked, TOP)
     assert structurally_equal(from_array, from_list)
     assert np.array_equal(from_array.cell_edges, from_list.cell_edges)
     # the caller's cycles are copied, not reversed or frozen in place
     assert cells == [[0, 2, 1], [0, 2, 3]]
     assert stacked.tolist() == cells and stacked.flags.writeable
     # integral floats are indices
-    assert structurally_equal(build_topology(SQUARE_VERTS, stacked.astype(float), top_edge_rule), from_list)
+    assert structurally_equal(build_topology(SQUARE_VERTS, stacked.astype(float), TOP), from_list)
     # the mesh's own compressed-row cells, read back as cycles, give the same mesh
-    again = build_topology(from_list.vertices, cycles(from_list), top_edge_rule)
+    again = build_topology(from_list.vertices, cycles(from_list), TOP)
     assert structurally_equal(again, from_list)
     assert np.array_equal(again.cell_edges, from_list.cell_edges)
 
@@ -215,7 +231,7 @@ def test_caller_vertex_array_is_copied():
     # an array that needs no conversion is still copied: the mesh freezes its
     # own vertices, never the caller's
     verts = np.array(SQUARE_VERTS)
-    mesh = build_topology(verts, [[0, 1, 2], [0, 2, 3]], top_edge_rule)
+    mesh = build_topology(verts, [[0, 1, 2], [0, 2, 3]], TOP)
     assert verts.flags.writeable and verts.tolist() == SQUARE_VERTS
     assert not np.shares_memory(verts, mesh.vertices)
 
@@ -225,13 +241,13 @@ def test_non_manifold_edge_rejected():
     cells = [[0, 1, 4], [1, 2, 4], [0, 4, 5]]  # edge (0, 4) or (1, 4) shared 3 times
     cells = [[0, 1, 4], [0, 4, 3], [0, 5, 4]]
     with pytest.raises(MeshError, match="more than two cells"):
-        build_topology(verts, cells, all_gamma0)
+        build_topology(verts, cells, [(0, 1)])
     # two such edges: the one of lowest vertex pair is named, not the first reached
     verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 5.0], [1.0, 5.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0],
              [0.5, 6.0], [0.5, 4.0], [0.5, 7.0]]
     cells = [[2, 3, 7], [2, 3, 8], [2, 3, 9], [0, 1, 4], [0, 1, 5], [0, 1, 6]]
     with pytest.raises(MeshError, match=r"^edge \(0, 1\) is shared by more than two cells$"):
-        build_topology(verts, cells, all_gamma0)
+        build_topology(verts, cells, [(0, 1)])
 
 
 def test_same_direction_traversal_rejected():
@@ -239,38 +255,48 @@ def test_same_direction_traversal_rejected():
     # both traverse (0, 1) left to right, which no cycle reversal can repair
     verts = [[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, 2.0]]
     with pytest.raises(MeshError, match="same direction"):
-        build_topology(verts, [[0, 1, 2], [0, 1, 3]], all_gamma0)
+        build_topology(verts, [[0, 1, 2], [0, 1, 3]], [(0, 1)])
     # the same pair again at x + 10, reached first: the lower edge (0, 1) is named
     verts += [[x + 10.0, y] for x, y in verts]
     with pytest.raises(MeshError, match=r"^edge \(0, 1\) traversed in the same direction by cells 2 and 3:"):
-        build_topology(verts, [[4, 5, 6], [4, 5, 7], [0, 1, 2], [0, 1, 3]], all_gamma0)
+        build_topology(verts, [[4, 5, 6], [4, 5, 7], [0, 1, 2], [0, 1, 3]], [(0, 1)])
 
 
-def test_untagged_boundary_edge_rejected():
+def two_triangle_file(tmp_path, tags):
+    """A mesh file of the two-triangle square, its boundary items given as
+    a map from vertex pair to tag."""
+    path = tmp_path / "mesh.json"
+    items = [{"edge": list(pair), "tag": tag} for pair, tag in tags.items()]
+    path.write_text(json.dumps({"vertices": SQUARE_VERTS, "cells": [[0, 1, 2], [0, 2, 3]], "boundary": items}))
+    return path
+
+
+def test_untagged_boundary_edge_rejected(tmp_path):
     # (1, 2) comes first in edge order, but the lowest untagged pair is named
     with pytest.raises(MeshError, match=r"untagged boundary edge \(0, 3\)"):
-        build_topology(SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], {(0, 1): "gamma0", (2, 3): "gamma1"})
+        load_mesh(two_triangle_file(tmp_path, {(0, 1): "gamma0", (2, 3): "gamma1"}))
 
 
-def test_interior_tag_on_boundary_rejected():
+def test_interior_tag_on_boundary_rejected(tmp_path):
     tags = {(0, 1): "interior", (1, 2): "gamma0", (2, 3): "gamma0", (3, 0): "gamma0"}
-    with pytest.raises(MeshError, match="tagged as interior"):
-        build_topology(SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], tags)
+    with pytest.raises(MeshError, match=r"boundary edge \(0, 1\) tagged as interior"):
+        load_mesh(two_triangle_file(tmp_path, tags))
 
 
-def test_unknown_tag_rejected():
+def test_unknown_tag_rejected(tmp_path):
     # (1, 2) comes first in edge order, but the lowest pair is named
     tags = {(0, 1): "gamma0", (1, 2): "neumann", (2, 3): "gamma0", (3, 0): "dirichlet"}
     with pytest.raises(MeshError, match=r"unknown boundary tag 'dirichlet' on edge \(0, 3\)"):
-        build_topology(SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], tags)
+        load_mesh(two_triangle_file(tmp_path, tags))
+    # a tag that is not a string is unknown too
+    tags = {(0, 1): "gamma0", (1, 2): "gamma1", (2, 3): ["gamma0"], (3, 0): "gamma1"}
+    with pytest.raises(MeshError, match=r"unknown boundary tag \['gamma0'\] on edge \(2, 3\)"):
+        load_mesh(two_triangle_file(tmp_path, tags))
 
 
 def test_empty_spectral_boundary_rejected():
-    def gamma1_only(pa, pb):
-        return "gamma1"
-
     with pytest.raises(MeshError, match="spectral boundary is empty"):
-        build_topology(SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], gamma1_only)
+        build_topology(SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], [])
 
 
 # unit squares at x in [0, 1] and [2, 3] that share no vertex; only the left
@@ -286,22 +312,21 @@ TWO_SQUARES = {
 
 
 def test_disconnected_mesh_rejected():
-    tags = {tuple(item["edge"]): item["tag"] for item in TWO_SQUARES["boundary"]}
     with pytest.raises(MeshError, match="^mesh is disconnected: vertex 4 is not connected to vertex 0$"):
-        build_topology(TWO_SQUARES["vertices"], TWO_SQUARES["cells"], tags)
+        build_topology(TWO_SQUARES["vertices"], TWO_SQUARES["cells"], TOP)
 
     # the lowest vertex outside vertex 0's part is named
     interleaved = [v for pair in zip(TWO_SQUARES["vertices"][:4], TWO_SQUARES["vertices"][4:]) for v in pair]
     with pytest.raises(MeshError, match="vertex 1 is not connected to vertex 0"):
-        build_topology(interleaved, [[0, 2, 4, 6], [1, 3, 5, 7]], all_gamma0)
+        build_topology(interleaved, [[0, 2, 4, 6], [1, 3, 5, 7]], [(0, 2)])
 
     # squares that share only a corner are connected, as in the stiffness graph
     corner = SQUARE_VERTS + [[2.0, 1.0], [2.0, 2.0], [1.0, 2.0]]
-    assert build_topology(corner, [[0, 1, 2, 3], [2, 4, 5, 6]], all_gamma0).n_cells == 2
+    assert build_topology(corner, [[0, 1, 2, 3], [2, 4, 5, 6]], [(0, 1)]).n_cells == 2
 
 
 def test_known_geometry_values():
-    mesh = build_topology(SQUARE_VERTS, [[0, 1, 2, 3]], top_edge_rule)
+    mesh = build_topology(SQUARE_VERTS, [[0, 1, 2, 3]], TOP)
     rep = quality_report(mesh)
     assert abs(rep.areas[0] - 1.0) < 1e-15
     assert abs(rep.diameters[0] - np.sqrt(2.0)) < 1e-15
@@ -364,7 +389,7 @@ def test_centroid_cancellation_regression():
 
 
 def test_quality_report_flags_stretched_cells():
-    mesh = build_topology(SQUARE_VERTS, [[0, 1, 2, 3]], top_edge_rule)
+    mesh = build_topology(SQUARE_VERTS, [[0, 1, 2, 3]], TOP)
     rep = quality_report(mesh)
     assert rep.star_flags.dtype == rep.gap_flags.dtype == np.int64
     assert rep.star_flags.size == rep.gap_flags.size == 0
@@ -375,7 +400,7 @@ def test_quality_report_flags_stretched_cells():
     assert rep.gamma_estimate > 0.3
 
     thin = build_topology(
-        [[0.0, 0.0], [1.0, 0.0], [1.0, 0.01], [0.0, 0.01]], [[0, 1, 2, 3]], all_gamma0
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 0.01], [0.0, 0.01]], [[0, 1, 2, 3]], sides([0, 1, 2, 3])
     )
     rep = quality_report(thin)
     assert rep.star_flags.tolist() == [0]
@@ -386,7 +411,7 @@ def test_centroid_outside_the_cell_has_radius_zero():
     # the centroid (2, 13/12) of this chevron lies above its reflex vertex
     # (2, 1), outside the cell: no ball about it fits, although its distance
     # to the nearest edge segment is 0.0589
-    chevron = build_topology([[0, 0], [4, 0], [4, 3], [2, 1], [0, 3]], [[0, 1, 2, 3, 4]], all_gamma0)
+    chevron = build_topology([[0, 0], [4, 0], [4, 3], [2, 1], [0, 3]], [[0, 1, 2, 3, 4]], sides([0, 1, 2, 3, 4]))
     rep = quality_report(chevron)
     assert rep.inscribed_radii.tolist() == [0.0]
     assert rep.gamma_estimate == 0.0
@@ -414,7 +439,7 @@ def test_radius_is_the_distance_to_the_nearest_edge_on_convex_cells():
 def test_edge_arrays_mirror_edge_list():
     # the edge arrays rebuilt from the cycles alone, in first-traversal order
     mesh = build_topology(SQUARE_VERTS + [[0.5, 0.5]], [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]],
-                          top_edge_rule)
+                          TOP)
     assert numbered_by_first_appearance(mesh)
     assert mesh.edge_gamma0.dtype == bool
     assert np.count_nonzero(mesh.edge_gamma0[mesh.edge_right < 0]) == 1
@@ -488,9 +513,18 @@ def test_load_rejects_malformed_files(tmp_path):
          r"boundary items 0 and 1 .* both tag edge \[0, 1\]"),
         ([[0, 1, 2, 3]], good_boundary + [{"edge": [2, 3], "tag": "gamma0"}],
          r"boundary items 2 and 4 .* both tag edge \[2, 3\]"),
-        # a listed edge that no cell has on the boundary
+        # a listed edge that no cell has on the boundary, tagged either way,
+        # and one with a vertex out of range
         ([[0, 1, 2, 3]], good_boundary + [{"edge": [0, 2], "tag": "gamma1"}],
          r"tagged edge \(0, 2\) is not a boundary edge"),
+        ([[0, 1, 2, 3]], good_boundary + [{"edge": [2, 0], "tag": "gamma0"}],
+         r"tagged edge \(0, 2\) is not a boundary edge"),
+        ([[0, 1, 2, 3]], good_boundary + [{"edge": [6, 0], "tag": "gamma1"}, {"edge": [1, 3], "tag": "gamma1"}],
+         r"tagged edge \(0, 6\) is not a boundary edge"),
+        ([[0, 1, 2, 3]], good_boundary + [{"edge": [0, 6], "tag": "gamma0"}],
+         r"tagged edge \(0, 6\) is not a boundary edge"),
+        # no item tagged gamma0
+        ([[0, 1, 2, 3]], [dict(item, tag="gamma1") for item in good_boundary], "spectral boundary is empty"),
     ]
     for k, (cells, boundary, fragment) in enumerate(cases):
         path = tmp_path / f"case_{k}.json"
@@ -515,11 +549,11 @@ def test_load_rejects_malformed_files(tmp_path):
 
 def test_structurally_equal_detects_changes():
     mesh = two_triangle_square()
-    other = build_topology(SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], top_edge_rule)
+    other = build_topology(SQUARE_VERTS, [[0, 1, 2], [0, 2, 3]], TOP)
     assert structurally_equal(mesh, other)
     moved = build_topology(
         [[0.0, 0.0], [1.1, 0.0], [1.0, 1.0], [0.0, 1.0]],
         [[0, 1, 2], [0, 2, 3]],
-        top_edge_rule,
+        TOP,
     )
     assert not structurally_equal(mesh, moved)

@@ -22,7 +22,7 @@ clockwise, and ``mesh._first_appearance``, which numbers them, must agree
 with a dict loop on random keys of any multiplicity, and on keys at the
 int64 extremes.  The refiners build their output without the checks
 of ``build_topology``, so every output must come back unchanged through
-them, its boundary tagged by the initial meshes' own rule; and
+them, its own spectral-boundary pairs given in any order and orientation; and
 newest-vertex bisection must create at most four triangle shapes per
 shape of the initial mesh.
 
@@ -288,32 +288,29 @@ def test_refine_fem_and_uniform_match_oracle(name, steps, data):
 # refiner output against the checks of build_topology, and bisection shapes
 
 
-def top_side_rule(pa, pb):
-    """The tag rule both initial meshes are built with: Gamma0 is the side
-    y = 1, every other boundary edge is Gamma1."""
-    return "gamma0" if abs(pa[1] - 1.0) <= 1e-12 and abs(pb[1] - 1.0) <= 1e-12 else "gamma1"
-
-
-def rebuilt(mesh):
-    """The mesh read back from its cycles through every check of
-    build_topology, its boundary tagged by the initial meshes' rule rather
-    than by its own tags."""
-    return build_topology(mesh.vertices, oracle.cycles(mesh), top_side_rule)
+def rebuilt(mesh, data):
+    """The mesh read back from its cycles and its own spectral-boundary pairs
+    through every check of build_topology, the pairs given in a drawn order,
+    each in a drawn orientation."""
+    pairs = data.draw(st.permutations(oracle.gamma0_pairs(mesh)), label="gamma0 order")
+    flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)), label="gamma0 flips")
+    gamma0 = [pair[::-1] if flip else pair for pair, flip in zip(pairs, flips)]
+    return build_topology(mesh.vertices, oracle.cycles(mesh), gamma0)
 
 
 @SETTINGS
 @given(name=st.sampled_from(sorted(INITIAL)), steps=st.integers(1, 3), data=st.data())
 def test_refiner_output_passes_build_topology_unchanged(name, steps, data):
     vem = fem = INITIAL[name]
-    assert identical(rebuilt(fem), fem)
+    assert identical(rebuilt(fem, data), fem)
     for _ in range(steps):
         vem = refine_vem(vem, mark_subset(data, vem))
         if fem.n_cells < 300 and data.draw(st.booleans(), label="uniform"):
             fem = refine_uniform(fem)
         else:
             fem = refine_fem(fem, mark_subset(data, fem))
-        assert identical(rebuilt(vem), vem)
-        assert identical(rebuilt(fem), fem)
+        assert identical(rebuilt(vem, data), vem)
+        assert identical(rebuilt(fem, data), fem)
 
 
 @SETTINGS
@@ -337,7 +334,7 @@ def test_build_topology_numbers_edges_by_first_appearance(name, fem, steps, seed
     assert oracle.numbered_by_first_appearance(shuffled)
     flip = rng.random(mesh.n_cells) < 0.5
     cells = [cyc[::-1] if f else cyc for cyc, f in zip(oracle.cycles(shuffled), flip.tolist())]
-    again = build_topology(shuffled.vertices, cells, boundary_tags(shuffled, range(mesh.n_vertices)))
+    again = build_topology(shuffled.vertices, cells, oracle.gamma0_pairs(shuffled))
     assert oracle.numbered_by_first_appearance(again)
     assert oracle.cycles(again) != cells or not flip.any()
 
@@ -422,19 +419,9 @@ def test_bisection_keeps_at_most_four_shapes_per_initial_shape(name, steps, data
 # eigensolver
 
 
-def boundary_tags(mesh, new_id):
-    """Tag of every boundary edge, keyed by the vertex ids ``new_id`` gives."""
-    b = np.flatnonzero(mesh.edge_right < 0)
-    return {
-        (new_id[a], new_id[c]): "gamma0" if gamma0 else "gamma1"
-        for a, c, gamma0 in zip(mesh.edge_a[b].tolist(), mesh.edge_b[b].tolist(), mesh.edge_gamma0[b].tolist())
-    }
-
-
 def moved(mesh, vertices):
     """The mesh rebuilt, and validated, on new vertex coordinates."""
-    tags = boundary_tags(mesh, range(mesh.n_vertices))
-    return build_topology(vertices, oracle.cycles(mesh), tags)
+    return build_topology(vertices, oracle.cycles(mesh), oracle.gamma0_pairs(mesh))
 
 
 def relabelled(mesh, rng):
@@ -449,7 +436,7 @@ def relabelled(mesh, rng):
         cyc = new_id[cycles[c]].tolist()
         shift = int(rng.integers(len(cyc)))
         cells.append(cyc[shift:] + cyc[:shift])
-    return build_topology(vertices, cells, boundary_tags(mesh, new_id.tolist()))
+    return build_topology(vertices, cells, new_id[oracle.gamma0_pairs(mesh)])
 
 
 def smallest(mesh):
@@ -934,14 +921,14 @@ def test_emitted_mesh_files_match_the_reference_writers(name, method, steps, dat
 
 def test_emitted_mesh_files_of_meshes_that_are_not_nested():
     def unit_square(x0=0.0):
-        return build_topology([[x0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [[0, 1, 2, 3]], top_side_rule)
+        return build_topology([[x0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [[0, 1, 2, 3]], [(2, 3)])
 
     # the rectangle keeps the square's vertices first but doubles the bounding
     # box, so its pixel text must be formatted afresh
     rectangle = build_topology(
         [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0], [2.0, 1.0]],
         [[0, 1, 2, 3], [1, 4, 5, 2]],
-        top_side_rule,
+        [(2, 3), (5, 2)],
     )
     fine = refine_vem(INITIAL["square"], [0, 3])
     sequences = [
