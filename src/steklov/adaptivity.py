@@ -88,27 +88,20 @@ def _refined_mesh(
     """The mesh of compressed-row ccw ``cells`` on ``points``, refined from
     ``mesh`` with ``midpoint`` as in :func:`_refined_vertices`.
 
-    Each boundary edge takes the tag of the coarse edge it lies on: a split
-    half that of the edge whose midpoint is its higher vertex, an unsplit
-    edge that of the coarse boundary edge with the same endpoints.
+    The spectral boundary is the coarse Gamma0 pairs with each split pair
+    (a, b) replaced by its halves (a, m) and (m, b), m its midpoint; the fine
+    boundary edges are flagged by the key test of ``build_topology``.
     """
-    n = mesh.n_vertices
+    n = len(points)
     cell_edges, edge_a, edge_b, edge_left, edge_right = _edge_table(points, cell_ptr, cells)
-    split = np.flatnonzero(midpoint >= 0)
-    coarse_of = np.empty(len(points), dtype=np.int64)
-    coarse_of[midpoint[split]] = split
-    boundary = np.flatnonzero(mesh.edge_right < 0)
-    a, b = mesh.edge_a[boundary], mesh.edge_b[boundary]
-    keys = np.minimum(a, b) * n + np.maximum(a, b)
-    order = np.argsort(keys)
+    gamma0 = mesh.gamma0_edge_ids()
+    a, b, m = mesh.edge_a[gamma0], mesh.edge_b[gamma0], midpoint[gamma0]
+    split = m >= 0
+    lo, hi = np.sort([np.r_[a[~split], a[split], m[split]], np.r_[b[~split], m[split], b[split]]], axis=0)
     fine = np.flatnonzero(edge_right < 0)
-    lo, hi = np.sort([edge_a[fine], edge_b[fine]], axis=0)
-    half = hi >= n
-    coarse = np.empty(len(fine), dtype=np.int64)
-    coarse[half] = coarse_of[hi[half]]
-    coarse[~half] = boundary[order[np.searchsorted(keys, lo[~half] * n + hi[~half], sorter=order)]]
+    ends = np.sort([edge_a[fine], edge_b[fine]], axis=0)
     edge_gamma0 = np.zeros(len(edge_a), dtype=bool)
-    edge_gamma0[fine] = mesh.edge_gamma0[coarse]
+    edge_gamma0[fine] = np.isin(ends[0] * n + ends[1], lo * n + hi)
     return PolygonalMesh(points, cell_ptr, cells, cell_edges, edge_a, edge_b, edge_left, edge_right, edge_gamma0)
 
 

@@ -113,13 +113,14 @@ def residual_norm(system: GlobalSystem, value: float, vector: np.ndarray) -> flo
 
 def _normalize(system: GlobalSystem, w: np.ndarray) -> np.ndarray:
     """Scale to unit boundary mass and fix the sign convention: the first
-    spectral-boundary dof (ascending index) whose magnitude exceeds 1e-8 is
-    positive."""
-    m_norm2 = _dot(w, system.boundary_mass @ w)
+    spectral-boundary dof (ascending index among the rows that the boundary
+    mass stores) whose magnitude exceeds 1e-8 is positive."""
+    M = system.boundary_mass
+    m_norm2 = _dot(w, M @ w)
     if m_norm2 <= 0.0:
         raise EigensolverError("eigenvector has zero boundary mass norm: deflation failure")
     w = w / np.sqrt(m_norm2)
-    for dof in system.gamma0_dofs:
+    for dof in np.flatnonzero(M.getnnz(axis=1)):
         if abs(w[dof]) > _SIGN_THRESHOLD:
             if w[dof] < 0.0:
                 w = -w
@@ -145,12 +146,13 @@ def solve_smallest_positive(
     pair is normalized (unit boundary mass, sign convention) and satisfies
     the residual tolerance ``tol`` within 500 Lanczos restarts; otherwise
     :class:`ConvergenceError` reports the best residual reached.  A pencil
-    with fewer than two spectral-boundary dofs, a ``seed`` that is a bool or
-    not an integer, a negative seed, a ``tol`` that is a bool or not a
-    finite positive number, or a start vector that has the wrong shape, is not
-    finite, is constant (zero once the constant mode is deflated) or
-    vanishes on the spectral boundary, raises :class:`EigensolverError`
-    before any work.
+    with fewer than two spectral-boundary dofs (the rows that the boundary
+    mass stores, zero entries included), a ``seed`` that is a bool or not an
+    integer, a negative seed, a ``tol`` that is a bool or not a finite
+    positive number, or a start vector that has the wrong shape, is not
+    finite, is constant (zero once the constant mode is deflated) or vanishes
+    on the spectral boundary, raises :class:`EigensolverError` before any
+    work.
     """
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
         raise EigensolverError(f"seed must be an integer, got {seed!r}")
@@ -160,13 +162,13 @@ def solve_smallest_positive(
         raise EigensolverError(f"tol must be positive and finite, got {tol:g}")
     if seed < 0:
         raise EigensolverError(f"seed must be non-negative, got {seed}")
-    n = system.n_dofs
-    if len(system.gamma0_dofs) < 2:
+    n, M = system.n_dofs, system.boundary_mass
+    n_gamma0 = np.count_nonzero(M.getnnz(axis=1))
+    if n_gamma0 < 2:
         raise EigensolverError(
-            f"the pencil has no finite positive eigenvalue: {len(system.gamma0_dofs)} "
+            f"the pencil has no finite positive eigenvalue: {n_gamma0} "
             "spectral-boundary dofs, where at least 2 are needed"
         )
-    M = system.boundary_mass
     ones_vec = np.ones(n)
     m_ones = M @ ones_vec
     scale = _dot(ones_vec, m_ones)

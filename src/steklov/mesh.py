@@ -112,11 +112,6 @@ class PolygonalMesh:
     def gamma0_edge_ids(self) -> np.ndarray:
         return np.flatnonzero(self.edge_gamma0)
 
-    def gamma0_vertices(self) -> np.ndarray:
-        """Sorted vertex indices lying on the spectral boundary."""
-        ids = self.gamma0_edge_ids()
-        return np.unique(np.concatenate([self.edge_a[ids], self.edge_b[ids]]))
-
 
 # ---------------------------------------------------------------------------
 # polygon geometry on raw coordinate arrays

@@ -100,13 +100,12 @@ def _project_group(group: CellGroup, local: np.ndarray) -> tuple[np.ndarray, np.
 class GlobalSystem:
     """Assembled stiffness/boundary-mass pair plus the grouped cell data.
 
-    Dofs are the mesh vertices; ``gamma0_dofs`` lists those on the spectral
-    boundary.
+    Dofs are the mesh vertices; those on the spectral boundary are the rows
+    that ``boundary_mass`` stores.
     """
 
     stiffness: sp.csr_matrix
     boundary_mass: sp.csr_matrix
-    gamma0_dofs: np.ndarray
     groups: tuple[CellGroup, ...]
     diameters: np.ndarray  # per-cell diameter, indexed by cell id
     mesh: PolygonalMesh
@@ -157,7 +156,6 @@ def assemble(mesh: PolygonalMesh) -> GlobalSystem:
     return GlobalSystem(
         stiffness=stiffness,
         boundary_mass=boundary_mass,
-        gamma0_dofs=mesh.gamma0_vertices(),
         groups=tuple(groups),
         diameters=diameters,
         mesh=mesh,

@@ -1,5 +1,7 @@
 """Marking and refinement: polygon quad-split, bisection, uniform red split."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -366,4 +368,9 @@ def test_prolong_rejects_a_mesh_that_is_not_a_refinement():
         prolong(mesh, fine, np.ones(mesh.n_vertices + 1))
     with pytest.raises(ValueError, match="keep the coarse vertices first"):
         prolong(fine, mesh, np.ones(fine.n_vertices))
+    # an appended vertex that no cell uses has no edge to reach it by
+    stray = dataclasses.replace(mesh, vertices=np.vstack([mesh.vertices, [[0.5, 2.0]]]))
+    message = f"^fine vertex {mesh.n_vertices} is not connected to the coarse vertices$"
+    with pytest.raises(ValueError, match=message):
+        prolong(mesh, stray, np.ones(mesh.n_vertices))
 

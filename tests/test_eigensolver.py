@@ -1,5 +1,6 @@
 """Eigensolver: agreement with dense references, invariants, failure modes."""
 
+import dataclasses
 import functools
 import math
 
@@ -22,6 +23,11 @@ from steklov.vem import assemble
 from fem_oracle import boundary_mass as oracle_boundary_mass
 from fem_oracle import dense_reference_solve, dense_steklov_solve, lowest_pairs
 from fem_oracle import p1_stiffness as oracle_stiffness
+
+
+def spectral_dofs(system):
+    """The ascending dofs on Gamma0: the rows that the boundary mass stores."""
+    return np.flatnonzero(system.boundary_mass.getnnz(axis=1))
 
 
 def small_meshes():
@@ -70,7 +76,7 @@ def test_finite_spectrum_size_is_gamma0_dofs_minus_one():
         n_zero = int(np.sum(np.abs(dense) < 1e-8))
         n_positive = int(np.sum(dense > 1e-8))
         assert n_zero == 1
-        assert n_positive == len(system.gamma0_dofs) - 1
+        assert n_positive == len(spectral_dofs(system)) - 1
 
 
 def test_bad_tol_and_seed_are_refused_by_name():
@@ -107,8 +113,7 @@ def test_solution_invariants():
     assert abs(np.ones_like(w) @ (M @ w)) <= 1e-8 * np.linalg.norm(M @ w)
 
     # sign convention: first sizable spectral dof is positive
-    gamma0 = system.gamma0_dofs
-    lead = next(d for d in gamma0 if abs(w[d]) > 1e-8)
+    lead = next(d for d in spectral_dofs(system) if abs(w[d]) > 1e-8)
     assert w[lead] > 0.0
 
 
@@ -117,7 +122,7 @@ def test_normalize_refuses_zero_boundary_mass():
     interior = np.zeros(system.n_dofs)
     # a vector supported away from the spectral boundary has no mass norm
     interior_dof = next(
-        d for d in range(system.n_dofs) if d not in set(system.gamma0_dofs)
+        d for d in range(system.n_dofs) if d not in set(spectral_dofs(system))
     )
     interior[interior_dof] = 1.0
     with pytest.raises(EigensolverError, match="zero boundary mass"):
@@ -196,9 +201,20 @@ def test_pencil_without_a_spectral_edge_is_refused_by_name():
     edges = _edge_table(verts, cell_ptr, tails)
     gamma0 = np.zeros(len(edges[0]), dtype=bool)
     system = assemble(PolygonalMesh(verts, cell_ptr, tails, *edges, gamma0))
-    assert len(system.gamma0_dofs) == 0
+    assert len(spectral_dofs(system)) == 0
     with pytest.raises(EigensolverError, match="no finite positive eigenvalue: 0 spectral-boundary dofs"):
         solve_smallest_positive(system)
+
+
+def test_boundary_mass_of_zeros_is_refused_by_name():
+    # M scaled by zero keeps its stored rows, so the pencil keeps its
+    # spectral dofs but has no mass on them
+    system = assemble(initial_mesh("square"))
+    empty = dataclasses.replace(system, boundary_mass=system.boundary_mass * 0.0)
+    assert empty.boundary_mass.nnz == system.boundary_mass.nnz
+    assert len(spectral_dofs(empty)) == len(spectral_dofs(system)) >= 2
+    with pytest.raises(EigensolverError, match="^boundary mass matrix has no positive mass$"):
+        solve_smallest_positive(empty)
 
 
 def quad_split_notched():
@@ -351,6 +367,29 @@ def test_warm_start_with_unequal_pivot_orders_falls_back(monkeypatch):
     assert len(made) == 2 and abs(warm.value - cold.value) <= 1e-12 * cold.value
 
 
+def test_warm_start_whose_shifted_matrix_cannot_be_factored_falls_back(monkeypatch):
+    # a K - sigma M that SuperLU refuses ends the warm solve, and ARPACK
+    # factorizes K + M
+    coarse, fine = split_notched_pair()
+    coarse_pair = solve_smallest_positive(assemble(coarse))
+    system = assemble(fine)
+    cold = solve_smallest_positive(system)
+    factorize = eigensolver._factorize
+    matrices = []
+
+    def failing_first(matrix):
+        matrices.append(matrix)
+        if len(matrices) == 1:
+            raise EigensolverError("factorization of the shifted matrix failed (singular matrix)")
+        return factorize(matrix)
+
+    monkeypatch.setattr(eigensolver, "_factorize", failing_first)
+    warm = solve_smallest_positive(system, start=prolong(coarse, fine, coarse_pair.vector))
+    assert len(matrices) == 2
+    assert abs(matrices[1] - (system.stiffness + system.boundary_mass)).max() == 0.0
+    assert abs(warm.value - cold.value) <= 1e-12 * cold.value and warm.residual <= 1e-10
+
+
 def test_warm_start_at_an_unreachable_tolerance_ends_in_convergence_error(factors):
     # the warm iteration stops at its cap and ARPACK runs, whose residual
     # the error reports
@@ -387,6 +426,6 @@ def test_start_vector_of_the_wrong_length_is_refused():
     # a start that vanishes on gamma0 has no component along any eigenvector,
     # and ARPACK used to end on it in an unnamed "Starting vector is zero"
     interior = np.ones(n)
-    interior[system.gamma0_dofs] = 0.0
+    interior[spectral_dofs(system)] = 0.0
     with pytest.raises(EigensolverError, match="start vector vanishes on the spectral boundary"):
         solve_smallest_positive(system, start=interior)

@@ -61,8 +61,9 @@ def test_two_triangle_square_topology():
     k = left_cycle.index(mesh.edge_a[diag])
     assert left_cycle[(k + 1) % 3] == mesh.edge_b[diag]
 
-    assert list(mesh.gamma0_edge_ids()) == [edge_between(mesh, 2, 3)]
-    assert list(mesh.gamma0_vertices()) == [2, 3]
+    g = mesh.gamma0_edge_ids()
+    assert list(g) == [edge_between(mesh, 2, 3)]
+    assert sorted(np.r_[mesh.edge_a[g], mesh.edge_b[g]].tolist()) == [2, 3]
     assert np.count_nonzero((mesh.edge_right < 0) & ~mesh.edge_gamma0) == 3
 
 

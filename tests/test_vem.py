@@ -141,7 +141,10 @@ def test_global_stiffness_invariants():
     ones = np.ones(system.n_dofs)
     assert np.max(np.abs(K @ ones)) < 1e-13
     assert system.n_dofs == mesh.n_vertices
-    assert list(system.gamma0_dofs) == list(mesh.gamma0_vertices())
+    # the spectral dofs, the rows of M, are the endpoints of the Gamma0 edges
+    g = mesh.gamma0_edge_ids()
+    ends = np.unique(np.r_[mesh.edge_a[g], mesh.edge_b[g]])
+    assert list(np.flatnonzero(system.boundary_mass.getnnz(axis=1))) == list(ends)
 
 
 def test_batched_groups_match_single_cell_path_bitwise():
